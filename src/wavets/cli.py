@@ -1,167 +1,69 @@
-"""Batch command-line front end.
+"""Batch command-line front end: a thin shell over :mod:`wavets.pipeline`.
 
-Subcommands cover the full workflow: ``synth`` builds a synthetic dataset,
-``fit-codebook`` pools training coefficients into a quantization codebook,
-``tokenize``/``detokenize`` map datasets to token records and back,
-``train``/``forecast``/``eval`` fit the reference sequence model, draw
-sample paths and score them against the internally computed seasonal-naive
-baseline, and ``ablate`` sweeps a configuration grid.
+``synth`` builds a synthetic dataset; ``fit-codebook``, ``tokenize``,
+``detokenize``, ``train``, ``forecast`` and ``eval`` run the protocol one
+step at a time through files; ``ablate`` runs it in memory over a
+configuration grid. This module only parses arguments, reads and writes
+files and prints summaries.
 
-Configuration precedence is flags > config file (YAML or JSON) > defaults;
-the defaults mirror the empirically optimal pipeline settings. Every
-output file embeds the configuration fingerprint, and commands refuse to
-mix artifacts with mismatched fingerprints.
+Configuration precedence is flags > config file (YAML or JSON) > the
+defaults of :class:`~wavets.pipeline.RunConfig`, whose fields also name the
+flags and config keys. Every output embeds the configuration fingerprint,
+and commands refuse to mix artifacts with mismatched fingerprints. Each
+failed series gets its own ``error:`` line while the rest are still
+processed, and the command then exits with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import itertools
 import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .codebook import codebook_hash, fit_codebook, load_codebook, save_codebook
-from .data_io import Dataset, load_dataset, save_dataset, split_last_h
+from .codebook import Codebook, codebook_hash, fit_codebook, load_codebook, save_codebook
+from .data_io import load_dataset, save_dataset
 from .data_synth import make_dataset
-from .dwt import decompose
+from .dwt import decompose  # noqa: F401  kept bound here: bench/tests patch every binding of it
 from .exceptions import FingerprintMismatchError, WavetsError
-from .families import get_family
-from .metrics import (
-    QUANTILE_LEVELS,
-    aggregate_relative,
-    average_rank,
-    mase,
-    sample_quantiles,
-    seasonal_naive,
-    seasonality_for_freq,
-    vrse,
-    wql,
+from .metrics import aggregate_relative, average_rank
+from .pipeline import (
+    RunConfig,
+    evaluate_dataset,
+    forecast_series,
+    make_windows,
+    pool_coefficients,
+    run_cell,
+    tokenize_windows,
+    train_model,
 )
-from .seq_model import load_model, sample_forecast, save_model, train_markov
-from .thresholding import ThresholdSpec, apply_threshold
-from .tokenizer import (
-    TokenizerConfig,
-    compute_scale,
-    detokenize,
-    fill_missing,
-    pad_to_length,
-    stream_from_record,
-    stream_to_record,
-    tokenize_pair,
-)
+from .seq_model import load_model, save_model
+from .tokenizer import detokenize, stream_from_record, stream_to_record
 
-_DEFAULTS = {
-    "family": "bior2.2",
-    "level": 1,
-    "threshold_method": "none",
-    "threshold_b": 0.5,
-    "threshold_q": 0.05,
-    "sigma_estimator": "mad_finest",
-    "vocab_budget": 1024,
-    "bound_lo": -30.0,
-    "bound_hi": 30.0,
-    "context_length": 512,
-    "horizon": 64,
-    "order": 3,
-    "alpha": 0.1,
-    "n_samples": 20,
-    "temperature": 1.0,
-    "seed": 0,
-    "boundary_mode": "symmetric",
-    "mix_tsmixup": 0.9,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated pipeline configuration; hashable to a stable
-    fingerprint."""
-
-    family: str = "bior2.2"
-    level: int = 1
-    threshold_method: str = "none"
-    threshold_b: float = 0.5
-    threshold_q: float = 0.05
-    sigma_estimator: str = "mad_finest"
-    vocab_budget: int = 1024
-    bound_lo: float = -30.0
-    bound_hi: float = 30.0
-    context_length: int = 512
-    horizon: int = 64
-    order: int = 3
-    alpha: float = 0.1
-    n_samples: int = 20
-    temperature: float = 1.0
-    seed: int = 0
-    boundary_mode: str = "symmetric"
-    mix_tsmixup: float = 0.9
-
-    def __post_init__(self):
-        get_family(self.family)  # raises for unknown names
-        self.threshold_spec()  # validates method and parameters
-        if self.level < 1:
-            raise ValueError(f"decomposition level must be positive, got {self.level}")
-        if self.vocab_budget < 5:
-            raise ValueError(f"vocabulary budget must be at least 5, got {self.vocab_budget}")
-        if not self.bound_lo < 0.0 < self.bound_hi:
-            raise ValueError(f"bounds must straddle 0, got ({self.bound_lo}, {self.bound_hi})")
-        if self.context_length < 2 or self.horizon < 2:
-            raise ValueError("context length and horizon must be at least 2")
-        if self.order < 1:
-            raise ValueError(f"model order must be at least 1, got {self.order}")
-        if self.alpha <= 0:
-            raise ValueError(f"smoothing must be positive, got {self.alpha}")
-        if self.n_samples < 1:
-            raise ValueError(f"need at least one sample path, got {self.n_samples}")
-        if not 0.0 <= self.mix_tsmixup <= 1.0:
-            raise ValueError(f"mixup probability must be in [0, 1], got {self.mix_tsmixup}")
-
-    def threshold_spec(self) -> ThresholdSpec:
-        return ThresholdSpec(
-            method=self.threshold_method,
-            b=self.threshold_b,
-            q=self.threshold_q,
-            sigma_estimator=self.sigma_estimator,
-        )
-
-    def tokenizer_config(self) -> TokenizerConfig:
-        return TokenizerConfig(
-            family=self.family,
-            level=self.level,
-            threshold=self.threshold_spec(),
-            boundary_mode=self.boundary_mode,
-        )
-
-    def bounds(self) -> tuple[float, float]:
-        return (self.bound_lo, self.bound_hi)
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def build_config(args) -> RunConfig:
     """Merge defaults, config file and command-line flags."""
-    merged = dict(_DEFAULTS)
+    merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = yaml.safe_load(Path(config_path).read_text()) or {}
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {config_path} must hold a mapping")
-        unknown = set(loaded) - set(_DEFAULTS) - {"grid"}
+        unknown = set(loaded) - set(_CONFIG_KEYS) - {"grid"}
         if unknown:
             raise ValueError(f"unknown config keys in {config_path}: {sorted(unknown)}")
         merged.update({k: v for k, v in loaded.items() if k != "grid"})
-    for key in _DEFAULTS:
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -170,45 +72,41 @@ def build_config(args) -> RunConfig:
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="YAML/JSON config file")
-    parser.add_argument("--family", help="wavelet family name")
-    parser.add_argument("--level", type=int, help="decomposition level")
-    parser.add_argument("--threshold-method", dest="threshold_method",
-                        help="none | cdf | visu_soft | visu_hard | fdrc")
-    parser.add_argument("--threshold-b", dest="threshold_b", type=float,
-                        help="cutoff base for cdf thresholding")
-    parser.add_argument("--threshold-q", dest="threshold_q", type=float,
-                        help="error level for fdrc thresholding")
-    parser.add_argument("--sigma-estimator", dest="sigma_estimator",
-                        help="mad_finest | std_finest")
-    parser.add_argument("--vocab-budget", dest="vocab_budget", type=int,
-                        help="total vocabulary size budget")
-    parser.add_argument("--bound-lo", dest="bound_lo", type=float, help="lower quantization bound")
-    parser.add_argument("--bound-hi", dest="bound_hi", type=float, help="upper quantization bound")
-    parser.add_argument("--context-length", dest="context_length", type=int)
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--order", type=int, help="Markov model order")
-    parser.add_argument("--alpha", type=float, help="Markov smoothing constant")
-    parser.add_argument("--n-samples", dest="n_samples", type=int, help="sample paths per series")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--boundary-mode", dest="boundary_mode",
-                        help="symmetric | periodization")
-    parser.add_argument("--mix-tsmixup", dest="mix_tsmixup", type=float,
-                        help="probability of tsmixup (vs GP) in synthetic corpora")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=type(f.default), help=f.metadata["help"])
 
 
-def _windows(dataset: Dataset, config: RunConfig):
-    """(item_id, fixed-length context, horizon) triples for every usable
-    series; short contexts are left-padded with missing values."""
-    _, pairs = split_last_h(dataset, config.horizon, config.context_length)
-    return [
-        (p.item_id, pad_to_length(p.context, config.context_length), p.horizon) for p in pairs
-    ]
+def _check_meta(meta: dict, source, config: RunConfig, codebook: Codebook | None = None):
+    """Refuse an artifact made under another codebook or configuration."""
+    expected = [("codebook", codebook_hash(codebook))] if codebook is not None else []
+    for key, want in expected + [("fingerprint", config.fingerprint())]:
+        found = meta.get(key)
+        if found is not None and found != want:
+            raise FingerprintMismatchError(
+                f"{source} was produced under fingerprint {found}, current configuration is {want}"
+            )
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
+def _read_records(path):
+    """The ``__meta__`` mapping and the other records of a JSON-lines file."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    meta = next((r["__meta__"] for r in records if "__meta__" in r), {})
+    return meta, [r for r in records if "__meta__" not in r]
+
+
+def _write_jsonl(path, meta: dict, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"__meta__": meta}, sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _report(failures, kind: str = "series") -> int:
+    for item_id, exc in failures:
+        print(f"error: {kind} {item_id!r}: {exc}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_synth(args) -> int:
@@ -228,24 +126,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fit_codebook(args) -> int:
     config = build_config(args)
-    dataset = load_dataset(args.data)
-    windows = _windows(dataset, config)
-    if not windows:
-        print("error: no usable training windows", file=sys.stderr)
-        return 1
-    family = get_family(config.family)
-    spec = config.threshold_spec()
-    pool = []
-    for _, context, horizon in windows:
-        scale = compute_scale(context)
-        for window in (context, horizon):
-            if not np.isfinite(window).any():
-                continue
-            z = (fill_missing(window) - scale.mu) / scale.sigma
-            pyramid = apply_threshold(decompose(z, family, config.level, config.boundary_mode), spec)
-            pool.append(pyramid.approx)
-            pool.extend(pyramid.details)
-    sample = np.concatenate(pool)
+    sample, skipped = pool_coefficients(make_windows(load_dataset(args.data), config), config)
     codebook = fit_codebook(sample, config.vocab_budget, config.bounds())
     save_codebook(codebook, args.out)
     clamped = np.sum((sample < codebook.edges[0]) | (sample >= codebook.edges[-1]))
@@ -254,113 +135,68 @@ def cmd_fit_codebook(args) -> int:
         f"width {codebook.bin_width:.6g} clamp rate {clamped / sample.size:.4%} "
         f"hash {codebook_hash(codebook)} fingerprint {config.fingerprint()}"
     )
-    return 0
-
-
-def _check_fingerprint(found: str | None, expected: str, source: str):
-    if found is not None and found != expected:
-        raise FingerprintMismatchError(
-            f"{source} was produced under fingerprint {found}, current configuration is {expected}"
-        )
+    return _report(skipped)
 
 
 def cmd_tokenize(args) -> int:
     config = build_config(args)
     dataset = load_dataset(args.data)
     codebook = load_codebook(args.codebook)
-    tok_config = config.tokenizer_config()
     fingerprint = config.fingerprint()
-    cb_hash = codebook_hash(codebook)
-    failures = []
-    n_tokens = 0
-    n_pad = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"__meta__": {
-            "fingerprint": fingerprint, "codebook": cb_hash,
-            "family": config.family, "level": config.level}}, sort_keys=True) + "\n")
-        for item_id, context, horizon in _windows(dataset, config):
-            try:
-                ctx_stream, hor_stream = tokenize_pair(context, horizon, tok_config, codebook)
-            except Exception as exc:  # per-series isolation
-                failures.append((item_id, exc))
-                continue
-            for kind, stream in (("context", ctx_stream), ("horizon", hor_stream)):
-                record = {"item_id": item_id, "kind": kind, **stream_to_record(stream)}
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                n_tokens += len(stream.tokens)
-                n_pad += int(np.sum(stream.tokens == codebook.pad_id))
+    pairs, failures = tokenize_windows(make_windows(dataset, config), config, codebook)
+    streams = [(item_id, kind, stream) for item_id, ctx_stream, hor_stream in pairs
+               for kind, stream in (("context", ctx_stream), ("horizon", hor_stream))]
+    _write_jsonl(args.out, {
+        "fingerprint": fingerprint, "codebook": codebook_hash(codebook),
+        "family": config.family, "level": config.level},
+        ({"item_id": item_id, "kind": kind, **stream_to_record(stream)}
+         for item_id, kind, stream in streams))
+    n_tokens = sum(len(stream.tokens) for _, _, stream in streams)
+    n_pad = sum(int(np.sum(stream.tokens == codebook.pad_id)) for _, _, stream in streams)
     pad_rate = n_pad / n_tokens if n_tokens else 0.0
     print(f"tokenized {args.data}: PAD rate {pad_rate:.4%}, fingerprint {fingerprint}")
-    for item_id, exc in failures:
-        print(f"error: series {item_id!r}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _read_token_records(path):
-    meta = {}
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "__meta__" in record:
-                meta = record["__meta__"]
-            else:
-                records.append(record)
-    return meta, records
+    return _report(failures)
 
 
 def cmd_detokenize(args) -> int:
     config = build_config(args)
     codebook = load_codebook(args.codebook)
-    meta, records = _read_token_records(args.tokens)
-    _check_fingerprint(meta.get("codebook"), codebook_hash(codebook), args.tokens)
-    _check_fingerprint(meta.get("fingerprint"), config.fingerprint(), args.tokens)
+    meta, records = _read_records(args.tokens)
+    _check_meta(meta, args.tokens, config, codebook)
     reference = {}
     if args.reference:
-        ref_ds = load_dataset(args.reference)
-        for item_id, context, horizon in _windows(ref_ds, config):
+        for item_id, context, horizon in make_windows(load_dataset(args.reference), config):
             reference[(item_id, "context")] = context
             reference[(item_id, "horizon")] = horizon
     errors = []
     failures = []
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"__meta__": meta}, sort_keys=True) + "\n")
-        for record in records:
-            try:
-                stream = stream_from_record(record)
-                values = detokenize(stream, codebook)
-            except Exception as exc:
-                failures.append((record.get("item_id"), exc))
-                continue
-            fh.write(json.dumps({
-                "item_id": record["item_id"], "kind": record["kind"],
-                "values": [float(v) for v in values]}, sort_keys=True) + "\n")
-            key = (record["item_id"], record["kind"])
-            if key in reference:
-                truth = reference[key]
-                observed = np.isfinite(truth)
-                if observed.any():
-                    errors.append(
-                        float(np.sqrt(np.mean((values[observed] - truth[observed]) ** 2)))
-                    )
+    outputs = []
+    for record in records:
+        try:
+            values = detokenize(stream_from_record(record), codebook)
+        except Exception as exc:  # per-record isolation
+            failures.append((record.get("item_id"), exc))
+            continue
+        outputs.append((record["item_id"], record["kind"], values))
+        truth = reference.get((record["item_id"], record["kind"]))
+        if truth is not None:
+            observed = np.isfinite(truth)
+            if observed.any():
+                errors.append(float(np.sqrt(np.mean((values[observed] - truth[observed]) ** 2))))
+    _write_jsonl(args.out, meta, ({"item_id": item_id, "kind": kind, "values": values.tolist()}
+                                  for item_id, kind, values in outputs))
     if errors:
         print(f"reconstruction RMSE over {len(errors)} windows: mean {np.mean(errors):.6g} "
               f"max {np.max(errors):.6g}")
     print(f"wrote {args.out}")
-    for item_id, exc in failures:
-        print(f"error: record {item_id!r}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+    return _report(failures, "record")
 
 
 def cmd_train(args) -> int:
     config = build_config(args)
     codebook = load_codebook(args.codebook)
-    meta, records = _read_token_records(args.tokens)
-    _check_fingerprint(meta.get("codebook"), codebook_hash(codebook), args.tokens)
-    _check_fingerprint(meta.get("fingerprint"), config.fingerprint(), args.tokens)
+    meta, records = _read_records(args.tokens)
+    _check_meta(meta, args.tokens, config, codebook)
     by_item: dict[str, dict] = {}
     for record in records:
         by_item.setdefault(record["item_id"], {})[record["kind"]] = stream_from_record(record)
@@ -369,10 +205,7 @@ def cmd_train(args) -> int:
         for streams in by_item.values()
         if "context" in streams and "horizon" in streams
     ]
-    model = train_markov(
-        corpus, order=config.order, alpha=config.alpha,
-        vocab_size=codebook.vocab_size, pad_id=codebook.pad_id,
-    )
+    model = train_model(corpus, config, codebook)
     save_model(model, args.out, meta={
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook)})
     print(f"trained order-{config.order} model on {len(corpus)} pairs -> {args.out}")
@@ -382,140 +215,55 @@ def cmd_train(args) -> int:
 _WORKER_STATE: dict = {}
 
 
-def _forecast_init(model_path: str, codebook_path: str, config_blob: str):
+def _forecast_init(model_path: str, codebook_path: str, config: RunConfig):
     _WORKER_STATE["model"] = load_model(model_path)
     _WORKER_STATE["codebook"] = load_codebook(codebook_path)
-    _WORKER_STATE["config"] = RunConfig(**json.loads(config_blob))
+    _WORKER_STATE["config"] = config
 
 
 def _forecast_one(payload):
-    item_id, context_values, horizon = payload
-    config: RunConfig = _WORKER_STATE["config"]
-    codebook = _WORKER_STATE["codebook"]
-    model = _WORKER_STATE["model"]
-    context = np.asarray(context_values, dtype=np.float64)
-    ctx_stream, _ = tokenize_pair(
-        context, np.zeros(config.horizon), config.tokenizer_config(), codebook
-    )
-    seed = int(
-        np.random.SeedSequence(
-            [config.seed, int(hashlib.sha256(item_id.encode()).hexdigest()[:8], 16)]
-        ).generate_state(1)[0]
-    )
-    paths = sample_forecast(
-        model, ctx_stream, horizon, config.tokenizer_config(), codebook,
-        n_samples=config.n_samples, temperature=config.temperature, seed=seed,
-    )
-    return item_id, paths.tolist()
+    state = _WORKER_STATE
+    return forecast_series(state["model"], state["codebook"], state["config"], *payload)
 
 
 def cmd_forecast(args) -> int:
     config = build_config(args)
     codebook = load_codebook(args.codebook)
     model = load_model(args.model)
-    _check_fingerprint(model.meta.get("codebook"), codebook_hash(codebook), args.model)
-    _check_fingerprint(model.meta.get("fingerprint"), config.fingerprint(), args.model)
-    dataset = load_dataset(args.data)
-    windows = _windows(dataset, config)
-    payloads = [(item_id, context.tolist(), config.horizon) for item_id, context, _ in windows]
-    results = []
-    failures = []
+    _check_meta(model.meta, args.model, config, codebook)
+    payloads = [(item_id, context) for item_id, context, _ in
+                make_windows(load_dataset(args.data), config)]
     if args.workers > 1:
-        config_blob = json.dumps(asdict(config), sort_keys=True)
         with ProcessPoolExecutor(
             max_workers=args.workers,
             initializer=_forecast_init,
-            initargs=(args.model, args.codebook, config_blob),
+            initargs=(args.model, args.codebook, config),
         ) as pool:
             results = list(pool.map(_forecast_one, payloads))
     else:
-        _forecast_init(args.model, args.codebook, json.dumps(asdict(config), sort_keys=True))
-        for payload in payloads:
-            try:
-                results.append(_forecast_one(payload))
-            except Exception as exc:
-                failures.append((payload[0], exc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"__meta__": {
-            "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),
-            "horizon": config.horizon, "n_samples": config.n_samples}}, sort_keys=True) + "\n")
-        for item_id, paths in results:
-            fh.write(json.dumps({"item_id": item_id, "samples": paths}, sort_keys=True) + "\n")
-    print(f"forecast {len(results)} series -> {args.out}")
-    for item_id, exc in failures:
-        print(f"error: series {item_id!r}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _read_forecasts(path):
-    meta = {}
-    samples = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "__meta__" in record:
-                meta = record["__meta__"]
-            else:
-                samples[record["item_id"]] = np.asarray(record["samples"], dtype=np.float64)
-    return meta, samples
-
-
-def _evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
-    """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
-    baseline."""
-    season = seasonality_for_freq(dataset.freq)
-    windows = _windows(dataset, config)
-    truths, model_q, naive_q = [], [], []
-    model_mase, model_vrse, naive_mase, naive_vrse = [], [], [], []
-    for item_id, context, horizon in windows:
-        if item_id not in samples:
-            raise WavetsError(f"dataset {name}: no forecast for series {item_id!r}")
-        paths = samples[item_id]
-        if paths.shape[1] != len(horizon):
-            raise WavetsError(f"dataset {name}: forecast horizon mismatch for {item_id!r}")
-        quantiles = sample_quantiles(paths)
-        median = quantiles[QUANTILE_LEVELS.index(0.5)]
-        observed_context = context[np.isfinite(context)]
-        naive_point, naive_quantiles = seasonal_naive(
-            observed_context, min(season, len(observed_context) - 1) or 1, len(horizon)
-        )
-        truths.append(horizon)
-        model_q.append(quantiles)
-        naive_q.append(naive_quantiles)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model_mase.append(mase(horizon, median, observed_context, min(season, len(observed_context) - 1) or 1))
-            naive_mase.append(mase(horizon, naive_point, observed_context, min(season, len(observed_context) - 1) or 1))
-            model_vrse.append(vrse(horizon, median))
-            naive_vrse.append(vrse(horizon, naive_point))
-    truth_stack = np.stack(truths)
-    rows = {
-        ("model", "wql"): wql(truth_stack, np.stack(model_q, axis=1)),
-        ("model", "mase"): float(np.nanmean(model_mase)),
-        ("model", "vrse"): float(np.nanmean(model_vrse)),
-        ("seasonal_naive", "wql"): wql(truth_stack, np.stack(naive_q, axis=1)),
-        ("seasonal_naive", "mase"): float(np.nanmean(naive_mase)),
-        ("seasonal_naive", "vrse"): float(np.nanmean(naive_vrse)),
-    }
-    return rows
+        results = [forecast_series(model, codebook, config, *payload) for payload in payloads]
+    forecasts = [(item_id, paths) for item_id, paths, _ in results if paths is not None]
+    _write_jsonl(args.out, {
+        "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),
+        "horizon": config.horizon, "n_samples": config.n_samples},
+        ({"item_id": item_id, "samples": paths.tolist()} for item_id, paths in forecasts))
+    print(f"forecast {len(forecasts)} series -> {args.out}")
+    return _report([(item_id, error) for item_id, _, error in results if error is not None])
 
 
 def cmd_eval(args) -> int:
     config = build_config(args)
     if len(args.data) != len(args.forecasts):
-        print("error: need one --forecasts per --data", file=sys.stderr)
-        return 1
+        raise ValueError("need one --forecasts per --data")
     fingerprint = config.fingerprint()
     per_dataset = {}
     for data_path, forecast_path in zip(args.data, args.forecasts):
         dataset = load_dataset(data_path)
-        meta, samples = _read_forecasts(forecast_path)
-        _check_fingerprint(meta.get("fingerprint"), fingerprint, forecast_path)
+        meta, records = _read_records(forecast_path)
+        _check_meta(meta, forecast_path, config)
+        samples = {r["item_id"]: np.asarray(r["samples"], dtype=np.float64) for r in records}
         name = Path(data_path).name
-        per_dataset[name] = _evaluate_dataset(name, dataset, samples, config)
+        per_dataset[name] = evaluate_dataset(name, dataset, samples, config)
 
     rows = []
     for name, scores in sorted(per_dataset.items()):
@@ -529,10 +277,7 @@ def cmd_eval(args) -> int:
             rel = aggregate_relative(model_scores, naive_scores)
             naive_rel = aggregate_relative(naive_scores, naive_scores)
         table = np.array([model_scores, naive_scores])
-        if np.all(np.isfinite(table)):
-            ranks = average_rank(table)
-        else:
-            ranks = [float("nan"), float("nan")]
+        ranks = average_rank(table) if np.all(np.isfinite(table)) else [float("nan")] * 2
         rows.append(("ALL", "model", f"relative_{metric}", rel))
         rows.append(("ALL", "seasonal_naive", f"relative_{metric}", naive_rel))
         rows.append(("ALL", "model", f"avg_rank_{metric}", float(ranks[0])))
@@ -548,48 +293,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_cell(config: RunConfig, dataset: Dataset):
-    """Fit, train, forecast and score one ablation cell in memory."""
-    windows = _windows(dataset, config)
-    if not windows:
-        raise WavetsError("no usable windows")
-    family = get_family(config.family)
-    tok_config = config.tokenizer_config()
-    pool = []
-    for _, context, horizon in windows:
-        scale = compute_scale(context)
-        for window in (context, horizon):
-            mask = np.isfinite(window)
-            if not mask.any():
-                continue
-            z = (fill_missing(window) - scale.mu) / scale.sigma
-            pyramid = apply_threshold(
-                decompose(z, family, config.level, config.boundary_mode), config.threshold_spec()
-            )
-            pool.append(pyramid.approx)
-            pool.extend(pyramid.details)
-    codebook = fit_codebook(np.concatenate(pool), config.vocab_budget, config.bounds())
-    corpus = []
-    for item_id, context, horizon in windows:
-        corpus.append(tokenize_pair(context, horizon, tok_config, codebook))
-    model = train_markov(
-        corpus, order=config.order, alpha=config.alpha,
-        vocab_size=codebook.vocab_size, pad_id=codebook.pad_id,
-    )
-    samples = {}
-    for (item_id, context, horizon), (ctx_stream, _) in zip(windows, corpus):
-        seed = int(
-            np.random.SeedSequence(
-                [config.seed, int(hashlib.sha256(item_id.encode()).hexdigest()[:8], 16)]
-            ).generate_state(1)[0]
-        )
-        samples[item_id] = sample_forecast(
-            model, ctx_stream, config.horizon, tok_config, codebook,
-            n_samples=config.n_samples, temperature=config.temperature, seed=seed,
-        )
-    return _evaluate_dataset("cell", dataset, samples, config)
-
-
 _GRID_KEYS = ("family", "level", "vocab_budget", "threshold_method", "boundary_mode")
 
 
@@ -597,22 +300,18 @@ def cmd_ablate(args) -> int:
     config = build_config(args)
     grid_spec = yaml.safe_load(Path(args.grid).read_text())
     if not isinstance(grid_spec, dict) or "grid" not in grid_spec:
-        print("error: grid file must contain a 'grid' mapping", file=sys.stderr)
-        return 1
+        raise ValueError("grid file must contain a 'grid' mapping")
     grid = grid_spec["grid"]
     unknown = set(grid) - set(_GRID_KEYS)
     if unknown:
-        print(f"error: unsupported grid keys {sorted(unknown)}; allowed {_GRID_KEYS}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"unsupported grid keys {sorted(unknown)}; allowed {_GRID_KEYS}")
     dataset = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)
-    cells = list(itertools.product(*(grid[k] for k in keys)))
     results = []
     n_failed = 0
-    for cell in cells:
+    for cell in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, cell))
         cell_config = replace(config, **overrides)
         fingerprint = cell_config.fingerprint()
@@ -623,17 +322,14 @@ def cmd_ablate(args) -> int:
                 results.append(payload)
                 print(f"cell {fingerprint} ({overrides}): cached")
                 continue
+        payload = {"fingerprint": fingerprint, "overrides": overrides}
         try:
-            scores = _run_cell(cell_config, dataset)
-            payload = {
-                "fingerprint": fingerprint,
-                "overrides": overrides,
-                "scores": {f"{m}/{k}": v for (m, k), v in scores.items()},
-            }
+            scores = run_cell(cell_config, dataset)
+            payload["scores"] = {f"{m}/{k}": v for (m, k), v in scores.items()}
             results.append(payload)
             print(f"cell {fingerprint} ({overrides}): ok")
         except Exception as exc:
-            payload = {"fingerprint": fingerprint, "overrides": overrides, "error": str(exc)}
+            payload["error"] = str(exc)
             n_failed += 1
             print(f"cell {fingerprint} ({overrides}): FAILED: {exc}", file=sys.stderr)
         cell_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -655,71 +351,43 @@ def cmd_ablate(args) -> int:
     return 1 if n_failed else 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavets",
         description="Wavelet tokenization, forecasting and evaluation for time series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-series", dest="n_series", type=int, default=100)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_synth)
+    def command(name, func, help_text, *required):
+        p = sub.add_parser(name, help=help_text)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        _add_config_flags(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fit-codebook", help="fit the quantization codebook")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_fit_codebook)
-
-    p = sub.add_parser("tokenize", help="tokenize dataset windows")
-    p.add_argument("--data", required=True)
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_tokenize)
-
-    p = sub.add_parser("detokenize", help="invert token records")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--out", required=True)
+    p = command("synth", cmd_synth, "generate a synthetic dataset", "--out")
+    p.add_argument("--n-series", type=int, default=100)
+    command("fit-codebook", cmd_fit_codebook, "fit the quantization codebook", "--data", "--out")
+    command("tokenize", cmd_tokenize, "tokenize dataset windows", "--data", "--codebook", "--out")
+    p = command("detokenize", cmd_detokenize, "invert token records",
+                "--tokens", "--codebook", "--out")
     p.add_argument("--reference", help="original dataset for RMSE reporting")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_detokenize)
-
-    p = sub.add_parser("train", help="train the reference sequence model")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("forecast", help="sample forecast paths")
-    p.add_argument("--data", required=True)
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    command("train", cmd_train, "train the reference sequence model",
+            "--tokens", "--codebook", "--out")
+    p = command("forecast", cmd_forecast, "sample forecast paths",
+                "--data", "--codebook", "--model", "--out")
     p.add_argument("--workers", type=int, default=1)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("eval", help="score forecasts against held-out horizons")
+    p = command("eval", cmd_eval, "score forecasts against held-out horizons", "--out")
     p.add_argument("--data", action="append", required=True)
     p.add_argument("--forecasts", action="append", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="sweep a configuration grid")
-    p.add_argument("--data", required=True)
+    p = command("ablate", cmd_ablate, "sweep a configuration grid", "--data", "--out-dir")
     p.add_argument("--grid", required=True, help="YAML file with a 'grid' mapping")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_ablate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (WavetsError, ValueError, OSError) as exc:

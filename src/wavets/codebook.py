@@ -81,16 +81,13 @@ def fit_codebook(
     sample: np.ndarray,
     vocab_budget: int,
     bounds: tuple[float, float] = (-30.0, 30.0),
-    strategy: str = "uniform",
 ) -> Codebook:
     """Fit a codebook to a sample of (scaled) wavelet coefficients.
 
-    ``uniform`` bins use the Freedman-Diaconis width ``2 IQR n^(-1/3)``,
-    widened if necessary so that the value-token count stays within
+    Bins use the Freedman-Diaconis width ``2 IQR n^(-1/3)``, widened if
+    necessary so that the value-token count stays within
     ``vocab_budget - 2``. Bins tile symmetrically about a center bin at
-    exactly 0 and are clipped to ``bounds``. The ``quantile`` strategy
-    places edges at uniform quantiles of the clipped sample instead and
-    exists for ablation comparisons.
+    exactly 0 and are clipped to ``bounds``.
     """
     sample = np.asarray(sample, dtype=np.float64).ravel()
     sample = sample[np.isfinite(sample)]
@@ -102,37 +99,16 @@ def fit_codebook(
     if not lo < 0.0 < hi:
         raise ValueError(f"bounds must straddle 0, got ({lo}, {hi})")
 
-    if strategy == "uniform":
-        q75, q25 = np.percentile(sample, [75.0, 25.0])
-        fd_width = 2.0 * (q75 - q25) * sample.size ** (-1.0 / 3.0)
-        floor_width = (hi - lo) / (vocab_budget - 2)
-        width = max(fd_width, floor_width)
-        half_budget = (vocab_budget - 3) // 2
-        k = min(int(-lo / width), int(hi / width), half_budget)
-        if k < 1:
-            k = 1
-            width = min(-lo, hi)
-        centers = width * np.arange(-k, k + 1, dtype=np.float64)
-    elif strategy == "quantile":
-        clipped = np.clip(sample, lo, hi)
-        n_bins = min(vocab_budget - 2, max(clipped.size, 3))
-        if n_bins % 2 == 0:
-            n_bins -= 1
-        qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-        edges = np.quantile(clipped, qs)
-        centers = np.concatenate([[clipped.min()], (edges[:-1] + edges[1:]) / 2.0, [clipped.max()]])
-        centers = np.unique(centers)
-        # enforce the zero-centered bin by snapping the nearest center
-        centers[np.argmin(np.abs(centers))] = 0.0
-        centers = np.unique(centers)
-        if len(centers) % 2 == 0:
-            centers = centers[1:] if abs(centers[0]) > abs(centers[-1]) else centers[:-1]
-        if len(centers) < 3:
-            raise ValueError("sample too degenerate for quantile binning")
-        return Codebook(centers, (centers[:-1] + centers[1:]) / 2.0, (lo, hi))
-    else:
-        raise ValueError(f"unknown binning strategy {strategy!r}")
-
+    q75, q25 = np.percentile(sample, [75.0, 25.0])
+    fd_width = 2.0 * (q75 - q25) * sample.size ** (-1.0 / 3.0)
+    floor_width = (hi - lo) / (vocab_budget - 2)
+    width = max(fd_width, floor_width)
+    half_budget = (vocab_budget - 3) // 2
+    k = min(int(-lo / width), int(hi / width), half_budget)
+    if k < 1:
+        k = 1
+        width = min(-lo, hi)
+    centers = width * np.arange(-k, k + 1, dtype=np.float64)
     edges = (centers[:-1] + centers[1:]) / 2.0
     return Codebook(centers=centers, edges=edges, bounds=(lo, hi))
 

@@ -140,6 +140,15 @@ def _quantize_bands(
     return np.concatenate(parts)
 
 
+def scaled_pyramid(
+    x: np.ndarray, scale: ScaleStats, family: WaveletFamily, config: TokenizerConfig
+) -> CoefficientPyramid:
+    """The coefficients a window is quantized from: gaps filled, z-scored
+    with ``scale``, decomposed and detail-thresholded."""
+    z = (fill_missing(x) - scale.mu) / scale.sigma
+    return apply_threshold(decompose(z, family, config.level, config.boundary_mode), config.threshold)
+
+
 def _tokenize_scaled(
     x: np.ndarray,
     scale: ScaleStats,
@@ -149,10 +158,7 @@ def _tokenize_scaled(
 ) -> TokenStream:
     family = get_family(config.family)
     mask = np.isfinite(x)
-    filled = fill_missing(x) if not mask.all() else x
-    z = (filled - scale.mu) / scale.sigma
-    pyramid = decompose(z, family, config.level, config.boundary_mode)
-    pyramid = apply_threshold(pyramid, config.threshold)
+    pyramid = scaled_pyramid(x, scale, family, config)
     if mask.all():
         observed = [np.ones(len(b), dtype=bool) for b in (pyramid.approx, *pyramid.details)]
     else:

@@ -52,13 +52,6 @@ class TestFit:
         assert np.array_equal(cb1.centers, cb2.centers)
         assert codebook_hash(cb1) == codebook_hash(cb2)
 
-    def test_quantile_strategy(self):
-        rng = np.random.default_rng(1)
-        cb = fit_codebook(rng.standard_normal(4000), 64, (-30.0, 30.0), strategy="quantile")
-        assert np.any(cb.centers == 0.0)
-        assert cb.n_bins % 2 == 1
-        assert np.all(np.diff(cb.centers) > 0)
-
     def test_errors(self):
         with pytest.raises(ValueError):
             fit_codebook(np.array([]), 1024, (-30.0, 30.0))
