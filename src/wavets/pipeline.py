@@ -9,8 +9,8 @@ tokenized context and are scored on the held-out horizon by WQL, MASE and
 VRSE, next to the seasonal-naive baseline. Series ``item_id`` samples with
 the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``, whichever
 worker runs it. A series that cannot be used fails alone, not the run. An
-ablation cell (:func:`run_cell`) runs the whole protocol in memory on one
-dataset.
+ablation cell (:func:`run_cell`) fits and trains on a dataset's
+``split_last_h`` train view, then scores the horizons held out from it.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
 def run_cell(config: RunConfig, dataset: Dataset):
     """Fit, train, forecast and score one ablation cell in memory; any
     per-series failure fails the cell."""
-    train_windows = make_windows(dataset, config)
+    train_windows = make_windows(split_last_h(dataset, config.horizon)[0], config)
     sample, skipped = pool_coefficients(train_windows, config)
     codebook = fit_codebook(sample, config.vocab_budget, config.bounds())
     pairs, failures = tokenize_windows(train_windows, config, codebook)

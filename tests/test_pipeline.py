@@ -1,12 +1,14 @@
-"""The shared protocol: pooling, the seed rule and per-series isolation."""
+"""The shared protocol: pooling, the seed rule, per-series isolation and
+what an ablation cell trains on."""
 
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+import wavets.pipeline as pipeline
 from wavets.codebook import fit_codebook
-from wavets.data_io import Dataset, TimeSeries
+from wavets.data_io import Dataset, TimeSeries, split_last_h
 from wavets.data_synth import make_dataset
 from wavets.exceptions import WavetsError
 from wavets.pipeline import (
@@ -17,6 +19,7 @@ from wavets.pipeline import (
     run_cell,
     series_seed,
 )
+from wavets.tokenizer import compute_scale, pad_to_length
 
 CONFIG = RunConfig(context_length=64, horizon=16, n_samples=3, order=2)
 
@@ -59,6 +62,30 @@ def test_forecast_series_returns_the_error():
     item_id, context, _ = windows[1]
     assert forecast_series(None, codebook, CONFIG, item_id, context) == (
         "synth-00001", None, "cannot scale a window with no observed values")
+
+
+def test_run_cell_trains_only_on_the_train_view(monkeypatch):
+    dataset = small_dataset()
+    corpora = []
+    original = pipeline.train_markov
+
+    def spy(corpus, **kwargs):
+        corpora.append(list(corpus))
+        return original(corpora[-1], **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_markov", spy)
+    scores = run_cell(CONFIG, dataset)
+    assert np.isfinite(scores[("model", "wql")])
+    (corpus,) = corpora
+    train_view, _ = split_last_h(dataset, CONFIG.horizon)
+    h = CONFIG.horizon
+    for (ctx, hor), series in zip(corpus, train_view.series):
+        # the training pair is the train view's last window: it ends before the scored horizon
+        context = pad_to_length(series.values[:-h], CONFIG.context_length)
+        assert ctx.scale == compute_scale(context)
+        assert hor.scale == ctx.scale
+        assert hor.source_length == h
+    assert len(corpus) == len(dataset)
 
 
 def test_run_cell_fails_on_a_bad_series():
