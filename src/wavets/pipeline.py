@@ -9,8 +9,8 @@ tokenized context and are scored on the held-out horizon by WQL, MASE and
 VRSE, next to the seasonal-naive baseline. Series ``item_id`` samples with
 the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``, whichever
 worker runs it. A series that cannot be used fails alone, not the run. An
-ablation cell (:func:`run_cell`) fits and trains on a dataset's
-``split_last_h`` train view, then scores the horizons held out from it.
+ablation cell (:func:`run_cell`) trains on a dataset's ``split_last_h``
+train view, scores the horizons held out from it and fails on any series.
 """
 
 from __future__ import annotations
