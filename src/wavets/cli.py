@@ -84,7 +84,7 @@ def _check_meta(meta: dict, source, config: RunConfig, codebook: Codebook | None
         found = meta.get(key)
         if found is not None and found != want:
             raise FingerprintMismatchError(
-                f"{source} was produced under fingerprint {found}, current configuration is {want}"
+                f"{source} was produced under {key} {found}, current {key} is {want}"
             )
 
 

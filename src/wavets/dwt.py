@@ -1,21 +1,24 @@
 """Single- and multi-level decimated wavelet transform and its inverse.
 
-Analysis convolves the decomposition filters with a boundary-extended
-signal and keeps every second output; synthesis upsamples, convolves with
-the reconstruction filters and crops. Two boundary modes are supported:
+All filtering is one kernel of ``L`` strided multiply-adds,
+:func:`_strided_filter`. In analysis, output ``k`` of a band is
+``sum_m taps[m] * x[2k + 1 - m]``, read from the signal extended past both
+ends by one index gather (:func:`_extend`); the tokenizer runs the same on
+its missing-value mask. Synthesis convolves the zero-stuffed bands with
+the reconstruction filters and removes the ``L - 2`` leading samples. The
+boundary modes are those of PyWavelets' signal extension:
 
-* ``"symmetric"`` (default): half-sample reflection. Each level of an
-  input of length ``n`` yields ``(n + L - 1) // 2`` coefficients per band,
-  where ``L`` is the filter length, so the coefficient count can slightly
-  exceed the signal length.
-* ``"periodization"``: circular extension with odd-length inputs padded by
-  repeating the last sample. Each level yields ``ceil(n / 2)`` coefficients
-  per band, giving exact-length layouts, and the transform of an
-  orthogonal family is an orthonormal map for even lengths.
+* ``"symmetric"`` (default): half-sample reflection, ``x[-1 - i] = x[i]``.
+  Each level of an input of length ``n`` yields ``(n + L - 1) // 2``
+  coefficients per band, so the coefficient count can slightly exceed the
+  signal length. Synthesis crops.
+* ``"periodization"``: an odd-length input first repeats its last sample,
+  then the signal wraps around. Each level yields ``ceil(n / 2)``
+  coefficients per band, giving exact-length layouts, and the transform
+  of an orthogonal family is an orthonormal map for even lengths.
+  Synthesis folds the overhang back circularly.
 
-Filters are short (at most 8 taps here), so convolution is direct; the
-cascade halves the work per level and total runtime stays linear in the
-input length.
+The cascade halves the work per level, so runtime is linear in ``n``.
 """
 
 from __future__ import annotations
@@ -58,85 +61,40 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-_CHUNK = 4096  # accumulation block; keeps scratch buffers cache- and allocator-friendly
+def _band_length(n: int, filt_len: int, mode: str) -> int:
+    """Coefficients per band after one analysis level of ``n`` samples."""
+    return (n + filt_len - 1) // 2 if mode == "symmetric" else (n + 1) // 2
 
 
-def _fold_index(i: int, n: int, mode: str) -> int:
-    """Map an out-of-range sample index into [0, n) for the boundary mode."""
-    if mode == "symmetric":
-        j = i % (2 * n)
-        return j if j < n else 2 * n - 1 - j
-    return i % n
-
-
-def _analysis_step(x: np.ndarray, family: WaveletFamily, mode: str):
-    """One level of filtering + dyadic downsampling. Returns (approx, detail).
-
-    Output ``k`` of each band is the convolution of the boundary-extended
-    signal with the decomposition filter, evaluated at sample ``2k + 1``;
-    its window covers signal indices ``[2k + 2 - L, 2k + 1]``. Windows that
-    stay inside the signal are computed with vectorized strided reads of
-    ``x`` itself, chunked so scratch stays small; only the few boundary
-    windows gather reflected (or wrapped) samples explicitly.
-    """
-    filt_len = family.filter_length
-    if mode == "periodization" and len(x) % 2 == 1:
-        x = np.append(x, x[-1])
+def _extend(x: np.ndarray, filt_len: int, mode: str) -> np.ndarray:
+    """Samples ``2 - L`` to ``2 * _band_length(n, L, mode) - 1`` of the
+    mode's boundary extension of ``x``: the input of :func:`_strided_filter`."""
     n = len(x)
+    idx = np.arange(2 - filt_len, 2 * _band_length(n, filt_len, mode))
     if mode == "symmetric":
-        out_len = (n + filt_len - 1) // 2
+        idx %= 2 * n
+        idx = np.where(idx < n, idx, 2 * n - 1 - idx)
     else:
-        out_len = n // 2
-    dec_lo, dec_hi = family.dec_lo, family.dec_hi
-
-    buf = np.empty(2 * out_len)
-    lo, hi = buf[:out_len], buf[out_len:]
-    k_first = (filt_len - 1) // 2
-    k_last = min((n - 2) // 2, out_len - 1)
-
-    tmp = np.empty(min(_CHUNK, max(k_last - k_first + 1, 1)))
-    for c0 in range(k_first, k_last + 1, _CHUNK):
-        c1 = min(c0 + _CHUNK, k_last + 1)
-        w = c1 - c0
-        s0 = 2 * c0 + 1
-        np.multiply(x[s0 : s0 + 2 * w : 2], dec_lo[0], out=lo[c0:c1])
-        np.multiply(x[s0 : s0 + 2 * w : 2], dec_hi[0], out=hi[c0:c1])
-        t = tmp[:w]
-        for m in range(1, filt_len):
-            window = x[s0 - m : s0 - m + 2 * w : 2]
-            np.multiply(window, dec_lo[m], out=t)
-            np.add(lo[c0:c1], t, out=lo[c0:c1])
-            np.multiply(window, dec_hi[m], out=t)
-            np.add(hi[c0:c1], t, out=hi[c0:c1])
-
-    left_stop = min(k_first, out_len)
-    boundary = list(range(0, left_stop)) + list(range(max(k_last + 1, left_stop), out_len))
-    for k in boundary:
-        acc_lo = 0.0
-        acc_hi = 0.0
-        for m in range(filt_len):
-            v = x[_fold_index(2 * k + 1 - m, n, mode)]
-            acc_lo += dec_lo[m] * v
-            acc_hi += dec_hi[m] * v
-        lo[k] = acc_lo
-        hi[k] = acc_hi
-    return lo, hi
+        idx = np.minimum(idx % (n + n % 2), n - 1)
+    return x[idx]
 
 
-def _upsampled_filter(coeffs: np.ndarray, taps: np.ndarray, shift: int, out_len: int) -> np.ndarray:
-    """Zero-stuffed upsampling followed by filtering and cropping.
+def _strided_filter(extended: np.ndarray, taps: np.ndarray, step: int = 2) -> np.ndarray:
+    """The one filtering kernel: output ``k`` is
+    ``sum_m taps[m] * extended[step * k + L - 1 - m]``, summed in tap order
+    by ``L`` strided multiply-adds over the whole of ``extended``.
 
-    Equals ``np.convolve(upsample(coeffs), taps)[shift : shift + out_len]``.
+    For analysis, ``extended = _extend(x, L, mode)`` and ``step = 2``, so
+    output ``k`` is ``sum_m taps[m] * x[2k + 1 - m]`` with the boundary
+    samples taken from the mode's extension. ``step = 1`` on a zero-padded
+    signal is its full convolution with ``taps``.
     """
     filt_len = len(taps)
-    nc = len(coeffs)
-    pad = filt_len  # headroom so every tap's slice stays in bounds
-    up = np.zeros(2 * nc + 2 * pad)
-    up[pad : pad + 2 * nc : 2] = coeffs
-    out = np.zeros(out_len)
-    for m in range(filt_len):
-        start = pad + shift - m
-        out += taps[m] * up[start : start + out_len]
+    span = len(extended) - filt_len + 1  # offsets at which a whole filter fits
+    out = taps[0] * extended[filt_len - 1 : filt_len - 1 + span : step]
+    for m in range(1, filt_len):
+        start = filt_len - 1 - m
+        out += taps[m] * extended[start : start + span : step]
     return out
 
 
@@ -147,39 +105,23 @@ def _synthesis_step(
     target_len: int,
     mode: str,
 ) -> np.ndarray:
-    """Inverse of one analysis step; yields ``target_len`` samples."""
-    if len(approx) != len(detail):
-        raise ValueError(
-            f"length-inconsistent pyramid: approximation band has {len(approx)} "
-            f"coefficients but detail band has {len(detail)}"
-        )
+    """Inverse of one analysis step; yields ``target_len`` samples.
+
+    Upsamples both bands, convolves them with the reconstruction filters
+    and drops the ``L - 2`` leading samples: by cropping for
+    ``"symmetric"``, by folding the overhang back circularly for
+    ``"periodization"``.
+    """
     filt_len = family.filter_length
-    nc = len(approx)
+    period = 2 * len(approx)
+    up = np.zeros((2, period + 2 * filt_len - 2))  # zero-stuffed, L - 1 zeros each side
+    up[:, filt_len - 1 : filt_len - 1 + period : 2] = approx, detail
+    full = _strided_filter(up[0], family.rec_lo, 1) + _strided_filter(up[1], family.rec_hi, 1)
     shift = filt_len - 2
     if mode == "symmetric":
-        return _upsampled_filter(approx, family.rec_lo, shift, target_len) + _upsampled_filter(
-            detail, family.rec_hi, shift, target_len
-        )
-    up_a = np.zeros(2 * nc)
-    up_a[::2] = approx
-    up_d = np.zeros(2 * nc)
-    up_d[::2] = detail
-    full = np.convolve(up_a, family.rec_lo) + np.convolve(up_d, family.rec_hi)
-    acc = np.zeros(2 * nc)
-    np.add.at(acc, (np.arange(len(full)) - shift) % (2 * nc), full)
-    return acc[:target_len]
-
-
-def _stage_lengths(n: int, filt_len: int, level: int, mode: str) -> list[int]:
-    """Signal length at each cascade stage: ``[n, n_1, ..., n_level]``."""
-    lengths = [n]
-    for _ in range(level):
-        prev = lengths[-1]
-        if mode == "symmetric":
-            lengths.append((prev + filt_len - 1) // 2)
-        else:
-            lengths.append((prev + 1) // 2)
-    return lengths
+        return full[shift : shift + target_len]
+    folded = np.bincount((np.arange(len(full)) - shift) % period, weights=full, minlength=period)
+    return folded[:target_len]
 
 
 def max_level(n: int, family: WaveletFamily, boundary_mode: str = "symmetric") -> int:
@@ -207,26 +149,19 @@ def decompose(
     Each stage re-decomposes the previous approximation band; the result
     holds the final approximation plus all detail bands, coarsest first.
     """
-    mode = _check_mode(boundary_mode)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input signal contains non-finite values")
-    if not isinstance(level, (int, np.integer)) or level < 1:
-        raise ValueError(f"decomposition level must be a positive integer, got {level!r}")
-    allowed = max_level(len(x), family, mode)
-    if level > allowed:
-        raise ValueError(
-            f"signal of length {len(x)} is too short for level {level} with "
-            f"family {family.name!r} (max level {allowed})"
-        )
+    coefficient_layout(len(x), family, level, boundary_mode)  # validates mode and level
 
     details: list[np.ndarray] = []
     approx = x
     for _ in range(level):
-        approx, detail = _analysis_step(approx, family, mode)
-        details.append(detail)
+        extended = _extend(approx, family.filter_length, boundary_mode)
+        approx = _strided_filter(extended, family.dec_lo)
+        details.append(_strided_filter(extended, family.dec_hi))
     details.reverse()
     return CoefficientPyramid(
         approx=approx,
@@ -234,15 +169,13 @@ def decompose(
         level=level,
         input_length=len(x),
         family_name=family.name,
-        boundary_mode=mode,
+        boundary_mode=boundary_mode,
     )
 
 
 def reconstruct(pyramid: CoefficientPyramid, family: WaveletFamily) -> np.ndarray:
     """Invert :func:`decompose`; returns exactly ``input_length`` samples."""
-    mode = _check_mode(pyramid.boundary_mode)
-    lengths = _stage_lengths(pyramid.input_length, family.filter_length, pyramid.level, mode)
-    expected = coefficient_layout(pyramid.input_length, family, pyramid.level, mode)
+    expected = coefficient_layout(pyramid.input_length, family, pyramid.level, pyramid.boundary_mode)
     actual = pyramid.segment_lengths()
     if actual != expected:
         raise ValueError(
@@ -250,12 +183,9 @@ def reconstruct(pyramid: CoefficientPyramid, family: WaveletFamily) -> np.ndarra
             f"expected {expected} for input length {pyramid.input_length}"
         )
     current = pyramid.approx
-    for i, detail in enumerate(pyramid.details):
-        target = lengths[pyramid.level - 1 - i]
-        if mode == "periodization" and target % 2 == 1:
-            current = _synthesis_step(current, detail, family, target + 1, mode)[:target]
-        else:
-            current = _synthesis_step(current, detail, family, target, mode)
+    targets = expected[2:] + [pyramid.input_length]  # each stage yields the next band's length
+    for detail, target in zip(pyramid.details, targets):
+        current = _synthesis_step(current, detail, family, target, pyramid.boundary_mode)
     return current
 
 
@@ -279,5 +209,7 @@ def coefficient_layout(
             f"signal of length {n} is too short for level {level} with "
             f"family {family.name!r} (max level {allowed})"
         )
-    lengths = _stage_lengths(n, family.filter_length, level, mode)
-    return [lengths[level]] + [lengths[j] for j in range(level, 0, -1)]
+    lengths = [n]  # signal length at each cascade stage
+    for _ in range(level):
+        lengths.append(_band_length(lengths[-1], family.filter_length, mode))
+    return [lengths[-1]] + lengths[:0:-1]

@@ -37,7 +37,9 @@ from .metrics import (
 )
 from .seq_model import MarkovModel, sample_forecast, train_markov
 from .thresholding import ThresholdSpec
-from .tokenizer import TokenizerConfig, compute_scale, pad_to_length, scaled_pyramid, tokenize_pair
+from .tokenizer import (
+    TokenizerConfig, compute_scale, pad_to_length, scaled_pyramid, tokenize, tokenize_pair,
+)
 
 
 def _option(default, help_text=None):
@@ -186,7 +188,7 @@ def forecast_series(model, codebook: Codebook, config: RunConfig, item_id: str, 
     """
     tok_config = config.tokenizer_config()
     try:
-        ctx_stream, _ = tokenize_pair(context, np.zeros(config.horizon), tok_config, codebook)
+        ctx_stream = tokenize(context, tok_config, codebook)
         paths = sample_forecast(
             model, ctx_stream, config.horizon, tok_config, codebook,
             n_samples=config.n_samples, temperature=config.temperature,

@@ -1,10 +1,12 @@
 """Autoregressive categorical sequence model over token ids.
 
 The reference implementation is a smoothed order-k Markov (n-gram) model:
-counts are kept for every history length from 0 (unigram) up to k, a query
-uses the longest suffix available, and additive smoothing guarantees a
-proper distribution even for unseen histories. The interface is the
-minimal contract a neural replacement would need to satisfy.
+counts are kept for every history length from 0 (unigram) up to k, but a
+query reads only the order-k suffix of its history (shorter only at the
+start of a sequence), and additive smoothing gives an unseen history the
+uniform distribution. The lower-order counts are not used for backoff.
+The interface is the minimal contract a neural replacement would need to
+satisfy.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Codebook, dequantize, quantize
-from .dwt import CoefficientPyramid, _fold_index, coefficient_layout, decompose, reconstruct
+from .dwt import CoefficientPyramid, _extend, _strided_filter, coefficient_layout, decompose, reconstruct
 from .families import WaveletFamily, get_family
 from .thresholding import ThresholdSpec, apply_threshold
 
@@ -101,27 +101,14 @@ def fill_missing(x: np.ndarray) -> np.ndarray:
 
 def _band_observed(mask: np.ndarray, family: WaveletFamily, level: int, mode: str) -> list[np.ndarray]:
     """Per-band flags marking coefficients with any observed sample in
-    their filter support, ordered ``[a_J, d_J, ..., d_1]`` like the bands."""
-    filt_len = family.filter_length
-    current = np.asarray(mask, dtype=bool)
+    their filter support, ordered ``[a_J, d_J, ..., d_1]`` like the bands:
+    a positive count of the 0/1 mask under an all-ones analysis filter."""
+    support = np.ones(family.filter_length)
+    counts = np.asarray(mask, dtype=np.float64)
     per_level = []
     for _ in range(level):
-        if mode == "periodization" and len(current) % 2 == 1:
-            current = np.append(current, current[-1])
-        n = len(current)
-        if mode == "symmetric":
-            out_len = (n + filt_len - 1) // 2
-        else:
-            out_len = n // 2
-        out = np.zeros(out_len, dtype=bool)
-        for k in range(out_len):
-            for m in range(filt_len):
-                i = 2 * k + 1 - m
-                if current[i if 0 <= i < n else _fold_index(i, n, mode)]:
-                    out[k] = True
-                    break
-        per_level.append(out)
-        current = out
+        counts = _strided_filter(_extend(counts, family.filter_length, mode), support)
+        per_level.append(counts > 0)
     # approx band shares the support of the coarsest detail band
     return [per_level[-1]] + per_level[::-1]
 

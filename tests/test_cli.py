@@ -106,6 +106,23 @@ def test_refuses_fingerprint_mismatch(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_refuses_codebook_mismatch_naming_the_codebook(tmp_path, capsys):
+    tok = tmp_path / "tok.jsonl"
+    for name, n_series in (("a", 3), ("b", 4)):
+        data, cb = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        for argv in (["synth", "--out", data, "--n-series", n_series],
+                     ["fit-codebook", "--data", data, "--out", cb]):
+            assert run(argv + FLAGS, capsys)[0] == 0
+    assert run(["tokenize", "--data", tmp_path / "a.jsonl", "--codebook", tmp_path / "a.json",
+                "--out", tok, *FLAGS], capsys)[0] == 0
+    code, _, err = run(["train", "--tokens", tok, "--codebook", tmp_path / "b.json",
+                        "--out", tmp_path / "model.json", *FLAGS], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "under codebook" in err and "current codebook" in err
+    assert "fingerprint" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 class TestConfig:
     def parse(self, *extra):
         return build_parser().parse_args(

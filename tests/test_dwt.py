@@ -183,3 +183,34 @@ def test_max_level_values():
     assert max_level(2, get_family("haar")) == 1
     assert max_level(4, get_family("db4")) == 0
     assert max_level(64, get_family("bior2.2")) == 3
+
+
+def _oracle_analysis(x, taps, mode):
+    """One analysis level from np.pad + np.convolve: output k is the full
+    convolution of the extended signal at sample 2k + 1 of the original."""
+    if mode == "periodization" and len(x) % 2 == 1:
+        x = np.append(x, x[-1])
+    n, pad = len(x), len(taps)
+    out_len = (n + pad - 1) // 2 if mode == "symmetric" else n // 2
+    extended = np.pad(x, pad, mode="symmetric" if mode == "symmetric" else "wrap")
+    return np.convolve(extended, taps)[pad + 1 : pad + 1 + 2 * out_len : 2]
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "periodization"])
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
+def test_decompose_matches_padded_convolution(name, mode):
+    family = get_family(name)
+    step = max(family.filter_length - 1, 1)
+    rng = np.random.default_rng(13)
+    lengths = {step, step + 1, step + 2, 2 * step, 2 * step + 1, 4 * step + 3, 8 * step, 37, 64}
+    for n in sorted(lengths):
+        x = rng.standard_normal(n)
+        for level in range(1, min(3, max_level(n, family, mode)) + 1):
+            p = decompose(x, family, level, mode)
+            approx, details = x, []
+            for _ in range(level):
+                details.insert(0, _oracle_analysis(approx, family.dec_hi, mode))
+                approx = _oracle_analysis(approx, family.dec_lo, mode)
+            np.testing.assert_allclose(p.approx, approx, rtol=0, atol=1e-12, err_msg=f"{n} {level}")
+            for got, want in zip(p.details, details, strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{n} {level}")

@@ -16,6 +16,7 @@ from wavets.tokenizer import (
     pad_to_length,
     stream_from_record,
     stream_to_record,
+    _band_observed,
     tokenize,
     tokenize_pair,
 )
@@ -210,6 +211,37 @@ class TestMissing:
         )
         recon = detokenize(stream, cb)
         np.testing.assert_allclose(recon, 5.5, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
+    @pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
+    def test_band_observed_matches_folded_support(self, name, mode):
+        # brute force: a coefficient is observed when any sample of its
+        # boundary-folded filter support one stage finer is observed
+        family = get_family(name)
+        filt_len = family.filter_length
+        rng = np.random.default_rng(21)
+        for n in (61, 97, 129):
+            for p_observed in (0.1, 0.5, 0.9):
+                mask = rng.random(n) < p_observed
+                for level in (1, 2, 3):
+                    got = _band_observed(mask, family, level, mode)
+                    current, per_level = mask, []
+                    for _ in range(level):
+                        if mode == "periodization" and len(current) % 2 == 1:
+                            current = np.append(current, current[-1])
+                        m = len(current)
+                        out_len = (m + filt_len - 1) // 2 if mode == "symmetric" else m // 2
+                        folded = np.pad(current, filt_len,
+                                        mode="symmetric" if mode == "symmetric" else "wrap")
+                        current = np.array([
+                            any(folded[filt_len + 2 * k + 1 - j] for j in range(filt_len))
+                            for k in range(out_len)
+                        ])
+                        per_level.insert(0, current)
+                    want = [per_level[0]] + per_level
+                    assert len(got) == len(want) == level + 1
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w, err_msg=f"{n} {p_observed} {level}")
 
 
 class TestErrors:
