@@ -1,8 +1,11 @@
 """Forecast evaluation: WQL, MASE, VRSE, relative scores and ranks.
 
-Degenerate denominators (all-zero truth, perfectly seasonal context,
-zero-energy spectra) are flagged: the function warns and returns NaN
-rather than raising, so batch evaluation can proceed.
+Missing truth values (NaN) are left out: WQL, MASE and VRSE score a
+forecast on the observed steps of its truth only, as if the series were
+restricted to them. Degenerate denominators (all-zero or all-missing
+truth, perfectly seasonal context, zero-energy spectra) are flagged: the
+function warns and returns NaN rather than raising, so batch evaluation
+can proceed.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ def wql(
     ``quantile_forecasts`` stacks one forecast array per level along the
     first axis; the remaining axes must match ``truth``, which may cover a
     single series or a whole dataset (all non-level axes are summed, and
-    the loss is normalized by the summed magnitude of the truth).
+    the loss is normalized by the summed magnitude of the truth). Missing
+    truth values drop out of both sums.
     """
     truth = np.asarray(truth, dtype=np.float64)
     qf = np.asarray(quantile_forecasts, dtype=np.float64)
@@ -73,9 +77,11 @@ def wql(
         raise ValueError(
             f"expected quantile forecasts of shape {(len(levels), *truth.shape)}, got {qf.shape}"
         )
+    observed = ~np.isnan(truth)
+    truth, qf = truth[observed], qf[:, observed]
     denom = np.sum(np.abs(truth))
     if denom == 0.0:
-        warnings.warn("all-zero truth: weighted quantile loss is undefined")
+        warnings.warn("all-zero or missing truth: weighted quantile loss is undefined")
         return float("nan")
     per_level = [2.0 * np.sum(quantile_loss(qf[i], truth, a)) / denom for i, a in enumerate(levels)]
     return float(np.mean(per_level))
@@ -89,16 +95,22 @@ def mase(
 ) -> float:
     """Mean absolute error scaled by the in-sample seasonal-naive error.
 
-    ``((C - S) / H) * sum|err| / sum_{t=1..C-S} |x_t - x_{t+S}|``.
+    ``((C - S) / H) * sum|err| / sum_{t=1..C-S} |x_t - x_{t+S}|``, where
+    ``H`` counts the observed truth steps and the error sum runs over them.
     """
     truth = np.asarray(truth, dtype=np.float64)
     forecast = np.asarray(point_forecast, dtype=np.float64)
     context = np.asarray(context, dtype=np.float64)
     if truth.shape != forecast.shape:
         raise ValueError(f"truth {truth.shape} and forecast {forecast.shape} differ in shape")
-    c, s, h = len(context), int(seasonality), len(truth)
+    c, s = len(context), int(seasonality)
     if c <= s:
         raise ValueError(f"context length {c} must exceed seasonality {s}")
+    observed = ~np.isnan(truth)
+    truth, forecast, h = truth[observed], forecast[observed], int(observed.sum())
+    if h == 0:
+        warnings.warn("missing truth: scaled error is undefined")
+        return float("nan")
     denom = np.sum(np.abs(context[: c - s] - context[s:]))
     if denom == 0.0:
         warnings.warn("perfectly seasonal context: scaled error is undefined")
@@ -116,7 +128,8 @@ def vrse(truth: np.ndarray, point_forecast: np.ndarray) -> float:
     """Relative squared discrepancy of the amplitude spectra.
 
     Compares the overall frequency content (the "shape") of the forecast
-    with the truth, ignoring time alignment.
+    with the truth, ignoring time alignment. Steps with missing truth are
+    dropped from both series before the spectra are taken.
     """
     truth = np.asarray(truth, dtype=np.float64)
     forecast = np.asarray(point_forecast, dtype=np.float64)
@@ -124,6 +137,11 @@ def vrse(truth: np.ndarray, point_forecast: np.ndarray) -> float:
         raise ValueError(f"truth {truth.shape} and forecast {forecast.shape} differ in shape")
     if truth.size < 2:
         raise ValueError("need at least two samples to compare spectra")
+    observed = ~np.isnan(truth)
+    truth, forecast = truth[observed], forecast[observed]
+    if truth.size < 2:
+        warnings.warn("fewer than two observed steps: relative spectral error is undefined")
+        return float("nan")
     a_true = amplitude_spectrum(truth)
     a_fc = amplitude_spectrum(forecast)
     denom = np.sum(a_true**2)

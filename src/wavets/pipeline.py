@@ -201,7 +201,8 @@ def forecast_series(model, codebook: Codebook, config: RunConfig, item_id: str, 
 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
-    baseline."""
+    baseline. Missing steps of a held-out horizon are left out of every
+    score; the forecasts still cover the whole horizon."""
     season = seasonality_for_freq(dataset.freq)
     rows = []
     for item_id, context, horizon in make_windows(dataset, config):

@@ -6,7 +6,14 @@ query reads only the order-k suffix of its history (shorter only at the
 start of a sequence), and additive smoothing gives an unseen history the
 uniform distribution. The lower-order counts are not used for backoff.
 The interface is the minimal contract a neural replacement would need to
-satisfy.
+satisfy: a vocabulary size, the number of trailing tokens a query reads,
+and the next-token distribution given a history.
+
+Sampling advances all paths of a series together, one token per step,
+and queries the model once per distinct history in that step. Each path
+draws one uniform per token from its own seeded stream and inverts the
+step's CDF with it, so a fixed seed gives the same paths whatever the
+batching.
 """
 
 from __future__ import annotations
@@ -29,7 +36,10 @@ _VERSION = 1
 
 @runtime_checkable
 class SequenceModel(Protocol):
+    """A query reads at most the last ``order`` tokens of its history."""
+
     vocab_size: int
+    order: int
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray: ...
 
@@ -68,8 +78,7 @@ class MarkovModel:
                 bucket[target] = bucket.get(target, 0) + 1
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        history = tuple(int(t) for t in history)
-        suffix = history[len(history) - min(self.order, len(history)) :]
+        suffix = tuple(int(t) for t in history[-self.order :])
         bucket = self._counts.get(suffix, {})
         probs = np.full(self.vocab_size, self.alpha)
         total = 0
@@ -133,17 +142,6 @@ def cross_entropy(
     return total / n_terms
 
 
-def _sample_token(probs: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    if temperature == 0.0:
-        return int(np.argmax(probs))
-    if temperature != 1.0:
-        probs = probs ** (1.0 / temperature)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("sampling distribution has no mass")
-    return int(rng.choice(len(probs), p=probs / total))
-
-
 def sample_forecast(
     model: SequenceModel,
     context: TokenStream,
@@ -159,8 +157,16 @@ def sample_forecast(
     Exactly ``sum(coefficient_layout(horizon_length))`` tokens are drawn
     per path with EOS and PAD masked out of the sampling distribution, so
     every path detokenizes to exactly ``horizon_length`` values under the
-    context's scale statistics. Fixed seeds give bit-identical output;
-    each sample path uses an independently derived RNG stream.
+    context's scale statistics.
+
+    All paths advance one token per step. A step queries the model once
+    per distinct ``model.order``-token history among the paths and draws
+    each path's token by inverse-CDF lookup of its own uniform. Path ``s``
+    draws its ``n_tokens`` uniforms up front from the ``s``-th stream
+    spawned from ``SeedSequence(seed)``, one per token, so fixed seeds give
+    bit-identical output, the same as a per-path ``Generator.choice`` loop
+    over the full history. Temperature 0 takes the argmax and draws
+    nothing.
     """
     if model.vocab_size != codebook.vocab_size:
         raise ValueError(
@@ -172,19 +178,42 @@ def sample_forecast(
     family = get_family(config.family)
     layout = coefficient_layout(horizon_length, family, config.level, config.boundary_mode)
     n_tokens = sum(layout)
-    streams = np.random.SeedSequence(seed).spawn(n_samples)
-    paths = np.empty((n_samples, horizon_length))
-    context_tokens = list(int(t) for t in context.tokens)
-    for s, child in enumerate(streams):
-        rng = np.random.default_rng(child)
-        generated: list[int] = []
-        for _ in range(n_tokens):
-            probs = model.next_token_distribution(context_tokens + generated)
+    if temperature > 0.0:
+        uniforms = np.stack([
+            np.random.default_rng(child).random(n_tokens)
+            for child in np.random.SeedSequence(seed).spawn(n_samples)
+        ])
+    order = model.order
+    histories = [tuple(int(t) for t in context.tokens[-order:])] * n_samples
+    generated = np.empty((n_samples, n_tokens), dtype=np.int64)
+    for step in range(n_tokens):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for s, history in enumerate(histories):
+            groups.setdefault(history, []).append(s)
+        for history, members in groups.items():
+            probs = model.next_token_distribution(history)
             probs[codebook.eos_id] = 0.0
             probs[codebook.pad_id] = 0.0
-            generated.append(_sample_token(probs, temperature, rng))
+            if temperature == 0.0:
+                generated[members, step] = np.argmax(probs)
+                continue
+            if temperature != 1.0:
+                probs = probs ** (1.0 / temperature)
+            total = probs.sum()
+            if total <= 0.0:
+                raise ValueError("sampling distribution has no mass")
+            # What Generator.choice(p=probs / total) does with one uniform.
+            cdf = (probs / total).cumsum()
+            cdf /= cdf[-1]
+            generated[members, step] = cdf.searchsorted(uniforms[members, step], side="right")
+        histories = [
+            (history + (int(token),))[-order:]
+            for history, token in zip(histories, generated[:, step])
+        ]
+    paths = np.empty((n_samples, horizon_length))
+    for s in range(n_samples):
         stream = TokenStream(
-            tokens=np.asarray(generated, dtype=np.int64),
+            tokens=generated[s],
             segment_lengths=tuple(layout),
             scale=context.scale,
             family_name=family.name,

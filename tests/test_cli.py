@@ -179,3 +179,17 @@ def test_forecast_isolates_failing_series(tmp_path, capsys, workers):
         f"synth-{i:05d}" for i in range(N_SERIES) if i != 2]
     assert err.splitlines() == [
         "error: series 'synth-00002': cannot scale a window with no observed values"]
+
+
+def test_forecast_is_byte_identical_across_worker_counts(tmp_path, capsys):
+    make_inputs(tmp_path, capsys)
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"forecast-{workers}.jsonl"
+        code, _, err = run(["forecast", "--data", tmp_path / "data.jsonl",
+                            "--codebook", tmp_path / "cb.json", "--model", tmp_path / "model.json",
+                            "--out", out, "--workers", workers, *FLAGS], capsys)
+        assert code == 0, err
+        outputs.append(out.read_bytes())
+    assert len(read_records(tmp_path / "forecast-1.jsonl")) == N_SERIES
+    assert outputs[0] == outputs[1]

@@ -11,8 +11,12 @@ from wavets.codebook import fit_codebook
 from wavets.data_io import Dataset, TimeSeries, split_last_h
 from wavets.data_synth import make_dataset
 from wavets.exceptions import WavetsError
+from wavets.metrics import (
+    QUANTILE_LEVELS, mase, sample_quantiles, seasonal_naive, seasonality_for_freq, vrse, wql,
+)
 from wavets.pipeline import (
     RunConfig,
+    evaluate_dataset,
     forecast_series,
     make_windows,
     pool_coefficients,
@@ -100,3 +104,30 @@ def test_short_series_are_left_padded():
     assert item_id == "short" and len(context) == CONFIG.context_length
     assert np.isnan(context[:-24]).all()
     np.testing.assert_array_equal(horizon, np.arange(24.0, 40.0))
+
+
+def test_evaluate_dataset_scores_a_gappy_horizon_on_its_observed_steps():
+    series = small_dataset().series[1]
+    series.values[-5] = np.nan
+    dataset = Dataset([series], series.freq)
+    ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
+    paths = np.random.default_rng(1).normal(np.nanmean(horizon), 1.0, size=(3, CONFIG.horizon))
+    scores = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
+
+    observed = ~np.isnan(horizon)
+    truth, quantiles = horizon[observed], sample_quantiles(paths[:, observed])
+    median = quantiles[QUANTILE_LEVELS.index(0.5)]
+    history = context[np.isfinite(context)]
+    season = min(seasonality_for_freq(dataset.freq), len(history) - 1) or 1
+    naive_point, naive_quantiles = seasonal_naive(history, season, CONFIG.horizon)
+    expected = {
+        ("model", "wql"): wql(truth, quantiles),
+        ("model", "mase"): mase(truth, median, history, season),
+        ("model", "vrse"): vrse(truth, median),
+        ("seasonal_naive", "wql"): wql(truth, naive_quantiles[:, observed]),
+        ("seasonal_naive", "mase"): mase(truth, naive_point[observed], history, season),
+        ("seasonal_naive", "vrse"): vrse(truth, naive_point[observed]),
+    }
+    assert observed.sum() == CONFIG.horizon - 1
+    assert all(np.isfinite(v) for v in scores.values())
+    assert scores == pytest.approx(expected, rel=1e-12)

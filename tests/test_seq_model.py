@@ -1,0 +1,197 @@
+"""The Markov model: suffix queries, smoothing, checkpoints, cross-entropy
+and the batched sampler against a per-path reference loop."""
+
+import math
+
+import numpy as np
+import pytest
+
+import wavets.seq_model as seq_model
+from wavets.codebook import fit_codebook
+from wavets.data_synth import make_dataset
+from wavets.dwt import coefficient_layout
+from wavets.families import get_family
+from wavets.pipeline import RunConfig, make_windows, pool_coefficients
+from wavets.seq_model import (
+    MarkovModel,
+    cross_entropy,
+    load_model,
+    sample_forecast,
+    save_model,
+)
+from wavets.tokenizer import TokenStream, detokenize, tokenize
+
+CONFIG = RunConfig(context_length=64, horizon=16, vocab_budget=16, order=2)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A small codebook, a model that has seen most order-2 histories of
+    its vocabulary (EOS and PAD included) and one context stream."""
+    windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=3), CONFIG)
+    sample, _ = pool_coefficients(windows, CONFIG)
+    codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
+    model = MarkovModel(codebook.vocab_size, order=CONFIG.order, alpha=0.5)
+    model.observe(np.random.default_rng(0).integers(0, codebook.vocab_size, 2000))
+    context = tokenize(windows[0][1], CONFIG.tokenizer_config(), codebook)
+    return model, codebook, context
+
+
+def reference_sample(model, context, horizon_length, config, codebook, n_samples,
+                     temperature, seed):
+    """One ``Generator.choice`` per path and token on the full history."""
+    family = get_family(config.family)
+    layout = coefficient_layout(horizon_length, family, config.level, config.boundary_mode)
+    paths = np.empty((n_samples, horizon_length))
+    for s, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        rng = np.random.default_rng(child)
+        generated = []
+        for _ in range(sum(layout)):
+            probs = model.next_token_distribution(list(context.tokens) + generated)
+            probs[codebook.eos_id] = 0.0
+            probs[codebook.pad_id] = 0.0
+            if temperature == 0.0:
+                generated.append(int(np.argmax(probs)))
+                continue
+            if temperature != 1.0:
+                probs = probs ** (1.0 / temperature)
+            generated.append(int(rng.choice(len(probs), p=probs / probs.sum())))
+        stream = TokenStream(
+            tokens=generated, segment_lengths=tuple(layout), scale=context.scale,
+            family_name=family.name, level=config.level, source_length=horizon_length,
+            boundary_mode=config.boundary_mode,
+        )
+        paths[s] = detokenize(stream, codebook, family)
+    return paths
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
+def test_sampler_matches_per_path_choice_loop(trained, temperature):
+    model, codebook, context = trained
+    config = CONFIG.tokenizer_config()
+    got = sample_forecast(model, context, 16, config, codebook, n_samples=6,
+                          temperature=temperature, seed=11)
+    expected = reference_sample(model, context, 16, config, codebook, 6, temperature, 11)
+    np.testing.assert_array_equal(got, expected)
+    if temperature == 0.0:
+        assert np.all(got == got[0])
+    else:
+        assert len({row.tobytes() for row in got}) > 1
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The token ids of every path the sampler detokenizes."""
+    tokens = []
+    original = seq_model.detokenize
+
+    def spy(stream, *args):
+        tokens.append(stream.tokens)
+        return original(stream, *args)
+
+    monkeypatch.setattr(seq_model, "detokenize", spy)
+    return tokens
+
+
+def test_sampler_queries_each_distinct_history_once_per_step(trained, drawn):
+    model, codebook, context = trained
+    queries = []
+
+    class Counting:
+        vocab_size, order = model.vocab_size, model.order
+
+        def next_token_distribution(self, history):
+            queries.append(tuple(history))
+            return model.next_token_distribution(history)
+
+    sample_forecast(Counting(), context, 16, CONFIG.tokenizer_config(), codebook,
+                    n_samples=6, seed=11)
+    full = np.concatenate([np.tile(context.tokens, (6, 1)), np.stack(drawn)], axis=1)
+    start, n_tokens = len(context.tokens), len(drawn[0])
+    distinct = [{tuple(row[start + t - model.order:start + t]) for row in full}
+                for t in range(n_tokens)]
+    assert len(queries) == sum(len(d) for d in distinct)
+    assert n_tokens < len(queries) < 6 * n_tokens
+    assert all(len(q) == model.order for q in queries)
+
+
+def test_sampler_never_draws_eos_or_pad(trained, drawn):
+    _, codebook, context = trained
+
+    class FavoursEosAndPad:
+        vocab_size, order = codebook.vocab_size, 1
+
+        def next_token_distribution(self, history):
+            probs = np.full(self.vocab_size, 1e-6)
+            probs[[codebook.eos_id, codebook.pad_id]] = 1.0
+            return probs
+
+    for temperature in (1.0, 0.5, 0.0):
+        sample_forecast(FavoursEosAndPad(), context, 16, CONFIG.tokenizer_config(), codebook,
+                        n_samples=8, temperature=temperature, seed=2)
+    tokens = np.concatenate(drawn)
+    assert len(drawn) == 24 and tokens.size > 0
+    assert not np.isin(tokens, [codebook.eos_id, codebook.pad_id]).any()
+
+
+def test_sampler_rejects_a_distribution_without_mass(trained):
+    _, codebook, context = trained
+
+    class OnlyEos:
+        vocab_size, order = codebook.vocab_size, 1
+
+        def next_token_distribution(self, history):
+            probs = np.zeros(self.vocab_size)
+            probs[codebook.eos_id] = 1.0
+            return probs
+
+    with pytest.raises(ValueError, match="no mass"):
+        sample_forecast(OnlyEos(), context, 16, CONFIG.tokenizer_config(), codebook)
+
+
+def test_suffix_query_equals_full_history_query(trained):
+    model, _, context = trained
+    history = context.tokens
+    full = model.next_token_distribution(history)
+    for query in (history[-model.order:], list(history), tuple(history[-model.order:])):
+        np.testing.assert_array_equal(model.next_token_distribution(query), full)
+    short = history[:1]
+    np.testing.assert_array_equal(model.next_token_distribution(short),
+                                  model.next_token_distribution(list(short)))
+
+
+def test_unseen_history_is_uniform():
+    model = MarkovModel(vocab_size=5, order=2, alpha=0.1)
+    model.observe([1, 2, 3, 4, 1, 2, 4])
+    probs = model.next_token_distribution([4, 4])
+    np.testing.assert_allclose(probs, np.full(5, 0.2), rtol=1e-15)
+    assert not np.allclose(model.next_token_distribution([1, 2]), 0.2)
+
+
+def test_checkpoint_round_trip(trained, tmp_path):
+    model, _, context = trained
+    path = tmp_path / "model.json"
+    save_model(model, path, meta={"fingerprint": "abc"})
+    loaded = load_model(path)
+    assert (loaded.vocab_size, loaded.order, loaded.alpha) == (
+        model.vocab_size, model.order, model.alpha)
+    assert loaded.meta == {"fingerprint": "abc"}
+    assert loaded._counts == model._counts
+    np.testing.assert_array_equal(loaded.next_token_distribution(context.tokens),
+                                  model.next_token_distribution(context.tokens))
+
+
+def test_cross_entropy_by_hand():
+    # Vocabulary {0 = PAD, 1, 2, 3}, order 1, add-one smoothing, one
+    # training sequence 1 2 1 3: counts after "2" are {1: 1}, after "1"
+    # {2: 1, 3: 1}, and "0" is an unseen history.
+    model = MarkovModel(vocab_size=4, order=1, alpha=1.0)
+    model.observe([1, 2, 1, 3], skip_targets=frozenset({0}))
+
+    def stream(tokens):
+        return TokenStream(tokens=tokens, segment_lengths=(len(tokens),), scale=None,
+                           family_name="haar", level=1, source_length=len(tokens))
+
+    # P(1 | 2) = 2/5, the PAD target is skipped, P(3 | 0) = 1/4.
+    loss = cross_entropy(model, stream([2]), stream([1, 0, 3]), pad_id=0)
+    assert loss == pytest.approx((math.log(5 / 2) + math.log(4)) / 2, rel=1e-12)
