@@ -202,9 +202,11 @@ def forecast_series(model, codebook: Codebook, config: RunConfig, item_id: str, 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
     baseline. Missing steps of a held-out horizon are left out of every
-    score; the forecasts still cover the whole horizon."""
+    score; the forecasts still cover the whole horizon. A series whose
+    MASE or VRSE is undefined (NaN) is left out of that mean, and one
+    warning per dataset names every such series."""
     season = seasonality_for_freq(dataset.freq)
-    rows = []
+    rows, undefined = [], []
     for item_id, context, horizon in make_windows(dataset, config):
         if item_id not in samples:
             raise WavetsError(f"dataset {name}: no forecast for series {item_id!r}")
@@ -218,10 +220,15 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
         naive_point, naive_quantiles = seasonal_naive(observed_context, naive_season, len(horizon))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows.append((horizon, quantiles, naive_quantiles,
-                         mase(horizon, median, observed_context, naive_season),
-                         mase(horizon, naive_point, observed_context, naive_season),
-                         vrse(horizon, median), vrse(horizon, naive_point)))
+            scores = (mase(horizon, median, observed_context, naive_season),
+                      mase(horizon, naive_point, observed_context, naive_season),
+                      vrse(horizon, median), vrse(horizon, naive_point))
+        if np.isnan(scores).any():
+            undefined.append(item_id)
+        rows.append((horizon, quantiles, naive_quantiles, *scores))
+    if undefined:
+        warnings.warn(f"dataset {name}: MASE or VRSE is undefined for {len(undefined)} of "
+                      f"{len(rows)} series, left out of those means: {', '.join(undefined)}")
     truths, model_q, naive_q, model_mase, naive_mase, model_vrse, naive_vrse = zip(*rows)
     truth_stack = np.stack(truths)
     return {

@@ -7,22 +7,46 @@ start of a sequence), and additive smoothing gives an unseen history the
 uniform distribution. The lower-order counts are not used for backoff.
 The interface is the minimal contract a neural replacement would need to
 satisfy: a vocabulary size, the number of trailing tokens a query reads,
-and the next-token distribution given a history.
+and the next-token distributions of a batch of histories.
+
+Histories are passed as ``(G, L)`` int arrays, one history per row with
+the most recent token last; ``-1`` left-pads a history that is shorter
+than ``L`` because it starts at the beginning of its sequence.
+
+Counts are stored as compressed sparse rows. A history ``(t_1 .. t_L)``
+of length ``L <= k`` has the int64 key ``sum((t_i + 1) * (V + 1)**(L - i))``:
+a base ``V + 1`` number whose digits are ``t + 1``, oldest token most
+significant. Keys of different lengths never collide, the empty history
+is 0, and a ``-1`` of left padding is a leading zero digit, so a padded
+row has the key of its unpadded history. ``_keys`` holds the observed
+histories sorted; row ``r`` owns ``_tokens[_indptr[r]:_indptr[r + 1]]``
+and the matching ``_counts``. Training encodes each (history, target)
+pair as ``key * V + target``, so the model refuses an order for which
+``(V + 1)**k * V`` does not fit in int64 (at ``V = 1024``, any order
+above 5).
+
+A checkpoint is an uncompressed ``.npz`` archive holding ``header`` (a JSON
+string: format, version 2, vocabulary size, order, smoothing and meta)
+and the arrays ``keys``, ``indptr``, ``tokens`` and ``counts``. It is
+read without pickle. Version 1 was a JSON dict of dicts.
 
 Sampling advances all paths of a series together, one token per step,
-and queries the model once per distinct history in that step. Each path
-draws one uniform per token from its own seeded stream and inverts the
-step's CDF with it, so a fixed seed gives the same paths whatever the
-batching.
+and queries the model once per step with the distinct histories of that
+step, found by one ``np.unique`` over the paths' history keys; so it too
+needs ``(V + 1)**order * V`` to fit in int64. Each path draws one uniform
+per token from its own seeded stream and inverts its history's CDF with
+it, so a fixed seed gives the same paths whatever the batching.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import Codebook
 from .dwt import coefficient_layout
@@ -31,17 +55,28 @@ from .families import get_family
 from .tokenizer import TokenizerConfig, TokenStream, detokenize
 
 _FORMAT = "wavets.markov"
-_VERSION = 1
+_VERSION = 2
+_ARRAYS = ("keys", "indptr", "tokens", "counts")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @runtime_checkable
 class SequenceModel(Protocol):
-    """A query reads at most the last ``order`` tokens of its history."""
+    """A query reads at most the last ``order`` columns of each history
+    row and returns one distribution per row."""
 
     vocab_size: int
     order: int
 
-    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray: ...
+    def next_token_distributions(self, histories: np.ndarray) -> np.ndarray: ...
+
+
+def _key_weights(vocab_size: int, order: int) -> np.ndarray:
+    """Digit weights of an order-``order`` history key, oldest token first."""
+    if (vocab_size + 1) ** order * vocab_size > _INT64_MAX:
+        raise ValueError(f"order {order} overflows int64 history keys at vocabulary size "
+                         f"{vocab_size}: (V + 1)**order * V must fit")
+    return (vocab_size + 1) ** np.arange(order - 1, -1, -1, dtype=np.int64)
 
 
 class MarkovModel:
@@ -64,29 +99,54 @@ class MarkovModel:
         self.order = int(order)
         self.alpha = float(alpha)
         self.meta: dict = {}
-        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
+        self._weights = _key_weights(self.vocab_size, self.order)
+        self.fit([])
 
-    def observe(self, sequence: Sequence[int], skip_targets: frozenset[int] = frozenset()):
-        """Accumulate transition counts from one token sequence."""
-        seq = [int(t) for t in sequence]
-        for i, target in enumerate(seq):
-            if target in skip_targets:
-                continue
-            for length in range(min(self.order, i) + 1):
-                history = tuple(seq[i - length : i])
-                bucket = self._counts.setdefault(history, {})
-                bucket[target] = bucket.get(target, 0) + 1
+    def _set_counts(self, keys, indptr, tokens, counts) -> None:
+        self._keys, self._indptr, self._tokens, self._counts = keys, indptr, tokens, counts
+        # the keys plus a sentinel above every key, so a lookup stays in bounds
+        self._lookup = np.append(keys, _INT64_MAX)
+
+    def fit(self, sequences: Sequence[Sequence[int]],
+            skip_targets: frozenset[int] = frozenset()) -> MarkovModel:
+        """Count every (history, target) pair of every history length in
+        the sequences, replacing any earlier counts. Skipped targets are
+        not counted but stay visible inside histories."""
+        pad = np.full(self.order, -1, dtype=np.int64)
+        flat = np.concatenate([pad, *(np.r_[np.asarray(s, dtype=np.int64), pad] for s in sequences)])
+        targets = np.flatnonzero((flat >= 0) & ~np.isin(flat, list(skip_targets)))
+        keys = np.zeros(len(targets), dtype=np.int64)  # of the length-L history before each target
+        codes = [flat[targets]]
+        for length in range(1, self.order + 1):
+            before = flat[targets - length]
+            keys += (before + 1) * self._weights[-length]
+            codes.append((keys * self.vocab_size + flat[targets])[before >= 0])
+        codes, counts = np.unique(np.concatenate(codes), return_counts=True)
+        history, target = np.divmod(codes, self.vocab_size)
+        starts = np.flatnonzero(np.diff(history, prepend=-1))
+        self._set_counts(history[starts], np.append(starts, len(codes)), target, counts)
+        return self
+
+    def next_token_distributions(self, histories: np.ndarray) -> np.ndarray:
+        """``(G, V)`` distributions, one per row of a ``(G, L)`` history
+        array; each row reads its last ``order`` columns."""
+        windows = np.asarray(histories, dtype=np.int64)[:, -self.order:]
+        keys = (windows + 1) @ self._weights[self.order - windows.shape[1]:]
+        rows = np.searchsorted(self._lookup, keys)
+        probs = np.full((len(keys), self.vocab_size), self.alpha)
+        denominators = np.full(len(keys), self.alpha * self.vocab_size)
+        # only observed histories add counts, and most sampled ones are unseen
+        for g in np.flatnonzero(self._lookup[rows] == keys).tolist():
+            lo, hi = self._indptr[rows[g]:rows[g] + 2]
+            probs[g, self._tokens[lo:hi]] += self._counts[lo:hi]
+            denominators[g] += self._counts[lo:hi].sum()
+        probs /= denominators[:, None]
+        return probs
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        suffix = tuple(int(t) for t in history[-self.order :])
-        bucket = self._counts.get(suffix, {})
-        probs = np.full(self.vocab_size, self.alpha)
-        total = 0
-        for token, count in bucket.items():
-            probs[token] += count
-            total += count
-        probs /= total + self.alpha * self.vocab_size
-        return probs
+        """The distribution after one history of any length."""
+        tail = np.asarray(history[-self.order:], dtype=np.int64)
+        return self.next_token_distributions(_padded_windows(tail, self.order)[-1:])[0]
 
 
 def train_markov(
@@ -106,11 +166,15 @@ def train_markov(
     if not corpus:
         raise ValueError("cannot train on an empty corpus")
     model = MarkovModel(vocab_size=vocab_size, order=order, alpha=alpha)
-    skip = frozenset({int(pad_id)})
-    for ctx, hor in corpus:
-        seq = np.concatenate([ctx.tokens, hor.tokens])
-        model.observe(seq, skip_targets=skip)
-    return model
+    return model.fit([np.concatenate([ctx.tokens, hor.tokens]) for ctx, hor in corpus],
+                     skip_targets=frozenset({int(pad_id)}))
+
+
+def _padded_windows(tokens: np.ndarray, order: int) -> np.ndarray:
+    """Row ``i`` holds the ``order`` tokens before position ``i``, ``-1``
+    where the sequence has not started; ``len(tokens) + 1`` rows."""
+    padded = np.concatenate([np.full(order, -1, dtype=np.int64), tokens])
+    return sliding_window_view(padded, order)
 
 
 def cross_entropy(
@@ -122,24 +186,17 @@ def cross_entropy(
     """Mean negative log-likelihood of the horizon tokens (EOS included).
 
     Each horizon position is predicted from the context plus all preceding
-    horizon tokens; PAD targets are masked out of both the sum and the
-    average. A zero predicted probability yields an infinite loss.
+    horizon tokens, in one batched query; PAD targets are masked out of
+    both the sum and the average. A zero predicted probability yields an
+    infinite loss.
     """
     seq = np.concatenate([context.tokens, horizon.tokens])
-    start = len(context.tokens)
-    total = 0.0
-    n_terms = 0
-    for i in range(start, len(seq)):
-        target = int(seq[i])
-        if target == pad_id:
-            continue
-        p = model.next_token_distribution(seq[:i])[target]
-        with np.errstate(divide="ignore"):
-            total -= float(np.log(p))
-        n_terms += 1
-    if n_terms == 0:
+    positions = len(context.tokens) + np.flatnonzero(horizon.tokens != pad_id)
+    if not len(positions):
         raise ValueError("horizon contains no unmasked targets")
-    return total / n_terms
+    probs = model.next_token_distributions(_padded_windows(seq, model.order)[positions])
+    with np.errstate(divide="ignore"):
+        return float(-np.log(probs[np.arange(len(positions)), seq[positions]]).mean())
 
 
 def sample_forecast(
@@ -159,10 +216,10 @@ def sample_forecast(
     every path detokenizes to exactly ``horizon_length`` values under the
     context's scale statistics.
 
-    All paths advance one token per step. A step queries the model once
-    per distinct ``model.order``-token history among the paths and draws
-    each path's token by inverse-CDF lookup of its own uniform. Path ``s``
-    draws its ``n_tokens`` uniforms up front from the ``s``-th stream
+    All paths advance one token per step. A step makes one batched query
+    with the distinct ``model.order``-token histories among the paths and
+    draws each path's token by inverse-CDF lookup of its own uniform. Path
+    ``s`` draws its ``n_tokens`` uniforms up front from the ``s``-th stream
     spawned from ``SeedSequence(seed)``, one per token, so fixed seeds give
     bit-identical output, the same as a per-path ``Generator.choice`` loop
     over the full history. Temperature 0 takes the argmax and draws
@@ -183,33 +240,31 @@ def sample_forecast(
             np.random.default_rng(child).random(n_tokens)
             for child in np.random.SeedSequence(seed).spawn(n_samples)
         ])
-    order = model.order
-    histories = [tuple(int(t) for t in context.tokens[-order:])] * n_samples
+    weights = _key_weights(model.vocab_size, model.order)
+    windows = np.tile(_padded_windows(context.tokens, model.order)[-1], (n_samples, 1))
     generated = np.empty((n_samples, n_tokens), dtype=np.int64)
     for step in range(n_tokens):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for s, history in enumerate(histories):
-            groups.setdefault(history, []).append(s)
-        for history, members in groups.items():
-            probs = model.next_token_distribution(history)
-            probs[codebook.eos_id] = 0.0
-            probs[codebook.pad_id] = 0.0
-            if temperature == 0.0:
-                generated[members, step] = np.argmax(probs)
-                continue
+        _, first, inverse = np.unique((windows + 1) @ weights, return_index=True,
+                                      return_inverse=True)
+        probs = model.next_token_distributions(windows[first])
+        probs[:, codebook.eos_id] = 0.0
+        probs[:, codebook.pad_id] = 0.0
+        if temperature == 0.0:
+            generated[:, step] = probs.argmax(axis=1)[inverse]
+        else:
             if temperature != 1.0:
-                probs = probs ** (1.0 / temperature)
-            total = probs.sum()
-            if total <= 0.0:
+                probs **= 1.0 / temperature
+            totals = probs.sum(axis=1, keepdims=True)
+            if (totals <= 0.0).any():
                 raise ValueError("sampling distribution has no mass")
             # What Generator.choice(p=probs / total) does with one uniform.
-            cdf = (probs / total).cumsum()
-            cdf /= cdf[-1]
-            generated[members, step] = cdf.searchsorted(uniforms[members, step], side="right")
-        histories = [
-            (history + (int(token),))[-order:]
-            for history, token in zip(histories, generated[:, step])
-        ]
+            probs /= totals
+            cdf = probs.cumsum(axis=1, out=probs)
+            cdf /= cdf[:, -1:]
+            generated[:, step] = [cdf[g].searchsorted(u, side="right")
+                                  for g, u in zip(inverse.tolist(), uniforms[:, step].tolist())]
+        windows[:, :-1] = windows[:, 1:]
+        windows[:, -1] = generated[:, step]
     paths = np.empty((n_samples, horizon_length))
     for s in range(n_samples):
         stream = TokenStream(
@@ -226,44 +281,56 @@ def sample_forecast(
 
 
 def save_model(model: MarkovModel, path, meta: dict | None = None) -> None:
-    """Versioned JSON checkpoint of order, smoothing and count tables."""
-    counts = {
-        ",".join(map(str, history)): {str(t): c for t, c in sorted(bucket.items())}
-        for history, bucket in model._counts.items()
-    }
-    payload = {
+    """Versioned ``.npz`` checkpoint of order, smoothing and count rows,
+    written to ``path`` as named (no suffix is added)."""
+    header = {
         "format": _FORMAT,
         "version": _VERSION,
         "vocab_size": model.vocab_size,
         "order": model.order,
         "alpha": model.alpha,
         "meta": meta if meta is not None else model.meta,
-        "counts": counts,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            header=np.array(json.dumps(header, sort_keys=True)),
+            keys=model._keys,
+            indptr=model._indptr,
+            tokens=model._tokens.astype(np.min_scalar_type(model.vocab_size - 1)),
+            counts=model._counts.astype(np.min_scalar_type(model._counts.max(initial=0))),
+        )
 
 
 def load_model(path) -> MarkovModel:
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(str(npz["header"]))
+            keys, indptr, tokens, counts = arrays = [npz[name] for name in _ARRAYS]
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        if Path(path).read_bytes().startswith(b"{"):
+            raise SchemaError(f"model version mismatch in {path}: found a JSON checkpoint "
+                              f"(version 1), expected {_VERSION}") from exc
         raise SchemaError(f"corrupt model file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
         raise SchemaError(f"{path} is not a model checkpoint")
-    if payload.get("version") != _VERSION:
+    if header.get("version") != _VERSION:
         raise SchemaError(
-            f"model version mismatch in {path}: found {payload.get('version')}, expected {_VERSION}"
+            f"model version mismatch in {path}: found {header.get('version')}, expected {_VERSION}"
         )
-    missing = [k for k in ("vocab_size", "order", "alpha", "counts") if k not in payload]
+    missing = [k for k in ("vocab_size", "order", "alpha") if k not in header]
     if missing:
         raise SchemaError(f"model file {path} is missing fields: {missing}")
+    if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays) and keys.dtype == np.int64
+            and len(indptr) == len(keys) + 1 and indptr[0] == 0
+            and indptr[-1] == len(tokens) == len(counts)
+            and np.all(np.diff(keys) > 0) and np.all(np.diff(indptr) >= 0)):
+        raise SchemaError(f"corrupt model file {path}: inconsistent count arrays")
     model = MarkovModel(
-        vocab_size=int(payload["vocab_size"]),
-        order=int(payload["order"]),
-        alpha=float(payload["alpha"]),
+        vocab_size=int(header["vocab_size"]),
+        order=int(header["order"]),
+        alpha=float(header["alpha"]),
     )
-    model.meta = payload.get("meta", {})
-    for key, bucket in payload["counts"].items():
-        history = tuple(int(t) for t in key.split(",")) if key else ()
-        model._counts[history] = {int(t): int(c) for t, c in bucket.items()}
+    model.meta = header.get("meta", {})
+    model._set_counts(keys, indptr, tokens, counts)
     return model

@@ -131,3 +131,16 @@ def test_evaluate_dataset_scores_a_gappy_horizon_on_its_observed_steps():
     assert observed.sum() == CONFIG.horizon - 1
     assert all(np.isfinite(v) for v in scores.values())
     assert scores == pytest.approx(expected, rel=1e-12)
+
+
+def test_evaluate_dataset_warns_once_naming_series_with_undefined_scores():
+    # synth-00000 is all zeros: its MASE and VRSE are undefined.
+    dataset = small_dataset()
+    windows = make_windows(dataset, CONFIG)
+    samples = {item_id: np.tile(horizon + 1.0, (3, 1)) for item_id, _, horizon in windows}
+    with pytest.warns(UserWarning) as record:
+        scores = evaluate_dataset("toy", dataset, samples, CONFIG)
+    assert [str(w.message) for w in record] == [
+        "dataset toy: MASE or VRSE is undefined for 1 of 5 series, "
+        "left out of those means: synth-00000"]
+    assert all(np.isfinite(value) for value in scores.values())

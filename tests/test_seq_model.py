@@ -1,6 +1,8 @@
 """The Markov model: suffix queries, smoothing, checkpoints, cross-entropy
 and the batched sampler against a per-path reference loop."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ import wavets.seq_model as seq_model
 from wavets.codebook import fit_codebook
 from wavets.data_synth import make_dataset
 from wavets.dwt import coefficient_layout
+from wavets.exceptions import SchemaError
 from wavets.families import get_family
 from wavets.pipeline import RunConfig, make_windows, pool_coefficients
 from wavets.seq_model import (
@@ -31,8 +34,8 @@ def trained():
     windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=3), CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
     codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
-    model = MarkovModel(codebook.vocab_size, order=CONFIG.order, alpha=0.5)
-    model.observe(np.random.default_rng(0).integers(0, codebook.vocab_size, 2000))
+    model = MarkovModel(codebook.vocab_size, order=CONFIG.order, alpha=0.5).fit(
+        [np.random.default_rng(0).integers(0, codebook.vocab_size, 2000)])
     context = tokenize(windows[0][1], CONFIG.tokenizer_config(), codebook)
     return model, codebook, context
 
@@ -100,9 +103,9 @@ def test_sampler_queries_each_distinct_history_once_per_step(trained, drawn):
     class Counting:
         vocab_size, order = model.vocab_size, model.order
 
-        def next_token_distribution(self, history):
-            queries.append(tuple(history))
-            return model.next_token_distribution(history)
+        def next_token_distributions(self, histories):
+            queries.append([tuple(row) for row in histories])
+            return model.next_token_distributions(histories)
 
     sample_forecast(Counting(), context, 16, CONFIG.tokenizer_config(), codebook,
                     n_samples=6, seed=11)
@@ -110,9 +113,10 @@ def test_sampler_queries_each_distinct_history_once_per_step(trained, drawn):
     start, n_tokens = len(context.tokens), len(drawn[0])
     distinct = [{tuple(row[start + t - model.order:start + t]) for row in full}
                 for t in range(n_tokens)]
-    assert len(queries) == sum(len(d) for d in distinct)
-    assert n_tokens < len(queries) < 6 * n_tokens
-    assert all(len(q) == model.order for q in queries)
+    assert len(queries) == n_tokens
+    assert [sorted(q) for q in queries] == [sorted(d) for d in distinct]
+    assert n_tokens < sum(len(q) for q in queries) < 6 * n_tokens
+    assert all(len(row) == model.order for q in queries for row in q)
 
 
 def test_sampler_never_draws_eos_or_pad(trained, drawn):
@@ -121,9 +125,9 @@ def test_sampler_never_draws_eos_or_pad(trained, drawn):
     class FavoursEosAndPad:
         vocab_size, order = codebook.vocab_size, 1
 
-        def next_token_distribution(self, history):
-            probs = np.full(self.vocab_size, 1e-6)
-            probs[[codebook.eos_id, codebook.pad_id]] = 1.0
+        def next_token_distributions(self, histories):
+            probs = np.full((len(histories), self.vocab_size), 1e-6)
+            probs[:, [codebook.eos_id, codebook.pad_id]] = 1.0
             return probs
 
     for temperature in (1.0, 0.5, 0.0):
@@ -140,13 +144,42 @@ def test_sampler_rejects_a_distribution_without_mass(trained):
     class OnlyEos:
         vocab_size, order = codebook.vocab_size, 1
 
-        def next_token_distribution(self, history):
-            probs = np.zeros(self.vocab_size)
-            probs[codebook.eos_id] = 1.0
+        def next_token_distributions(self, histories):
+            probs = np.zeros((len(histories), self.vocab_size))
+            probs[:, codebook.eos_id] = 1.0
             return probs
 
     with pytest.raises(ValueError, match="no mass"):
         sample_forecast(OnlyEos(), context, 16, CONFIG.tokenizer_config(), codebook)
+
+
+def reference_cross_entropy(model, context, horizon, pad_id):
+    """One full-history query per unmasked horizon position."""
+    seq = list(context.tokens) + list(horizon.tokens)
+    losses = [-math.log(model.next_token_distribution(seq[:i])[target])
+              for i, target in enumerate(seq) if i >= len(context.tokens) and target != pad_id]
+    return sum(losses) / len(losses)
+
+
+@pytest.mark.parametrize("n_context", [0, 1, 2])
+def test_context_shorter_than_order_matches_reference_loops(trained, n_context):
+    _, codebook, context = trained
+    rng = np.random.default_rng(4)
+    model = MarkovModel(codebook.vocab_size, order=3, alpha=0.5).fit(
+        [rng.integers(0, codebook.vocab_size, 3000)])
+    short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:],
+                                segment_lengths=(n_context,), has_eos=False)
+    config = CONFIG.tokenizer_config()
+    for temperature in (1.0, 0.0):
+        np.testing.assert_array_equal(
+            sample_forecast(model, short, 16, config, codebook, n_samples=6,
+                            temperature=temperature, seed=11),
+            reference_sample(model, short, 16, config, codebook, 6, temperature, 11))
+    horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20),
+                                  segment_lengths=(20,), has_eos=False)
+    assert (horizon.tokens == codebook.pad_id).any()
+    assert cross_entropy(model, short, horizon, codebook.pad_id) == pytest.approx(
+        reference_cross_entropy(model, short, horizon, codebook.pad_id), rel=1e-12)
 
 
 def test_suffix_query_equals_full_history_query(trained):
@@ -161,32 +194,152 @@ def test_suffix_query_equals_full_history_query(trained):
 
 
 def test_unseen_history_is_uniform():
-    model = MarkovModel(vocab_size=5, order=2, alpha=0.1)
-    model.observe([1, 2, 3, 4, 1, 2, 4])
+    model = MarkovModel(vocab_size=5, order=2, alpha=0.1).fit([[1, 2, 3, 4, 1, 2, 4]])
     probs = model.next_token_distribution([4, 4])
     np.testing.assert_allclose(probs, np.full(5, 0.2), rtol=1e-15)
     assert not np.allclose(model.next_token_distribution([1, 2]), 0.2)
+
+
+def test_fit_matches_a_counting_loop():
+    # Sequences shorter than the order, an empty one, and PAD (0) targets.
+    rng = np.random.default_rng(7)
+    sequences = [rng.integers(0, 6, n) for n in (0, 1, 3, 40, 200)]
+    model = MarkovModel(vocab_size=6, order=3, alpha=0.1).fit(sequences,
+                                                              skip_targets=frozenset({0}))
+    expected = {}
+    for seq in sequences:
+        seq = [int(t) for t in seq]
+        for i, target in enumerate(seq):
+            if target == 0:
+                continue
+            for length in range(min(3, i) + 1):
+                bucket = expected.setdefault(tuple(seq[i - length:i]), {})
+                bucket[target] = bucket.get(target, 0) + 1
+
+    def decode(key):
+        history = []
+        while key:
+            key, digit = divmod(key, 7)
+            history.insert(0, digit - 1)
+        return tuple(history)
+
+    got = {}
+    for row, key in enumerate(model._keys):
+        span = slice(model._indptr[row], model._indptr[row + 1])
+        got[decode(int(key))] = dict(zip(model._tokens[span].tolist(),
+                                         model._counts[span].tolist()))
+    assert got == expected
+    assert np.all(np.diff(model._keys) > 0)
+
+
+def test_short_history_reads_its_own_counts():
+    # Targets of 1 2 3 4 1 2 4: all seven after the empty history, 3 and
+    # 4 after "2". Left padding must not turn these into unseen histories.
+    model = MarkovModel(vocab_size=5, order=2, alpha=0.1).fit([[1, 2, 3, 4, 1, 2, 4]])
+    np.testing.assert_array_equal(model.next_token_distribution([]),
+                                  (np.array([0, 2, 2, 1, 2]) + 0.1) / (7 + 0.5))
+    np.testing.assert_array_equal(model.next_token_distribution([2]),
+                                  (np.array([0, 0, 0, 1, 1]) + 0.1) / (2 + 0.5))
+    np.testing.assert_array_equal(model.next_token_distributions([[-1, -1], [-1, 2]]),
+                                  np.stack([model.next_token_distribution([]),
+                                            model.next_token_distribution([2])]))
 
 
 def test_checkpoint_round_trip(trained, tmp_path):
     model, _, context = trained
     path = tmp_path / "model.json"
     save_model(model, path, meta={"fingerprint": "abc"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
     loaded = load_model(path)
     assert (loaded.vocab_size, loaded.order, loaded.alpha) == (
         model.vocab_size, model.order, model.alpha)
     assert loaded.meta == {"fingerprint": "abc"}
-    assert loaded._counts == model._counts
+    for name in ("_keys", "_indptr", "_tokens", "_counts"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name), err_msg=name)
+    histories = np.lib.stride_tricks.sliding_window_view(context.tokens, model.order)
+    np.testing.assert_array_equal(loaded.next_token_distributions(histories),
+                                  model.next_token_distributions(histories))
     np.testing.assert_array_equal(loaded.next_token_distribution(context.tokens),
                                   model.next_token_distribution(context.tokens))
+
+
+def test_checkpoint_of_version_1_is_refused(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "wavets.markov", "version": 1, "vocab_size": 4,
+                                "order": 1, "alpha": 1.0, "meta": {}, "counts": {"": {"1": 2}}}))
+    # the test's directory name holds "version": match from the start
+    with pytest.raises(SchemaError, match="^model version mismatch .*expected 2$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("payload", [bytes(range(256)) * 4, b"PK\x03\x04" + bytes(64), b""])
+def test_corrupt_checkpoint_is_refused(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_bytes(payload)
+    with pytest.raises(SchemaError, match="^corrupt model file "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda arrays: arrays.update(keys=arrays["keys"][::-1]),
+    lambda arrays: arrays.update(indptr=arrays["indptr"][:-1]),
+    lambda arrays: arrays.update(counts=arrays["counts"][1:]),
+    lambda arrays: arrays.update(tokens=arrays["tokens"].astype(np.float64)),
+    lambda arrays: arrays.update(keys=arrays["keys"].astype(np.uint64)),
+    lambda arrays: arrays.pop("counts"),
+])
+def test_checkpoint_with_inconsistent_arrays_is_refused(trained, tmp_path, corrupt):
+    path = tmp_path / "model.json"
+    save_model(trained[0], path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    corrupt(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(SchemaError, match="^corrupt model file "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"format": "other"}, "is not a model checkpoint$"),
+    ({"version": 3}, "version mismatch .*found 3, expected 2$"),
+    ({"alpha": None}, r"missing fields: \['alpha'\]$"),
+])
+def test_checkpoint_header_is_checked(trained, tmp_path, change, message):
+    path = tmp_path / "model.json"
+    save_model(trained[0], path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    header = {**json.loads(str(arrays["header"])), **change}
+    arrays["header"] = np.array(json.dumps({k: v for k, v in header.items() if v is not None}))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(SchemaError, match=message):
+        load_model(path)
+
+
+def test_order_whose_keys_overflow_int64_is_refused(trained):
+    MarkovModel(vocab_size=1024, order=5, alpha=0.1)
+    with pytest.raises(ValueError, match="int64"):
+        MarkovModel(vocab_size=1024, order=6, alpha=0.1)
+    model, codebook, context = trained
+
+    class LongWindow:
+        vocab_size, order = model.vocab_size, 40
+
+        def next_token_distributions(self, histories):
+            return model.next_token_distributions(histories)
+
+    with pytest.raises(ValueError, match="int64"):
+        sample_forecast(LongWindow(), context, 16, CONFIG.tokenizer_config(), codebook)
 
 
 def test_cross_entropy_by_hand():
     # Vocabulary {0 = PAD, 1, 2, 3}, order 1, add-one smoothing, one
     # training sequence 1 2 1 3: counts after "2" are {1: 1}, after "1"
     # {2: 1, 3: 1}, and "0" is an unseen history.
-    model = MarkovModel(vocab_size=4, order=1, alpha=1.0)
-    model.observe([1, 2, 1, 3], skip_targets=frozenset({0}))
+    model = MarkovModel(vocab_size=4, order=1, alpha=1.0).fit([[1, 2, 1, 3]],
+                                                              skip_targets=frozenset({0}))
 
     def stream(tokens):
         return TokenStream(tokens=tokens, segment_lengths=(len(tokens),), scale=None,
