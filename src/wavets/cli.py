@@ -38,7 +38,7 @@ from .metrics import aggregate_relative, average_rank
 from .pipeline import (
     RunConfig,
     evaluate_dataset,
-    forecast_series,
+    forecast_dataset,
     make_windows,
     pool_coefficients,
     run_cell,
@@ -221,9 +221,9 @@ def _forecast_init(model_path: str, codebook_path: str, config: RunConfig):
     _WORKER_STATE["config"] = config
 
 
-def _forecast_one(payload):
+def _forecast_chunk(contexts):
     state = _WORKER_STATE
-    return forecast_series(state["model"], state["codebook"], state["config"], *payload)
+    return forecast_dataset(state["model"], state["codebook"], state["config"], contexts)
 
 
 def cmd_forecast(args) -> int:
@@ -231,17 +231,20 @@ def cmd_forecast(args) -> int:
     codebook = load_codebook(args.codebook)
     model = load_model(args.model)
     _check_meta(model.meta, args.model, config, codebook)
-    payloads = [(item_id, context) for item_id, context, _ in
+    contexts = [(item_id, context) for item_id, context, _ in
                 make_windows(load_dataset(args.data), config)]
     if args.workers > 1:
+        size = -(-len(contexts) // args.workers) or 1  # contiguous chunks, one per worker
         with ProcessPoolExecutor(
             max_workers=args.workers,
             initializer=_forecast_init,
             initargs=(args.model, args.codebook, config),
         ) as pool:
-            results = list(pool.map(_forecast_one, payloads))
+            chunks = pool.map(_forecast_chunk, [contexts[i:i + size]
+                                                for i in range(0, len(contexts), size)])
+            results = [result for chunk in chunks for result in chunk]
     else:
-        results = [forecast_series(model, codebook, config, *payload) for payload in payloads]
+        results = forecast_dataset(model, codebook, config, contexts)
     forecasts = [(item_id, paths) for item_id, paths, _ in results if paths is not None]
     _write_jsonl(args.out, {
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),

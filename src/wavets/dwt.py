@@ -19,6 +19,11 @@ boundary modes are those of PyWavelets' signal extension:
   Synthesis folds the overhang back circularly.
 
 The cascade halves the work per level, so runtime is linear in ``n``.
+
+The kernel and the whole synthesis side work on the last axis, so
+:func:`reconstruct` inverts a stack of pyramids (bands of shape
+``(..., n_band)``) in one call, each row bit-identical to its own
+inversion.
 """
 
 from __future__ import annotations
@@ -49,10 +54,10 @@ class CoefficientPyramid:
 
     @property
     def total_coefficients(self) -> int:
-        return len(self.approx) + sum(len(d) for d in self.details)
+        return sum(self.segment_lengths())
 
     def segment_lengths(self) -> list[int]:
-        return [len(self.approx)] + [len(d) for d in self.details]
+        return [band.shape[-1] for band in (self.approx, *self.details)]
 
 
 def _check_mode(mode: str) -> str:
@@ -81,8 +86,8 @@ def _extend(x: np.ndarray, filt_len: int, mode: str) -> np.ndarray:
 
 def _strided_filter(extended: np.ndarray, taps: np.ndarray, step: int = 2) -> np.ndarray:
     """The one filtering kernel: output ``k`` is
-    ``sum_m taps[m] * extended[step * k + L - 1 - m]``, summed in tap order
-    by ``L`` strided multiply-adds over the whole of ``extended``.
+    ``sum_m taps[m] * extended[..., step * k + L - 1 - m]``, summed in tap
+    order by ``L`` strided multiply-adds along the last axis.
 
     For analysis, ``extended = _extend(x, L, mode)`` and ``step = 2``, so
     output ``k`` is ``sum_m taps[m] * x[2k + 1 - m]`` with the boundary
@@ -90,11 +95,11 @@ def _strided_filter(extended: np.ndarray, taps: np.ndarray, step: int = 2) -> np
     signal is its full convolution with ``taps``.
     """
     filt_len = len(taps)
-    span = len(extended) - filt_len + 1  # offsets at which a whole filter fits
-    out = taps[0] * extended[filt_len - 1 : filt_len - 1 + span : step]
+    span = extended.shape[-1] - filt_len + 1  # offsets at which a whole filter fits
+    out = taps[0] * extended[..., filt_len - 1 : filt_len - 1 + span : step]
     for m in range(1, filt_len):
         start = filt_len - 1 - m
-        out += taps[m] * extended[start : start + span : step]
+        out += taps[m] * extended[..., start : start + span : step]
     return out
 
 
@@ -105,23 +110,27 @@ def _synthesis_step(
     target_len: int,
     mode: str,
 ) -> np.ndarray:
-    """Inverse of one analysis step; yields ``target_len`` samples.
+    """Inverse of one analysis step along the last axis; yields
+    ``target_len`` samples.
 
     Upsamples both bands, convolves them with the reconstruction filters
     and drops the ``L - 2`` leading samples: by cropping for
     ``"symmetric"``, by folding the overhang back circularly for
-    ``"periodization"``.
+    ``"periodization"``. The fold adds each output's samples in index
+    order, starting from zero, as ``np.bincount`` does.
     """
     filt_len = family.filter_length
-    period = 2 * len(approx)
-    up = np.zeros((2, period + 2 * filt_len - 2))  # zero-stuffed, L - 1 zeros each side
-    up[:, filt_len - 1 : filt_len - 1 + period : 2] = approx, detail
+    period = 2 * approx.shape[-1]
+    # zero-stuffed, L - 1 zeros each side
+    up = np.zeros((2, *approx.shape[:-1], period + 2 * filt_len - 2))
+    up[..., filt_len - 1 : filt_len - 1 + period : 2] = approx, detail
     full = _strided_filter(up[0], family.rec_lo, 1) + _strided_filter(up[1], family.rec_hi, 1)
     shift = filt_len - 2
     if mode == "symmetric":
-        return full[shift : shift + target_len]
-    folded = np.bincount((np.arange(len(full)) - shift) % period, weights=full, minlength=period)
-    return folded[:target_len]
+        return full[..., shift : shift + target_len]
+    folded = np.zeros((*full.shape[:-1], period))
+    np.add.at(folded, (..., (np.arange(full.shape[-1]) - shift) % period), full)
+    return folded[..., :target_len]
 
 
 def max_level(n: int, family: WaveletFamily, boundary_mode: str = "symmetric") -> int:
@@ -174,7 +183,8 @@ def decompose(
 
 
 def reconstruct(pyramid: CoefficientPyramid, family: WaveletFamily) -> np.ndarray:
-    """Invert :func:`decompose`; returns exactly ``input_length`` samples."""
+    """Invert :func:`decompose`; returns exactly ``input_length`` samples
+    along the last axis of the bands."""
     expected = coefficient_layout(pyramid.input_length, family, pyramid.level, pyramid.boundary_mode)
     actual = pyramid.segment_lengths()
     if actual != expected:

@@ -38,12 +38,10 @@ DEFAULT_SEASONALITY = {
 }
 
 
-def seasonality_for_freq(freq: str, overrides: dict | None = None, default: int = 1) -> int:
+def seasonality_for_freq(freq: str, default: int = 1) -> int:
     """Season length for a frequency tag; unknown tags warn and use
     ``default``."""
     key = str(freq).lower()
-    if overrides and key in overrides:
-        return int(overrides[key])
     if key in DEFAULT_SEASONALITY:
         return DEFAULT_SEASONALITY[key]
     warnings.warn(f"unknown frequency tag {freq!r}; using seasonality {default}")
@@ -95,8 +93,10 @@ def mase(
 ) -> float:
     """Mean absolute error scaled by the in-sample seasonal-naive error.
 
-    ``((C - S) / H) * sum|err| / sum_{t=1..C-S} |x_t - x_{t+S}|``, where
-    ``H`` counts the observed truth steps and the error sum runs over them.
+    ``(P / H) * sum|err| / sum_t |x_t - x_{t+S}|``, where ``H`` counts the
+    observed truth steps and the error sum runs over them, and the scale
+    sums over the ``P`` pairs ``(t, t + S)`` of the context whose values
+    are both observed (``P = C - S`` without missing values).
     """
     truth = np.asarray(truth, dtype=np.float64)
     forecast = np.asarray(point_forecast, dtype=np.float64)
@@ -111,11 +111,16 @@ def mase(
     if h == 0:
         warnings.warn("missing truth: scaled error is undefined")
         return float("nan")
-    denom = np.sum(np.abs(context[: c - s] - context[s:]))
+    pairs = np.abs(context[: c - s] - context[s:])
+    pairs = pairs[np.isfinite(pairs)]
+    if pairs.size == 0:
+        warnings.warn("no observed seasonal pair in the context: scaled error is undefined")
+        return float("nan")
+    denom = np.sum(pairs)
     if denom == 0.0:
         warnings.warn("perfectly seasonal context: scaled error is undefined")
         return float("nan")
-    return float((c - s) / h * np.sum(np.abs(forecast - truth)) / denom)
+    return float(pairs.size / h * np.sum(np.abs(forecast - truth)) / denom)
 
 
 def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
@@ -173,13 +178,29 @@ def seasonal_naive(
     horizon: int,
     levels: tuple[float, ...] = QUANTILE_LEVELS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat the last observed season; deterministic, so every quantile
-    equals the point forecast. Returns ``(point, quantile_stack)``."""
+    """Repeat the last season of the context; deterministic, so every
+    quantile equals the point forecast. Returns ``(point, quantile_stack)``.
+
+    A missing phase of the last season takes the same phase one season
+    earlier, and so on back; a phase never observed takes the last
+    observed value.
+    """
     context = np.asarray(context, dtype=np.float64)
     s = int(seasonality)
     if len(context) < s:
         raise ValueError(f"context length {len(context)} is shorter than one season ({s})")
-    season = context[-s:]
+    season = context[-s:].copy()
+    end = len(context) - s  # the earlier seasons end here, on phase s - 1
+    while end > 0 and not np.isfinite(season).all():
+        earlier, tail = context[max(end - s, 0):end], season[s - min(end, s):]
+        np.copyto(tail, earlier, where=~np.isfinite(tail))
+        end -= s
+    missing = ~np.isfinite(season)
+    if missing.any():
+        observed = context[np.isfinite(context)]
+        if not observed.size:
+            raise ValueError("context has no observed values")
+        season[missing] = observed[-1]
     reps = int(np.ceil(horizon / s))
     point = np.tile(season, reps)[:horizon]
     return point, np.tile(point, (len(levels), 1))

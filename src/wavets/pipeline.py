@@ -6,11 +6,17 @@ values. The codebook is fit to the pooled, context-scaled and thresholded
 wavelet coefficients of the training windows (contexts and horizons), and
 the Markov model is trained on their token pairs. Forecasts start from the
 tokenized context and are scored on the held-out horizon by WQL, MASE and
-VRSE, next to the seasonal-naive baseline. Series ``item_id`` samples with
-the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``, whichever
-worker runs it. A series that cannot be used fails alone, not the run. An
-ablation cell (:func:`run_cell`) trains on a dataset's ``split_last_h``
-train view, scores the horizons held out from it and fails on any series.
+VRSE, next to the seasonal-naive baseline, whose seasons stay aligned in
+time across missing context values. Forecasting runs all series of a
+command as one batch (:func:`forecast_dataset`): every context is
+tokenized, then all sample paths advance together. Series ``item_id``
+samples with the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``,
+so its paths do not depend on the rest of the batch or on the worker that
+runs it. A series that cannot be used fails alone, not the run: a context
+that cannot be tokenized, or a path that meets a sampling distribution
+without mass, fails only its own series. An ablation cell
+(:func:`run_cell`) trains on a dataset's ``split_last_h`` train view,
+scores the horizons held out from it and fails on any series.
 """
 
 from __future__ import annotations
@@ -180,23 +186,37 @@ def series_seed(seed: int, item_id: str) -> int:
     return int(np.random.SeedSequence([seed, item_key]).generate_state(1)[0])
 
 
-def forecast_series(model, codebook: Codebook, config: RunConfig, item_id: str, context):
-    """Sample paths for one series from its context.
+def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
+    """Sample paths for every ``(item_id, context)`` pair in one batch.
 
-    Returns ``(item_id, paths, None)``, or ``(item_id, None, message)``
-    when the series fails, so that one bad series never stops the rest.
+    Returns ``(item_id, paths, None)`` per series in input order, or
+    ``(item_id, None, message)`` for a series that fails, so that one bad
+    series never stops the rest. An error that concerns the whole batch,
+    such as a vocabulary mismatch, fails every series with its message.
     """
     tok_config = config.tokenizer_config()
+    results, streams, batch = [], [], []
+    for item_id, context in contexts:
+        try:
+            streams.append(tokenize(context, tok_config, codebook))
+        except Exception as exc:  # per-series isolation
+            results.append((item_id, None, str(exc)))
+            continue
+        batch.append(len(results))
+        results.append((item_id, None, None))
+    if not batch:
+        return results
     try:
-        ctx_stream = tokenize(context, tok_config, codebook)
-        paths = sample_forecast(
-            model, ctx_stream, config.horizon, tok_config, codebook,
+        paths, errors = sample_forecast(
+            model, streams, config.horizon, tok_config, codebook,
+            seeds=[series_seed(config.seed, results[i][0]) for i in batch],
             n_samples=config.n_samples, temperature=config.temperature,
-            seed=series_seed(config.seed, item_id),
         )
-    except Exception as exc:  # per-series isolation
-        return item_id, None, str(exc)
-    return item_id, paths, None
+    except Exception as exc:  # fails every series of the batch
+        paths, errors = [None] * len(batch), [str(exc)] * len(batch)
+    for i, series_paths, error in zip(batch, paths, errors):
+        results[i] = (results[i][0], None if error else series_paths, error)
+    return results
 
 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
@@ -215,13 +235,13 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
             raise WavetsError(f"dataset {name}: forecast horizon mismatch for {item_id!r}")
         quantiles = sample_quantiles(paths)
         median = quantiles[QUANTILE_LEVELS.index(0.5)]
-        observed_context = context[np.isfinite(context)]
-        naive_season = min(season, len(observed_context) - 1) or 1
-        naive_point, naive_quantiles = seasonal_naive(observed_context, naive_season, len(horizon))
+        # missing context values stay in place, so the seasons keep their phase
+        naive_season = min(season, int(np.isfinite(context).sum()) - 1) or 1
+        naive_point, naive_quantiles = seasonal_naive(context, naive_season, len(horizon))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scores = (mase(horizon, median, observed_context, naive_season),
-                      mase(horizon, naive_point, observed_context, naive_season),
+            scores = (mase(horizon, median, context, naive_season),
+                      mase(horizon, naive_point, context, naive_season),
                       vrse(horizon, median), vrse(horizon, naive_point))
         if np.isnan(scores).any():
             undefined.append(item_id)
@@ -252,9 +272,9 @@ def run_cell(config: RunConfig, dataset: Dataset):
         item_id, exc = (skipped + failures)[0]
         raise WavetsError(f"series {item_id!r}: {exc}")
     model = train_model([(ctx, hor) for _, ctx, hor in pairs], config, codebook)
+    contexts = [(item_id, context) for item_id, context, _ in make_windows(dataset, config)]
     samples = {}
-    for item_id, context, _ in make_windows(dataset, config):
-        _, paths, error = forecast_series(model, codebook, config, item_id, context)
+    for item_id, paths, error in forecast_dataset(model, codebook, config, contexts):
         if error:
             raise WavetsError(f"series {item_id!r}: {error}")
         samples[item_id] = paths

@@ -7,7 +7,10 @@ start of a sequence), and additive smoothing gives an unseen history the
 uniform distribution. The lower-order counts are not used for backoff.
 The interface is the minimal contract a neural replacement would need to
 satisfy: a vocabulary size, the number of trailing tokens a query reads,
-and the next-token distributions of a batch of histories.
+the next-token distributions of a batch of histories, and a state per
+history such that histories of equal state have equal distributions. The
+Markov model's state is the count row of an observed order-k history and
+``-1`` for every unseen one.
 
 Histories are passed as ``(G, L)`` int arrays, one history per row with
 the most recent token last; ``-1`` left-pads a history that is shorter
@@ -30,12 +33,15 @@ string: format, version 2, vocabulary size, order, smoothing and meta)
 and the arrays ``keys``, ``indptr``, ``tokens`` and ``counts``. It is
 read without pickle. Version 1 was a JSON dict of dicts.
 
-Sampling advances all paths of a series together, one token per step,
-and queries the model once per step with the distinct histories of that
-step, found by one ``np.unique`` over the paths' history keys; so it too
-needs ``(V + 1)**order * V`` to fit in int64. Each path draws one uniform
-per token from its own seeded stream and inverts its history's CDF with
-it, so a fixed seed gives the same paths whatever the batching.
+Sampling advances the ``N x S`` paths of all series of a command
+together, one token per step. Each step groups the paths by the state of
+their history (one ``np.unique``), queries the model once with one
+history per distinct state, and builds the masked, tempered and
+normalised CDF of those rows only; unseen histories share one row. Each
+path draws one uniform per token from its own seeded stream and inverts
+its state's CDF with it, so a fixed seed gives the same paths whatever
+the batching. The uniforms and the drawn tokens take ``N x S x n_tokens``
+values, the synthesis of the paths ``N x S x H`` per band.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .codebook import Codebook
 from .dwt import coefficient_layout
 from .exceptions import SchemaError
 from .families import get_family
-from .tokenizer import TokenizerConfig, TokenStream, detokenize
+from .tokenizer import ScaleStats, TokenizerConfig, TokenStream, detokenize
 
 _FORMAT = "wavets.markov"
 _VERSION = 2
@@ -63,12 +69,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 @runtime_checkable
 class SequenceModel(Protocol):
     """A query reads at most the last ``order`` columns of each history
-    row and returns one distribution per row."""
+    row and returns one distribution per row; two rows of equal
+    ``history_states`` have equal distributions."""
 
     vocab_size: int
     order: int
 
     def next_token_distributions(self, histories: np.ndarray) -> np.ndarray: ...
+
+    def history_states(self, histories: np.ndarray) -> np.ndarray: ...
 
 
 def _key_weights(vocab_size: int, order: int) -> np.ndarray:
@@ -127,16 +136,22 @@ class MarkovModel:
         self._set_counts(history[starts], np.append(starts, len(codes)), target, counts)
         return self
 
-    def next_token_distributions(self, histories: np.ndarray) -> np.ndarray:
-        """``(G, V)`` distributions, one per row of a ``(G, L)`` history
-        array; each row reads its last ``order`` columns."""
+    def history_states(self, histories: np.ndarray) -> np.ndarray:
+        """``(G,)`` count rows of the histories of a ``(G, L)`` array, read
+        from its last ``order`` columns; ``-1`` for an unseen history."""
         windows = np.asarray(histories, dtype=np.int64)[:, -self.order:]
         keys = (windows + 1) @ self._weights[self.order - windows.shape[1]:]
         rows = np.searchsorted(self._lookup, keys)
-        probs = np.full((len(keys), self.vocab_size), self.alpha)
-        denominators = np.full(len(keys), self.alpha * self.vocab_size)
+        return np.where(self._lookup[rows] == keys, rows, -1)
+
+    def next_token_distributions(self, histories: np.ndarray) -> np.ndarray:
+        """``(G, V)`` distributions, one per row of a ``(G, L)`` history
+        array; each row reads its last ``order`` columns."""
+        rows = self.history_states(histories)
+        probs = np.full((len(rows), self.vocab_size), self.alpha)
+        denominators = np.full(len(rows), self.alpha * self.vocab_size)
         # only observed histories add counts, and most sampled ones are unseen
-        for g in np.flatnonzero(self._lookup[rows] == keys).tolist():
+        for g in np.flatnonzero(rows >= 0).tolist():
             lo, hi = self._indptr[rows[g]:rows[g] + 2]
             probs[g, self._tokens[lo:hi]] += self._counts[lo:hi]
             denominators[g] += self._counts[lo:hi].sum()
@@ -201,29 +216,34 @@ def cross_entropy(
 
 def sample_forecast(
     model: SequenceModel,
-    context: TokenStream,
+    contexts: Sequence[TokenStream],
     horizon_length: int,
     config: TokenizerConfig,
     codebook: Codebook,
+    seeds: Sequence[int],
     n_samples: int = 20,
     temperature: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Autoregressive sample paths, inverted to real values.
+) -> tuple[np.ndarray, list[str | None]]:
+    """Autoregressive sample paths of every context, inverted to real
+    values: ``(N, n_samples, horizon_length)`` paths, and one error
+    message per series, ``None`` where it sampled.
 
     Exactly ``sum(coefficient_layout(horizon_length))`` tokens are drawn
     per path with EOS and PAD masked out of the sampling distribution, so
-    every path detokenizes to exactly ``horizon_length`` values under the
-    context's scale statistics.
+    every path detokenizes to exactly ``horizon_length`` values under its
+    context's scale statistics, all paths in one call.
 
-    All paths advance one token per step. A step makes one batched query
-    with the distinct ``model.order``-token histories among the paths and
-    draws each path's token by inverse-CDF lookup of its own uniform. Path
-    ``s`` draws its ``n_tokens`` uniforms up front from the ``s``-th stream
-    spawned from ``SeedSequence(seed)``, one per token, so fixed seeds give
-    bit-identical output, the same as a per-path ``Generator.choice`` loop
-    over the full history. Temperature 0 takes the argmax and draws
-    nothing.
+    All ``N x n_samples`` paths advance one token per step. A step groups
+    the paths by ``model.history_states``, makes one query with one
+    history per distinct state, and draws each path's token by inverse-CDF
+    lookup of its own uniform, one ``searchsorted`` per state. Path ``s``
+    of series ``i`` draws its ``n_tokens`` uniforms up front from the
+    ``s``-th stream spawned from ``SeedSequence(seeds[i])``, one per token,
+    so fixed seeds give bit-identical output whatever the other series,
+    the same as a per-path ``Generator.choice`` loop over the full
+    history. Temperature 0 takes the argmax and draws nothing. At any
+    temperature, a series with a path in a state whose distribution has
+    no mass fails alone: its paths are NaN and its message says so.
     """
     if model.vocab_size != codebook.vocab_size:
         raise ValueError(
@@ -236,48 +256,56 @@ def sample_forecast(
     layout = coefficient_layout(horizon_length, family, config.level, config.boundary_mode)
     n_tokens = sum(layout)
     if temperature > 0.0:
-        uniforms = np.stack([
+        uniforms = np.array([
             np.random.default_rng(child).random(n_tokens)
-            for child in np.random.SeedSequence(seed).spawn(n_samples)
-        ])
-    weights = _key_weights(model.vocab_size, model.order)
-    windows = np.tile(_padded_windows(context.tokens, model.order)[-1], (n_samples, 1))
-    generated = np.empty((n_samples, n_tokens), dtype=np.int64)
+            for seed in seeds for child in np.random.SeedSequence(seed).spawn(n_samples)
+        ]).reshape(-1, n_tokens)
+    series = np.repeat(np.arange(len(contexts)), n_samples)  # of each path
+    windows = np.array([_padded_windows(c.tokens, model.order)[-1] for c in contexts],
+                       dtype=np.int64).reshape(-1, model.order)[series]
+    generated = np.empty((len(series), n_tokens), dtype=np.int64)
+    failed = np.zeros(len(contexts), dtype=bool)
     for step in range(n_tokens):
-        _, first, inverse = np.unique((windows + 1) @ weights, return_index=True,
+        _, first, inverse = np.unique(model.history_states(windows), return_index=True,
                                       return_inverse=True)
         probs = model.next_token_distributions(windows[first])
         probs[:, codebook.eos_id] = 0.0
         probs[:, codebook.pad_id] = 0.0
+        if temperature not in (0.0, 1.0):
+            probs **= 1.0 / temperature
+        totals = probs.sum(axis=1, keepdims=True)
+        empty = totals[:, 0] <= 0.0
+        if empty.any():  # those series fail; their paths draw on, never detokenized
+            failed[series[empty[inverse]]] = True
+            probs[empty], totals[empty] = 1.0, model.vocab_size
         if temperature == 0.0:
             generated[:, step] = probs.argmax(axis=1)[inverse]
         else:
-            if temperature != 1.0:
-                probs **= 1.0 / temperature
-            totals = probs.sum(axis=1, keepdims=True)
-            if (totals <= 0.0).any():
-                raise ValueError("sampling distribution has no mass")
             # What Generator.choice(p=probs / total) does with one uniform.
             probs /= totals
             cdf = probs.cumsum(axis=1, out=probs)
             cdf /= cdf[:, -1:]
-            generated[:, step] = [cdf[g].searchsorted(u, side="right")
-                                  for g, u in zip(inverse.tolist(), uniforms[:, step].tolist())]
+            members = np.argsort(inverse, kind="stable")
+            bounds = np.cumsum(np.bincount(inverse, minlength=len(first)))[:-1]
+            for row, paths in zip(cdf, np.split(members, bounds)):
+                generated[paths, step] = row.searchsorted(uniforms[paths, step], side="right")
         windows[:, :-1] = windows[:, 1:]
         windows[:, -1] = generated[:, step]
-    paths = np.empty((n_samples, horizon_length))
-    for s in range(n_samples):
-        stream = TokenStream(
-            tokens=generated[s],
-            segment_lengths=tuple(layout),
-            scale=context.scale,
-            family_name=family.name,
-            level=config.level,
-            source_length=horizon_length,
-            boundary_mode=config.boundary_mode,
-        )
-        paths[s] = detokenize(stream, codebook, family)
-    return paths
+    keep = ~failed[series]
+    mu, sigma = np.array([(c.scale.mu, c.scale.sigma) for c in contexts]).reshape(-1, 2).T
+    stream = TokenStream(
+        tokens=generated[keep],
+        segment_lengths=tuple(layout),
+        scale=ScaleStats(mu=mu[series][keep], sigma=sigma[series][keep]),
+        family_name=family.name,
+        level=config.level,
+        source_length=horizon_length,
+        boundary_mode=config.boundary_mode,
+    )
+    paths = np.full((len(series), horizon_length), np.nan)
+    paths[keep] = detokenize(stream, codebook, family)
+    return (paths.reshape(len(contexts), n_samples, horizon_length),
+            ["sampling distribution has no mass" if f else None for f in failed.tolist()])
 
 
 def save_model(model: MarkovModel, path, meta: dict | None = None) -> None:

@@ -8,7 +8,9 @@ filter support lies in missing (or synthetic padding) samples are emitted
 as PAD tokens.
 
 Inverse: dequantize (PAD contributes 0), rebuild the coefficient pyramid,
-apply the inverse transform and undo the scaling.
+apply the inverse transform and undo the scaling. It works on the last
+axis, so one stream can hold a ``(paths, n_tokens)`` token array with one
+scale per row and invert every row in one call.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class TokenStream:
     """Token ids in coarse-to-fine band order plus inversion metadata.
 
     ``segment_lengths`` covers the coefficient tokens only; when
-    ``has_eos`` is set a single EOS token trails them.
+    ``has_eos`` is set a single EOS token trails them. ``tokens`` may stack
+    several streams of the same layout along leading axes; ``scale`` then
+    holds arrays of the leading shape, one mean and deviation per stream.
     """
 
     tokens: np.ndarray
@@ -59,15 +63,15 @@ class TokenStream:
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
         expected = sum(self.segment_lengths) + (1 if self.has_eos else 0)
-        if len(self.tokens) != expected:
+        if self.tokens.shape[-1] != expected:
             raise ValueError(
-                f"token count {len(self.tokens)} does not match segment lengths "
+                f"token count {self.tokens.shape[-1]} does not match segment lengths "
                 f"{self.segment_lengths} (EOS: {self.has_eos})"
             )
 
     @property
     def coefficient_tokens(self) -> np.ndarray:
-        return self.tokens[:-1] if self.has_eos else self.tokens
+        return self.tokens[..., :-1] if self.has_eos else self.tokens
 
 
 def compute_scale(x: np.ndarray) -> ScaleStats:
@@ -193,7 +197,8 @@ def tokenize_pair(
 
 
 def detokenize(stream: TokenStream, codebook: Codebook, family: WaveletFamily | None = None) -> np.ndarray:
-    """Invert a token stream back to a real-valued window.
+    """Invert a token stream back to a real-valued window, or a stack of
+    streams to one window per row.
 
     PAD tokens contribute zero coefficients, so an all-PAD stream inverts
     to the constant context mean.
@@ -212,7 +217,7 @@ def detokenize(stream: TokenStream, codebook: Codebook, family: WaveletFamily | 
     if np.any(coeff_tokens == codebook.eos_id):
         raise ValueError("EOS token inside a coefficient segment")
     values, _ = dequantize(coeff_tokens, codebook)
-    parts = np.split(values, np.cumsum(expected)[:-1])
+    parts = np.split(values, np.cumsum(expected)[:-1], axis=-1)
     pyramid = CoefficientPyramid(
         approx=parts[0],
         details=tuple(parts[1:]),
@@ -222,7 +227,8 @@ def detokenize(stream: TokenStream, codebook: Codebook, family: WaveletFamily | 
         boundary_mode=stream.boundary_mode,
     )
     z = reconstruct(pyramid, family)
-    return z * stream.scale.sigma + stream.scale.mu
+    sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)
+    return z * sigma[..., None] + mu[..., None]
 
 
 def stream_to_record(stream: TokenStream) -> dict:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from wavets.dwt import (
     CoefficientPyramid,
+    _strided_filter,
+    _synthesis_step,
     coefficient_layout,
     decompose,
     max_level,
@@ -214,3 +216,25 @@ def test_decompose_matches_padded_convolution(name, mode):
             np.testing.assert_allclose(p.approx, approx, rtol=0, atol=1e-12, err_msg=f"{n} {level}")
             for got, want in zip(p.details, details, strict=True):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{n} {level}")
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
+def test_periodization_fold_adds_in_index_order_like_bincount(name):
+    # the fold of each stacked row is bit-identical to a bincount of its
+    # full convolution, which adds the samples of an output in index order
+    family = get_family(name)
+    filt_len = family.filter_length
+    rng = np.random.default_rng(5)
+    for n_band in (1, 2, 3, 8, 33):
+        approx, detail = rng.standard_normal((2, 4, n_band))
+        got = _synthesis_step(approx, detail, family, 2 * n_band, "periodization")
+        period = 2 * n_band
+        for row in range(4):
+            up = np.zeros((2, period + 2 * filt_len - 2))
+            up[:, filt_len - 1 : filt_len - 1 + period : 2] = approx[row], detail[row]
+            full = (_strided_filter(up[0], family.rec_lo, 1)
+                    + _strided_filter(up[1], family.rec_hi, 1))
+            want = np.bincount((np.arange(len(full)) - (filt_len - 2)) % period,
+                               weights=full, minlength=period)
+            np.testing.assert_array_equal(got[row], want, err_msg=f"{n_band} {row}")
+

@@ -1,5 +1,6 @@
-"""The shared protocol: pooling, the seed rule, per-series isolation and
-what an ablation cell trains on."""
+"""The shared protocol: pooling, the seed rule, per-series isolation in
+the forecast batch, seasonal-naive scoring and what an ablation cell
+trains on."""
 
 from datetime import datetime
 
@@ -17,12 +18,15 @@ from wavets.metrics import (
 from wavets.pipeline import (
     RunConfig,
     evaluate_dataset,
-    forecast_series,
+    forecast_dataset,
     make_windows,
     pool_coefficients,
     run_cell,
     series_seed,
+    tokenize_windows,
+    train_model,
 )
+from wavets.seq_model import MarkovModel
 from wavets.tokenizer import compute_scale, pad_to_length
 
 CONFIG = RunConfig(context_length=64, horizon=16, n_samples=3, order=2)
@@ -59,13 +63,62 @@ def test_pool_of_nothing_is_an_error():
         pool_coefficients([], CONFIG)
 
 
-def test_forecast_series_returns_the_error():
+def test_forecast_dataset_returns_the_error():
     windows = make_windows(with_empty_context(small_dataset(), "synth-00001"), CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
     codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
     item_id, context, _ = windows[1]
-    assert forecast_series(None, codebook, CONFIG, item_id, context) == (
-        "synth-00001", None, "cannot scale a window with no observed values")
+    assert forecast_dataset(None, codebook, CONFIG, [(item_id, context)]) == [
+        ("synth-00001", None, "cannot scale a window with no observed values")]
+
+
+def trained_inputs(dataset):
+    """The codebook, model and ``(item_id, context)`` pairs of a dataset."""
+    windows = make_windows(dataset, CONFIG)
+    sample, _ = pool_coefficients(windows, CONFIG)
+    codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
+    pairs, _ = tokenize_windows(windows, CONFIG, codebook)
+    model = train_model([(ctx, hor) for _, ctx, hor in pairs], CONFIG, codebook)
+    return codebook, model, [(item_id, context) for item_id, context, _ in windows]
+
+
+def test_forecast_dataset_fails_only_the_series_without_mass():
+    codebook, model, contexts = trained_inputs(small_dataset(6, seed=2))
+    tail = tokenize_windows(make_windows(small_dataset(6, seed=2), CONFIG), CONFIG,
+                            codebook)[0][3][1].tokens[-model.order:]
+
+    class Starved:
+        """The trained model, with no mass after synth-00003's context."""
+        vocab_size, order = model.vocab_size, model.order
+
+        def history_states(self, histories):
+            starved = (histories[:, -self.order:] == tail).all(axis=1)
+            return np.where(starved, -2, model.history_states(histories))
+
+        def next_token_distributions(self, histories):
+            probs = model.next_token_distributions(histories)
+            probs[(histories[:, -self.order:] == tail).all(axis=1)] = 0.0
+            return probs
+
+    results = forecast_dataset(Starved(), codebook, CONFIG, contexts)
+    assert [(item_id, error) for item_id, _, error in results] == [
+        (item_id, "sampling distribution has no mass" if item_id == "synth-00003" else None)
+        for item_id, _ in contexts]
+    others = forecast_dataset(model, codebook, CONFIG,
+                              [pair for pair in contexts if pair[0] != "synth-00003"])
+    assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
+        (i, p.tobytes()) for i, p, _ in others]
+
+
+def test_forecast_dataset_fails_every_series_on_a_batch_error():
+    dataset = with_empty_context(small_dataset(), "synth-00001")
+    codebook, _, contexts = trained_inputs(dataset)
+    model = MarkovModel(codebook.vocab_size + 1, CONFIG.order, CONFIG.alpha)
+    mismatch = (f"model vocabulary ({codebook.vocab_size + 1}) does not match "
+                f"codebook vocabulary ({codebook.vocab_size})")
+    assert forecast_dataset(model, codebook, CONFIG, contexts) == [
+        (item_id, None, "cannot scale a window with no observed values"
+         if item_id == "synth-00001" else mismatch) for item_id, _ in contexts]
 
 
 def test_run_cell_trains_only_on_the_train_view(monkeypatch):
@@ -144,3 +197,25 @@ def test_evaluate_dataset_warns_once_naming_series_with_undefined_scores():
         "dataset toy: MASE or VRSE is undefined for 1 of 5 series, "
         "left out of those means: synth-00000"]
     assert all(np.isfinite(value) for value in scores.values())
+
+
+def test_evaluate_dataset_keeps_the_seasons_of_a_gappy_context_in_time():
+    # hourly (season 24): the last two seasons of the context and the
+    # horizon repeat one period exactly; the first 16 context steps are
+    # noisy, and 5 steps inside the last context season are missing
+    period = 10 * np.sin(2 * np.pi * np.arange(24) / 24)
+    values = np.tile(period, 4)[4:84] + 0.0
+    values[:16] += np.random.default_rng(3).normal(0.0, 1.0, 16)
+    values[45:50] = np.nan
+    dataset = Dataset([TimeSeries("s", datetime(2020, 1, 1), "h", values)], "h")
+    ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
+    paths = np.tile(horizon + 1.0, (3, 1))
+    scores = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
+    # the naive forecast fills the gap from the season before: exact
+    assert scores[("seasonal_naive", "wql")] == 0.0
+    assert scores[("seasonal_naive", "mase")] == 0.0
+    # the scale runs over the 35 lag-24 pairs with both values observed
+    pairs = [abs(context[t] - context[t + 24]) for t in range(40)
+             if np.isfinite(context[t]) and np.isfinite(context[t + 24])]
+    assert len(pairs) == 35
+    assert scores[("model", "mase")] == pytest.approx(35 / 16 * 16 / sum(pairs), rel=1e-12)

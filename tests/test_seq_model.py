@@ -1,5 +1,5 @@
 """The Markov model: suffix queries, smoothing, checkpoints, cross-entropy
-and the batched sampler against a per-path reference loop."""
+and the batched sampler against a per-series, per-path reference loop."""
 
 import dataclasses
 import json
@@ -22,7 +22,7 @@ from wavets.seq_model import (
     sample_forecast,
     save_model,
 )
-from wavets.tokenizer import TokenStream, detokenize, tokenize
+from wavets.tokenizer import ScaleStats, TokenStream, detokenize, tokenize
 
 CONFIG = RunConfig(context_length=64, horizon=16, vocab_budget=16, order=2)
 
@@ -38,6 +38,25 @@ def trained():
         [np.random.default_rng(0).integers(0, codebook.vocab_size, 2000)])
     context = tokenize(windows[0][1], CONFIG.tokenizer_config(), codebook)
     return model, codebook, context
+
+
+@pytest.fixture(scope="module")
+def contexts(trained):
+    """Four context streams of different scales, two of them shorter
+    than the order (1 and 0 tokens)."""
+    _, codebook, context = trained
+    windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=8), CONFIG)
+    streams = [tokenize(w[1], CONFIG.tokenizer_config(), codebook) for w in windows[:2]]
+    for n in (1, 0):
+        streams.append(dataclasses.replace(
+            context, tokens=context.tokens[len(context.tokens) - n:], segment_lengths=(n,),
+            scale=ScaleStats(mu=float(n), sigma=2.0)))
+    return streams
+
+
+def keyed_states(histories):
+    """Each distinct history row as its own state."""
+    return np.unique(np.asarray(histories), axis=0, return_inverse=True)[1].ravel()
 
 
 def reference_sample(model, context, horizon_length, config, codebook, n_samples,
@@ -68,18 +87,51 @@ def reference_sample(model, context, horizon_length, config, codebook, n_samples
     return paths
 
 
+SEEDS = [11, 12, 13, 14]
+
+
 @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
-def test_sampler_matches_per_path_choice_loop(trained, temperature):
-    model, codebook, context = trained
+def test_sampler_matches_per_path_choice_loop(trained, contexts, temperature):
+    model, codebook, _ = trained
     config = CONFIG.tokenizer_config()
-    got = sample_forecast(model, context, 16, config, codebook, n_samples=6,
-                          temperature=temperature, seed=11)
-    expected = reference_sample(model, context, 16, config, codebook, 6, temperature, 11)
-    np.testing.assert_array_equal(got, expected)
-    if temperature == 0.0:
-        assert np.all(got == got[0])
-    else:
-        assert len({row.tobytes() for row in got}) > 1
+    got, errors = sample_forecast(model, contexts, 16, config, codebook, SEEDS, n_samples=6,
+                                  temperature=temperature)
+    assert got.shape == (4, 6, 16) and errors == [None] * 4
+    for paths, context, seed in zip(got, contexts, SEEDS, strict=True):
+        expected = reference_sample(model, context, 16, config, codebook, 6, temperature, seed)
+        np.testing.assert_array_equal(paths, expected)
+        if temperature == 0.0:
+            assert np.all(paths == paths[0])
+        else:
+            assert len({row.tobytes() for row in paths}) > 1
+
+
+def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
+    model, codebook, _ = trained
+    n_tokens = sum(coefficient_layout(16, get_family(CONFIG.family), CONFIG.level))
+    sparse = MarkovModel(model.vocab_size, model.order, model.alpha).fit([[1, 2, 3, 1, 2, 4]])
+    for inner in (model, sparse):
+        path_states, queried = [], []
+
+        class Spy:
+            vocab_size, order = inner.vocab_size, inner.order
+
+            def history_states(self, histories):
+                path_states.append(inner.history_states(histories))
+                return path_states[-1]
+
+            def next_token_distributions(self, histories):
+                queried.append(inner.history_states(histories))
+                return inner.next_token_distributions(histories)
+
+        sample_forecast(Spy(), contexts, 16, CONFIG.tokenizer_config(), codebook, SEEDS,
+                        n_samples=6)
+        assert len(path_states) == len(queried) == n_tokens
+        for states, rows in zip(path_states, queried):
+            assert len(states) == 24
+            assert sorted(rows) == sorted(set(states.tolist()))
+    # under the sparse model many paths are unseen at once, and share one row
+    assert max(int(np.sum(states == -1)) for states in path_states) > 1
 
 
 @pytest.fixture
@@ -89,41 +141,44 @@ def drawn(monkeypatch):
     original = seq_model.detokenize
 
     def spy(stream, *args):
-        tokens.append(stream.tokens)
+        tokens.extend(stream.tokens)
         return original(stream, *args)
 
     monkeypatch.setattr(seq_model, "detokenize", spy)
     return tokens
 
 
-def test_sampler_queries_each_distinct_history_once_per_step(trained, drawn):
-    model, codebook, context = trained
+def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts, drawn):
+    model, codebook, _ = trained
     queries = []
 
     class Counting:
         vocab_size, order = model.vocab_size, model.order
+        history_states = staticmethod(keyed_states)
 
         def next_token_distributions(self, histories):
             queries.append([tuple(row) for row in histories])
             return model.next_token_distributions(histories)
 
-    sample_forecast(Counting(), context, 16, CONFIG.tokenizer_config(), codebook,
-                    n_samples=6, seed=11)
-    full = np.concatenate([np.tile(context.tokens, (6, 1)), np.stack(drawn)], axis=1)
-    start, n_tokens = len(context.tokens), len(drawn[0])
+    sample_forecast(Counting(), contexts[:2], 16, CONFIG.tokenizer_config(), codebook,
+                    SEEDS[:2], n_samples=6)
+    full = np.concatenate([np.repeat([c.tokens for c in contexts[:2]], 6, axis=0),
+                           np.stack(drawn)], axis=1)
+    start, n_tokens = len(contexts[0].tokens), len(drawn[0])
     distinct = [{tuple(row[start + t - model.order:start + t]) for row in full}
                 for t in range(n_tokens)]
     assert len(queries) == n_tokens
     assert [sorted(q) for q in queries] == [sorted(d) for d in distinct]
-    assert n_tokens < sum(len(q) for q in queries) < 6 * n_tokens
+    assert n_tokens < sum(len(q) for q in queries) < 12 * n_tokens
     assert all(len(row) == model.order for q in queries for row in q)
 
 
-def test_sampler_never_draws_eos_or_pad(trained, drawn):
-    _, codebook, context = trained
+def test_sampler_never_draws_eos_or_pad(trained, contexts, drawn):
+    _, codebook, _ = trained
 
     class FavoursEosAndPad:
         vocab_size, order = codebook.vocab_size, 1
+        history_states = staticmethod(keyed_states)
 
         def next_token_distributions(self, histories):
             probs = np.full((len(histories), self.vocab_size), 1e-6)
@@ -131,26 +186,30 @@ def test_sampler_never_draws_eos_or_pad(trained, drawn):
             return probs
 
     for temperature in (1.0, 0.5, 0.0):
-        sample_forecast(FavoursEosAndPad(), context, 16, CONFIG.tokenizer_config(), codebook,
-                        n_samples=8, temperature=temperature, seed=2)
+        sample_forecast(FavoursEosAndPad(), contexts, 16, CONFIG.tokenizer_config(), codebook,
+                        SEEDS, n_samples=8, temperature=temperature)
     tokens = np.concatenate(drawn)
-    assert len(drawn) == 24 and tokens.size > 0
+    assert len(drawn) == 96 and tokens.size > 0
     assert not np.isin(tokens, [codebook.eos_id, codebook.pad_id]).any()
 
 
-def test_sampler_rejects_a_distribution_without_mass(trained):
-    _, codebook, context = trained
+def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
+    _, codebook, _ = trained
 
     class OnlyEos:
         vocab_size, order = codebook.vocab_size, 1
+        history_states = staticmethod(keyed_states)
 
         def next_token_distributions(self, histories):
             probs = np.zeros((len(histories), self.vocab_size))
             probs[:, codebook.eos_id] = 1.0
             return probs
 
-    with pytest.raises(ValueError, match="no mass"):
-        sample_forecast(OnlyEos(), context, 16, CONFIG.tokenizer_config(), codebook)
+    for temperature in (1.0, 0.0):
+        paths, errors = sample_forecast(OnlyEos(), contexts, 16, CONFIG.tokenizer_config(),
+                                        codebook, SEEDS, temperature=temperature)
+        assert errors == ["sampling distribution has no mass"] * 4
+        assert paths.shape == (4, 20, 16) and np.isnan(paths).all()
 
 
 def reference_cross_entropy(model, context, horizon, pad_id):
@@ -171,10 +230,10 @@ def test_context_shorter_than_order_matches_reference_loops(trained, n_context):
                                 segment_lengths=(n_context,), has_eos=False)
     config = CONFIG.tokenizer_config()
     for temperature in (1.0, 0.0):
+        paths, _ = sample_forecast(model, [short], 16, config, codebook, [11], n_samples=6,
+                                   temperature=temperature)
         np.testing.assert_array_equal(
-            sample_forecast(model, short, 16, config, codebook, n_samples=6,
-                            temperature=temperature, seed=11),
-            reference_sample(model, short, 16, config, codebook, 6, temperature, 11))
+            paths[0], reference_sample(model, short, 16, config, codebook, 6, temperature, 11))
     horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20),
                                   segment_lengths=(20,), has_eos=False)
     assert (horizon.tokens == codebook.pad_id).any()
@@ -327,11 +386,17 @@ def test_order_whose_keys_overflow_int64_is_refused(trained):
     class LongWindow:
         vocab_size, order = model.vocab_size, 40
 
+        def history_states(self, histories):
+            return model.history_states(histories)
+
         def next_token_distributions(self, histories):
             return model.next_token_distributions(histories)
 
-    with pytest.raises(ValueError, match="int64"):
-        sample_forecast(LongWindow(), context, 16, CONFIG.tokenizer_config(), codebook)
+    # the sampler groups paths by the model's states, so it sets no limit of its own
+    config = CONFIG.tokenizer_config()
+    np.testing.assert_array_equal(
+        sample_forecast(LongWindow(), [context], 16, config, codebook, [3])[0],
+        sample_forecast(model, [context], 16, config, codebook, [3])[0])
 
 
 def test_cross_entropy_by_hand():

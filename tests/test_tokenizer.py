@@ -214,6 +214,31 @@ class TestMissing:
 
     @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
     @pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
+    def test_stacked_streams_invert_like_each_row(self, name, mode):
+        # PAD tokens included; each row has its own scale
+        family = get_family(name)
+        cb = fit_codebook(np.linspace(-3, 3, 301), 64, (-30.0, 30.0))
+        rng = np.random.default_rng(17)
+        for n in (64, 67):
+            for level in (1, 2, 3):
+                layout = coefficient_layout(n, family, level, mode)
+                tokens = rng.integers(cb.value_offset, cb.vocab_size, size=(5, sum(layout)))
+                tokens[rng.random(tokens.shape) < 0.1] = cb.pad_id
+                mu, sigma = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+
+                def stream(rows, scale):
+                    return TokenStream(tokens=rows, segment_lengths=tuple(layout), scale=scale,
+                                       family_name=name, level=level, source_length=n,
+                                       boundary_mode=mode)
+
+                got = detokenize(stream(tokens, ScaleStats(mu=mu, sigma=sigma)), cb)
+                assert got.shape == (5, n)
+                for row, m, sd, values in zip(tokens, mu, sigma, got):
+                    want = detokenize(stream(row, ScaleStats(mu=float(m), sigma=float(sd))), cb)
+                    np.testing.assert_array_equal(values, want, err_msg=f"{n} {level}")
+
+    @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
+    @pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
     def test_band_observed_matches_folded_support(self, name, mode):
         # brute force: a coefficient is observed when any sample of its
         # boundary-folded filter support one stage finer is observed
