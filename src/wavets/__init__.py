@@ -6,132 +6,52 @@ with a decimated wavelet transform, optionally thresholds the detail
 coefficients, quantizes everything against a shared codebook and lays the
 tokens out coarsest-first. An autoregressive categorical model forecasts
 horizon tokens, which invert exactly back to real values.
+
+The package namespace holds the :mod:`wavets.pipeline` entry points and the
+few names the benchmark reads; everything else is imported from its
+submodule.
 """
 
-from .codebook import (
-    Codebook,
-    codebook_hash,
-    dequantize,
-    fit_codebook,
-    load_codebook,
-    quantize,
-    save_codebook,
+# The benchmark reads these submodules as attributes of the package.
+from . import data_io, data_synth, dwt, seq_model, tokenizer
+from .codebook import load_codebook
+from .data_io import load_dataset, split_last_h
+from .dwt import decompose
+from .families import get_family
+from .pipeline import (
+    RunConfig,
+    evaluate_dataset,
+    forecast_dataset,
+    make_windows,
+    pool_coefficients,
+    run_cell,
+    tokenize_windows,
+    train_model,
 )
-from .data_io import Dataset, SplitPair, TimeSeries, load_dataset, save_dataset, split_last_h
-from .data_synth import GeneratorSpec, draw_corpus_kinds, generate, make_corpus, make_dataset
-from .dwt import CoefficientPyramid, coefficient_layout, decompose, max_level, reconstruct
-from .exceptions import FingerprintMismatchError, SchemaError, UnknownFamilyError, WavetsError
-from .families import FamilyReport, WaveletFamily, available_families, get_family, verify_family
-from .metrics import (
-    QUANTILE_LEVELS,
-    aggregate_relative,
-    average_rank,
-    mase,
-    sample_quantiles,
-    seasonal_naive,
-    seasonality_for_freq,
-    vrse,
-    wql,
-)
-from .seq_model import (
-    MarkovModel,
-    SequenceModel,
-    cross_entropy,
-    load_model,
-    sample_forecast,
-    save_model,
-    train_markov,
-)
-from .thresholding import (
-    ThresholdSpec,
-    apply_threshold,
-    cdf_threshold,
-    estimate_sigma,
-    fdrc_lambda,
-    fdrc_threshold,
-    hard_threshold,
-    soft_threshold,
-    visu_lambda,
-)
-from .tokenizer import (
-    ScaleStats,
-    TokenizerConfig,
-    TokenStream,
-    compute_scale,
-    detokenize,
-    fill_missing,
-    pad_to_length,
-    tokenize,
-    tokenize_pair,
-)
+from .seq_model import cross_entropy, load_model
+from .thresholding import ThresholdSpec
+from .tokenizer import TokenizerConfig, pad_to_length, tokenize_pair
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Codebook",
-    "CoefficientPyramid",
-    "Dataset",
-    "FamilyReport",
-    "FingerprintMismatchError",
-    "GeneratorSpec",
-    "MarkovModel",
-    "QUANTILE_LEVELS",
-    "ScaleStats",
-    "SchemaError",
-    "SequenceModel",
-    "SplitPair",
+    "RunConfig",
     "ThresholdSpec",
-    "TimeSeries",
-    "TokenStream",
     "TokenizerConfig",
-    "UnknownFamilyError",
-    "WaveletFamily",
-    "WavetsError",
-    "aggregate_relative",
-    "apply_threshold",
-    "available_families",
-    "average_rank",
-    "cdf_threshold",
-    "codebook_hash",
-    "coefficient_layout",
-    "compute_scale",
     "cross_entropy",
     "decompose",
-    "dequantize",
-    "detokenize",
-    "draw_corpus_kinds",
-    "estimate_sigma",
-    "fdrc_lambda",
-    "fdrc_threshold",
-    "fill_missing",
-    "fit_codebook",
-    "generate",
+    "evaluate_dataset",
+    "forecast_dataset",
     "get_family",
-    "hard_threshold",
     "load_codebook",
     "load_dataset",
     "load_model",
-    "make_corpus",
-    "make_dataset",
-    "mase",
-    "max_level",
+    "make_windows",
     "pad_to_length",
-    "quantize",
-    "reconstruct",
-    "sample_forecast",
-    "sample_quantiles",
-    "save_codebook",
-    "save_dataset",
-    "save_model",
-    "seasonal_naive",
-    "seasonality_for_freq",
-    "soft_threshold",
+    "pool_coefficients",
+    "run_cell",
     "split_last_h",
-    "tokenize",
     "tokenize_pair",
-    "train_markov",
-    "verify_family",
-    "visu_lambda",
-    "vrse",
-    "wql",
+    "tokenize_windows",
+    "train_model",
 ]

@@ -319,12 +319,6 @@ def cmd_ablate(args) -> int:
         cell_config = replace(config, **overrides)
         fingerprint = cell_config.fingerprint()
         cell_path = out_dir / f"cell-{fingerprint}.json"
-        if cell_path.exists():
-            payload = json.loads(cell_path.read_text())
-            if "error" not in payload:
-                results.append(payload)
-                print(f"cell {fingerprint} ({overrides}): cached")
-                continue
         payload = {"fingerprint": fingerprint, "overrides": overrides}
         try:
             scores = run_cell(cell_config, dataset)

@@ -1,7 +1,8 @@
 """Dataset ingestion, export and train/test window extraction.
 
-Two on-disk formats are supported, optionally gzip-compressed (by ``.gz``
-extension):
+Two on-disk formats are supported, optionally gzip-compressed. The format
+always comes from the file name (``.csv``, ``.jsonl`` or ``.ndjson``, each
+optionally followed by ``.gz``); any other name is rejected:
 
 * ``long-csv``: header ``item_id,timestamp,value``, one observation per
   row, ISO-8601 timestamps, empty value field = missing.
@@ -37,11 +38,6 @@ class TimeSeries:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
 
-    @property
-    def mask(self) -> np.ndarray:
-        """True where a value was observed."""
-        return np.isfinite(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -50,7 +46,6 @@ class TimeSeries:
 class Dataset:
     series: list[TimeSeries]
     freq: str
-    prediction_length: int | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -133,19 +128,16 @@ def _detect_format(path) -> str:
     raise ValueError(f"cannot infer dataset format from file name {Path(path).name!r}")
 
 
-def load_dataset(path, format: str | None = None, prediction_length: int | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a dataset file; malformed rows are reported with line
     numbers, and series with differing sampling frequencies are
     rejected."""
-    fmt = format or _detect_format(path)
-    if fmt == "long-csv":
-        return _load_long_csv(path, prediction_length)
-    if fmt == "jsonl":
-        return _load_jsonl(path, prediction_length)
-    raise ValueError(f"unknown dataset format {fmt!r}; expected 'long-csv' or 'jsonl'")
+    if _detect_format(path) == "long-csv":
+        return _load_long_csv(path)
+    return _load_jsonl(path)
 
 
-def _load_long_csv(path, prediction_length) -> Dataset:
+def _load_long_csv(path) -> Dataset:
     rows: dict[str, list[tuple[datetime, float, int]]] = {}
     seen: dict[tuple[str, str], int] = {}
     with _open_text(path, "r") as fh:
@@ -199,10 +191,10 @@ def _load_long_csv(path, prediction_length) -> Dataset:
     freq = tags.pop() if tags else "u"
     for s in series:
         s.freq = freq
-    return Dataset(series=series, freq=freq, prediction_length=prediction_length)
+    return Dataset(series=series, freq=freq)
 
 
-def _load_jsonl(path, prediction_length) -> Dataset:
+def _load_jsonl(path) -> Dataset:
     series = []
     meta: dict = {}
     freqs = set()
@@ -238,15 +230,14 @@ def _load_jsonl(path, prediction_length) -> Dataset:
     if len(freqs) > 1:
         raise ValueError(f"{path}: mixed sampling frequencies {sorted(freqs)}")
     return Dataset(
-        series=series, freq=freqs.pop(), prediction_length=prediction_length, meta=meta
+        series=series, freq=freqs.pop(), meta=meta
     )
 
 
-def save_dataset(dataset: Dataset, path, format: str | None = None) -> None:
+def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset; floats use their shortest round-tripping decimal
     form."""
-    fmt = format or _detect_format(path)
-    if fmt == "long-csv":
+    if _detect_format(path) == "long-csv":
         with _open_text(path, "w") as fh:
             fh.write("item_id,timestamp,value\n")
             for s in dataset.series:
@@ -254,7 +245,7 @@ def save_dataset(dataset: Dataset, path, format: str | None = None) -> None:
                     ts = _advance(s.start, s.freq, i)
                     text = "" if np.isnan(v) else repr(float(v))
                     fh.write(f"{s.item_id},{ts.isoformat()},{text}\n")
-    elif fmt == "jsonl":
+    else:
         with _open_text(path, "w") as fh:
             if dataset.meta:
                 fh.write(json.dumps({"__meta__": dataset.meta}, sort_keys=True) + "\n")
@@ -266,8 +257,6 @@ def save_dataset(dataset: Dataset, path, format: str | None = None) -> None:
                     "target": [None if np.isnan(v) else float(v) for v in s.values],
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}; expected 'long-csv' or 'jsonl'")
 
 
 def split_last_h(
@@ -303,7 +292,6 @@ def split_last_h(
     train = Dataset(
         series=train_series,
         freq=dataset.freq,
-        prediction_length=dataset.prediction_length,
         meta=dict(dataset.meta),
     )
     return train, pairs

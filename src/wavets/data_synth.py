@@ -1,10 +1,12 @@
-"""Synthetic series generators and corpus construction.
+"""Synthetic series generators and the training corpus.
 
 The generator kinds cover the pattern families the pipeline should handle
 well (exponential trends, sparse spikes, frequency content that switches
 over time) plus the two training augmentations: convex mixtures of
 generated series and draws from Gaussian processes with randomly combined
-kernels. Everything is deterministic under the spec's seed.
+kernels. :func:`generate` is deterministic under the spec's seed, and
+:func:`make_dataset` builds a corpus of the two augmentations that is
+deterministic under its own seed.
 """
 
 from __future__ import annotations
@@ -155,41 +157,6 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
     )
 
 
-def draw_corpus_kinds(n_series: int, mix: tuple[float, float], seed: int) -> list[str]:
-    """Per-series generator kinds: ``tsmixup`` with probability ``mix[0]``,
-    ``gp_kernel_mix`` with probability ``mix[1]``."""
-    if n_series < 1:
-        raise ValueError(f"need at least one series, got {n_series}")
-    if not np.isclose(sum(mix), 1.0):
-        raise ValueError(f"mixture probabilities must sum to 1, got {mix}")
-    picker = np.random.default_rng(np.random.SeedSequence(seed).generate_state(1)[0])
-    return ["tsmixup" if picker.random() < mix[0] else "gp_kernel_mix" for _ in range(n_series)]
-
-
-def make_corpus(
-    n_series: int,
-    mix: tuple[float, float] = (0.9, 0.1),
-    context_length: int = 512,
-    horizon: int = 64,
-    seed: int = 0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Training windows: mixture-augmented series with GP draws mixed in.
-
-    Each series is generated at length ``context_length + horizon`` from a
-    per-series derived seed and split into a (context, horizon) pair of
-    exactly those lengths.
-    """
-    kinds = draw_corpus_kinds(n_series, mix, seed)
-    total = context_length + horizon
-    children = np.random.SeedSequence(seed).spawn(n_series)
-    pairs = []
-    for kind, child in zip(kinds, children):
-        child_seed = int(child.generate_state(1)[0])
-        series = generate(GeneratorSpec(kind=kind, length=total, seed=child_seed))
-        pairs.append((series.values[:context_length], series.values[context_length:]))
-    return pairs
-
-
 def make_dataset(
     n_series: int,
     mix: tuple[float, float] = (0.9, 0.1),
@@ -198,16 +165,28 @@ def make_dataset(
     seed: int = 0,
     freq: str = "h",
 ) -> Dataset:
-    """Synthetic dataset of full-length series (context plus horizon),
-    suitable for the file formats and the held-out-tail split."""
-    pairs = make_corpus(n_series, mix, context_length, horizon, seed)
-    series = [
-        TimeSeries(
-            item_id=f"synth-{i:05d}",
-            start=_EPOCH,
-            freq=freq,
-            values=np.concatenate([ctx, hor]),
+    """Synthetic training corpus of full-length series (context plus
+    horizon), suitable for the file formats and the held-out-tail split.
+
+    Each series is ``tsmixup`` with probability ``mix[0]`` and
+    ``gp_kernel_mix`` with probability ``mix[1]``, drawn from a picker
+    stream seeded by ``seed``. Series ``i`` is generated at length
+    ``context_length + horizon`` from the seed of the ``i``-th child of
+    ``SeedSequence(seed)``.
+    """
+    if n_series < 1:
+        raise ValueError(f"need at least one series, got {n_series}")
+    if not np.isclose(sum(mix), 1.0):
+        raise ValueError(f"mixture probabilities must sum to 1, got {mix}")
+    picker = np.random.default_rng(np.random.SeedSequence(seed).generate_state(1)[0])
+    kinds = ["tsmixup" if picker.random() < mix[0] else "gp_kernel_mix" for _ in range(n_series)]
+    children = np.random.SeedSequence(seed).spawn(n_series)
+    series = []
+    for i, (kind, child) in enumerate(zip(kinds, children)):
+        spec = GeneratorSpec(kind=kind, length=context_length + horizon,
+                             seed=int(child.generate_state(1)[0]))
+        series.append(
+            TimeSeries(item_id=f"synth-{i:05d}", start=_EPOCH, freq=freq,
+                       values=generate(spec).values)
         )
-        for i, (ctx, hor) in enumerate(pairs)
-    ]
-    return Dataset(series=series, freq=freq, prediction_length=horizon)
+    return Dataset(series=series, freq=freq)

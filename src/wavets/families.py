@@ -4,13 +4,16 @@ Filter taps follow the convention of the major open-source wavelet
 toolboxes: decomposition filters are the time-reversed reconstruction
 filters (for orthogonal families), analysis is convolution followed by
 dyadic downsampling, and published coefficient tables can be compared
-against ``dec_lo``/``dec_hi`` verbatim.
+against ``dec_lo``/``dec_hi`` verbatim. The registry ships haar, db2, db4
+and bior2.2; their filter-bank properties (low-pass sum, zero-mean
+high-pass, orthogonal structure, vanishing moments) and perfect
+reconstruction are checked by the test suite, not at run time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,65 +132,3 @@ def get_family(name: str) -> WaveletFamily:
     except KeyError:
         raise UnknownFamilyError(name) from None
 
-
-@dataclass
-class FamilyReport:
-    """Pass/fail record of the filter-bank property checks for one family."""
-
-    family_name: str
-    checks: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
-def verify_family(family: WaveletFamily, tol: float = 1e-12) -> FamilyReport:
-    """Check the defining filter-bank properties of a family.
-
-    Failures are reported, never raised, so arbitrary candidate filter
-    quadruples can be probed. The orthogonality check verifies that the
-    measured structure (time-reversal symmetry plus unit filter energy)
-    agrees with the family's declared ``orthogonal`` flag.
-    """
-    report = FamilyReport(family_name=family.name)
-    filters = [family.dec_lo, family.dec_hi, family.rec_lo, family.rec_hi]
-    finite = all(f.size > 0 and np.all(np.isfinite(f)) for f in filters)
-    report.checks["filters_finite_nonempty"] = finite
-    if not finite:
-        report.checks["lowpass_sum_sqrt2"] = False
-        report.checks["highpass_zero_mean"] = False
-        report.checks["orthogonality_consistent"] = False
-        report.checks["perfect_reconstruction"] = False
-        return report
-
-    report.checks["lowpass_sum_sqrt2"] = bool(abs(family.dec_lo.sum() - _SQRT2) <= tol)
-    report.checks["highpass_zero_mean"] = bool(abs(family.dec_hi.sum()) <= tol)
-
-    is_orthogonal = bool(
-        len(family.dec_lo) == len(family.rec_lo)
-        and len(family.dec_hi) == len(family.rec_hi)
-        and np.allclose(family.dec_lo, family.rec_lo[::-1], atol=tol)
-        and np.allclose(family.dec_hi, family.rec_hi[::-1], atol=tol)
-        and abs(np.sum(family.dec_lo**2) - 1.0) <= tol
-    )
-    report.checks["orthogonality_consistent"] = is_orthogonal == family.orthogonal
-    report.checks["perfect_reconstruction"] = _perfect_reconstruction(family)
-    return report
-
-
-def _perfect_reconstruction(family: WaveletFamily, n: int = 64, tol: float = 1e-9) -> bool:
-    """Round-trip identity on all unit impulses of length ``n`` (levels 1 and 2)."""
-    from .dwt import decompose, reconstruct  # deferred: dwt depends on this module
-
-    try:
-        for level in (1, 2):
-            for i in range(n):
-                x = np.zeros(n)
-                x[i] = 1.0
-                pyramid = decompose(x, family, level)
-                if np.max(np.abs(reconstruct(pyramid, family) - x)) > tol:
-                    return False
-    except Exception:
-        return False
-    return True

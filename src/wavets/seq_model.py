@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,7 +66,6 @@ _ARRAYS = ("keys", "indptr", "tokens", "counts")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@runtime_checkable
 class SequenceModel(Protocol):
     """A query reads at most the last ``order`` columns of each history
     row and returns one distribution per row; two rows of equal

@@ -10,7 +10,8 @@ bands are shrunk or zeroed. Four methods are available:
   ``lambda = sigma * sqrt(2 ln N)`` with ``sigma`` estimated from the
   finest detail band, applied as soft or hard thresholding to all bands.
 * ``fdrc``: data-adaptive threshold chosen by a Benjamini-Hochberg step-up
-  test on the two-sided Gaussian p-values of the coefficients.
+  test on the two-sided Gaussian p-values of all detail coefficients
+  pooled, then applied as hard thresholding to every band.
 """
 
 from __future__ import annotations
@@ -37,15 +38,14 @@ class ThresholdSpec:
 
     ``b`` is the base of the per-level cutoff fraction for ``cdf``;
     ``q`` the false-discovery level for ``fdrc``; both must lie strictly
-    inside (0, 1) when their method is selected. ``fdrc_per_level`` runs
-    the step-up test within each detail band instead of pooling bands.
+    inside (0, 1) when their method is selected. ``fdrc`` runs one
+    step-up test on all detail bands pooled together.
     """
 
     method: str = "none"
     b: float = 0.5
     q: float = 0.05
     sigma_estimator: str = "mad_finest"
-    fdrc_per_level: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -158,15 +158,6 @@ def fdrc_lambda(details: np.ndarray, sigma: float, q: float) -> tuple[float, int
     return float(magnitudes[i0 - 1]), i0
 
 
-def fdrc_threshold(details: np.ndarray, sigma: float, q: float) -> np.ndarray:
-    """Hard-threshold a detail array at the step-up-selected level."""
-    lam, _ = fdrc_lambda(details, sigma, q)
-    d = np.asarray(details, dtype=np.float64)
-    if math.isinf(lam):
-        return np.zeros_like(d)
-    return hard_threshold(d, lam)
-
-
 def apply_threshold(pyramid: CoefficientPyramid, spec: ThresholdSpec) -> CoefficientPyramid:
     """Threshold the detail bands of a pyramid; the approximation band is
     returned bit-identical. The output pyramid is shape-identical to the
@@ -194,13 +185,8 @@ def apply_threshold(pyramid: CoefficientPyramid, spec: ThresholdSpec) -> Coeffic
         if sigma == 0.0:
             # Noise-free band: nothing can be attributed to noise.
             new_details = tuple(d.copy() for d in pyramid.details)
-        elif spec.fdrc_per_level:
-            new_details = tuple(fdrc_threshold(d, sigma, spec.q) for d in pyramid.details)
         else:
             pooled = np.concatenate(pyramid.details)
             lam, _ = fdrc_lambda(pooled, sigma, spec.q)
-            if math.isinf(lam):
-                new_details = tuple(np.zeros_like(d) for d in pyramid.details)
-            else:
-                new_details = tuple(hard_threshold(d, lam) for d in pyramid.details)
+            new_details = tuple(hard_threshold(d, lam) for d in pyramid.details)
     return replace(pyramid, approx=pyramid.approx.copy(), details=new_details)

@@ -1,5 +1,5 @@
-"""The command-line shell: round trip, refusals, configuration and
-per-series failure isolation."""
+"""The command-line shell: round trip, refusals, configuration,
+per-series failure isolation and ablation sweeps."""
 
 import csv
 import json
@@ -11,6 +11,7 @@ import pytest
 from wavets.cli import build_config, build_parser, main
 from wavets.codebook import load_codebook
 from wavets.data_io import load_dataset, save_dataset
+from wavets.data_synth import make_dataset
 from wavets.pipeline import RunConfig
 
 FLAGS = ["--context-length", "64", "--horizon", "16", "--n-samples", "4", "--order", "2"]
@@ -193,3 +194,25 @@ def test_forecast_is_byte_identical_across_worker_counts(tmp_path, capsys):
         outputs.append(out.read_bytes())
     assert len(read_records(tmp_path / "forecast-1.jsonl")) == N_SERIES
     assert outputs[0] == outputs[1]
+
+
+def test_ablate_scores_each_dataset_it_is_given_in_a_shared_out_dir(tmp_path, capsys):
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("grid:\n  family: [haar]\n")
+    for seed in (0, 1):
+        dataset = make_dataset(N_SERIES, context_length=64, horizon=16, seed=seed)
+        save_dataset(dataset, tmp_path / f"data-{seed}.jsonl")
+
+    def sweep(seed, out_dir):
+        code, _, err = run(["ablate", "--data", tmp_path / f"data-{seed}.jsonl", "--grid", grid,
+                            "--out-dir", out_dir, *FLAGS], capsys)
+        assert code == 0, err
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    fresh = [sweep(seed, tmp_path / f"fresh-{seed}") for seed in (0, 1)]
+    assert fresh[0]["sweep.csv"] != fresh[1]["sweep.csv"]
+    # the cell fingerprint covers the configuration, not the data
+    assert fresh[0].keys() == fresh[1].keys()
+    shared = tmp_path / "shared"
+    for seed in (0, 1):
+        assert sweep(seed, shared) == fresh[seed], seed

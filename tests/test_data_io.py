@@ -21,7 +21,7 @@ def gappy_dataset():
     b[5] = np.nan
     return Dataset(
         series=[TimeSeries("a", START, "h", a), TimeSeries("b", START, "h", b)],
-        freq="h", prediction_length=4, meta={"source": "test"},
+        freq="h", meta={"source": "test"},
     )
 
 
@@ -37,10 +37,9 @@ def assert_same_series(got, expected):
 def test_jsonl_round_trip_keeps_missing_values_and_meta(tmp_path, name):
     dataset = gappy_dataset()
     save_dataset(dataset, tmp_path / name)
-    loaded = load_dataset(tmp_path / name, prediction_length=4)
+    loaded = load_dataset(tmp_path / name)
     assert_same_series(loaded, dataset)
     assert loaded.meta == {"source": "test"}
-    assert loaded.prediction_length == 4
 
 
 @pytest.mark.parametrize("name", ["data.csv", "data.csv.gz"])
@@ -68,7 +67,7 @@ def test_split_last_h_shapes():
         np.testing.assert_array_equal(pair.horizon, series.values[-4:])
         np.testing.assert_array_equal(pair.context, series.values[-14:-4][-10:])
         np.testing.assert_array_equal(head.values, series.values[:-4])
-    assert (train.freq, train.prediction_length, train.meta) == ("h", 4, {"source": "test"})
+    assert (train.freq, train.meta) == ("h", {"source": "test"})
 
 
 def test_split_last_h_without_context_length_keeps_the_whole_head():

@@ -27,7 +27,7 @@ def test_make_dataset_shape_and_labels():
     assert [s.item_id for s in dataset.series] == ["synth-00000", "synth-00001", "synth-00002"]
     assert values(dataset).shape == (3, 48)
     assert np.all(np.isfinite(values(dataset)))
-    assert (dataset.freq, dataset.prediction_length) == ("d", 8)
+    assert dataset.freq == "d"
     assert all(s.freq == "d" for s in dataset.series)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavets.exceptions import UnknownFamilyError
-from wavets.families import WaveletFamily, available_families, get_family, verify_family
+from wavets.families import available_families, get_family
 
 SQRT2 = math.sqrt(2.0)
 
@@ -94,39 +94,6 @@ def test_vanishing_moments(name):
         assert abs(np.sum(f.dec_hi * k**p)) <= 1e-10, (name, "dec_hi", p)
     for p in range(synthesis):
         assert abs(np.sum(f.rec_hi * k**p)) <= 1e-10, (name, "rec_hi", p)
-
-
-@pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
-def test_verify_family_shipped(name):
-    report = verify_family(get_family(name))
-    assert report.passed, report.checks
-
-
-def test_verify_family_zero_mean_failure():
-    bad = WaveletFamily(
-        name="bad",
-        dec_lo=np.array([1.0, 1.0]) / SQRT2,
-        dec_hi=np.array([1.0, 1.0]),
-        rec_lo=np.array([1.0, 1.0]) / SQRT2,
-        rec_hi=np.array([1.0, 1.0]),
-        orthogonal=False,
-        vanishing_moments=(0, 0),
-    )
-    report = verify_family(bad)
-    assert not report.checks["highpass_zero_mean"]
-    assert not report.passed
-
-
-def test_verify_family_bior_structure():
-    f = get_family("bior2.2")
-    report = verify_family(f)
-    # distinct analysis/synthesis filters: measured non-orthogonal, which
-    # matches the declared flag; reconstruction is still exact
-    assert report.checks["orthogonality_consistent"]
-    assert report.checks["perfect_reconstruction"]
-    # the same filters claimed orthogonal must be flagged
-    lying = WaveletFamily("lying", f.dec_lo, f.dec_hi, f.rec_lo, f.rec_hi, True, (2, 2))
-    assert not verify_family(lying).checks["orthogonality_consistent"]
 
 
 def test_unknown_family_error():

@@ -15,13 +15,17 @@ from wavets.thresholding import (
     cdf_threshold,
     estimate_sigma,
     fdrc_lambda,
-    fdrc_threshold,
     hard_threshold,
     soft_threshold,
     visu_lambda,
 )
 
 MAD_SCALE = 0.6744897501960817
+
+
+def fdrc_hard(details, sigma, q):
+    """Hard-threshold ``details`` at their own step-up-selected level."""
+    return hard_threshold(details, fdrc_lambda(details, sigma, q)[0])
 
 
 class TestVisuLambda:
@@ -90,7 +94,7 @@ class TestFdrc:
         assert abs(lam - 3.2905) <= 1e-3
 
     def test_all_zero_details(self):
-        out = fdrc_threshold(np.zeros(3), sigma=1.0, q=0.05)
+        out = fdrc_hard(np.zeros(3), sigma=1.0, q=0.05)
         np.testing.assert_allclose(out, 0.0)
         lam, i0 = fdrc_lambda(np.zeros(3), sigma=1.0, q=0.05)
         assert i0 == 0 and math.isinf(lam)
@@ -98,7 +102,7 @@ class TestFdrc:
     def test_single_spike_survives(self):
         details = np.zeros(100)
         details[37] = 100.0
-        out = fdrc_threshold(details, sigma=1.0, q=0.05)
+        out = fdrc_hard(details, sigma=1.0, q=0.05)
         assert out[37] == 100.0
         assert np.all(out[np.arange(100) != 37] == 0.0)
         lam, i0 = fdrc_lambda(details, sigma=1.0, q=0.05)
@@ -108,14 +112,14 @@ class TestFdrc:
         rng = np.random.default_rng(123)
         q = 0.05
         retained = [
-            np.mean(fdrc_threshold(rng.standard_normal(1024), 1.0, q) != 0.0)
+            np.mean(fdrc_hard(rng.standard_normal(1024), 1.0, q) != 0.0)
             for _ in range(100)
         ]
         assert np.mean(retained) <= 2 * q
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            fdrc_threshold(np.ones(4), sigma=0.0, q=0.05)
+            fdrc_hard(np.ones(4), sigma=0.0, q=0.05)
 
 
 class TestApplyThreshold:
@@ -167,6 +171,22 @@ class TestApplyThreshold:
             for s in range(100)
         ]
         assert np.mean(fractions) <= 0.02
+
+    def test_fdrc_with_no_discovery_zeroes_every_detail_to_positive_zero(self):
+        # unit magnitudes give sigma_hat = 1 / 0.6745, so every p-value is
+        # 0.5 > q: fdrc_lambda returns inf and every detail becomes +0.0
+        p = self._pyramid(level=2)
+        signs = type(p)(
+            p.approx, tuple(np.where(d < 0, -1.0, 1.0) for d in p.details),
+            p.level, p.input_length, p.family_name, p.boundary_mode,
+        )
+        sigma = estimate_sigma(signs.details[-1])
+        assert math.isinf(fdrc_lambda(np.concatenate(signs.details), sigma, 0.05)[0])
+        out = apply_threshold(signs, ThresholdSpec(method="fdrc", q=0.05))
+        for before, after in zip(signs.details, out.details):
+            assert after.shape == before.shape and after.dtype == np.float64
+            assert np.all(after == 0.0) and not np.any(np.signbit(after))
+        assert np.array_equal(out.approx, p.approx)
 
     @pytest.mark.parametrize("method", ["visu_hard", "fdrc"])
     def test_hard_methods_idempotent(self, method):
