@@ -258,14 +258,17 @@ def cmd_eval(args) -> int:
     config = build_config(args)
     if len(args.data) != len(args.forecasts):
         raise ValueError("need one --forecasts per --data")
+    names = [Path(data_path).name for data_path in args.data]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"--data file names must differ, repeated: {', '.join(repeated)}")
     fingerprint = config.fingerprint()
     per_dataset = {}
-    for data_path, forecast_path in zip(args.data, args.forecasts):
+    for name, data_path, forecast_path in zip(names, args.data, args.forecasts):
         dataset = load_dataset(data_path)
         meta, records = _read_records(forecast_path)
         _check_meta(meta, forecast_path, config)
         samples = {r["item_id"]: np.asarray(r["samples"], dtype=np.float64) for r in records}
-        name = Path(data_path).name
         per_dataset[name] = evaluate_dataset(name, dataset, samples, config)
 
     rows = []

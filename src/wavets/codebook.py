@@ -113,34 +113,29 @@ def fit_codebook(
     return Codebook(centers=centers, edges=edges, bounds=(lo, hi))
 
 
-def quantize(values, codebook: Codebook):
-    """Map coefficient value(s) to token id(s).
+def quantize(values: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Map an array of coefficient values to token ids.
 
     Out-of-range values clamp to the outermost bins; NaN marks a missing
     value and maps to the PAD token. Any other non-finite input is an
     error.
     """
     arr = np.asarray(values, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     missing = np.isnan(arr)
     if np.any(np.isinf(arr)):
         raise ValueError("cannot quantize infinite values")
     safe = np.where(missing, 0.0, arr)
     tokens = codebook.value_offset + np.searchsorted(codebook.edges, safe, side="right")
-    tokens = np.where(missing, codebook.pad_id, tokens).astype(np.int64)
-    return int(tokens[0]) if scalar else tokens
+    return np.where(missing, codebook.pad_id, tokens).astype(np.int64)
 
 
-def dequantize(tokens, codebook: Codebook):
-    """Map token id(s) back to bin center(s).
+def dequantize(tokens: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Map an array of token ids back to bin centers.
 
     Returns ``(values, missing)``: PAD tokens yield value 0.0 with the
     missing flag set. EOS or out-of-vocabulary ids are errors.
     """
     arr = np.asarray(tokens, dtype=np.int64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr == codebook.eos_id):
         raise ValueError("cannot dequantize the EOS token")
     bad = (arr < 0) | (arr >= codebook.vocab_size)
@@ -149,8 +144,6 @@ def dequantize(tokens, codebook: Codebook):
     missing = arr == codebook.pad_id
     idx = np.where(missing, 0, arr - codebook.value_offset)
     values = np.where(missing, 0.0, codebook.centers[idx])
-    if scalar:
-        return float(values[0]), bool(missing[0])
     return values, missing
 
 

@@ -20,10 +20,11 @@ boundary modes are those of PyWavelets' signal extension:
 
 The cascade halves the work per level, so runtime is linear in ``n``.
 
-The kernel and the whole synthesis side work on the last axis, so
+Analysis, the kernel and synthesis all work on the last axis, so
+:func:`decompose` transforms a stack of signals of shape ``(..., n)`` and
 :func:`reconstruct` inverts a stack of pyramids (bands of shape
 ``(..., n_band)``) in one call, each row bit-identical to its own
-inversion.
+transform.
 """
 
 from __future__ import annotations
@@ -73,15 +74,16 @@ def _band_length(n: int, filt_len: int, mode: str) -> int:
 
 def _extend(x: np.ndarray, filt_len: int, mode: str) -> np.ndarray:
     """Samples ``2 - L`` to ``2 * _band_length(n, L, mode) - 1`` of the
-    mode's boundary extension of ``x``: the input of :func:`_strided_filter`."""
-    n = len(x)
+    mode's boundary extension of ``x`` along its last axis: the input of
+    :func:`_strided_filter`."""
+    n = x.shape[-1]
     idx = np.arange(2 - filt_len, 2 * _band_length(n, filt_len, mode))
     if mode == "symmetric":
         idx %= 2 * n
         idx = np.where(idx < n, idx, 2 * n - 1 - idx)
     else:
         idx = np.minimum(idx % (n + n % 2), n - 1)
-    return x[idx]
+    return x[..., idx]
 
 
 def _strided_filter(extended: np.ndarray, taps: np.ndarray, step: int = 2) -> np.ndarray:
@@ -153,17 +155,16 @@ def decompose(
     level: int,
     boundary_mode: str = "symmetric",
 ) -> CoefficientPyramid:
-    """Cascade decomposition of ``x`` down to ``level`` stages.
+    """Cascade decomposition of ``x`` down to ``level`` stages, along its
+    last axis.
 
     Each stage re-decomposes the previous approximation band; the result
     holds the final approximation plus all detail bands, coarsest first.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input signal contains non-finite values")
-    coefficient_layout(len(x), family, level, boundary_mode)  # validates mode and level
+    coefficient_layout(x.shape[-1], family, level, boundary_mode)  # validates mode and level
 
     details: list[np.ndarray] = []
     approx = x
@@ -176,7 +177,7 @@ def decompose(
         approx=approx,
         details=tuple(details),
         level=level,
-        input_length=len(x),
+        input_length=x.shape[-1],
         family_name=family.name,
         boundary_mode=boundary_mode,
     )

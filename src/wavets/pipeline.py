@@ -7,16 +7,17 @@ wavelet coefficients of the training windows (contexts and horizons), and
 the Markov model is trained on their token pairs. Forecasts start from the
 tokenized context and are scored on the held-out horizon by WQL, MASE and
 VRSE, next to the seasonal-naive baseline, whose seasons stay aligned in
-time across missing context values. Forecasting runs all series of a
-command as one batch (:func:`forecast_dataset`): every context is
-tokenized, then all sample paths advance together. Series ``item_id``
-samples with the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``,
+time across missing context values. A command tokenizes each window
+kind (contexts, horizons) of all its series as one stack on the last axis,
+and :func:`forecast_dataset` advances all sample paths together. Series
+``item_id`` samples with the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``,
 so its paths do not depend on the rest of the batch or on the worker that
 runs it. A series that cannot be used fails alone, not the run: a context
-that cannot be tokenized, or a path that meets a sampling distribution
-without mass, fails only its own series. An ablation cell
-(:func:`run_cell`) trains on a dataset's ``split_last_h`` train view,
-scores the horizons held out from it and fails on any series.
+or window with no observed value, a non-finite scaled value, or a path
+that meets a sampling distribution without mass fails only its own
+series. An ablation cell (:func:`run_cell`) trains on a dataset's
+``split_last_h`` train view, scores the horizons held out from it and
+fails on any series.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .codebook import Codebook, fit_codebook
 from .data_io import Dataset, split_last_h
+from .dwt import decompose
 from .exceptions import WavetsError
 from .families import get_family
 from .metrics import (
@@ -42,10 +44,8 @@ from .metrics import (
     wql,
 )
 from .seq_model import MarkovModel, sample_forecast, train_markov
-from .thresholding import ThresholdSpec
-from .tokenizer import (
-    TokenizerConfig, compute_scale, pad_to_length, scaled_pyramid, tokenize, tokenize_pair,
-)
+from .thresholding import ThresholdSpec, apply_threshold
+from .tokenizer import ScaleStats, TokenizerConfig, compute_scale, fill_missing, pad_to_length, tokenize
 
 
 def _option(default, help_text=None):
@@ -79,6 +79,10 @@ class RunConfig:
     mix_tsmixup: float = _option(0.9, "probability of tsmixup (vs GP) in synthetic corpora")
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
         get_family(self.family)  # raises for unknown names
         self.threshold_spec()  # validates method and parameters
         if self.level < 1:
@@ -131,45 +135,66 @@ def make_windows(dataset: Dataset, config: RunConfig):
     ]
 
 
+def _scale_windows(windows):
+    """Stack the windows of ``(item_id, context, ...)`` tuples by position,
+    as ``(rows, windows, scale)``: series indices, windows and context
+    ``ScaleStats`` as arrays. Also returns, by index, the error of each
+    series set aside because its context or a window has no observed
+    value, or a scaled value is not finite."""
+    kinds, failed = {}, {}
+    for i, (_, *series) in enumerate(windows):
+        try:
+            scale = compute_scale(series[0])
+            if not all(np.isfinite((fill_missing(w) - scale.mu) / scale.sigma).all()
+                       for w in series):
+                raise ValueError("input signal contains non-finite values")
+        except ValueError as exc:
+            failed[i] = exc
+            continue
+        for k, window in enumerate(series):
+            kinds.setdefault(k, []).append((i, window, scale.mu, scale.sigma))
+    return [(rows, np.array(stack), ScaleStats(np.array(mu), np.array(sigma)))
+            for rows, stack, mu, sigma in (zip(*kind) for kind in kinds.values())], failed
+
+
 def pool_coefficients(windows, config: RunConfig):
     """Pool the coefficients the codebook is fit to.
 
-    Returns the concatenated approximation and detail bands of every
-    window with an observed value, each scaled by its series' context
-    statistics, plus ``(item_id, error)`` for each series skipped because
-    its context cannot be scaled.
+    Returns the approximation and detail bands of every window with an
+    observed value, each scaled by its series' context statistics, plus
+    ``(item_id, error)`` for each series set aside (a horizon with no
+    observed value is left out alone).
     """
     family = get_family(config.family)
-    tok_config = config.tokenizer_config()
-    pool, skipped = [], []
-    for item_id, context, horizon in windows:
-        try:
-            scale = compute_scale(context)
-        except ValueError as exc:
-            skipped.append((item_id, exc))
-            continue
-        for window in (context, horizon):
-            if not np.isfinite(window).any():
-                continue
-            pyramid = scaled_pyramid(window, scale, family, tok_config)
-            pool.append(pyramid.approx)
-            pool.extend(pyramid.details)
+    kinds, failed = _scale_windows([(item_id, context, *[h for h in (horizon,) if np.isfinite(h).any()])
+                                    for item_id, context, horizon in windows])
+    pool = []
+    for _, stack, scale in kinds:
+        z = (fill_missing(stack) - scale.mu[:, None]) / scale.sigma[:, None]
+        pyramid = apply_threshold(decompose(z, family, config.level, config.boundary_mode),
+                                  config.threshold_spec())
+        pool += [band.ravel() for band in (pyramid.approx, *pyramid.details)]
     if not pool:
         raise WavetsError("no usable training windows")
-    return np.concatenate(pool), skipped
+    return np.concatenate(pool), [(windows[i][0], exc) for i, exc in failed.items()]
 
 
 def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
     """``(item_id, context stream, horizon stream)`` per series, plus
-    ``(item_id, error)`` for each series that could not be tokenized."""
+    ``(item_id, error)`` for each series that could not be tokenized, in
+    input order. An error that concerns the whole batch fails every
+    series with it."""
     tok_config = config.tokenizer_config()
-    pairs, failures = [], []
-    for item_id, context, horizon in windows:
-        try:
-            pairs.append((item_id, *tokenize_pair(context, horizon, tok_config, codebook)))
-        except Exception as exc:  # per-series isolation
-            failures.append((item_id, exc))
-    return pairs, failures
+    kinds, failed = _scale_windows(windows)
+    rows = kinds[0][0] if kinds else ()
+    try:
+        streams = [tokenize(stack, scale, tok_config, codebook, append_eos=k == 1).rows()
+                   for k, (_, stack, scale) in enumerate(kinds)]
+    except Exception as exc:  # fails every series of the batch
+        failed.update(dict.fromkeys(rows, exc))
+        rows, streams = (), []
+    pairs = [(windows[i][0], *pair) for i, *pair in zip(rows, *streams)]
+    return pairs, [(windows[i][0], failed[i]) for i in sorted(failed)]
 
 
 def train_model(corpus, config: RunConfig, codebook: Codebook) -> MarkovModel:
@@ -195,27 +220,20 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
     such as a vocabulary mismatch, fails every series with its message.
     """
     tok_config = config.tokenizer_config()
-    results, streams, batch = [], [], []
-    for item_id, context in contexts:
+    kinds, failed = _scale_windows(contexts)
+    results = [(item_id, None, str(failed[i]) if i in failed else None)
+               for i, (item_id, _) in enumerate(contexts)]
+    for rows, stack, scale in kinds:  # the one kind: contexts
         try:
-            streams.append(tokenize(context, tok_config, codebook))
-        except Exception as exc:  # per-series isolation
-            results.append((item_id, None, str(exc)))
-            continue
-        batch.append(len(results))
-        results.append((item_id, None, None))
-    if not batch:
-        return results
-    try:
-        paths, errors = sample_forecast(
-            model, streams, config.horizon, tok_config, codebook,
-            seeds=[series_seed(config.seed, results[i][0]) for i in batch],
-            n_samples=config.n_samples, temperature=config.temperature,
-        )
-    except Exception as exc:  # fails every series of the batch
-        paths, errors = [None] * len(batch), [str(exc)] * len(batch)
-    for i, series_paths, error in zip(batch, paths, errors):
-        results[i] = (results[i][0], None if error else series_paths, error)
+            paths, errors = sample_forecast(
+                model, tokenize(stack, scale, tok_config, codebook).rows(), config.horizon,
+                tok_config, codebook, seeds=[series_seed(config.seed, contexts[i][0]) for i in rows],
+                n_samples=config.n_samples, temperature=config.temperature,
+            )
+        except Exception as exc:  # fails every series of the batch
+            paths, errors = [None] * len(rows), [str(exc)] * len(rows)
+        for i, series_paths, error in zip(rows, paths, errors):
+            results[i] = (results[i][0], None if error else series_paths, error)
     return results
 
 

@@ -12,6 +12,10 @@ bands are shrunk or zeroed. Four methods are available:
 * ``fdrc``: data-adaptive threshold chosen by a Benjamini-Hochberg step-up
   test on the two-sided Gaussian p-values of all detail coefficients
   pooled, then applied as hard thresholding to every band.
+
+Every function works along the last axis, so a pyramid whose bands stack
+several signals is thresholded row by row in one call: each row gets its
+own noise scale and threshold, bit-identical to thresholding it alone.
 """
 
 from __future__ import annotations
@@ -61,28 +65,28 @@ class ThresholdSpec:
             raise ValueError(f"fdrc error level must be in (0, 1), got {self.q}")
 
 
-def estimate_sigma(finest_details: np.ndarray, estimator: str = "mad_finest") -> float:
-    """Noise scale estimate from the finest detail band.
+def estimate_sigma(finest_details: np.ndarray, estimator: str = "mad_finest"):
+    """Noise scale estimate from the finest detail band, one per row.
 
     ``mad_finest`` is the robust median-absolute-value estimator (median of
     the magnitudes about zero, divided by 0.6745); ``std_finest`` is the
     plain standard deviation.
     """
     d = np.asarray(finest_details, dtype=np.float64)
-    if d.size == 0:
+    if d.shape[-1] == 0:
         raise ValueError("cannot estimate noise scale from an empty detail band")
     if estimator == "mad_finest":
-        return float(np.median(np.abs(d)) / _MAD_TO_SIGMA)
+        return np.median(np.abs(d), axis=-1) / _MAD_TO_SIGMA
     if estimator == "std_finest":
-        return float(np.std(d))
+        return np.std(d, axis=-1)
     raise ValueError(f"unknown sigma estimator {estimator!r}")
 
 
-def visu_lambda(finest_details: np.ndarray, n_coefficients: int, estimator: str = "mad_finest") -> float:
-    """Universal threshold ``sigma_hat * sqrt(2 ln N)``.
+def visu_lambda(finest_details: np.ndarray, n_coefficients: int, estimator: str = "mad_finest"):
+    """Universal threshold ``sigma_hat * sqrt(2 ln N)``, one per row.
 
     ``n_coefficients`` is the total coefficient count of the pyramid being
-    thresholded.
+    thresholded (of one row).
     """
     if n_coefficients < 2:
         raise ValueError(f"need at least 2 coefficients, got {n_coefficients}")
@@ -90,14 +94,14 @@ def visu_lambda(finest_details: np.ndarray, n_coefficients: int, estimator: str 
     return sigma * math.sqrt(2.0 * math.log(n_coefficients))
 
 
-def soft_threshold(values: np.ndarray, lam: float) -> np.ndarray:
-    """Shrink magnitudes by ``lam``, clamping at zero."""
-    return np.sign(values) * np.maximum(np.abs(values) - lam, 0.0)
+def soft_threshold(values: np.ndarray, lam) -> np.ndarray:
+    """Shrink magnitudes by ``lam`` (one per row), clamping at zero."""
+    return np.sign(values) * np.maximum(np.abs(values) - np.asarray(lam)[..., None], 0.0)
 
 
-def hard_threshold(values: np.ndarray, lam: float) -> np.ndarray:
-    """Zero entries with magnitude strictly below ``lam``."""
-    return np.where(np.abs(values) >= lam, values, 0.0)
+def hard_threshold(values: np.ndarray, lam) -> np.ndarray:
+    """Zero entries with magnitude strictly below ``lam`` (one per row)."""
+    return np.where(np.abs(values) >= np.asarray(lam)[..., None], values, 0.0)
 
 
 def cdf_cutoff_fraction(j: int, level: int, b: float) -> float:
@@ -112,26 +116,25 @@ def cdf_cutoff_fraction(j: int, level: int, b: float) -> float:
 
 
 def cdf_threshold(details: np.ndarray, j: int, level: int, b: float) -> np.ndarray:
-    """Zero the smallest-magnitude ``cdf_cutoff_fraction(j)`` of a band.
+    """Zero the smallest-magnitude ``cdf_cutoff_fraction(j)`` of each row
+    of a band.
 
-    Rank-based: exactly ``floor(fraction * m)`` coefficients are zeroed
-    (ties broken by position), so the ``b -> 0`` limit leaves the band
-    untouched. Survivors keep their values and order.
+    Rank-based: exactly ``floor(fraction * m)`` coefficients of a row of
+    ``m`` are zeroed (ties broken by position), so the ``b -> 0`` limit
+    leaves the band untouched. Survivors keep their values and order.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"cutoff base must be in (0, 1), got {b}")
-    d = np.asarray(details, dtype=np.float64)
-    n_zero = int(cdf_cutoff_fraction(j, level, b) * d.size)
-    if n_zero == 0:
-        return d.copy()
-    order = np.argsort(np.abs(d), kind="stable")
-    out = d.copy()
-    out[order[:n_zero]] = 0.0
+    out = np.array(details, dtype=np.float64)
+    n_zero = int(cdf_cutoff_fraction(j, level, b) * out.shape[-1])
+    order = np.argsort(np.abs(out), axis=-1, kind="stable")
+    np.put_along_axis(out, order[..., :n_zero], 0.0, axis=-1)
     return out
 
 
-def fdrc_lambda(details: np.ndarray, sigma: float, q: float) -> tuple[float, int]:
-    """Step-up threshold selection on pooled detail coefficients.
+def fdrc_lambda(details: np.ndarray, sigma, q: float):
+    """Step-up threshold selection on pooled detail coefficients, per row
+    with that row's ``sigma``.
 
     Two-sided p-values ``p_k = 2 (1 - Phi(|d_k| / sigma))`` are sorted
     ascending and the largest index ``i0`` with ``p_(i0) <= (i0 / m) q``
@@ -141,37 +144,31 @@ def fdrc_lambda(details: np.ndarray, sigma: float, q: float) -> tuple[float, int
     Returns ``(lambda, i0)``; with no qualifying index, ``(inf, 0)`` so
     that hard thresholding zeroes every coefficient.
     """
-    if sigma <= 0:
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if np.any(sigma <= 0):
         raise ValueError(f"noise scale must be positive, got {sigma}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"error level must be in (0, 1), got {q}")
     d = np.asarray(details, dtype=np.float64)
-    m = d.size
-    if m == 0:
-        return math.inf, 0
-    magnitudes = np.sort(np.abs(d))[::-1]  # descending; p-values ascending
-    p_sorted = 2.0 * ndtr(-magnitudes / sigma)
+    m = d.shape[-1]
+    magnitudes = np.sort(np.abs(d), axis=-1)[..., ::-1]  # descending; p-values ascending
+    p_sorted = 2.0 * ndtr(-magnitudes / sigma[..., None])
     qualifies = p_sorted <= q * np.arange(1, m + 1) / m
-    if not np.any(qualifies):
-        return math.inf, 0
-    i0 = int(np.max(np.nonzero(qualifies)[0])) + 1
-    return float(magnitudes[i0 - 1]), i0
+    # i0: one past the last qualifying index, 0 where none qualifies
+    i0 = np.where(qualifies.any(axis=-1), m - np.argmax(qualifies[..., ::-1], axis=-1), 0)
+    last = np.take_along_axis(magnitudes, np.maximum(i0 - 1, 0)[..., None], axis=-1)[..., 0]
+    return np.where(i0 > 0, last, math.inf), i0
 
 
 def apply_threshold(pyramid: CoefficientPyramid, spec: ThresholdSpec) -> CoefficientPyramid:
-    """Threshold the detail bands of a pyramid; the approximation band is
-    returned bit-identical. The output pyramid is shape-identical to the
-    input."""
-    if spec.method == "none":
-        return replace(
-            pyramid,
-            approx=pyramid.approx.copy(),
-            details=tuple(d.copy() for d in pyramid.details),
-        )
-
+    """Threshold the detail bands of a pyramid, row by row; the
+    approximation band is returned bit-identical. The output pyramid is
+    shape-identical to the input."""
     level = pyramid.level
     # details are stored coarsest-first: index i holds level j = level - i
-    if spec.method == "cdf":
+    if spec.method == "none":
+        new_details = tuple(d.copy() for d in pyramid.details)
+    elif spec.method == "cdf":
         new_details = tuple(
             cdf_threshold(d, level - i, level, spec.b) for i, d in enumerate(pyramid.details)
         )
@@ -182,11 +179,10 @@ def apply_threshold(pyramid: CoefficientPyramid, spec: ThresholdSpec) -> Coeffic
         new_details = tuple(shrink(d, lam) for d in pyramid.details)
     else:  # fdrc
         sigma = estimate_sigma(pyramid.details[-1], spec.sigma_estimator)
-        if sigma == 0.0:
-            # Noise-free band: nothing can be attributed to noise.
-            new_details = tuple(d.copy() for d in pyramid.details)
-        else:
-            pooled = np.concatenate(pyramid.details)
-            lam, _ = fdrc_lambda(pooled, sigma, spec.q)
-            new_details = tuple(hard_threshold(d, lam) for d in pyramid.details)
+        # a noise-free row: nothing can be attributed to noise, so threshold 0 keeps it
+        noise_free = sigma == 0.0
+        pooled = np.concatenate(pyramid.details, axis=-1)
+        lam, _ = fdrc_lambda(pooled, np.where(noise_free, 1.0, sigma), spec.q)
+        lam = np.where(noise_free, 0.0, lam)
+        new_details = tuple(hard_threshold(d, lam) for d in pyramid.details)
     return replace(pyramid, approx=pyramid.approx.copy(), details=new_details)

@@ -8,14 +8,18 @@ filter support lies in missing (or synthetic padding) samples are emitted
 as PAD tokens.
 
 Inverse: dequantize (PAD contributes 0), rebuild the coefficient pyramid,
-apply the inverse transform and undo the scaling. It works on the last
-axis, so one stream can hold a ``(paths, n_tokens)`` token array with one
-scale per row and invert every row in one call.
+apply the inverse transform and undo the scaling.
+
+Both directions work on the last axis: one stream can hold a
+``(rows, n_tokens)`` token array with one scale per row, so
+:func:`tokenize` turns a stack of windows into one stream and
+:func:`detokenize` inverts every row of a stream, each row bit-identical
+to its own call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,6 +77,11 @@ class TokenStream:
     def coefficient_tokens(self) -> np.ndarray:
         return self.tokens[..., :-1] if self.has_eos else self.tokens
 
+    def rows(self) -> list[TokenStream]:
+        """One stream per row of a ``(rows, n_tokens)`` stack."""
+        return [replace(self, tokens=tokens, scale=ScaleStats(mu=float(mu), sigma=float(sigma)))
+                for tokens, mu, sigma in zip(self.tokens, self.scale.mu, self.scale.sigma)]
+
 
 def compute_scale(x: np.ndarray) -> ScaleStats:
     """Mean and sample standard deviation over the observed values.
@@ -92,21 +101,24 @@ def compute_scale(x: np.ndarray) -> ScaleStats:
 
 
 def fill_missing(x: np.ndarray) -> np.ndarray:
-    """Linearly interpolate interior gaps and hold the end values."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.isfinite(x)
-    if mask.all():
-        return x.copy()
-    if not mask.any():
+    """Linearly interpolate interior gaps and hold the end values, in each
+    row along the last axis."""
+    out = np.array(x, dtype=np.float64)
+    rows = out.reshape(-1, out.shape[-1])
+    observed = np.isfinite(rows)
+    if not observed.any(axis=-1).all():
         raise ValueError("cannot fill a window with no observed values")
-    idx = np.arange(len(x))
-    return np.interp(idx, idx[mask], x[mask])
+    idx = np.arange(out.shape[-1])
+    for r in np.flatnonzero(~observed.all(axis=-1)):
+        rows[r] = np.interp(idx, idx[observed[r]], rows[r, observed[r]])
+    return out
 
 
 def _band_observed(mask: np.ndarray, family: WaveletFamily, level: int, mode: str) -> list[np.ndarray]:
     """Per-band flags marking coefficients with any observed sample in
     their filter support, ordered ``[a_J, d_J, ..., d_1]`` like the bands:
-    a positive count of the 0/1 mask under an all-ones analysis filter."""
+    a positive count of the 0/1 mask (along its last axis) under an
+    all-ones analysis filter."""
     support = np.ones(family.filter_length)
     counts = np.asarray(mask, dtype=np.float64)
     per_level = []
@@ -117,63 +129,42 @@ def _band_observed(mask: np.ndarray, family: WaveletFamily, level: int, mode: st
     return [per_level[-1]] + per_level[::-1]
 
 
-def _quantize_bands(
-    pyramid: CoefficientPyramid,
-    observed: list[np.ndarray],
-    codebook: Codebook,
-) -> np.ndarray:
-    bands = [pyramid.approx, *pyramid.details]
-    parts = []
-    for band, obs in zip(bands, observed):
-        tokens = quantize(band, codebook)
-        tokens = np.where(obs, tokens, codebook.pad_id)
-        parts.append(tokens)
-    return np.concatenate(parts)
-
-
-def scaled_pyramid(
-    x: np.ndarray, scale: ScaleStats, family: WaveletFamily, config: TokenizerConfig
-) -> CoefficientPyramid:
-    """The coefficients a window is quantized from: gaps filled, z-scored
-    with ``scale``, decomposed and detail-thresholded."""
-    z = (fill_missing(x) - scale.mu) / scale.sigma
-    return apply_threshold(decompose(z, family, config.level, config.boundary_mode), config.threshold)
-
-
-def _tokenize_scaled(
-    x: np.ndarray,
+def tokenize(
+    windows: np.ndarray,
     scale: ScaleStats,
     config: TokenizerConfig,
     codebook: Codebook,
-    append_eos: bool,
+    append_eos: bool = False,
 ) -> TokenStream:
+    """Tokenize a window, or a ``(rows, n)`` stack of windows with one
+    ``scale`` per row, into one stream; NaN entries are missing values.
+
+    Each window is gap-filled, z-scored with its scale, decomposed and
+    detail-thresholded, and its coefficients are quantized; with
+    ``append_eos`` every row ends with an EOS token.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
     family = get_family(config.family)
-    mask = np.isfinite(x)
-    pyramid = scaled_pyramid(x, scale, family, config)
-    if mask.all():
-        observed = [np.ones(len(b), dtype=bool) for b in (pyramid.approx, *pyramid.details)]
-    else:
-        observed = _band_observed(mask, family, config.level, config.boundary_mode)
-    tokens = _quantize_bands(pyramid, observed, codebook)
+    mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
+    pyramid = apply_threshold(
+        decompose((fill_missing(windows) - mu) / sigma, family, config.level, config.boundary_mode),
+        config.threshold,
+    )
+    observed = _band_observed(np.isfinite(windows), family, config.level, config.boundary_mode)
+    tokens = [np.where(obs, quantize(band, codebook), codebook.pad_id)
+              for band, obs in zip((pyramid.approx, *pyramid.details), observed)]
     if append_eos:
-        tokens = np.append(tokens, codebook.eos_id)
+        tokens.append(np.full((*windows.shape[:-1], 1), codebook.eos_id))
     return TokenStream(
-        tokens=tokens,
+        tokens=np.concatenate(tokens, axis=-1),
         segment_lengths=tuple(pyramid.segment_lengths()),
         scale=scale,
         family_name=family.name,
         level=config.level,
-        source_length=len(x),
+        source_length=windows.shape[-1],
         boundary_mode=config.boundary_mode,
         has_eos=append_eos,
     )
-
-
-def tokenize(x: np.ndarray, config: TokenizerConfig, codebook: Codebook) -> TokenStream:
-    """Tokenize one window; NaN entries are treated as missing values."""
-    x = np.asarray(x, dtype=np.float64)
-    scale = compute_scale(x)
-    return _tokenize_scaled(x, scale, config, codebook, append_eos=False)
 
 
 def tokenize_pair(
@@ -188,12 +179,9 @@ def tokenize_pair(
     independently; the horizon stream carries the context scale for
     inversion and ends with an EOS token.
     """
-    context = np.asarray(context, dtype=np.float64)
-    horizon = np.asarray(horizon, dtype=np.float64)
     scale = compute_scale(context)
-    ctx_stream = _tokenize_scaled(context, scale, config, codebook, append_eos=False)
-    hor_stream = _tokenize_scaled(horizon, scale, config, codebook, append_eos=True)
-    return ctx_stream, hor_stream
+    return (tokenize(context, scale, config, codebook),
+            tokenize(horizon, scale, config, codebook, append_eos=True))
 
 
 def detokenize(stream: TokenStream, codebook: Codebook, family: WaveletFamily | None = None) -> np.ndarray:

@@ -146,6 +146,25 @@ class TestConfig:
                            capsys)
         assert code == 1 and "error: unknown config keys" in err
 
+    @pytest.mark.parametrize("line, error", [
+        ('level: "2"', "level must be of type int, got '2'"),
+        ("horizon: 64.0", "horizon must be of type int, got 64.0"),
+        ("n_samples: 2.5", "n_samples must be of type int, got 2.5"),
+        ("order: true", "order must be of type int, got True"),
+        ("alpha: 1", None),  # an int is a valid float
+    ])
+    def test_config_file_values_must_have_the_type_of_their_default(self, tmp_path, capsys,
+                                                                    line, error):
+        config_file = tmp_path / "config.yaml"
+        config_file.write_text(line + "\n")
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(["synth", "--out", out, "--n-series", 2, "--config", config_file],
+                           capsys)
+        if error is None:
+            assert code == 0 and err == ""
+        else:
+            assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
+
     def test_one_flag_per_field(self):
         parser = build_parser()
         subcommands = parser._subparsers._group_actions[0].choices
@@ -157,6 +176,22 @@ class TestConfig:
                 by_dest.setdefault(action.dest, []).append(action.option_strings)
             for name in names:
                 assert by_dest.get(name) == [["--" + name.replace("_", "-")]], name
+
+
+def test_eval_refuses_two_datasets_with_one_file_name(tmp_path, capsys):
+    # scores are keyed by file name: the second dataset would replace the first
+    round_trip(tmp_path, capsys)
+    argv = ["eval", "--out", tmp_path / "both.csv", *FLAGS]
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        for name in ("data.jsonl", "forecast.jsonl"):
+            (tmp_path / sub / name).write_bytes((tmp_path / name).read_bytes())
+        argv += ["--data", tmp_path / sub / "data.jsonl",
+                 "--forecasts", tmp_path / sub / "forecast.jsonl"]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: --data file names must differ, repeated: data.jsonl"]
+    assert not (tmp_path / "both.csv").exists()
 
 
 def test_fit_codebook_skips_unscalable_series(tmp_path, capsys):

@@ -61,43 +61,55 @@ class TestFit:
             fit_codebook(np.ones(10), 1024, (1.0, 30.0))
 
 
+def token(value, cb):
+    """The token of one value, through a one-element array."""
+    (tok,) = quantize(np.array([value]), cb)
+    return tok
+
+
+def center(tok, cb):
+    """``(value, missing)`` of one token, through a one-element array."""
+    (value,), (missing,) = dequantize(np.array([tok]), cb)
+    return value, missing
+
+
 class TestMapping:
     def test_edge_logic(self):
         cb = small_codebook()
-        assert quantize(0.3, cb) == cb.value_offset + 1  # middle bin
-        assert quantize(0.7, cb) == cb.value_offset + 2
-        value, missing = dequantize(quantize(0.7, cb), cb)
+        assert token(0.3, cb) == cb.value_offset + 1  # middle bin
+        assert token(0.7, cb) == cb.value_offset + 2
+        value, missing = center(token(0.7, cb), cb)
         assert value == 1.0 and not missing
         # half-open bins: the left edge belongs to the upper bin
-        assert quantize(0.5, cb) == cb.value_offset + 2
-        assert quantize(-0.5, cb) == cb.value_offset + 1
+        assert token(0.5, cb) == cb.value_offset + 2
+        assert token(-0.5, cb) == cb.value_offset + 1
 
     def test_clamping(self):
         cb = small_codebook()
-        assert quantize(1e6, cb) == cb.value_offset + cb.n_bins - 1
-        assert quantize(-1e6, cb) == cb.value_offset
+        assert token(1e6, cb) == cb.value_offset + cb.n_bins - 1
+        assert token(-1e6, cb) == cb.value_offset
 
     def test_pad_round_trip(self):
         cb = small_codebook()
-        assert quantize(float("nan"), cb) == cb.pad_id
-        value, missing = dequantize(cb.pad_id, cb)
+        assert token(float("nan"), cb) == cb.pad_id
+        value, missing = center(cb.pad_id, cb)
         assert value == 0.0 and missing
 
     def test_zero_center_exact(self):
         cb = small_codebook()
-        value, _ = dequantize(quantize(0.0, cb), cb)
+        value, _ = center(token(0.0, cb), cb)
         assert value == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            quantize(float("inf"), small_codebook())
+            token(float("inf"), small_codebook())
 
     def test_eos_and_oov_rejected(self):
         cb = small_codebook()
         with pytest.raises(ValueError):
-            dequantize(cb.eos_id, cb)
+            center(cb.eos_id, cb)
         with pytest.raises(ValueError):
-            dequantize(cb.vocab_size, cb)
+            center(cb.vocab_size, cb)
 
     def test_special_ids_disjoint(self):
         cb = small_codebook()
@@ -110,7 +122,7 @@ class TestMapping:
     def test_round_trip_half_width(self, w):
         rng = np.random.default_rng(0)
         cb = fit_codebook(rng.uniform(-10, 10, 2000), 256, (-30.0, 30.0))
-        value, _ = dequantize(quantize(w, cb), cb)
+        value, _ = center(token(w, cb), cb)
         if cb.centers[0] <= w <= cb.centers[-1]:
             assert abs(value - w) <= cb.bin_width / 2 + 1e-12
 
@@ -122,7 +134,7 @@ class TestMapping:
     def test_monotone(self, a, b):
         cb = small_codebook()
         lo, hi = sorted((a, b))
-        assert quantize(lo, cb) <= quantize(hi, cb)
+        assert token(lo, cb) <= token(hi, cb)
 
 
 class TestPersistence:

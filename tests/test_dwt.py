@@ -156,6 +156,24 @@ def test_round_trip_property(n, level, name, mode, seed):
     assert np.max(np.abs(rec - x)) <= 1e-9
 
 
+@pytest.mark.parametrize("mode", ["symmetric", "periodization"])
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "bior2.2"])
+def test_stacked_signals_decompose_like_each_row(name, mode):
+    # 5 rows of 64 or 67 samples: an extension along the wrong axis fails
+    family = get_family(name)
+    rng = np.random.default_rng(19)
+    for n in (64, 67):
+        x = rng.standard_normal((5, n))
+        for level in (1, 2, 3):
+            stacked = decompose(x, family, level, mode)
+            assert stacked.input_length == n
+            for i, row in enumerate(x):
+                alone = decompose(row, family, level, mode)
+                for got, want in zip((stacked.approx, *stacked.details),
+                                     (alone.approx, *alone.details)):
+                    assert got[i].tobytes() == want.tobytes(), (n, level, i)
+
+
 def test_errors():
     f = get_family("db4")
     with pytest.raises(ValueError, match="too short"):
@@ -166,8 +184,6 @@ def test_errors():
         decompose(np.ones(64), f, 0)
     with pytest.raises(ValueError, match="boundary mode"):
         decompose(np.ones(64), f, 1, "wraparound")
-    with pytest.raises(ValueError, match="1-D"):
-        decompose(np.ones((4, 4)), f, 1)
 
 
 def test_inconsistent_pyramid_rejected():

@@ -2,6 +2,7 @@
 the forecast batch, seasonal-naive scoring and what an ablation cell
 trains on."""
 
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -27,7 +28,7 @@ from wavets.pipeline import (
     train_model,
 )
 from wavets.seq_model import MarkovModel
-from wavets.tokenizer import compute_scale, pad_to_length
+from wavets.tokenizer import compute_scale, pad_to_length, tokenize_pair
 
 CONFIG = RunConfig(context_length=64, horizon=16, n_samples=3, order=2)
 
@@ -119,6 +120,64 @@ def test_forecast_dataset_fails_every_series_on_a_batch_error():
     assert forecast_dataset(model, codebook, CONFIG, contexts) == [
         (item_id, None, "cannot scale a window with no observed values"
          if item_id == "synth-00001" else mismatch) for item_id, _ in contexts]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
+    dataset = small_dataset(6, seed=4)
+    codebook, model, _ = trained_inputs(dataset)
+    windows = make_windows(dataset, CONFIG)
+    broken = list(windows)
+    item_id, context, horizon = broken[1]
+    broken[1] = (item_id, np.full_like(context, np.nan), horizon)  # no observed context
+    item_id, context, horizon = broken[3]
+    broken[3] = (item_id, context, np.full_like(horizon, np.nan))  # no observed horizon
+    item_id, context, horizon = broken[4]
+    huge = np.tile([1.7e308, -1.7e308, -1.7e308], 22)[:CONFIG.context_length]
+    broken[4] = (item_id, huge, horizon)  # its mean overflows: non-finite scaled values
+    no_context = "cannot scale a window with no observed values"
+    non_finite = "input signal contains non-finite values"
+
+    pairs, failures = tokenize_windows(broken, CONFIG, codebook)
+    assert [(item_id, str(exc)) for item_id, exc in failures] == [
+        ("synth-00001", no_context),
+        ("synth-00003", "cannot fill a window with no observed values"),
+        ("synth-00004", non_finite)]
+    clean, none_failed = tokenize_windows([windows[i] for i in (0, 2, 5)], CONFIG, codebook)
+    assert none_failed == []
+    for (item_id, *got), (want_id, *want) in zip(pairs, clean, strict=True):
+        assert item_id == want_id
+        alone = tokenize_pair(*windows[int(item_id[-1])][1:], CONFIG.tokenizer_config(), codebook)
+        for stream, expected, single in zip(got, want, alone):
+            assert stream.tokens.tobytes() == expected.tokens.tobytes() == single.tokens.tobytes()
+            assert stream.scale == expected.scale == single.scale
+
+    sample, skipped = pool_coefficients(broken, CONFIG)
+    assert [(item_id, str(exc)) for item_id, exc in skipped] == [
+        ("synth-00001", no_context), ("synth-00004", non_finite)]
+    # the series without an observed horizon still pools its context
+    expected, _ = pool_coefficients([broken[i] for i in (0, 2, 3, 5)], CONFIG)
+    np.testing.assert_array_equal(sample, expected)
+
+    contexts = [(item_id, context) for item_id, context, _ in broken]
+    results = forecast_dataset(model, codebook, CONFIG, contexts)
+    assert [error for _, _, error in results] == [None, no_context, None, None, non_finite, None]
+    others = forecast_dataset(model, codebook, CONFIG, [contexts[i] for i in (0, 2, 3, 5)])
+    assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
+        (i, p.tobytes()) for i, p, _ in others]
+
+
+def test_tokenize_windows_fails_every_series_on_a_batch_error():
+    # level 2 fits the 64-step contexts but not the 16-step horizons
+    windows = make_windows(with_empty_context(small_dataset(), "synth-00001"), CONFIG)
+    codebook, _, _ = trained_inputs(small_dataset())
+    pairs, failures = tokenize_windows(windows, replace(CONFIG, level=2), codebook)
+    too_short = ("signal of length 16 is too short for level 2 with family 'bior2.2' "
+                 "(max level 1)")
+    assert pairs == []
+    assert [(item_id, str(exc)) for item_id, exc in failures] == [
+        (item_id, "cannot scale a window with no observed values"
+         if item_id == "synth-00001" else too_short) for item_id, _, _ in windows]
 
 
 def test_run_cell_trains_only_on_the_train_view(monkeypatch):

@@ -22,7 +22,7 @@ from wavets.seq_model import (
     sample_forecast,
     save_model,
 )
-from wavets.tokenizer import ScaleStats, TokenStream, detokenize, tokenize
+from wavets.tokenizer import ScaleStats, TokenStream, compute_scale, detokenize, tokenize
 
 CONFIG = RunConfig(context_length=64, horizon=16, vocab_budget=16, order=2)
 
@@ -36,7 +36,9 @@ def trained():
     codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
     model = MarkovModel(codebook.vocab_size, order=CONFIG.order, alpha=0.5).fit(
         [np.random.default_rng(0).integers(0, codebook.vocab_size, 2000)])
-    context = tokenize(windows[0][1], CONFIG.tokenizer_config(), codebook)
+    context_window = windows[0][1]
+    context = tokenize(context_window, compute_scale(context_window), CONFIG.tokenizer_config(),
+                       codebook)
     return model, codebook, context
 
 
@@ -46,7 +48,8 @@ def contexts(trained):
     than the order (1 and 0 tokens)."""
     _, codebook, context = trained
     windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=8), CONFIG)
-    streams = [tokenize(w[1], CONFIG.tokenizer_config(), codebook) for w in windows[:2]]
+    streams = [tokenize(w[1], compute_scale(w[1]), CONFIG.tokenizer_config(), codebook)
+               for w in windows[:2]]
     for n in (1, 0):
         streams.append(dataclasses.replace(
             context, tokens=context.tokens[len(context.tokens) - n:], segment_lengths=(n,),

@@ -5,7 +5,8 @@ import pytest
 
 from wavets.codebook import fit_codebook
 from wavets.dwt import CoefficientPyramid, coefficient_layout, decompose, reconstruct
-from wavets.families import get_family
+from wavets.families import available_families, get_family
+from wavets.thresholding import METHODS, ThresholdSpec, apply_threshold, estimate_sigma, fdrc_lambda
 from wavets.tokenizer import (
     ScaleStats,
     TokenizerConfig,
@@ -68,23 +69,90 @@ class TestForward:
         config = TokenizerConfig(family="haar", level=1)
         x = np.full(64, 7.0)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
-        stream = tokenize(x, config, cb)
+        stream = tokenize(x, compute_scale(x), config, cb)
         zero_token = cb.value_offset + int(np.where(cb.centers == 0.0)[0][0])
         assert np.all(stream.tokens == zero_token)
 
     def test_bior_512_layout(self):
         config = TokenizerConfig(family="bior2.2", level=1)
         x = np.random.default_rng(0).standard_normal(512)
-        stream = tokenize(x, config, fitted_codebook(x, config))
+        stream = tokenize(x, compute_scale(x), config, fitted_codebook(x, config))
         assert stream.segment_lengths == (258, 258)
         assert len(stream.tokens) == 516
 
     def test_segment_order_matches_layout(self):
         config = TokenizerConfig(family="db2", level=3)
         x = np.random.default_rng(1).standard_normal(400)
-        stream = tokenize(x, config, fitted_codebook(x, config))
+        stream = tokenize(x, compute_scale(x), config, fitted_codebook(x, config))
         layout = coefficient_layout(400, get_family("db2"), 3)
         assert list(stream.segment_lengths) == layout
+
+
+def stacked_windows(config, n=83):
+    """Rows of every kind the forward path treats apart: a noise row on
+    which fdrc finds nothing, a spike fdrc keeps, a constant row and a
+    step (for haar, their finest details have zero spread), two gappy
+    rows and a trend."""
+    family = get_family(config.family)
+    for seed in range(100):
+        quiet = np.random.default_rng(seed).standard_normal(n)
+        scale = compute_scale(quiet)
+        z = (quiet - scale.mu) / scale.sigma
+        details = decompose(z, family, config.level, config.boundary_mode).details
+        if np.isinf(fdrc_lambda(np.concatenate(details), estimate_sigma(details[-1]), 0.05)[0]):
+            break
+    rng = np.random.default_rng(23)
+    spike = rng.standard_normal(n)
+    spike[n // 2] += 40.0
+    gappy, edges = rng.standard_normal(n), rng.standard_normal(n) + 3.0
+    gappy[10:30] = np.nan
+    edges[:7], edges[-5:] = np.nan, np.nan
+    trend = np.linspace(-5.0, 20.0, n) + rng.standard_normal(n)
+    step = np.where(np.arange(n) < 41, 4.0, 9.0)
+    return np.array([quiet, spike, np.full(n, 4.0), step, gappy, edges, trend])
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
+    @pytest.mark.parametrize("name", available_families())
+    def test_each_row_tokenizes_as_alone(self, name, mode, method):
+        cb = fit_codebook(np.linspace(-6.0, 6.0, 4001), 4096, (-30.0, 30.0))
+        family = get_family(name)
+        for level in (1, 2, 3):
+            config = TokenizerConfig(family=name, level=level, boundary_mode=mode,
+                                     threshold=ThresholdSpec(method=method))
+            windows = stacked_windows(config)
+            scales = [compute_scale(row) for row in windows]
+            scale = ScaleStats(mu=np.array([s.mu for s in scales]),
+                               sigma=np.array([s.sigma for s in scales]))
+            stacked = tokenize(windows, scale, config, cb, append_eos=True)
+            z = (fill_missing(windows) - scale.mu[:, None]) / scale.sigma[:, None]
+            pyramid = apply_threshold(decompose(z, family, level, mode), config.threshold)
+            assert len(stacked.rows()) == len(windows)
+            for i, (row, row_scale, stream) in enumerate(zip(windows, scales, stacked.rows())):
+                alone = tokenize(row, row_scale, config, cb, append_eos=True)
+                assert stream.tokens.tobytes() == alone.tokens.tobytes(), (level, i)
+                assert stream.scale == alone.scale == row_scale
+                assert stream.segment_lengths == alone.segment_lengths
+                # the coefficients, not just their bins, are bit-identical
+                z_row = (fill_missing(row) - row_scale.mu) / row_scale.sigma
+                single = apply_threshold(decompose(z_row, family, level, mode), config.threshold)
+                for got, want in zip((pyramid.approx, *pyramid.details),
+                                     (single.approx, *single.details)):
+                    assert got[i].tobytes() == want.tobytes(), (level, i)
+            if method == "fdrc":
+                # no discovery on the quiet row: every detail becomes +0.0
+                assert all(np.all(d[0] == 0.0) and not np.signbit(d[0]).any()
+                           for d in pyramid.details)
+                # a row whose finest details have zero spread passes unchanged
+                raw = decompose(z, family, level, mode)
+                zero_spread = estimate_sigma(raw.details[-1][3]) == 0.0
+                assert zero_spread or name != "haar"
+                if zero_spread:
+                    assert any(d[3].any() for d in raw.details)
+                    for got, want in zip(pyramid.details, raw.details):
+                        assert got[3].tobytes() == want[3].tobytes()
 
 
 class TestRoundTrip:
@@ -94,7 +162,7 @@ class TestRoundTrip:
         for _ in range(10):
             x = rng.standard_normal(512) * rng.uniform(0.5, 20) + rng.uniform(-50, 50)
             cb = fitted_codebook(x, config)
-            stream = tokenize(x, config, cb)
+            stream = tokenize(x, compute_scale(x), config, cb)
             recon = detokenize(stream, cb)
             rmse = np.sqrt(np.mean((recon - x) ** 2))
             assert rmse <= (cb.bin_width / 2) * stream.scale.sigma + 1e-12
@@ -105,7 +173,7 @@ class TestRoundTrip:
         for _ in range(10):
             x = rng.standard_normal(512) * 5.0
             cb = fitted_codebook(x, config)
-            stream = tokenize(x, config, cb)
+            stream = tokenize(x, compute_scale(x), config, cb)
             recon = detokenize(stream, cb)
             rmse = np.sqrt(np.mean((recon - x) ** 2))
             assert rmse <= BIOR22_SYNTHESIS_GAIN * (cb.bin_width / 2) * stream.scale.sigma
@@ -134,9 +202,9 @@ class TestInvariances:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(256)
         cb = fitted_codebook(x, config)
-        base = tokenize(x, config, cb).tokens
-        assert np.array_equal(base, tokenize(x + 1234.5, config, cb).tokens)
-        assert np.array_equal(base, tokenize(x * 99.25, config, cb).tokens)
+        base = tokenize(x, compute_scale(x), config, cb).tokens
+        for moved in (x + 1234.5, x * 99.25):
+            assert np.array_equal(base, tokenize(moved, compute_scale(moved), config, cb).tokens)
 
 
 class TestPairs:
@@ -192,7 +260,7 @@ class TestMissing:
         x = rng.standard_normal(128)
         cb = fitted_codebook(np.nan_to_num(x), config)
         x[:40] = np.nan
-        stream = tokenize(x, config, cb)
+        stream = tokenize(x, compute_scale(x), config, cb)
         # level-1 coefficients 0..19 of both bands cover only missing samples
         n_pad = int(np.sum(stream.tokens == cb.pad_id))
         assert n_pad == 40
@@ -274,7 +342,7 @@ class TestErrors:
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         x = np.random.default_rng(10).standard_normal(32)
-        stream = tokenize(x, config, cb)
+        stream = tokenize(x, compute_scale(x), config, cb)
         corrupted = TokenStream(
             tokens=np.where(np.arange(len(stream.tokens)) == 3, cb.eos_id, stream.tokens),
             segment_lengths=stream.segment_lengths,
