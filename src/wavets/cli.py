@@ -8,10 +8,14 @@ files and prints summaries.
 
 Configuration precedence is flags > config file (YAML or JSON) > the
 defaults of :class:`~wavets.pipeline.RunConfig`, whose fields also name the
-flags and config keys. Every output embeds the configuration fingerprint,
-and commands refuse to mix artifacts with mismatched fingerprints. Each
-failed series gets its own ``error:`` line while the rest are still
-processed, and the command then exits with status 1.
+flags and config keys. Every output carries the configuration fingerprint,
+and those made with a codebook its hash, in its ``__meta__`` header. That
+header is the only record of how an artifact was made, so commands refuse
+one whose header lacks or mismatches what they expect. A token file holds
+``{item_id, kind, tokens, mu, sigma}`` records, ``kind`` being ``context``
+or ``horizon`` (which ends with EOS). Each failed series or record gets
+its own ``error:`` line while the rest are still processed, and the
+command then exits with status 1.
 """
 
 from __future__ import annotations
@@ -33,20 +37,21 @@ from .codebook import Codebook, codebook_hash, fit_codebook, load_codebook, save
 from .data_io import load_dataset, save_dataset
 from .data_synth import make_dataset
 from .dwt import decompose  # noqa: F401  kept bound here: bench/tests patch every binding of it
-from .exceptions import FingerprintMismatchError, WavetsError
+from .exceptions import FingerprintMismatchError, SchemaError, WavetsError
 from .metrics import aggregate_relative, average_rank
 from .pipeline import (
     RunConfig,
+    detokenize_windows,
     evaluate_dataset,
     forecast_dataset,
     make_windows,
     pool_coefficients,
+    read_token_records,
     run_cell,
     tokenize_windows,
     train_model,
 )
 from .seq_model import load_model, save_model
-from .tokenizer import detokenize, stream_from_record, stream_to_record
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
@@ -78,13 +83,14 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _check_meta(meta: dict, source, config: RunConfig, codebook: Codebook | None = None):
-    """Refuse an artifact made under another codebook or configuration."""
+    """Refuse an artifact whose header lacks or mismatches the codebook or configuration."""
     expected = [("codebook", codebook_hash(codebook))] if codebook is not None else []
     for key, want in expected + [("fingerprint", config.fingerprint())]:
-        found = meta.get(key)
-        if found is not None and found != want:
+        if key not in meta:
+            raise SchemaError(f"{source} has no {key} in its __meta__ header")
+        if meta[key] != want:
             raise FingerprintMismatchError(
-                f"{source} was produced under {key} {found}, current {key} is {want}"
+                f"{source} was produced under {key} {meta[key]}, current {key} is {want}"
             )
 
 
@@ -92,6 +98,8 @@ def _read_records(path):
     """The ``__meta__`` mapping and the other records of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
+    if not all(isinstance(r, dict) for r in records):
+        raise SchemaError(f"{path} must hold one JSON object per line")
     meta = next((r["__meta__"] for r in records if "__meta__" in r), {})
     return meta, [r for r in records if "__meta__" not in r]
 
@@ -103,9 +111,11 @@ def _write_jsonl(path, meta: dict, records):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _report(failures, kind: str = "series") -> int:
-    for item_id, exc in failures:
-        print(f"error: {kind} {item_id!r}: {exc}", file=sys.stderr)
+def _report(failures, noun: str = "series") -> int:
+    """Print one ``error:`` line per failure; return the exit status."""
+    for item_id, *kind, exc in failures:
+        print(f"error: {' '.join([noun, repr(item_id), *map(str, kind)])}: {exc}",
+              file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -149,8 +159,8 @@ def cmd_tokenize(args) -> int:
     _write_jsonl(args.out, {
         "fingerprint": fingerprint, "codebook": codebook_hash(codebook),
         "family": config.family, "level": config.level},
-        ({"item_id": item_id, "kind": kind, **stream_to_record(stream)}
-         for item_id, kind, stream in streams))
+        ({"item_id": item_id, "kind": kind, "tokens": stream.tokens.tolist(),
+          "mu": stream.scale.mu, "sigma": stream.scale.sigma} for item_id, kind, stream in streams))
     n_tokens = sum(len(stream.tokens) for _, _, stream in streams)
     n_pad = sum(int(np.sum(stream.tokens == codebook.pad_id)) for _, _, stream in streams)
     pad_rate = n_pad / n_tokens if n_tokens else 0.0
@@ -163,31 +173,22 @@ def cmd_detokenize(args) -> int:
     codebook = load_codebook(args.codebook)
     meta, records = _read_records(args.tokens)
     _check_meta(meta, args.tokens, config, codebook)
-    reference = {}
+    windows, failures = detokenize_windows(records, config, codebook)
+    _write_jsonl(args.out, meta, ({"item_id": item_id, "kind": kind, "values": values.tolist()}
+                                  for item_id, kind, values in windows))
     if args.reference:
-        for item_id, context, horizon in make_windows(load_dataset(args.reference), config):
-            reference[(item_id, "context")] = context
-            reference[(item_id, "horizon")] = horizon
-    errors = []
-    failures = []
-    outputs = []
-    for record in records:
-        try:
-            values = detokenize(stream_from_record(record), codebook)
-        except Exception as exc:  # per-record isolation
-            failures.append((record.get("item_id"), exc))
-            continue
-        outputs.append((record["item_id"], record["kind"], values))
-        truth = reference.get((record["item_id"], record["kind"]))
-        if truth is not None:
+        truths = {(item_id, kind): truth
+                  for item_id, *pair in make_windows(load_dataset(args.reference), config)
+                  for kind, truth in zip(("context", "horizon"), pair)}
+        errors = []
+        for item_id, kind, values in windows:
+            truth = truths.get((item_id, kind), np.array([np.nan]))  # none: nothing observed
             observed = np.isfinite(truth)
             if observed.any():
                 errors.append(float(np.sqrt(np.mean((values[observed] - truth[observed]) ** 2))))
-    _write_jsonl(args.out, meta, ({"item_id": item_id, "kind": kind, "values": values.tolist()}
-                                  for item_id, kind, values in outputs))
-    if errors:
-        print(f"reconstruction RMSE over {len(errors)} windows: mean {np.mean(errors):.6g} "
-              f"max {np.max(errors):.6g}")
+        if errors:
+            print(f"reconstruction RMSE over {len(errors)} windows: mean {np.mean(errors):.6g} "
+                  f"max {np.max(errors):.6g}")
     print(f"wrote {args.out}")
     return _report(failures, "record")
 
@@ -197,19 +198,16 @@ def cmd_train(args) -> int:
     codebook = load_codebook(args.codebook)
     meta, records = _read_records(args.tokens)
     _check_meta(meta, args.tokens, config, codebook)
-    by_item: dict[str, dict] = {}
-    for record in records:
-        by_item.setdefault(record["item_id"], {})[record["kind"]] = stream_from_record(record)
-    corpus = [
-        (streams["context"], streams["horizon"])
-        for streams in by_item.values()
-        if "context" in streams and "horizon" in streams
-    ]
+    kinds, failed = read_token_records(records, config, codebook)
+    streams = {(records[i]["item_id"], kind): row
+               for kind, (rows, stack) in kinds.items() for i, row in zip(rows, stack.rows())}
+    corpus = [(ctx, streams[item_id, "horizon"]) for (item_id, kind), ctx in streams.items()
+              if kind == "context" and (item_id, "horizon") in streams]
     model = train_model(corpus, config, codebook)
     save_model(model, args.out, meta={
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook)})
     print(f"trained order-{config.order} model on {len(corpus)} pairs -> {args.out}")
-    return 0
+    return _report(failed.values(), "record")
 
 
 _WORKER_STATE: dict = {}

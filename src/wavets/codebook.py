@@ -129,6 +129,13 @@ def quantize(values: np.ndarray, codebook: Codebook) -> np.ndarray:
     return np.where(missing, codebook.pad_id, tokens).astype(np.int64)
 
 
+def check_token_ids(tokens: np.ndarray, codebook: Codebook) -> None:
+    """Refuse an integer array holding any id outside the vocabulary."""
+    bad = (tokens < 0) | (tokens >= codebook.vocab_size)
+    if np.any(bad):
+        raise ValueError(f"token id(s) {np.unique(tokens[bad]).tolist()} outside the vocabulary")
+
+
 def dequantize(tokens: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Map an array of token ids back to bin centers.
 
@@ -138,9 +145,7 @@ def dequantize(tokens: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, np.n
     arr = np.asarray(tokens, dtype=np.int64)
     if np.any(arr == codebook.eos_id):
         raise ValueError("cannot dequantize the EOS token")
-    bad = (arr < 0) | (arr >= codebook.vocab_size)
-    if np.any(bad):
-        raise ValueError(f"token id(s) {np.unique(arr[bad])!r} outside the vocabulary")
+    check_token_ids(arr, codebook)
     missing = arr == codebook.pad_id
     idx = np.where(missing, 0, arr - codebook.value_offset)
     values = np.where(missing, 0.0, codebook.centers[idx])

@@ -7,9 +7,9 @@ wavelet coefficients of the training windows (contexts and horizons), and
 the Markov model is trained on their token pairs. Forecasts start from the
 tokenized context and are scored on the held-out horizon by WQL, MASE and
 VRSE, next to the seasonal-naive baseline, whose seasons stay aligned in
-time across missing context values. A command tokenizes each window
-kind (contexts, horizons) of all its series as one stack on the last axis,
-and :func:`forecast_dataset` advances all sample paths together. Series
+time across missing context values. A command tokenizes, or inverts, each
+window kind (contexts, horizons) of all its series as one stack on the last
+axis, and :func:`forecast_dataset` advances all sample paths together. Series
 ``item_id`` samples with the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``,
 so its paths do not depend on the rest of the batch or on the worker that
 runs it. A series that cannot be used fails alone, not the run: a context
@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .codebook import Codebook, fit_codebook
+from .codebook import Codebook, check_token_ids, fit_codebook
 from .data_io import Dataset, split_last_h
-from .dwt import decompose
+from .dwt import coefficient_layout, decompose
 from .exceptions import WavetsError
 from .families import get_family
 from .metrics import (
@@ -45,7 +45,11 @@ from .metrics import (
 )
 from .seq_model import MarkovModel, sample_forecast, train_markov
 from .thresholding import ThresholdSpec, apply_threshold
-from .tokenizer import ScaleStats, TokenizerConfig, compute_scale, fill_missing, pad_to_length, tokenize
+from .tokenizer import (ScaleStats, TokenizerConfig, TokenStream, compute_scale, detokenize,
+                        fill_missing, pad_to_length, tokenize)
+
+_RECORD_FIELDS = ("item_id", "kind", "tokens", "mu", "sigma")
+_WINDOW_FIELDS = {"context": "context_length", "horizon": "horizon"}  # RunConfig length field
 
 
 def _option(default, help_text=None):
@@ -195,6 +199,60 @@ def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
         rows, streams = (), []
     pairs = [(windows[i][0], *pair) for i, *pair in zip(rows, *streams)]
     return pairs, [(windows[i][0], failed[i]) for i in sorted(failed)]
+
+
+def read_token_records(records, config: RunConfig, codebook: Codebook):
+    """Stack the valid token records ``{item_id, kind, tokens, mu, sigma}``
+    of each kind as ``{kind: (indices, stream)}``; map each invalid one's
+    index to ``(item_id, kind, error)``. A record is invalid when a field is
+    missing, its kind is unknown, its token count is not its window's
+    layout (plus a horizon's EOS), an id is outside the vocabulary, or an
+    EOS sits anywhere but the last position of a horizon."""
+    family = get_family(config.family)
+    rows, failed = {}, {}
+    for i, record in enumerate(records):
+        item_id, kind = record.get("item_id"), record.get("kind")
+        try:
+            missing = [key for key in _RECORD_FIELDS if key not in record]
+            if missing:
+                raise ValueError(f"missing field(s) {', '.join(missing)}")
+            if not isinstance(item_id, str) or kind not in _WINDOW_FIELDS:
+                raise ValueError(f"need a string item_id and a kind in {list(_WINDOW_FIELDS)}")
+            layout = coefficient_layout(getattr(config, _WINDOW_FIELDS[kind]), family,
+                                        config.level, config.boundary_mode)
+            eos = [sum(layout)] if kind == "horizon" else []
+            tokens = np.asarray(record["tokens"])
+            if (tokens.ndim != 1 or tokens.dtype.kind not in "iu"
+                    or len(tokens) != sum(layout) + len(eos)):
+                raise ValueError(f"tokens must be {sum(layout) + len(eos)} integer ids for the "
+                                 f"layout {layout}{' and EOS' if eos else ''}, got {tokens.dtype} of shape "
+                                 f"{tokens.shape}")
+            check_token_ids(tokens, codebook)
+            at = np.flatnonzero(tokens == codebook.eos_id).tolist()
+            if at != eos:
+                raise ValueError(f"EOS token at position(s) {at}, expected {eos}")
+            rows.setdefault(kind, []).append((i, tokens, float(record["mu"]), float(record["sigma"])))
+        except (TypeError, ValueError) as exc:
+            failed[i] = (item_id, kind, exc)
+    return {kind: (indices, TokenStream(np.stack(tokens), ScaleStats(np.array(mu), np.array(sigma)),
+                                        has_eos=kind == "horizon"))
+            for kind, (indices, tokens, mu, sigma) in ((k, zip(*v)) for k, v in rows.items())}, failed
+
+
+def detokenize_windows(records, config: RunConfig, codebook: Codebook):
+    """``(item_id, kind, values)`` per valid token record and ``(item_id,
+    kind, error)`` per invalid one, in input order. Each kind is inverted in
+    one call; an error of the whole batch fails every record of its kind."""
+    kinds, failed = read_token_records(records, config, codebook)
+    values = {}
+    for kind, (rows, stream) in kinds.items():
+        try:
+            values.update(zip(rows, detokenize(stream, getattr(config, _WINDOW_FIELDS[kind]),
+                                               config.tokenizer_config(), codebook)))
+        except Exception as exc:  # fails every record of the kind
+            failed.update((i, (records[i]["item_id"], kind, exc)) for i in rows)
+    return ([(records[i]["item_id"], records[i]["kind"], values[i]) for i in sorted(values)],
+            [failed[i] for i in sorted(failed)])
 
 
 def train_model(corpus, config: RunConfig, codebook: Codebook) -> MarkovModel:

@@ -251,9 +251,8 @@ def sample_forecast(
         )
     if temperature < 0:
         raise ValueError(f"temperature must be non-negative, got {temperature}")
-    family = get_family(config.family)
-    layout = coefficient_layout(horizon_length, family, config.level, config.boundary_mode)
-    n_tokens = sum(layout)
+    n_tokens = sum(coefficient_layout(horizon_length, get_family(config.family), config.level,
+                                      config.boundary_mode))
     if temperature > 0.0:
         uniforms = np.array([
             np.random.default_rng(child).random(n_tokens)
@@ -292,17 +291,9 @@ def sample_forecast(
         windows[:, -1] = generated[:, step]
     keep = ~failed[series]
     mu, sigma = np.array([(c.scale.mu, c.scale.sigma) for c in contexts]).reshape(-1, 2).T
-    stream = TokenStream(
-        tokens=generated[keep],
-        segment_lengths=tuple(layout),
-        scale=ScaleStats(mu=mu[series][keep], sigma=sigma[series][keep]),
-        family_name=family.name,
-        level=config.level,
-        source_length=horizon_length,
-        boundary_mode=config.boundary_mode,
-    )
+    scale = ScaleStats(mu=mu[series][keep], sigma=sigma[series][keep])
     paths = np.full((len(series), horizon_length), np.nan)
-    paths[keep] = detokenize(stream, codebook, family)
+    paths[keep] = detokenize(TokenStream(generated[keep], scale), horizon_length, config, codebook)
     return (paths.reshape(len(contexts), n_samples, horizon_length),
             ["sampling distribution has no mass" if f else None for f in failed.tolist()])
 

@@ -10,6 +10,10 @@ as PAD tokens.
 Inverse: dequantize (PAD contributes 0), rebuild the coefficient pyramid,
 apply the inverse transform and undo the scaling.
 
+A stream stores no band layout: :func:`detokenize` derives it from the
+:class:`TokenizerConfig` and the window length, so a token file record is
+just ``{item_id, kind, tokens, mu, sigma}``.
+
 Both directions work on the last axis: one stream can hold a
 ``(rows, n_tokens)`` token array with one scale per row, so
 :func:`tokenize` turns a stack of windows into one stream and
@@ -47,35 +51,20 @@ class TokenizerConfig:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Token ids in coarse-to-fine band order plus inversion metadata.
+    """Token ids in coarse-to-fine band order, the scale that inverts
+    them, and whether a single EOS token trails the coefficient tokens.
 
-    ``segment_lengths`` covers the coefficient tokens only; when
-    ``has_eos`` is set a single EOS token trails them. ``tokens`` may stack
-    several streams of the same layout along leading axes; ``scale`` then
-    holds arrays of the leading shape, one mean and deviation per stream.
+    ``tokens`` may stack several streams of the same layout along leading
+    axes; ``scale`` then holds arrays of the leading shape, one mean and
+    deviation per stream.
     """
 
     tokens: np.ndarray
-    segment_lengths: tuple[int, ...]
     scale: ScaleStats
-    family_name: str
-    level: int
-    source_length: int
-    boundary_mode: str = "symmetric"
     has_eos: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
-        expected = sum(self.segment_lengths) + (1 if self.has_eos else 0)
-        if self.tokens.shape[-1] != expected:
-            raise ValueError(
-                f"token count {self.tokens.shape[-1]} does not match segment lengths "
-                f"{self.segment_lengths} (EOS: {self.has_eos})"
-            )
-
-    @property
-    def coefficient_tokens(self) -> np.ndarray:
-        return self.tokens[..., :-1] if self.has_eos else self.tokens
 
     def rows(self) -> list[TokenStream]:
         """One stream per row of a ``(rows, n_tokens)`` stack."""
@@ -155,16 +144,7 @@ def tokenize(
               for band, obs in zip((pyramid.approx, *pyramid.details), observed)]
     if append_eos:
         tokens.append(np.full((*windows.shape[:-1], 1), codebook.eos_id))
-    return TokenStream(
-        tokens=np.concatenate(tokens, axis=-1),
-        segment_lengths=tuple(pyramid.segment_lengths()),
-        scale=scale,
-        family_name=family.name,
-        level=config.level,
-        source_length=windows.shape[-1],
-        boundary_mode=config.boundary_mode,
-        has_eos=append_eos,
-    )
+    return TokenStream(tokens=np.concatenate(tokens, axis=-1), scale=scale, has_eos=append_eos)
 
 
 def tokenize_pair(
@@ -184,67 +164,32 @@ def tokenize_pair(
             tokenize(horizon, scale, config, codebook, append_eos=True))
 
 
-def detokenize(stream: TokenStream, codebook: Codebook, family: WaveletFamily | None = None) -> np.ndarray:
-    """Invert a token stream back to a real-valued window, or a stack of
-    streams to one window per row.
+def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
+               codebook: Codebook) -> np.ndarray:
+    """Invert a token stream back to a real-valued window of ``length``
+    steps, or a stack of streams to one window per row.
 
-    PAD tokens contribute zero coefficients, so an all-PAD stream inverts
-    to the constant context mean.
+    The band layout follows from ``config`` and ``length``; a stream whose
+    coefficient-token count differs from it is refused. PAD tokens
+    contribute zero coefficients, so an all-PAD stream inverts to the
+    constant context mean.
     """
-    if family is None:
-        family = get_family(stream.family_name)
-    expected = coefficient_layout(
-        stream.source_length, family, stream.level, stream.boundary_mode
-    )
-    if list(stream.segment_lengths) != expected:
-        raise ValueError(
-            f"segment lengths {list(stream.segment_lengths)} inconsistent with "
-            f"source length {stream.source_length}: expected {expected}"
-        )
-    coeff_tokens = stream.coefficient_tokens
+    family = get_family(config.family)
+    layout = coefficient_layout(length, family, config.level, config.boundary_mode)
+    coeff_tokens = stream.tokens[..., :-1] if stream.has_eos else stream.tokens
+    if coeff_tokens.shape[-1] != sum(layout):
+        raise ValueError(f"{coeff_tokens.shape[-1]} coefficient tokens do not match the layout "
+                         f"{layout} of a length-{length} window")
     if np.any(coeff_tokens == codebook.eos_id):
         raise ValueError("EOS token inside a coefficient segment")
     values, _ = dequantize(coeff_tokens, codebook)
-    parts = np.split(values, np.cumsum(expected)[:-1], axis=-1)
-    pyramid = CoefficientPyramid(
-        approx=parts[0],
-        details=tuple(parts[1:]),
-        level=stream.level,
-        input_length=stream.source_length,
-        family_name=family.name,
-        boundary_mode=stream.boundary_mode,
-    )
+    parts = np.split(values, np.cumsum(layout)[:-1], axis=-1)
+    pyramid = CoefficientPyramid(approx=parts[0], details=tuple(parts[1:]), level=config.level,
+                                 input_length=length, family_name=family.name,
+                                 boundary_mode=config.boundary_mode)
     z = reconstruct(pyramid, family)
     sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)
     return z * sigma[..., None] + mu[..., None]
-
-
-def stream_to_record(stream: TokenStream) -> dict:
-    """Plain-JSON-serializable form of a token stream."""
-    return {
-        "tokens": stream.tokens.tolist(),
-        "segment_lengths": list(stream.segment_lengths),
-        "mu": stream.scale.mu,
-        "sigma": stream.scale.sigma,
-        "family": stream.family_name,
-        "level": stream.level,
-        "source_length": stream.source_length,
-        "boundary_mode": stream.boundary_mode,
-        "has_eos": stream.has_eos,
-    }
-
-
-def stream_from_record(record: dict) -> TokenStream:
-    return TokenStream(
-        tokens=np.asarray(record["tokens"], dtype=np.int64),
-        segment_lengths=tuple(record["segment_lengths"]),
-        scale=ScaleStats(mu=float(record["mu"]), sigma=float(record["sigma"])),
-        family_name=record["family"],
-        level=int(record["level"]),
-        source_length=int(record["source_length"]),
-        boundary_mode=record.get("boundary_mode", "symmetric"),
-        has_eos=bool(record.get("has_eos", False)),
-    )
 
 
 def pad_to_length(values: np.ndarray, length: int) -> np.ndarray:

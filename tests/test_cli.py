@@ -13,6 +13,7 @@ from wavets.codebook import load_codebook
 from wavets.data_io import load_dataset, save_dataset
 from wavets.data_synth import make_dataset
 from wavets.pipeline import RunConfig
+from wavets.seq_model import load_model, save_model
 
 FLAGS = ["--context-length", "64", "--horizon", "16", "--n-samples", "4", "--order", "2"]
 N_SERIES = 6
@@ -122,6 +123,99 @@ def test_refuses_codebook_mismatch_naming_the_codebook(tmp_path, capsys):
     assert err.startswith("error:") and "under codebook" in err and "current codebook" in err
     assert "fingerprint" not in err
     assert not (tmp_path / "model.json").exists()
+
+
+def rewrite_records(source, target, change):
+    """Copy a JSON-lines file, passing every record but the header through
+    ``change``, which returns the record to write or ``None`` to drop it."""
+    meta, *lines = source.read_text().splitlines()
+    records = [change(json.loads(line)) for line in lines]
+    target.write_text("\n".join([meta, *(json.dumps(r, sort_keys=True)
+                                         for r in records if r is not None)]) + "\n")
+
+
+def test_train_fails_each_bad_record_alone(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    tok, cb = tmp_path / "tokens.jsonl", tmp_path / "codebook.json"
+    bad = {("synth-00001", "horizon"): lambda r: r["tokens"].__setitem__(3, 99999),
+           ("synth-00002", "context"): lambda r: r["tokens"].__setitem__(0, -7),
+           ("synth-00004", "horizon"): lambda r: r.pop("mu")}
+
+    def corrupt(record):
+        bad.get((record["item_id"], record["kind"]), lambda r: None)(record)
+        return record
+
+    rewrite_records(tok, tmp_path / "bad.jsonl", corrupt)
+    rewrite_records(tok, tmp_path / "others.jsonl",
+                    lambda r: None if r["item_id"] in {k[0] for k in bad} else r)
+    code, out, err = run(["train", "--tokens", tmp_path / "bad.jsonl", "--codebook", cb,
+                          "--out", tmp_path / "bad-model.json", *FLAGS], capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "error: record 'synth-00001' horizon: token id(s) [99999] outside the vocabulary",
+        "error: record 'synth-00002' context: token id(s) [-7] outside the vocabulary",
+        "error: record 'synth-00004' horizon: missing field(s) mu"]
+    assert f"on {N_SERIES - 3} pairs" in out
+    # the other records train as if the bad series were not in the file
+    assert run(["train", "--tokens", tmp_path / "others.jsonl", "--codebook", cb,
+                "--out", tmp_path / "others-model.json", *FLAGS], capsys)[0] == 0
+    assert (tmp_path / "bad-model.json").read_bytes() == (
+        tmp_path / "others-model.json").read_bytes()
+
+
+def test_detokenize_fails_a_corrupted_record_alone(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    tok, cb = tmp_path / "tokens.jsonl", tmp_path / "codebook.json"
+
+    def corrupt(record):
+        if (record["item_id"], record["kind"]) == ("synth-00002", "context"):
+            record["tokens"][5] = 99999
+        return record
+
+    rewrite_records(tok, tmp_path / "bad.jsonl", corrupt)
+    code, out, err = run(["detokenize", "--tokens", tmp_path / "bad.jsonl", "--codebook", cb,
+                          "--out", tmp_path / "bad-detok.jsonl", "--reference",
+                          tmp_path / "data.jsonl", *FLAGS], capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "error: record 'synth-00002' context: token id(s) [99999] outside the vocabulary"]
+    assert f"RMSE over {2 * N_SERIES - 1} windows" in out
+    clean = (tmp_path / "detok.jsonl").read_text().splitlines()
+    lines = (tmp_path / "bad-detok.jsonl").read_text().splitlines()
+    assert lines == [line for line in clean
+                     if '"item_id": "synth-00002", "kind": "context"' not in line]
+    assert len(lines) == len(clean) - 1 == 2 * N_SERIES
+
+
+def test_refuses_an_artifact_without_a_header(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    cb, data = tmp_path / "codebook.json", tmp_path / "data.jsonl"
+    for name in ("tokens.jsonl", "forecast.jsonl"):
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        (tmp_path / f"bare-{name}").write_text("".join(lines[1:]))
+    save_model(load_model(tmp_path / "model.json"), tmp_path / "bare-model.json", meta={})
+    tokens, model = tmp_path / "bare-tokens.jsonl", tmp_path / "bare-model.json"
+    forecasts = tmp_path / "bare-forecast.jsonl"
+    out = tmp_path / "out"
+    for argv, source, key in [
+        (["train", "--tokens", tokens, "--codebook", cb], tokens, "codebook"),
+        (["detokenize", "--tokens", tokens, "--codebook", cb], tokens, "codebook"),
+        (["forecast", "--data", data, "--codebook", cb, "--model", model], model, "codebook"),
+        (["eval", "--data", data, "--forecasts", forecasts], forecasts, "fingerprint"),
+    ]:
+        code, _, err = run([*argv, "--out", out, *FLAGS], capsys)
+        assert (code, err.splitlines(), out.exists()) == (
+            1, [f"error: {source} has no {key} in its __meta__ header"], False), argv[0]
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "7"])
+def test_refuses_a_token_file_line_that_is_not_an_object(tmp_path, capsys, line):
+    round_trip(tmp_path, capsys)
+    tokens = tmp_path / "odd.jsonl"
+    tokens.write_text((tmp_path / "tokens.jsonl").read_text() + line + "\n")
+    code, _, err = run(["train", "--tokens", tokens, "--codebook", tmp_path / "codebook.json",
+                        "--out", tmp_path / "odd-model.json", *FLAGS], capsys)
+    assert (code, err.splitlines()) == (1, [f"error: {tokens} must hold one JSON object per line"])
 
 
 class TestConfig:

@@ -108,7 +108,8 @@ class TestMapping:
         cb = small_codebook()
         with pytest.raises(ValueError):
             center(cb.eos_id, cb)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=rf"^token id\(s\) \[{cb.vocab_size}\] outside the vocabulary$"):
             center(cb.vocab_size, cb)
 
     def test_special_ids_disjoint(self):

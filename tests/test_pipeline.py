@@ -12,16 +12,20 @@ import wavets.pipeline as pipeline
 from wavets.codebook import fit_codebook
 from wavets.data_io import Dataset, TimeSeries, split_last_h
 from wavets.data_synth import make_dataset
+from wavets.dwt import coefficient_layout
 from wavets.exceptions import WavetsError
+from wavets.families import get_family
 from wavets.metrics import (
     QUANTILE_LEVELS, mase, sample_quantiles, seasonal_naive, seasonality_for_freq, vrse, wql,
 )
 from wavets.pipeline import (
     RunConfig,
+    detokenize_windows,
     evaluate_dataset,
     forecast_dataset,
     make_windows,
     pool_coefficients,
+    read_token_records,
     run_cell,
     series_seed,
     tokenize_windows,
@@ -195,12 +199,13 @@ def test_run_cell_trains_only_on_the_train_view(monkeypatch):
     (corpus,) = corpora
     train_view, _ = split_last_h(dataset, CONFIG.horizon)
     h = CONFIG.horizon
+    layout = coefficient_layout(h, get_family(CONFIG.family), CONFIG.level)
     for (ctx, hor), series in zip(corpus, train_view.series):
         # the training pair is the train view's last window: it ends before the scored horizon
         context = pad_to_length(series.values[:-h], CONFIG.context_length)
         assert ctx.scale == compute_scale(context)
         assert hor.scale == ctx.scale
-        assert hor.source_length == h
+        assert len(hor.tokens) == sum(layout) + 1 and hor.has_eos
     assert len(corpus) == len(dataset)
 
 
@@ -278,3 +283,122 @@ def test_evaluate_dataset_keeps_the_seasons_of_a_gappy_context_in_time():
              if np.isfinite(context[t]) and np.isfinite(context[t + 24])]
     assert len(pairs) == 35
     assert scores[("model", "mase")] == pytest.approx(35 / 16 * 16 / sum(pairs), rel=1e-12)
+
+
+def token_records(pairs):
+    """The records ``tokenize`` writes for ``tokenize_windows`` pairs."""
+    return [{"item_id": item_id, "kind": kind, "tokens": stream.tokens.tolist(),
+             "mu": stream.scale.mu, "sigma": stream.scale.sigma}
+            for item_id, *streams in pairs for kind, stream in zip(("context", "horizon"), streams)]
+
+
+def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
+    dataset = small_dataset(4, seed=5)
+    codebook, _, _ = trained_inputs(dataset)
+    pairs, _ = tokenize_windows(make_windows(dataset, CONFIG), CONFIG, codebook)
+    # a record written before the layout left the records keeps its extra keys
+    old = {"segment_lengths": [1], "family": "haar", "level": 9, "source_length": 3,
+           "boundary_mode": "periodization", "has_eos": False}
+    kinds, failed = read_token_records([{**old, **r} for r in token_records(pairs)], CONFIG,
+                                       codebook)
+    assert failed == {} and list(kinds) == ["context", "horizon"]
+    for k, kind in enumerate(kinds):
+        rows, stack = kinds[kind]
+        assert rows == tuple(range(k, 2 * len(pairs), 2))
+        assert stack.has_eos == (kind == "horizon")
+        for row, (_, *pair) in zip(stack.rows(), pairs, strict=True):
+            assert row.tokens.tobytes() == pair[k].tokens.tobytes()
+            assert row.scale == pair[k].scale and row.has_eos == pair[k].has_eos
+
+
+@pytest.mark.parametrize("index, corrupt, message", [
+    (2, lambda r: r.pop("mu"), "missing field(s) mu"),
+    (2, lambda r: r.update(kind="middle"), "need a string item_id and a kind in ['context', 'horizon']"),
+    (2, lambda r: r.update(item_id=7), "need a string item_id and a kind in ['context', 'horizon']"),
+    (2, lambda r: r.update(tokens=[r["tokens"]]),
+     "tokens must be 68 integer ids for the layout [34, 34], got int64 of shape (1, 68)"),
+    (2, lambda r: r.update(tokens=[float(t) for t in r["tokens"]]),
+     "tokens must be 68 integer ids for the layout [34, 34], got float64 of shape (68,)"),
+    (2, lambda r: r["tokens"].pop(),
+     "tokens must be 68 integer ids for the layout [34, 34], got int64 of shape (67,)"),
+    (3, lambda r: r["tokens"].pop(),
+     "tokens must be 21 integer ids for the layout [10, 10] and EOS, got int64 of shape (20,)"),
+    (3, lambda r: r["tokens"].__setitem__(4, 99999),
+     "token id(s) [99999] outside the vocabulary"),
+    (2, lambda r: r["tokens"].__setitem__(4, -7), "token id(s) [-7] outside the vocabulary"),
+    (2, lambda r: r["tokens"].__setitem__(4, 1), "EOS token at position(s) [4], expected []"),
+    (3, lambda r: r["tokens"].__setitem__(4, 1), "EOS token at position(s) [4, 20], expected [20]"),
+    (3, lambda r: r["tokens"].__setitem__(20, 2), "EOS token at position(s) [], expected [20]"),
+    (3, lambda r: r.update(sigma=None),
+     "float() argument must be a string or a real number, not 'NoneType'"),
+])
+def test_a_bad_token_record_fails_alone(index, corrupt, message):
+    dataset = small_dataset(4, seed=5)
+    codebook, _, _ = trained_inputs(dataset)
+    pairs, _ = tokenize_windows(make_windows(dataset, CONFIG), CONFIG, codebook)
+    records = token_records(pairs)
+    clean, _ = read_token_records(records, CONFIG, codebook)
+    corrupt(records[index])
+    kinds, failed = read_token_records(records, CONFIG, codebook)
+    assert [(i, str(exc)) for i, (_, _, exc) in failed.items()] == [(index, message)]
+    assert failed[index][:2] == (records[index]["item_id"], records[index]["kind"])
+    assert list(kinds) == list(clean)
+    for kind, (rows, stack) in kinds.items():
+        clean_rows, clean_stack = clean[kind]
+        keep = [j for j, i in enumerate(clean_rows) if i != index]
+        assert list(rows) == [clean_rows[j] for j in keep]
+        assert stack.tokens.tobytes() == clean_stack.tokens[keep].tobytes()
+        assert stack.scale.mu.tobytes() == clean_stack.scale.mu[keep].tobytes()
+        assert stack.scale.sigma.tobytes() == clean_stack.scale.sigma[keep].tobytes()
+
+
+def test_detokenize_windows_inverts_each_kind_in_one_call(monkeypatch):
+    dataset = small_dataset(4, seed=5)
+    codebook, _, _ = trained_inputs(dataset)
+    pairs, _ = tokenize_windows(make_windows(dataset, CONFIG), CONFIG, codebook)
+    records = token_records(pairs)
+    records[5]["tokens"][0] = 99999
+    calls = []
+    original = pipeline.detokenize
+
+    def spy(stream, length, *args):
+        calls.append((stream.tokens.shape, length))
+        return original(stream, length, *args)
+
+    monkeypatch.setattr(pipeline, "detokenize", spy)
+    windows, failures = detokenize_windows(records, CONFIG, codebook)
+    assert calls == [((4, 68), 64), ((3, 21), 16)]
+    assert [(item_id, kind, str(exc)) for item_id, kind, exc in failures] == [
+        ("synth-00002", "horizon", "token id(s) [99999] outside the vocabulary")]
+    assert [(item_id, kind) for item_id, kind, _ in windows] == [
+        (r["item_id"], r["kind"]) for i, r in enumerate(records) if i != 5]
+    # each stacked row equals the row inverted alone
+    alone = {}
+    for kind, (rows, stack) in read_token_records(records, CONFIG, codebook)[0].items():
+        length = CONFIG.context_length if kind == "context" else CONFIG.horizon
+        for i, row in zip(rows, stack.rows()):
+            alone[i] = original(row, length, CONFIG.tokenizer_config(), codebook).tobytes()
+    assert [values.tobytes() for _, _, values in windows] == [alone[i] for i in sorted(alone)]
+
+
+def test_detokenize_windows_fails_every_record_of_a_kind_on_a_batch_error(monkeypatch):
+    dataset = small_dataset(4, seed=5)
+    codebook, _, _ = trained_inputs(dataset)
+    pairs, _ = tokenize_windows(make_windows(dataset, CONFIG), CONFIG, codebook)
+    records = token_records(pairs)
+    records[2].pop("sigma")
+    original = pipeline.detokenize
+
+    def horizons_fail(stream, length, *args):
+        if length == CONFIG.horizon:
+            raise ValueError("batch error")
+        return original(stream, length, *args)
+
+    monkeypatch.setattr(pipeline, "detokenize", horizons_fail)
+    windows, failures = detokenize_windows(records, CONFIG, codebook)
+    assert [(item_id, kind) for item_id, kind, _ in windows] == [
+        (r["item_id"], r["kind"]) for i, r in enumerate(records)
+        if r["kind"] == "context" and i != 2]
+    assert [(item_id, kind, str(exc)) for item_id, kind, exc in failures] == [
+        (r["item_id"], r["kind"], "missing field(s) sigma" if i == 2 else "batch error")
+        for i, r in enumerate(records) if i == 2 or r["kind"] == "horizon"]

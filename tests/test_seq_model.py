@@ -52,7 +52,7 @@ def contexts(trained):
                for w in windows[:2]]
     for n in (1, 0):
         streams.append(dataclasses.replace(
-            context, tokens=context.tokens[len(context.tokens) - n:], segment_lengths=(n,),
+            context, tokens=context.tokens[len(context.tokens) - n:],
             scale=ScaleStats(mu=float(n), sigma=2.0)))
     return streams
 
@@ -81,12 +81,8 @@ def reference_sample(model, context, horizon_length, config, codebook, n_samples
             if temperature != 1.0:
                 probs = probs ** (1.0 / temperature)
             generated.append(int(rng.choice(len(probs), p=probs / probs.sum())))
-        stream = TokenStream(
-            tokens=generated, segment_lengths=tuple(layout), scale=context.scale,
-            family_name=family.name, level=config.level, source_length=horizon_length,
-            boundary_mode=config.boundary_mode,
-        )
-        paths[s] = detokenize(stream, codebook, family)
+        paths[s] = detokenize(TokenStream(tokens=generated, scale=context.scale),
+                              horizon_length, config, codebook)
     return paths
 
 
@@ -229,16 +225,14 @@ def test_context_shorter_than_order_matches_reference_loops(trained, n_context):
     rng = np.random.default_rng(4)
     model = MarkovModel(codebook.vocab_size, order=3, alpha=0.5).fit(
         [rng.integers(0, codebook.vocab_size, 3000)])
-    short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:],
-                                segment_lengths=(n_context,), has_eos=False)
+    short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:])
     config = CONFIG.tokenizer_config()
     for temperature in (1.0, 0.0):
         paths, _ = sample_forecast(model, [short], 16, config, codebook, [11], n_samples=6,
                                    temperature=temperature)
         np.testing.assert_array_equal(
             paths[0], reference_sample(model, short, 16, config, codebook, 6, temperature, 11))
-    horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20),
-                                  segment_lengths=(20,), has_eos=False)
+    horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20))
     assert (horizon.tokens == codebook.pad_id).any()
     assert cross_entropy(model, short, horizon, codebook.pad_id) == pytest.approx(
         reference_cross_entropy(model, short, horizon, codebook.pad_id), rel=1e-12)
@@ -410,8 +404,7 @@ def test_cross_entropy_by_hand():
                                                               skip_targets=frozenset({0}))
 
     def stream(tokens):
-        return TokenStream(tokens=tokens, segment_lengths=(len(tokens),), scale=None,
-                           family_name="haar", level=1, source_length=len(tokens))
+        return TokenStream(tokens=tokens, scale=None)
 
     # P(1 | 2) = 2/5, the PAD target is skipped, P(3 | 0) = 1/4.
     loss = cross_entropy(model, stream([2]), stream([1, 0, 3]), pad_id=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavets.codebook import fit_codebook
+from wavets.codebook import fit_codebook, quantize
 from wavets.dwt import CoefficientPyramid, coefficient_layout, decompose, reconstruct
 from wavets.families import available_families, get_family
 from wavets.thresholding import METHODS, ThresholdSpec, apply_threshold, estimate_sigma, fdrc_lambda
@@ -15,8 +15,6 @@ from wavets.tokenizer import (
     detokenize,
     fill_missing,
     pad_to_length,
-    stream_from_record,
-    stream_to_record,
     _band_observed,
     tokenize,
     tokenize_pair,
@@ -77,15 +75,19 @@ class TestForward:
         config = TokenizerConfig(family="bior2.2", level=1)
         x = np.random.default_rng(0).standard_normal(512)
         stream = tokenize(x, compute_scale(x), config, fitted_codebook(x, config))
-        assert stream.segment_lengths == (258, 258)
+        assert coefficient_layout(512, get_family("bior2.2"), 1) == [258, 258]
         assert len(stream.tokens) == 516
 
     def test_segment_order_matches_layout(self):
         config = TokenizerConfig(family="db2", level=3)
         x = np.random.default_rng(1).standard_normal(400)
-        stream = tokenize(x, compute_scale(x), config, fitted_codebook(x, config))
+        scale, cb = compute_scale(x), fitted_codebook(x, config)
+        stream = tokenize(x, scale, config, cb)
+        pyramid = decompose((x - scale.mu) / scale.sigma, get_family("db2"), 3)
+        bands = (pyramid.approx, *pyramid.details)  # [a_3, d_3, d_2, d_1]
         layout = coefficient_layout(400, get_family("db2"), 3)
-        assert list(stream.segment_lengths) == layout
+        assert [len(band) for band in bands] == layout
+        np.testing.assert_array_equal(stream.tokens, quantize(np.concatenate(bands), cb))
 
 
 def stacked_windows(config, n=83):
@@ -134,7 +136,7 @@ class TestStackedForward:
                 alone = tokenize(row, row_scale, config, cb, append_eos=True)
                 assert stream.tokens.tobytes() == alone.tokens.tobytes(), (level, i)
                 assert stream.scale == alone.scale == row_scale
-                assert stream.segment_lengths == alone.segment_lengths
+                assert stream.has_eos and alone.has_eos
                 # the coefficients, not just their bins, are bit-identical
                 z_row = (fill_missing(row) - row_scale.mu) / row_scale.sigma
                 single = apply_threshold(decompose(z_row, family, level, mode), config.threshold)
@@ -163,7 +165,7 @@ class TestRoundTrip:
             x = rng.standard_normal(512) * rng.uniform(0.5, 20) + rng.uniform(-50, 50)
             cb = fitted_codebook(x, config)
             stream = tokenize(x, compute_scale(x), config, cb)
-            recon = detokenize(stream, cb)
+            recon = detokenize(stream, 512, config, cb)
             rmse = np.sqrt(np.mean((recon - x) ** 2))
             assert rmse <= (cb.bin_width / 2) * stream.scale.sigma + 1e-12
 
@@ -174,7 +176,7 @@ class TestRoundTrip:
             x = rng.standard_normal(512) * 5.0
             cb = fitted_codebook(x, config)
             stream = tokenize(x, compute_scale(x), config, cb)
-            recon = detokenize(stream, cb)
+            recon = detokenize(stream, 512, config, cb)
             rmse = np.sqrt(np.mean((recon - x) ** 2))
             assert rmse <= BIOR22_SYNTHESIS_GAIN * (cb.bin_width / 2) * stream.scale.sigma
 
@@ -192,7 +194,7 @@ class TestRoundTrip:
         pyramid = CoefficientPyramid(parts[0], tuple(parts[1:]), 1, 32, "haar", "symmetric")
         horizon = reconstruct(pyramid, family) * scale.sigma + scale.mu
         _, hor_stream = tokenize_pair(context, horizon, config, cb)
-        recon = detokenize(hor_stream, cb)
+        recon = detokenize(hor_stream, 32, config, cb)
         assert np.max(np.abs(recon - horizon)) <= 1e-9
 
 
@@ -214,7 +216,7 @@ class TestPairs:
         x = rng.standard_normal(576)
         cb = fitted_codebook(x[:512], config)
         ctx, hor = tokenize_pair(x[:512], x[512:], config, cb)
-        assert hor.segment_lengths == (34, 34)
+        assert coefficient_layout(64, get_family("bior2.2"), 1) == [34, 34]
         assert len(hor.tokens) == 69 and hor.has_eos
         assert hor.tokens[-1] == cb.eos_id
         assert not ctx.has_eos
@@ -225,7 +227,7 @@ class TestPairs:
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         ctx, hor = tokenize_pair(np.full(32, 3.0), np.full(16, 3.0), config, cb)
         zero_token = cb.value_offset + int(np.where(cb.centers == 0.0)[0][0])
-        assert np.all(hor.coefficient_tokens == zero_token)
+        assert np.all(hor.tokens[:-1] == zero_token)
 
     def test_horizon_in_range_monte_carlo(self):
         # horizon drawn from the context's distribution stays inside a
@@ -269,15 +271,9 @@ class TestMissing:
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         layout = coefficient_layout(32, get_family("haar"), 1)
-        stream = TokenStream(
-            tokens=np.full(sum(layout), cb.pad_id, dtype=np.int64),
-            segment_lengths=tuple(layout),
-            scale=ScaleStats(mu=5.5, sigma=2.0),
-            family_name="haar",
-            level=1,
-            source_length=32,
-        )
-        recon = detokenize(stream, cb)
+        stream = TokenStream(tokens=np.full(sum(layout), cb.pad_id, dtype=np.int64),
+                             scale=ScaleStats(mu=5.5, sigma=2.0))
+        recon = detokenize(stream, 32, config, cb)
         np.testing.assert_allclose(recon, 5.5, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
@@ -289,20 +285,17 @@ class TestMissing:
         rng = np.random.default_rng(17)
         for n in (64, 67):
             for level in (1, 2, 3):
+                config = TokenizerConfig(family=name, level=level, boundary_mode=mode)
                 layout = coefficient_layout(n, family, level, mode)
                 tokens = rng.integers(cb.value_offset, cb.vocab_size, size=(5, sum(layout)))
                 tokens[rng.random(tokens.shape) < 0.1] = cb.pad_id
                 mu, sigma = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
 
-                def stream(rows, scale):
-                    return TokenStream(tokens=rows, segment_lengths=tuple(layout), scale=scale,
-                                       family_name=name, level=level, source_length=n,
-                                       boundary_mode=mode)
-
-                got = detokenize(stream(tokens, ScaleStats(mu=mu, sigma=sigma)), cb)
+                got = detokenize(TokenStream(tokens, ScaleStats(mu=mu, sigma=sigma)), n, config, cb)
                 assert got.shape == (5, n)
                 for row, m, sd, values in zip(tokens, mu, sigma, got):
-                    want = detokenize(stream(row, ScaleStats(mu=float(m), sigma=float(sd))), cb)
+                    want = detokenize(TokenStream(row, ScaleStats(mu=float(m), sigma=float(sd))),
+                                      n, config, cb)
                     np.testing.assert_array_equal(values, want, err_msg=f"{n} {level}")
 
     @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
@@ -345,53 +338,25 @@ class TestErrors:
         stream = tokenize(x, compute_scale(x), config, cb)
         corrupted = TokenStream(
             tokens=np.where(np.arange(len(stream.tokens)) == 3, cb.eos_id, stream.tokens),
-            segment_lengths=stream.segment_lengths,
             scale=stream.scale,
-            family_name=stream.family_name,
-            level=stream.level,
-            source_length=stream.source_length,
         )
         with pytest.raises(ValueError, match="EOS"):
-            detokenize(corrupted, cb)
+            detokenize(corrupted, 32, config, cb)
 
-    def test_inconsistent_segments(self):
+    def test_token_count_must_match_layout(self):
+        # a length-32 haar window has the layout [16, 16]; a trailing EOS is not counted
+        config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
-        stream = TokenStream(
-            tokens=np.full(10, cb.value_offset, dtype=np.int64),
-            segment_lengths=(5, 5),
-            scale=ScaleStats(0.0, 1.0),
-            family_name="haar",
-            level=1,
-            source_length=32,
-        )
-        with pytest.raises(ValueError, match="inconsistent"):
-            detokenize(stream, cb)
-
-    def test_token_count_must_match_segments(self):
-        with pytest.raises(ValueError, match="token count"):
-            TokenStream(
-                tokens=np.zeros(9, dtype=np.int64),
-                segment_lengths=(5, 5),
-                scale=ScaleStats(0.0, 1.0),
-                family_name="haar",
-                level=1,
-                source_length=16,
-            )
-
-
-class TestRecords:
-    def test_round_trip(self):
-        config = TokenizerConfig(family="db2", level=2)
-        x = np.random.default_rng(11).standard_normal(200)
-        cb = fitted_codebook(x, config)
-        ctx, hor = tokenize_pair(x[:150], x[150:], config, cb)
-        for stream in (ctx, hor):
-            back = stream_from_record(stream_to_record(stream))
-            assert np.array_equal(back.tokens, stream.tokens)
-            assert back.segment_lengths == stream.segment_lengths
-            assert back.scale == stream.scale
-            assert back.has_eos == stream.has_eos
-            assert back.source_length == stream.source_length
+        scale = ScaleStats(0.0, 1.0)
+        np.testing.assert_array_equal(
+            detokenize(TokenStream(np.r_[np.full(32, cb.value_offset), cb.eos_id], scale,
+                                   has_eos=True), 32, config, cb),
+            detokenize(TokenStream(np.full(32, cb.value_offset), scale), 32, config, cb))
+        for n_tokens, has_eos in ((10, False), (33, False), (32, True), (9, True)):
+            stream = TokenStream(np.full(n_tokens, cb.value_offset), scale, has_eos=has_eos)
+            with pytest.raises(ValueError, match=r"do not match the layout \[16, 16\] of a "
+                                                 r"length-32 window"):
+                detokenize(stream, 32, config, cb)
 
 
 def test_pad_to_length():
