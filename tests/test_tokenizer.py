@@ -343,8 +343,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="EOS"):
             detokenize(corrupted, 32, config, cb)
 
-    def test_token_count_must_match_layout(self):
-        # a length-32 haar window has the layout [16, 16]; a trailing EOS is not counted
+    def test_inconsistent_segments(self):
+        # a length-32 haar window has the layout [16, 16]; 10 tokens cannot fill it
+        config = TokenizerConfig(family="haar", level=1)
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        stream = TokenStream(np.full(10, cb.value_offset), ScaleStats(0.0, 1.0))
+        with pytest.raises(ValueError, match=r"10 coefficient tokens do not match the layout "
+                                             r"\[16, 16\] of a length-32 window"):
+            detokenize(stream, 32, config, cb)
+
+    def test_token_count_must_match_segments(self):
+        # a trailing EOS is not counted against the layout [16, 16]
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         scale = ScaleStats(0.0, 1.0)
@@ -352,7 +361,7 @@ class TestErrors:
             detokenize(TokenStream(np.r_[np.full(32, cb.value_offset), cb.eos_id], scale,
                                    has_eos=True), 32, config, cb),
             detokenize(TokenStream(np.full(32, cb.value_offset), scale), 32, config, cb))
-        for n_tokens, has_eos in ((10, False), (33, False), (32, True), (9, True)):
+        for n_tokens, has_eos in ((33, False), (32, True), (9, True)):
             stream = TokenStream(np.full(n_tokens, cb.value_offset), scale, has_eos=has_eos)
             with pytest.raises(ValueError, match=r"do not match the layout \[16, 16\] of a "
                                                  r"length-32 window"):
