@@ -297,18 +297,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_GRID_KEYS = ("family", "level", "vocab_budget", "threshold_method", "boundary_mode")
-
-
 def cmd_ablate(args) -> int:
     config = build_config(args)
     grid_spec = yaml.safe_load(Path(args.grid).read_text())
     if not isinstance(grid_spec, dict) or "grid" not in grid_spec:
         raise ValueError("grid file must contain a 'grid' mapping")
     grid = grid_spec["grid"]
-    unknown = set(grid) - set(_GRID_KEYS)
+    unknown = set(grid) - set(_CONFIG_KEYS)
     if unknown:
-        raise ValueError(f"unsupported grid keys {sorted(unknown)}; allowed {_GRID_KEYS}")
+        raise ValueError(f"unsupported grid keys {sorted(unknown)}; allowed {_CONFIG_KEYS}")
     dataset = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

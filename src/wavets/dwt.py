@@ -50,7 +50,6 @@ class CoefficientPyramid:
     details: tuple[np.ndarray, ...]
     level: int
     input_length: int
-    family_name: str
     boundary_mode: str
 
     @property
@@ -178,7 +177,6 @@ def decompose(
         details=tuple(details),
         level=level,
         input_length=x.shape[-1],
-        family_name=family.name,
         boundary_mode=boundary_mode,
     )
 

@@ -12,12 +12,13 @@ window kind (contexts, horizons) of all its series as one stack on the last
 axis, and :func:`forecast_dataset` advances all sample paths together. Series
 ``item_id`` samples with the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``,
 so its paths do not depend on the rest of the batch or on the worker that
-runs it. A series that cannot be used fails alone, not the run: a context
-or window with no observed value, a non-finite scaled value, or a path
-that meets a sampling distribution without mass fails only its own
-series. An ablation cell (:func:`run_cell`) trains on a dataset's
-``split_last_h`` train view, scores the horizons held out from it and
-fails on any series.
+runs it. One rule fails a series: where a stacked call raises, its halves
+run again, down to single series, so a series fails in a batch exactly
+when it fails alone, with that error, and the rest are unchanged (say, a
+context or window with no observed value, coefficients that overflow, or
+a sampling distribution without mass). An ablation cell (:func:`run_cell`)
+trains on a dataset's ``split_last_h`` train view, scores the horizons held
+out from it and fails on any series.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .codebook import Codebook, check_token_ids, fit_codebook
 from .data_io import Dataset, split_last_h
-from .dwt import coefficient_layout, decompose
+from .dwt import coefficient_layout
 from .exceptions import WavetsError
 from .families import get_family
 from .metrics import (
@@ -44,9 +45,9 @@ from .metrics import (
     wql,
 )
 from .seq_model import MarkovModel, sample_forecast, train_markov
-from .thresholding import ThresholdSpec, apply_threshold
-from .tokenizer import (ScaleStats, TokenizerConfig, TokenStream, compute_scale, detokenize,
-                        fill_missing, pad_to_length, tokenize)
+from .thresholding import ThresholdSpec
+from .tokenizer import (ScaleStats, TokenizerConfig, TokenStream, coefficients, compute_scale,
+                        detokenize, pad_to_length, tokenize)
 
 _RECORD_FIELDS = ("item_id", "kind", "tokens", "mu", "sigma")
 _WINDOW_FIELDS = {"context": "context_length", "horizon": "horizon"}  # RunConfig length field
@@ -88,7 +89,7 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
         get_family(self.family)  # raises for unknown names
-        self.threshold_spec()  # validates method and parameters
+        self.tokenizer_config()  # validates the threshold method and parameters
         if self.level < 1:
             raise ValueError(f"decomposition level must be positive, got {self.level}")
         if self.vocab_budget < 5:
@@ -106,21 +107,11 @@ class RunConfig:
         if not 0.0 <= self.mix_tsmixup <= 1.0:
             raise ValueError(f"mixup probability must be in [0, 1], got {self.mix_tsmixup}")
 
-    def threshold_spec(self) -> ThresholdSpec:
-        return ThresholdSpec(
-            method=self.threshold_method,
-            b=self.threshold_b,
-            q=self.threshold_q,
-            sigma_estimator=self.sigma_estimator,
-        )
-
     def tokenizer_config(self) -> TokenizerConfig:
-        return TokenizerConfig(
-            family=self.family,
-            level=self.level,
-            threshold=self.threshold_spec(),
-            boundary_mode=self.boundary_mode,
-        )
+        threshold = ThresholdSpec(method=self.threshold_method, b=self.threshold_b,
+                                  q=self.threshold_q, sigma_estimator=self.sigma_estimator)
+        return TokenizerConfig(family=self.family, level=self.level, threshold=threshold,
+                               boundary_mode=self.boundary_mode)
 
     def bounds(self) -> tuple[float, float]:
         return (self.bound_lo, self.bound_hi)
@@ -139,26 +130,31 @@ def make_windows(dataset: Dataset, config: RunConfig):
     ]
 
 
-def _scale_windows(windows):
-    """Stack the windows of ``(item_id, context, ...)`` tuples by position,
-    as ``(rows, windows, scale)``: series indices, windows and context
-    ``ScaleStats`` as arrays. Also returns, by index, the error of each
-    series set aside because its context or a window has no observed
-    value, or a scaled value is not finite."""
-    kinds, failed = {}, {}
-    for i, (_, *series) in enumerate(windows):
+def _by_row(call, n: int):
+    """Run a stacked ``call(rows)``, which returns one result per index in
+    ``rows``, on all ``n`` rows. Only where a call raises are its halves run
+    again, down to single rows, so a row fails exactly when its own one-row
+    call fails, with that call's error. Returns ``(results, errors)``, both
+    keyed by row index."""
+    results, errors, pending = {}, {}, [list(range(n))] if n else []
+    while pending:
+        rows = pending.pop()
         try:
-            scale = compute_scale(series[0])
-            if not all(np.isfinite((fill_missing(w) - scale.mu) / scale.sigma).all()
-                       for w in series):
-                raise ValueError("input signal contains non-finite values")
-        except ValueError as exc:
-            failed[i] = exc
-            continue
-        for k, window in enumerate(series):
-            kinds.setdefault(k, []).append((i, window, scale.mu, scale.sigma))
-    return [(rows, np.array(stack), ScaleStats(np.array(mu), np.array(sigma)))
-            for rows, stack, mu, sigma in (zip(*kind) for kind in kinds.values())], failed
+            results.update(zip(rows, call(rows)))
+        except Exception as exc:  # retried by halves; a single row fails alone
+            if len(rows) == 1:
+                errors[rows[0]] = exc
+            else:
+                pending += [rows[len(rows) // 2:], rows[:len(rows) // 2]]
+    return results, errors
+
+
+def _scaled_stacks(windows, rows):
+    """Each context's :func:`compute_scale`, as arrays, and one stack per window
+    position, of the ``rows`` of ``(item_id, context, *windows)`` tuples."""
+    stacks = [np.array(kind) for kind in zip(*(windows[i][1:] for i in rows))]
+    stats = [compute_scale(context) for context in stacks[0]]
+    return ScaleStats(np.array([s.mu for s in stats]), np.array([s.sigma for s in stats])), stacks
 
 
 def pool_coefficients(windows, config: RunConfig):
@@ -169,36 +165,39 @@ def pool_coefficients(windows, config: RunConfig):
     ``(item_id, error)`` for each series set aside (a horizon with no
     observed value is left out alone).
     """
-    family = get_family(config.family)
-    kinds, failed = _scale_windows([(item_id, context, *[h for h in (horizon,) if np.isfinite(h).any()])
-                                    for item_id, context, horizon in windows])
-    pool = []
-    for _, stack, scale in kinds:
-        z = (fill_missing(stack) - scale.mu[:, None]) / scale.sigma[:, None]
-        pyramid = apply_threshold(decompose(z, family, config.level, config.boundary_mode),
-                                  config.threshold_spec())
-        pool += [band.ravel() for band in (pyramid.approx, *pyramid.details)]
-    if not pool:
+    tok_config = config.tokenizer_config()
+
+    def bands(rows):  # each row's context bands, then its horizon's if observed
+        scale, (contexts, horizons) = _scaled_stacks(windows, rows)
+        observed = np.isfinite(horizons).any(axis=1)
+        context = coefficients(contexts, scale, tok_config)
+        horizon = coefficients(horizons[observed], ScaleStats(scale.mu[observed],
+                                                              scale.sigma[observed]), tok_config)
+        horizon_rows = zip(horizon.approx, *horizon.details)
+        return [[*row, *(next(horizon_rows) if obs else ())]
+                for row, obs in zip(zip(context.approx, *context.details), observed)]
+
+    pooled, failed = _by_row(bands, len(windows))
+    if not pooled:
         raise WavetsError("no usable training windows")
-    return np.concatenate(pool), [(windows[i][0], exc) for i, exc in failed.items()]
+    return (np.concatenate([band for i in sorted(pooled) for band in pooled[i]]),
+            [(windows[i][0], failed[i]) for i in sorted(failed)])
 
 
 def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
     """``(item_id, context stream, horizon stream)`` per series, plus
     ``(item_id, error)`` for each series that could not be tokenized, in
-    input order. An error that concerns the whole batch fails every
-    series with it."""
+    input order."""
     tok_config = config.tokenizer_config()
-    kinds, failed = _scale_windows(windows)
-    rows = kinds[0][0] if kinds else ()
-    try:
-        streams = [tokenize(stack, scale, tok_config, codebook, append_eos=k == 1).rows()
-                   for k, (_, stack, scale) in enumerate(kinds)]
-    except Exception as exc:  # fails every series of the batch
-        failed.update(dict.fromkeys(rows, exc))
-        rows, streams = (), []
-    pairs = [(windows[i][0], *pair) for i, *pair in zip(rows, *streams)]
-    return pairs, [(windows[i][0], failed[i]) for i in sorted(failed)]
+
+    def streams(rows):
+        scale, (contexts, horizons) = _scaled_stacks(windows, rows)
+        return list(zip(tokenize(contexts, scale, tok_config, codebook).rows(),
+                        tokenize(horizons, scale, tok_config, codebook, append_eos=True).rows()))
+
+    pairs, failed = _by_row(streams, len(windows))
+    return ([(windows[i][0], *pairs[i]) for i in sorted(pairs)],
+            [(windows[i][0], failed[i]) for i in sorted(failed)])
 
 
 def read_token_records(records, config: RunConfig, codebook: Codebook):
@@ -242,15 +241,17 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
 def detokenize_windows(records, config: RunConfig, codebook: Codebook):
     """``(item_id, kind, values)`` per valid token record and ``(item_id,
     kind, error)`` per invalid one, in input order. Each kind is inverted in
-    one call; an error of the whole batch fails every record of its kind."""
+    one call."""
     kinds, failed = read_token_records(records, config, codebook)
     values = {}
     for kind, (rows, stream) in kinds.items():
-        try:
-            values.update(zip(rows, detokenize(stream, getattr(config, _WINDOW_FIELDS[kind]),
-                                               config.tokenizer_config(), codebook)))
-        except Exception as exc:  # fails every record of the kind
-            failed.update((i, (records[i]["item_id"], kind, exc)) for i in rows)
+        length = getattr(config, _WINDOW_FIELDS[kind])
+        done, errors = _by_row(lambda sub: detokenize(stream.take(sub), length,
+                                                      config.tokenizer_config(), codebook),
+                               len(rows))
+        values.update((rows[j], window) for j, window in done.items())
+        failed.update((rows[j], (records[rows[j]]["item_id"], kind, exc))
+                      for j, exc in errors.items())
     return ([(records[i]["item_id"], records[i]["kind"], values[i]) for i in sorted(values)],
             [failed[i] for i in sorted(failed)])
 
@@ -273,26 +274,22 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
     """Sample paths for every ``(item_id, context)`` pair in one batch.
 
     Returns ``(item_id, paths, None)`` per series in input order, or
-    ``(item_id, None, message)`` for a series that fails, so that one bad
-    series never stops the rest. An error that concerns the whole batch,
-    such as a vocabulary mismatch, fails every series with its message.
+    ``(item_id, None, message)`` for a series that fails: a series fails
+    exactly when it fails forecast alone, with that message, and leaves
+    the paths of the rest unchanged.
     """
     tok_config = config.tokenizer_config()
-    kinds, failed = _scale_windows(contexts)
-    results = [(item_id, None, str(failed[i]) if i in failed else None)
-               for i, (item_id, _) in enumerate(contexts)]
-    for rows, stack, scale in kinds:  # the one kind: contexts
-        try:
-            paths, errors = sample_forecast(
-                model, tokenize(stack, scale, tok_config, codebook).rows(), config.horizon,
-                tok_config, codebook, seeds=[series_seed(config.seed, contexts[i][0]) for i in rows],
-                n_samples=config.n_samples, temperature=config.temperature,
-            )
-        except Exception as exc:  # fails every series of the batch
-            paths, errors = [None] * len(rows), [str(exc)] * len(rows)
-        for i, series_paths, error in zip(rows, paths, errors):
-            results[i] = (results[i][0], None if error else series_paths, error)
-    return results
+
+    def sample(rows):
+        scale, (stack,) = _scaled_stacks(contexts, rows)
+        return sample_forecast(model, tokenize(stack, scale, tok_config, codebook).rows(),
+                               config.horizon, tok_config, codebook,
+                               [series_seed(config.seed, contexts[i][0]) for i in rows],
+                               config.n_samples, config.temperature)
+
+    paths, failed = _by_row(sample, len(contexts))
+    return [(item_id, paths.get(i), str(failed[i]) if i in failed else None)
+            for i, (item_id, _) in enumerate(contexts)]
 
 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):

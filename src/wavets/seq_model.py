@@ -222,10 +222,9 @@ def sample_forecast(
     seeds: Sequence[int],
     n_samples: int = 20,
     temperature: float = 1.0,
-) -> tuple[np.ndarray, list[str | None]]:
+) -> np.ndarray:
     """Autoregressive sample paths of every context, inverted to real
-    values: ``(N, n_samples, horizon_length)`` paths, and one error
-    message per series, ``None`` where it sampled.
+    values: ``(N, n_samples, horizon_length)`` paths.
 
     Exactly ``sum(coefficient_layout(horizon_length))`` tokens are drawn
     per path with EOS and PAD masked out of the sampling distribution, so
@@ -241,8 +240,10 @@ def sample_forecast(
     so fixed seeds give bit-identical output whatever the other series,
     the same as a per-path ``Generator.choice`` loop over the full
     history. Temperature 0 takes the argmax and draws nothing. At any
-    temperature, a series with a path in a state whose distribution has
-    no mass fails alone: its paths are NaN and its message says so.
+    temperature, a path that reaches a state whose distribution has no
+    mass fails the call with "sampling distribution has no mass"; the
+    caller's retry by halves (:func:`wavets.pipeline.forecast_dataset`)
+    then fails only the series of that path.
     """
     if model.vocab_size != codebook.vocab_size:
         raise ValueError(
@@ -262,7 +263,6 @@ def sample_forecast(
     windows = np.array([_padded_windows(c.tokens, model.order)[-1] for c in contexts],
                        dtype=np.int64).reshape(-1, model.order)[series]
     generated = np.empty((len(series), n_tokens), dtype=np.int64)
-    failed = np.zeros(len(contexts), dtype=bool)
     for step in range(n_tokens):
         _, first, inverse = np.unique(model.history_states(windows), return_index=True,
                                       return_inverse=True)
@@ -272,10 +272,8 @@ def sample_forecast(
         if temperature not in (0.0, 1.0):
             probs **= 1.0 / temperature
         totals = probs.sum(axis=1, keepdims=True)
-        empty = totals[:, 0] <= 0.0
-        if empty.any():  # those series fail; their paths draw on, never detokenized
-            failed[series[empty[inverse]]] = True
-            probs[empty], totals[empty] = 1.0, model.vocab_size
+        if (totals <= 0.0).any():
+            raise ValueError("sampling distribution has no mass")
         if temperature == 0.0:
             generated[:, step] = probs.argmax(axis=1)[inverse]
         else:
@@ -289,13 +287,10 @@ def sample_forecast(
                 generated[paths, step] = row.searchsorted(uniforms[paths, step], side="right")
         windows[:, :-1] = windows[:, 1:]
         windows[:, -1] = generated[:, step]
-    keep = ~failed[series]
     mu, sigma = np.array([(c.scale.mu, c.scale.sigma) for c in contexts]).reshape(-1, 2).T
-    scale = ScaleStats(mu=mu[series][keep], sigma=sigma[series][keep])
-    paths = np.full((len(series), horizon_length), np.nan)
-    paths[keep] = detokenize(TokenStream(generated[keep], scale), horizon_length, config, codebook)
-    return (paths.reshape(len(contexts), n_samples, horizon_length),
-            ["sampling distribution has no mass" if f else None for f in failed.tolist()])
+    paths = detokenize(TokenStream(generated, ScaleStats(mu=mu[series], sigma=sigma[series])),
+                       horizon_length, config, codebook)
+    return paths.reshape(len(contexts), n_samples, horizon_length)
 
 
 def save_model(model: MarkovModel, path, meta: dict | None = None) -> None:

@@ -1,7 +1,8 @@
 """End-to-end forward tokenization and its exact inverse.
 
 Forward: z-score the window with context statistics, fill missing values,
-decompose with the configured wavelet, optionally threshold the details,
+decompose with the configured wavelet, optionally threshold the details
+(:func:`coefficients`, which refuses coefficients that overflow),
 quantize every coefficient against a shared codebook and concatenate the
 bands coarsest-first ``[a_J, d_J, ..., d_1]``. Coefficients whose entire
 filter support lies in missing (or synthetic padding) samples are emitted
@@ -71,6 +72,11 @@ class TokenStream:
         return [replace(self, tokens=tokens, scale=ScaleStats(mu=float(mu), sigma=float(sigma)))
                 for tokens, mu, sigma in zip(self.tokens, self.scale.mu, self.scale.sigma)]
 
+    def take(self, rows) -> TokenStream:
+        """The stream of the given rows of a ``(rows, n_tokens)`` stack."""
+        return replace(self, tokens=self.tokens[rows],
+                       scale=ScaleStats(mu=self.scale.mu[rows], sigma=self.scale.sigma[rows]))
+
 
 def compute_scale(x: np.ndarray) -> ScaleStats:
     """Mean and sample standard deviation over the observed values.
@@ -118,6 +124,19 @@ def _band_observed(mask: np.ndarray, family: WaveletFamily, level: int, mode: st
     return [per_level[-1]] + per_level[::-1]
 
 
+def coefficients(windows: np.ndarray, scale: ScaleStats,
+                 config: TokenizerConfig) -> CoefficientPyramid:
+    """The forward step before quantization, for a window or a ``(rows, n)``
+    stack with one ``scale`` per row: gap-fill, z-score, decompose and
+    threshold the details; coefficients that overflow are refused."""
+    mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
+    pyramid = decompose((fill_missing(windows) - mu) / sigma, get_family(config.family),
+                        config.level, config.boundary_mode)
+    if not all(np.isfinite(band).all() for band in (pyramid.approx, *pyramid.details)):
+        raise ValueError("wavelet coefficients are not finite")
+    return apply_threshold(pyramid, config.threshold)
+
+
 def tokenize(
     windows: np.ndarray,
     scale: ScaleStats,
@@ -128,18 +147,13 @@ def tokenize(
     """Tokenize a window, or a ``(rows, n)`` stack of windows with one
     ``scale`` per row, into one stream; NaN entries are missing values.
 
-    Each window is gap-filled, z-scored with its scale, decomposed and
-    detail-thresholded, and its coefficients are quantized; with
+    Each window's :func:`coefficients` are quantized; with
     ``append_eos`` every row ends with an EOS token.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    family = get_family(config.family)
-    mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
-    pyramid = apply_threshold(
-        decompose((fill_missing(windows) - mu) / sigma, family, config.level, config.boundary_mode),
-        config.threshold,
-    )
-    observed = _band_observed(np.isfinite(windows), family, config.level, config.boundary_mode)
+    pyramid = coefficients(windows, scale, config)
+    observed = _band_observed(np.isfinite(windows), get_family(config.family), config.level,
+                              config.boundary_mode)
     tokens = [np.where(obs, quantize(band, codebook), codebook.pad_id)
               for band, obs in zip((pyramid.approx, *pyramid.details), observed)]
     if append_eos:
@@ -172,7 +186,8 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
     The band layout follows from ``config`` and ``length``; a stream whose
     coefficient-token count differs from it is refused. PAD tokens
     contribute zero coefficients, so an all-PAD stream inverts to the
-    constant context mean.
+    constant context mean; an EOS token among the coefficients is refused
+    by :func:`~wavets.codebook.dequantize`.
     """
     family = get_family(config.family)
     layout = coefficient_layout(length, family, config.level, config.boundary_mode)
@@ -180,13 +195,10 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
     if coeff_tokens.shape[-1] != sum(layout):
         raise ValueError(f"{coeff_tokens.shape[-1]} coefficient tokens do not match the layout "
                          f"{layout} of a length-{length} window")
-    if np.any(coeff_tokens == codebook.eos_id):
-        raise ValueError("EOS token inside a coefficient segment")
     values, _ = dequantize(coeff_tokens, codebook)
     parts = np.split(values, np.cumsum(layout)[:-1], axis=-1)
     pyramid = CoefficientPyramid(approx=parts[0], details=tuple(parts[1:]), level=config.level,
-                                 input_length=length, family_name=family.name,
-                                 boundary_mode=config.boundary_mode)
+                                 input_length=length, boundary_mode=config.boundary_mode)
     z = reconstruct(pyramid, family)
     sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)
     return z * sigma[..., None] + mu[..., None]

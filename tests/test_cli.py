@@ -345,3 +345,30 @@ def test_ablate_scores_each_dataset_it_is_given_in_a_shared_out_dir(tmp_path, ca
     shared = tmp_path / "shared"
     for seed in (0, 1):
         assert sweep(seed, shared) == fresh[seed], seed
+
+
+def ablate_grid(tmp_path, capsys, grid_text, out_dir):
+    save_dataset(make_dataset(N_SERIES, context_length=64, horizon=16, seed=0),
+                 tmp_path / "data.jsonl")
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(grid_text)
+    return run(["ablate", "--data", tmp_path / "data.jsonl", "--grid", grid,
+                "--out-dir", out_dir, *FLAGS], capsys)
+
+
+def test_ablate_runs_a_grid_over_any_config_field(tmp_path, capsys):
+    code, out, err = ablate_grid(tmp_path, capsys, "grid:\n  order: [1, 2]\n", tmp_path / "cells")
+    assert code == 0, err
+    assert "(2 cells, 0 failed)" in out
+    with open(tmp_path / "cells" / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["fingerprint", "order"]
+    assert sorted(row[1] for row in rows[1:]) == ["1", "2"]
+
+
+def test_ablate_refuses_a_grid_key_that_is_no_config_field(tmp_path, capsys):
+    code, _, err = ablate_grid(tmp_path, capsys, "grid:\n  order: [1]\n  colour: [red]\n",
+                               tmp_path / "refused")
+    assert code == 1
+    assert err.startswith("error: unsupported grid keys ['colour']; allowed ('family', ")
+    assert not (tmp_path / "refused").exists()

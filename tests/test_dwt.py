@@ -97,7 +97,7 @@ def test_details_zeroed_haar_is_block_mean():
     p = decompose(x, f, 2)
     zeroed = CoefficientPyramid(
         p.approx, tuple(np.zeros_like(d) for d in p.details),
-        p.level, p.input_length, p.family_name, p.boundary_mode,
+        p.level, p.input_length, p.boundary_mode,
     )
     rec = reconstruct(zeroed, f)
     blocks = x.reshape(-1, 4).mean(axis=1).repeat(4)
@@ -190,7 +190,7 @@ def test_inconsistent_pyramid_rejected():
     f = get_family("haar")
     p = decompose(np.arange(16.0), f, 1)
     broken = CoefficientPyramid(
-        p.approx[:-1], p.details, p.level, p.input_length, p.family_name, p.boundary_mode
+        p.approx[:-1], p.details, p.level, p.input_length, p.boundary_mode
     )
     with pytest.raises(ValueError, match="inconsistent"):
         reconstruct(broken, f)

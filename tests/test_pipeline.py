@@ -2,6 +2,7 @@
 the forecast batch, seasonal-naive scoring and what an ablation cell
 trains on."""
 
+import math
 from dataclasses import replace
 from datetime import datetime
 
@@ -32,7 +33,7 @@ from wavets.pipeline import (
     train_model,
 )
 from wavets.seq_model import MarkovModel
-from wavets.tokenizer import compute_scale, pad_to_length, tokenize_pair
+from wavets.tokenizer import ScaleStats, compute_scale, pad_to_length, tokenize_pair
 
 CONFIG = RunConfig(context_length=64, horizon=16, n_samples=3, order=2)
 
@@ -169,6 +170,69 @@ def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
     others = forecast_dataset(model, codebook, CONFIG, [contexts[i] for i in (0, 2, 3, 5)])
     assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
         (i, p.tobytes()) for i, p, _ in others]
+
+
+def with_overflowing_context(windows, index):
+    """The windows with one context whose wavelet coefficients overflow:
+    its mean cancels to 0 and its deviation overflows to the fallback 1, so
+    its scaled values stay finite."""
+    item_id, _, horizon = windows[index]
+    context = np.tile(np.repeat([1.7e308, -1.7e308], 8), CONFIG.context_length // 16)
+    return [*windows[:index], (item_id, context, horizon), *windows[index + 1:]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_series_whose_coefficients_overflow_fails_alone_with_one_message():
+    dataset = small_dataset(6, seed=4)
+    codebook, model, _ = trained_inputs(dataset)
+    windows = make_windows(dataset, CONFIG)
+    broken = with_overflowing_context(windows, 2)
+    assert compute_scale(broken[2][1]) == ScaleStats(0.0, 1.0)
+    clean = [w for i, w in enumerate(windows) if i != 2]
+    expected = [("synth-00002", "wavelet coefficients are not finite")]
+
+    sample, skipped = pool_coefficients(broken, CONFIG)
+    assert [(item_id, str(exc)) for item_id, exc in skipped] == expected
+    assert sample.tobytes() == pool_coefficients(clean, CONFIG)[0].tobytes()
+
+    pairs, failures = tokenize_windows(broken, CONFIG, codebook)
+    assert [(item_id, str(exc)) for item_id, exc in failures] == expected
+    assert [(item_id, ctx.tokens.tobytes(), hor.tokens.tobytes(), ctx.scale)
+            for item_id, ctx, hor in pairs] == [
+        (item_id, ctx.tokens.tobytes(), hor.tokens.tobytes(), ctx.scale)
+        for item_id, ctx, hor in tokenize_windows(clean, CONFIG, codebook)[0]]
+
+    results = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in broken])
+    assert [(item_id, error) for item_id, _, error in results if error] == expected
+    others = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in clean])
+    assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
+        (i, p.tobytes()) for i, p, _ in others]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_the_retry_makes_one_call_per_kind_and_bisects_only_where_a_call_raises(monkeypatch):
+    dataset = small_dataset(6, seed=4)
+    codebook, model, _ = trained_inputs(dataset)
+    windows = make_windows(dataset, CONFIG)
+    calls = []
+    original = pipeline.tokenize
+
+    def spy(stack, scale, tok_config, codebook, append_eos=False):
+        calls.append((len(stack), append_eos))
+        return original(stack, scale, tok_config, codebook, append_eos)
+
+    monkeypatch.setattr(pipeline, "tokenize", spy)
+    tokenize_windows(windows, CONFIG, codebook)
+    forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in windows])
+    assert calls == [(6, False), (6, True), (6, False)]
+    for index in range(6):
+        calls.clear()
+        _, failures = tokenize_windows(with_overflowing_context(windows, index), CONFIG, codebook)
+        assert [item_id for item_id, _ in failures] == [windows[index][0]]
+        attempts = [rows for rows, eos in calls if not eos]  # each attempt tokenizes contexts first
+        assert attempts[0] == 6 and len(attempts) <= 2 * math.ceil(math.log2(6)) + 1 == 7
 
 
 def test_tokenize_windows_fails_every_series_on_a_batch_error():

@@ -93,9 +93,9 @@ SEEDS = [11, 12, 13, 14]
 def test_sampler_matches_per_path_choice_loop(trained, contexts, temperature):
     model, codebook, _ = trained
     config = CONFIG.tokenizer_config()
-    got, errors = sample_forecast(model, contexts, 16, config, codebook, SEEDS, n_samples=6,
-                                  temperature=temperature)
-    assert got.shape == (4, 6, 16) and errors == [None] * 4
+    got = sample_forecast(model, contexts, 16, config, codebook, SEEDS, n_samples=6,
+                          temperature=temperature)
+    assert got.shape == (4, 6, 16)
     for paths, context, seed in zip(got, contexts, SEEDS, strict=True):
         expected = reference_sample(model, context, 16, config, codebook, 6, temperature, seed)
         np.testing.assert_array_equal(paths, expected)
@@ -205,10 +205,9 @@ def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
             return probs
 
     for temperature in (1.0, 0.0):
-        paths, errors = sample_forecast(OnlyEos(), contexts, 16, CONFIG.tokenizer_config(),
-                                        codebook, SEEDS, temperature=temperature)
-        assert errors == ["sampling distribution has no mass"] * 4
-        assert paths.shape == (4, 20, 16) and np.isnan(paths).all()
+        with pytest.raises(ValueError, match="^sampling distribution has no mass$"):
+            sample_forecast(OnlyEos(), contexts, 16, CONFIG.tokenizer_config(), codebook, SEEDS,
+                            temperature=temperature)
 
 
 def reference_cross_entropy(model, context, horizon, pad_id):
@@ -228,8 +227,8 @@ def test_context_shorter_than_order_matches_reference_loops(trained, n_context):
     short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:])
     config = CONFIG.tokenizer_config()
     for temperature in (1.0, 0.0):
-        paths, _ = sample_forecast(model, [short], 16, config, codebook, [11], n_samples=6,
-                                   temperature=temperature)
+        paths = sample_forecast(model, [short], 16, config, codebook, [11], n_samples=6,
+                                temperature=temperature)
         np.testing.assert_array_equal(
             paths[0], reference_sample(model, short, 16, config, codebook, 6, temperature, 11))
     horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20))
@@ -392,8 +391,8 @@ def test_order_whose_keys_overflow_int64_is_refused(trained):
     # the sampler groups paths by the model's states, so it sets no limit of its own
     config = CONFIG.tokenizer_config()
     np.testing.assert_array_equal(
-        sample_forecast(LongWindow(), [context], 16, config, codebook, [3])[0],
-        sample_forecast(model, [context], 16, config, codebook, [3])[0])
+        sample_forecast(LongWindow(), [context], 16, config, codebook, [3]),
+        sample_forecast(model, [context], 16, config, codebook, [3]))
 
 
 def test_cross_entropy_by_hand():

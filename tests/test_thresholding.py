@@ -146,7 +146,7 @@ class TestApplyThreshold:
         p = self._pyramid()
         zeroed = type(p)(
             p.approx, tuple(np.zeros_like(d) for d in p.details),
-            p.level, p.input_length, p.family_name, p.boundary_mode,
+            p.level, p.input_length, p.boundary_mode,
         )
         out = apply_threshold(zeroed, ThresholdSpec(method="visu_hard"))
         for d in out.details:
@@ -178,7 +178,7 @@ class TestApplyThreshold:
         p = self._pyramid(level=2)
         signs = type(p)(
             p.approx, tuple(np.where(d < 0, -1.0, 1.0) for d in p.details),
-            p.level, p.input_length, p.family_name, p.boundary_mode,
+            p.level, p.input_length, p.boundary_mode,
         )
         sigma = estimate_sigma(signs.details[-1])
         assert math.isinf(fdrc_lambda(np.concatenate(signs.details), sigma, 0.05)[0])

@@ -191,7 +191,7 @@ class TestRoundTrip:
         layout = coefficient_layout(32, family, 1)
         coeffs = rng.choice(cb.centers, size=sum(layout))
         parts = np.split(coeffs, np.cumsum(layout)[:-1])
-        pyramid = CoefficientPyramid(parts[0], tuple(parts[1:]), 1, 32, "haar", "symmetric")
+        pyramid = CoefficientPyramid(parts[0], tuple(parts[1:]), 1, 32, "symmetric")
         horizon = reconstruct(pyramid, family) * scale.sigma + scale.mu
         _, hor_stream = tokenize_pair(context, horizon, config, cb)
         recon = detokenize(hor_stream, 32, config, cb)
