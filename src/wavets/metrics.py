@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import rankdata
 
 QUANTILE_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -240,5 +239,7 @@ def average_rank(score_table: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a (models, datasets) table, got shape {table.shape}")
     if not np.all(np.isfinite(table)):
         raise ValueError("score table contains missing or non-finite entries")
-    ranks = rankdata(table, method="average", axis=0)
-    return ranks.mean(axis=1)
+    # per dataset: 1 + (models scoring lower) + half of (other models tied)
+    lower = (table[None] < table[:, None]).sum(axis=1)
+    tied = (table[None] == table[:, None]).sum(axis=1) - 1
+    return (1.0 + lower + 0.5 * tied).mean(axis=1)

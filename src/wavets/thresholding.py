@@ -11,7 +11,8 @@ bands are shrunk or zeroed. Four methods are available:
   finest detail band, applied as soft or hard thresholding to all bands.
 * ``fdrc``: data-adaptive threshold chosen by a Benjamini-Hochberg step-up
   test on the two-sided Gaussian p-values of all detail coefficients
-  pooled, then applied as hard thresholding to every band.
+  pooled, run as sorted magnitudes against critical values ``-PhiInv(kq/2m)``,
+  then applied as hard thresholding to every band.
 
 Every function works along the last axis, so a pyramid whose bands stack
 several signals is thresholded row by row in one call: each row gets its
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dwt import CoefficientPyramid
 
@@ -136,12 +137,13 @@ def fdrc_lambda(details: np.ndarray, sigma, q: float):
     """Step-up threshold selection on pooled detail coefficients, per row
     with that row's ``sigma``.
 
-    Two-sided p-values ``p_k = 2 (1 - Phi(|d_k| / sigma))`` are sorted
-    ascending and the largest index ``i0`` with ``p_(i0) <= (i0 / m) q``
-    is located. The returned threshold is the magnitude of the ``i0``-th
-    largest coefficient (equivalently ``sigma * PhiInv(1 - p_(i0) / 2)``,
-    evaluated without the round trip through the tails for stability).
-    Returns ``(lambda, i0)``; with no qualifying index, ``(inf, 0)`` so
+    Finds the largest ``i0`` whose two-sided p-value, of the ``i0``-th
+    largest magnitude, is at most ``(i0 / m) q``: equivalently, where
+    ``|d|_(i0) / sigma`` reaches the critical value ``-PhiInv(i0 q / 2m)``.
+    Those values depend only on ``m`` and ``q``, and the lower-tail form
+    keeps the precision that ``PhiInv(1 - i0 q / 2m)`` loses by rounding
+    ``1 - i0 q / 2m``. Returns ``(lambda, i0)`` with ``lambda`` the
+    ``i0``-th largest magnitude; with no qualifying index, ``(inf, 0)`` so
     that hard thresholding zeroes every coefficient.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -152,8 +154,8 @@ def fdrc_lambda(details: np.ndarray, sigma, q: float):
     d = np.asarray(details, dtype=np.float64)
     m = d.shape[-1]
     magnitudes = np.sort(np.abs(d), axis=-1)[..., ::-1]  # descending; p-values ascending
-    p_sorted = 2.0 * ndtr(-magnitudes / sigma[..., None])
-    qualifies = p_sorted <= q * np.arange(1, m + 1) / m
+    critical = [-NormalDist().inv_cdf(q * k / m / 2.0) for k in range(1, m + 1)]
+    qualifies = magnitudes / sigma[..., None] >= critical
     # i0: one past the last qualifying index, 0 where none qualifies
     i0 = np.where(qualifies.any(axis=-1), m - np.argmax(qualifies[..., ::-1], axis=-1), 0)
     last = np.take_along_axis(magnitudes, np.maximum(i0 - 1, 0)[..., None], axis=-1)[..., 0]

@@ -24,6 +24,7 @@ to its own call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,17 +82,20 @@ class TokenStream:
 def compute_scale(x: np.ndarray) -> ScaleStats:
     """Mean and sample standard deviation over the observed values.
 
-    NaN marks missing observations. A zero (or undefined) spread falls
-    back to sigma = 1 so constant windows scale to all zeros.
+    NaN marks missing observations. A zero spread (or a single observed
+    value) falls back to sigma = 1 so constant windows scale to all zeros;
+    a mean or deviation that overflows is refused.
     """
     x = np.asarray(x, dtype=np.float64)
     observed = x[np.isfinite(x)]
     if observed.size == 0:
         raise ValueError("cannot scale a window with no observed values")
-    mu = float(np.mean(observed))
-    sigma = float(np.std(observed, ddof=1)) if observed.size > 1 else 0.0
-    if not np.isfinite(sigma) or sigma == 0.0:
-        sigma = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.mean(observed))
+        sigma = float(np.std(observed, ddof=1)) if observed.size > 1 else 0.0
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ValueError("cannot scale a window whose mean or deviation overflows")
+    sigma = sigma or 1.0
     return ScaleStats(mu=mu, sigma=sigma)
 
 

@@ -1,10 +1,14 @@
-"""Scores on held-out horizons with missing truth values, and the
-seasonal-naive baseline on contexts with missing values."""
+"""Scores on held-out horizons with missing truth values, the
+seasonal-naive baseline on contexts with missing values, and the
+aggregates across datasets: relative scores and average ranks."""
 
 import numpy as np
 import pytest
 
-from wavets.metrics import QUANTILE_LEVELS, mase, sample_quantiles, seasonal_naive, vrse, wql
+from wavets.metrics import (
+    QUANTILE_LEVELS, aggregate_relative, average_rank, mase, sample_quantiles, seasonal_naive, vrse,
+    wql,
+)
 
 RNG = np.random.default_rng(4)
 TRUTH = RNG.normal(5.0, 2.0, size=(3, 16))
@@ -75,3 +79,48 @@ def test_left_padding_scores_like_the_observed_values():
     for season in (1, 7, 24):
         assert (seasonal_naive(padded, season, 16)[0] == seasonal_naive(observed, season, 16)[0]).all()
         assert mase(TRUTH[0], TRUTH[1], padded, season) == mase(TRUTH[0], TRUTH[1], observed, season)
+
+
+def test_average_rank_shares_tied_ranks():
+    table = np.array([
+        [1.0, 2.0, 5.0, 3.0],
+        [2.0, 2.0, 5.0, 1.0],
+        [3.0, 1.0, 5.0, 2.0],
+    ])
+    # per dataset: [1, 2, 3], [2.5, 2.5, 1], [2, 2, 2], [3, 1, 2]
+    np.testing.assert_array_equal(average_rank(table), [2.125, 1.875, 2.0])
+    np.testing.assert_array_equal(average_rank(table[:1]), [1.0])
+
+
+@pytest.mark.parametrize("table", [
+    [[1.0, np.nan], [2.0, 3.0]],
+    [[1.0, np.inf], [2.0, 3.0]],
+    [1.0, 2.0],
+    np.ones((2, 2, 2)),
+])
+def test_average_rank_refuses_missing_entries_and_tables_that_are_not_2d(table):
+    with pytest.raises(ValueError):
+        average_rank(table)
+
+
+def test_aggregate_relative_is_the_geometric_mean_of_the_ratios():
+    assert aggregate_relative([2.0, 8.0], [1.0, 2.0]) == pytest.approx(8.0 ** 0.5)
+    assert aggregate_relative([3.0], [2.0]) == pytest.approx(1.5)
+
+
+def test_aggregate_relative_warns_and_excludes_non_positive_ratios():
+    with pytest.warns(UserWarning, match="excluding 2 non-positive score ratio"):
+        assert aggregate_relative([0.0, 2.0, -1.0, 8.0], [1.0, 1.0, 1.0, 2.0]) == pytest.approx(
+            8.0 ** 0.5)
+
+
+def test_aggregate_relative_is_nan_when_every_ratio_is_excluded():
+    with pytest.warns(UserWarning, match="excluding 2 non-positive score ratio"):
+        assert np.isnan(aggregate_relative([0.0, -1.0], [1.0, 2.0]))
+
+
+def test_aggregate_relative_refuses_mismatched_or_non_positive_baselines():
+    with pytest.raises(ValueError, match="same datasets"):
+        aggregate_relative([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="must be positive"):
+        aggregate_relative([1.0, 2.0], [1.0, 0.0])

@@ -1,5 +1,6 @@
 """The package namespace after a bare ``import wavets`` in a fresh
-interpreter, where no other import has loaded a submodule yet."""
+interpreter, where no other import has loaded a submodule yet, and the
+modules that start-up of the command line loads."""
 
 import json
 import os
@@ -16,17 +17,28 @@ BENCH_NAMES = [
 ]
 SUBMODULES = ["data_synth", "data_io", "seq_model", "tokenizer", "dwt"]
 
+# Distributions start-up of the command line may load: pyproject.toml's
+# dependencies, and the package itself when it is installed.
+DEPENDENCIES = {"numpy", "PyYAML", "wavets"}
+
 PROBE = """
 import json, sys
+before = set(sys.modules)
 import wavets
-print(json.dumps({
+result = {
     "file": wavets.__file__,
     "all": list(wavets.__all__),
     "unresolved": [n for n in wavets.__all__ if not hasattr(wavets, n)],
     "missing": [n for n in sys.argv[1:] if not hasattr(wavets, n)],
     "bench_reads": [
         callable(wavets.data_synth.make_dataset), callable(wavets.data_io.save_dataset)],
-}))
+}
+import wavets.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+from importlib.metadata import packages_distributions
+owners = packages_distributions()
+result["distributions"] = sorted({d for name in loaded for d in owners.get(name, [])})
+print(json.dumps(result))
 """
 
 
@@ -44,3 +56,7 @@ def test_bare_import_exposes_the_names_the_benchmark_reads():
     assert result["missing"] == []
     assert set(BENCH_NAMES) <= set(result["all"])
     assert result["bench_reads"] == [True, True]
+
+
+def test_command_line_start_up_loads_only_the_declared_dependencies():
+    assert sorted(set(probe()["distributions"]) - DEPENDENCIES) == []

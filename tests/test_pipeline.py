@@ -127,7 +127,6 @@ def test_forecast_dataset_fails_every_series_on_a_batch_error():
          if item_id == "synth-00001" else mismatch) for item_id, _ in contexts]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
     dataset = small_dataset(6, seed=4)
     codebook, model, _ = trained_inputs(dataset)
@@ -139,15 +138,15 @@ def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
     broken[3] = (item_id, context, np.full_like(horizon, np.nan))  # no observed horizon
     item_id, context, horizon = broken[4]
     huge = np.tile([1.7e308, -1.7e308, -1.7e308], 22)[:CONFIG.context_length]
-    broken[4] = (item_id, huge, horizon)  # its mean overflows: non-finite scaled values
+    broken[4] = (item_id, huge, horizon)  # its mean overflows
     no_context = "cannot scale a window with no observed values"
-    non_finite = "input signal contains non-finite values"
+    overflows = "cannot scale a window whose mean or deviation overflows"
 
     pairs, failures = tokenize_windows(broken, CONFIG, codebook)
     assert [(item_id, str(exc)) for item_id, exc in failures] == [
         ("synth-00001", no_context),
         ("synth-00003", "cannot fill a window with no observed values"),
-        ("synth-00004", non_finite)]
+        ("synth-00004", overflows)]
     clean, none_failed = tokenize_windows([windows[i] for i in (0, 2, 5)], CONFIG, codebook)
     assert none_failed == []
     for (item_id, *got), (want_id, *want) in zip(pairs, clean, strict=True):
@@ -159,25 +158,26 @@ def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
 
     sample, skipped = pool_coefficients(broken, CONFIG)
     assert [(item_id, str(exc)) for item_id, exc in skipped] == [
-        ("synth-00001", no_context), ("synth-00004", non_finite)]
+        ("synth-00001", no_context), ("synth-00004", overflows)]
     # the series without an observed horizon still pools its context
     expected, _ = pool_coefficients([broken[i] for i in (0, 2, 3, 5)], CONFIG)
     np.testing.assert_array_equal(sample, expected)
 
     contexts = [(item_id, context) for item_id, context, _ in broken]
     results = forecast_dataset(model, codebook, CONFIG, contexts)
-    assert [error for _, _, error in results] == [None, no_context, None, None, non_finite, None]
+    assert [error for _, _, error in results] == [None, no_context, None, None, overflows, None]
     others = forecast_dataset(model, codebook, CONFIG, [contexts[i] for i in (0, 2, 3, 5)])
     assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
         (i, p.tobytes()) for i, p, _ in others]
 
 
-def with_overflowing_context(windows, index):
-    """The windows with one context whose wavelet coefficients overflow:
-    its mean cancels to 0 and its deviation overflows to the fallback 1, so
-    its scaled values stay finite."""
-    item_id, _, horizon = windows[index]
-    context = np.tile(np.repeat([1.7e308, -1.7e308], 8), CONFIG.context_length // 16)
+def with_overflowing_horizon(windows, index):
+    """The windows with one series whose horizon coefficients overflow: its
+    context scales to mean 0 and a deviation near 1, so its scaled horizon
+    of +-1.7e308 stays finite but its approximation band does not."""
+    item_id, _, _ = windows[index]
+    context = np.tile([-1.0, 1.0], CONFIG.context_length // 2)
+    horizon = np.tile(np.repeat([1.7e308, -1.7e308], 8), CONFIG.horizon // 16)
     return [*windows[:index], (item_id, context, horizon), *windows[index + 1:]]
 
 
@@ -185,10 +185,12 @@ def with_overflowing_context(windows, index):
                             "ignore:invalid value:RuntimeWarning")
 def test_a_series_whose_coefficients_overflow_fails_alone_with_one_message():
     dataset = small_dataset(6, seed=4)
-    codebook, model, _ = trained_inputs(dataset)
+    codebook, _, _ = trained_inputs(dataset)
     windows = make_windows(dataset, CONFIG)
-    broken = with_overflowing_context(windows, 2)
-    assert compute_scale(broken[2][1]) == ScaleStats(0.0, 1.0)
+    broken = with_overflowing_horizon(windows, 2)
+    _, context, horizon = broken[2]
+    scale = compute_scale(context)
+    assert scale.mu == 0.0 and np.isfinite((horizon - scale.mu) / scale.sigma).all()
     clean = [w for i, w in enumerate(windows) if i != 2]
     expected = [("synth-00002", "wavelet coefficients are not finite")]
 
@@ -202,6 +204,30 @@ def test_a_series_whose_coefficients_overflow_fails_alone_with_one_message():
             for item_id, ctx, hor in pairs] == [
         (item_id, ctx.tokens.tobytes(), hor.tokens.tobytes(), ctx.scale)
         for item_id, ctx, hor in tokenize_windows(clean, CONFIG, codebook)[0]]
+
+
+def test_a_context_whose_deviation_overflows_fails_alone_at_its_scale():
+    # +-1e200 has a true deviation near 1e200, but its squares overflow;
+    # pytest turns the RuntimeWarning a raw overflow would print into an error
+    dataset = small_dataset(6, seed=4)
+    codebook, model, _ = trained_inputs(dataset)
+    windows = make_windows(dataset, CONFIG)
+    item_id, _, horizon = windows[3]
+    huge = np.tile([1e200, -1e200], CONFIG.context_length // 2)
+    broken = [*windows[:3], (item_id, huge, horizon), *windows[4:]]
+    clean = [w for i, w in enumerate(windows) if i != 3]
+    expected = [("synth-00003", "cannot scale a window whose mean or deviation overflows")]
+
+    pairs, failures = tokenize_windows(broken, CONFIG, codebook)
+    assert [(item_id, str(exc)) for item_id, exc in failures] == expected
+    assert [(item_id, ctx.tokens.tobytes(), hor.tokens.tobytes(), ctx.scale)
+            for item_id, ctx, hor in pairs] == [
+        (item_id, ctx.tokens.tobytes(), hor.tokens.tobytes(), ctx.scale)
+        for item_id, ctx, hor in tokenize_windows(clean, CONFIG, codebook)[0]]
+
+    sample, skipped = pool_coefficients(broken, CONFIG)
+    assert [(item_id, str(exc)) for item_id, exc in skipped] == expected
+    assert sample.tobytes() == pool_coefficients(clean, CONFIG)[0].tobytes()
 
     results = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in broken])
     assert [(item_id, error) for item_id, _, error in results if error] == expected
@@ -229,7 +255,7 @@ def test_the_retry_makes_one_call_per_kind_and_bisects_only_where_a_call_raises(
     assert calls == [(6, False), (6, True), (6, False)]
     for index in range(6):
         calls.clear()
-        _, failures = tokenize_windows(with_overflowing_context(windows, index), CONFIG, codebook)
+        _, failures = tokenize_windows(with_overflowing_horizon(windows, index), CONFIG, codebook)
         assert [item_id for item_id, _ in failures] == [windows[index][0]]
         attempts = [rows for rows, eos in calls if not eos]  # each attempt tokenizes contexts first
         assert attempts[0] == 6 and len(attempts) <= 2 * math.ceil(math.log2(6)) + 1 == 7

@@ -1,10 +1,10 @@
 """Thresholding schemes: exact worked values and statistical behavior."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from wavets.dwt import decompose
 from wavets.families import get_family
@@ -88,10 +88,33 @@ class TestFdrc:
         # coefficients engineered to have two-sided p-values
         # [0.001, 0.2, 0.5, 0.9]; only the first passes its step-up bound
         p_values = np.array([0.001, 0.2, 0.5, 0.9])
-        details = ndtri(1.0 - p_values / 2.0)
+        details = np.array([NormalDist().inv_cdf(1.0 - p / 2.0) for p in p_values])
         lam, i0 = fdrc_lambda(details, sigma=1.0, q=0.05)
         assert i0 == 1
         assert abs(lam - 3.2905) <= 1e-3
+
+    @staticmethod
+    def _reference(details, sigma, q):
+        """Step-up over two-sided p-values ``erfc(|d| / (sigma sqrt 2))``."""
+        magnitudes = sorted((abs(d) for d in details), reverse=True)
+        m = len(magnitudes)
+        passing = [k for k in range(1, m + 1)
+                   if math.erfc(magnitudes[k - 1] / (sigma * math.sqrt(2.0))) <= k * q / m]
+        i0 = max(passing, default=0)
+        return (magnitudes[i0 - 1] if i0 else math.inf), i0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 447])
+    def test_matches_a_p_value_step_up(self, m):
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((60, m)) * rng.uniform(0.5, 3.0, (60, 1))
+        rows[::3, : max(m // 10, 1)] *= 8.0  # a few spikes to discover
+        rows[1::2] = np.round(rows[1::2], 1)  # tied magnitudes
+        sigma = rng.uniform(0.5, 2.0, 60)
+        for q in (0.05, 0.3):
+            lam, i0 = fdrc_lambda(rows, sigma, q)
+            expected = [self._reference(row, s, q) for row, s in zip(rows, sigma.tolist())]
+            assert list(zip(lam.tolist(), i0.tolist())) == expected
+            assert 0 < i0.sum() < rows.size
 
     def test_all_zero_details(self):
         out = fdrc_hard(np.zeros(3), sigma=1.0, q=0.05)

@@ -42,6 +42,8 @@ class TestScale:
     def test_constant_series(self):
         s = compute_scale(np.array([5.0, 5.0, 5.0]))
         assert s.mu == 5.0 and s.sigma == 1.0
+        s = compute_scale(np.full(8, 1e200))  # no spread to overflow
+        assert s.mu == 1e200 and s.sigma == 1.0
 
     def test_missing_excluded(self):
         s = compute_scale(np.array([2.0, np.nan, 6.0]))
@@ -50,6 +52,15 @@ class TestScale:
     def test_all_missing(self):
         with pytest.raises(ValueError):
             compute_scale(np.array([np.nan, np.nan]))
+
+    @pytest.mark.parametrize("x", [
+        np.tile([1e200, -1e200], 8),  # the squares overflow
+        np.repeat([1.7e308, -1.7e308], [10, 6]),  # the sum overflows
+        np.tile([1.7e308, -1.7e308, 0, 0, 0, 0, 0, 0], 16),  # partial sums of inf - inf
+    ])
+    def test_overflow_is_refused_without_a_warning(self, x):
+        with pytest.raises(ValueError, match="mean or deviation overflows"):
+            compute_scale(x)
 
 
 class TestFillMissing:
