@@ -15,7 +15,8 @@ one whose header lacks or mismatches what they expect. A token file holds
 ``{item_id, kind, tokens, mu, sigma}`` records, ``kind`` being ``context``
 or ``horizon`` (which ends with EOS). Each failed series or record gets
 its own ``error:`` line while the rest are still processed, and the
-command then exits with status 1.
+command then exits with status 1. A warning (say, a score left undefined)
+is printed as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -381,13 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_):
+    """Show a warning as one ``warning:`` line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (WavetsError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (WavetsError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

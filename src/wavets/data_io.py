@@ -7,9 +7,12 @@ optionally followed by ``.gz``); any other name is rejected:
 * ``long-csv``: header ``item_id,timestamp,value``, one observation per
   row, ISO-8601 timestamps, empty value field = missing.
 * ``jsonl``: one record per series with fields ``item_id``, ``start``,
-  ``freq`` and ``target`` (an array; ``null`` entries are missing). An
-  optional leading ``{"__meta__": {...}}`` record carries provenance and
-  is preserved in ``Dataset.meta``.
+  ``freq`` and ``target`` (a flat array of numbers; ``null`` entries are
+  missing). An optional leading ``{"__meta__": {...}}`` record carries
+  provenance and is preserved in ``Dataset.meta``.
+
+Infinite values are refused at ingestion, naming ``path:line``: a missing
+value is written as missing, never as an infinity.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import calendar
 import gzip
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -170,6 +174,8 @@ def _load_long_csv(path) -> Dataset:
                     value = float(value_text)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad value {value_text!r}") from None
+                if math.isinf(value):
+                    raise ValueError(f"{path}:{lineno}: infinite value {value_text!r}")
             rows.setdefault(item_id, []).append((ts, value, lineno))
 
     if not rows:
@@ -213,9 +219,16 @@ def _load_jsonl(path) -> Dataset:
             for field_name in ("start", "freq", "target"):
                 if field_name not in record:
                     raise ValueError(f"{path}:{lineno}: record is missing field {field_name!r}")
-            values = np.array(
-                [float("nan") if v is None else float(v) for v in record["target"]]
-            )
+            try:
+                values = np.array(record["target"], dtype=np.float64)  # null -> NaN
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad target: {exc}") from None
+            if values.ndim != 1:
+                raise ValueError(f"{path}:{lineno}: target must be a flat array of numbers, "
+                                 f"got {values.ndim} dimension(s)")
+            if np.isinf(values).any():
+                raise ValueError(f"{path}:{lineno}: infinite value in target at index "
+                                 f"{int(np.flatnonzero(np.isinf(values))[0])}")
             item_id = str(record.get("item_id", f"series-{len(series)}"))
             try:
                 start = datetime.fromisoformat(record["start"])
@@ -241,9 +254,9 @@ def save_dataset(dataset: Dataset, path) -> None:
         with _open_text(path, "w") as fh:
             fh.write("item_id,timestamp,value\n")
             for s in dataset.series:
-                for i, v in enumerate(s.values):
+                for i, v in enumerate(s.values.tolist()):
                     ts = _advance(s.start, s.freq, i)
-                    text = "" if np.isnan(v) else repr(float(v))
+                    text = repr(v) if v == v else ""
                     fh.write(f"{s.item_id},{ts.isoformat()},{text}\n")
     else:
         with _open_text(path, "w") as fh:
@@ -254,7 +267,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                     "item_id": s.item_id,
                     "start": s.start.isoformat(),
                     "freq": s.freq,
-                    "target": [None if np.isnan(v) else float(v) for v in s.values],
+                    "target": [v if v == v else None for v in s.values.tolist()],  # NaN != NaN
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 

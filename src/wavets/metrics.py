@@ -2,10 +2,15 @@
 
 Missing truth values (NaN) are left out: WQL, MASE and VRSE score a
 forecast on the observed steps of its truth only, as if the series were
-restricted to them. Degenerate denominators (all-zero or all-missing
-truth, perfectly seasonal context, zero-energy spectra) are flagged: the
-function warns and returns NaN rather than raising, so batch evaluation
-can proceed.
+restricted to them. :func:`sample_quantiles`, :func:`seasonal_naive`,
+:func:`mase` and :func:`vrse` work along the last axis: a stack of rows
+gives one result per row, and each row's result is bit-identical to a
+one-row call, because every row is reduced as the 1-D array of its
+observed values (rows are grouped by their count of observed values).
+:func:`wql` scores a whole stack as one number. Degenerate rows (all-zero
+or all-missing truth, a perfectly seasonal context, zero-energy spectra)
+score NaN rather than raising, so batch evaluation can proceed, and each
+call warns once with the count of such rows per cause.
 """
 
 from __future__ import annotations
@@ -55,6 +60,46 @@ def quantile_loss(q: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(x >= q, alpha * (x - q), (1.0 - alpha) * (q - x))
 
 
+def _rows(values) -> np.ndarray:
+    """``values`` as float64 rows: a 2-D view with the last axis kept."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0:
+        raise ValueError("expected values along a last axis, got a scalar")
+    return values.reshape(-1, values.shape[-1])
+
+
+def _per_row(scores: np.ndarray, shape: tuple):
+    """A float for a one-row call on 1-D input, else ``scores`` in ``shape``."""
+    return float(scores[0]) if shape == () else scores.reshape(shape)
+
+
+def _observed_groups(keep: np.ndarray, *arrays: np.ndarray):
+    """Yield ``(rows, n, kept)`` per count ``n`` of kept entries in a row of
+    the 2-D mask ``keep``: ``rows`` selects the rows with that count and
+    ``kept`` holds, per array, their kept entries as an ``(len, n)`` stack."""
+    counts = keep.sum(axis=1)
+    for n in np.unique(counts).tolist():
+        rows = counts == n
+        yield rows, n, [a[rows][keep[rows]].reshape(int(rows.sum()), n) for a in arrays]
+
+
+def _flag_undefined(scores: np.ndarray, what: str, causes) -> np.ndarray:
+    """Set to NaN the rows of each ``(mask, cause)`` not flagged by an
+    earlier cause, and warn once with the count per cause."""
+    undefined = np.zeros(scores.shape, dtype=bool)
+    counts = []
+    for mask, cause in causes:
+        mask = mask & ~undefined
+        if mask.any():
+            counts.append(f"{int(mask.sum())} {cause}")
+        undefined |= mask
+    if counts:
+        warnings.warn(f"{what} is undefined for {int(undefined.sum())} of {scores.size} row(s): "
+                      f"{'; '.join(counts)}")
+    scores[undefined] = np.nan
+    return scores
+
+
 def wql(
     truth: np.ndarray,
     quantile_forecasts: np.ndarray,
@@ -89,86 +134,94 @@ def mase(
     point_forecast: np.ndarray,
     context: np.ndarray,
     seasonality: int,
-) -> float:
-    """Mean absolute error scaled by the in-sample seasonal-naive error.
+):
+    """Mean absolute error scaled by the in-sample seasonal-naive error,
+    per row of the last axis: a float for 1-D input, else an array.
 
     ``(P / H) * sum|err| / sum_t |x_t - x_{t+S}|``, where ``H`` counts the
     observed truth steps and the error sum runs over them, and the scale
     sums over the ``P`` pairs ``(t, t + S)`` of the context whose values
-    are both observed (``P = C - S`` without missing values).
+    are both observed (``P = C - S`` without missing values). Each truth
+    row has its own context row.
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    forecast = np.asarray(point_forecast, dtype=np.float64)
-    context = np.asarray(context, dtype=np.float64)
+    shape = np.shape(truth)[:-1]
+    truth, forecast, context = _rows(truth), _rows(point_forecast), _rows(context)
     if truth.shape != forecast.shape:
         raise ValueError(f"truth {truth.shape} and forecast {forecast.shape} differ in shape")
-    c, s = len(context), int(seasonality)
+    if len(context) != len(truth):
+        raise ValueError(f"{len(context)} context row(s) for {len(truth)} truth row(s)")
+    c, s = context.shape[1], int(seasonality)
     if c <= s:
         raise ValueError(f"context length {c} must exceed seasonality {s}")
     observed = ~np.isnan(truth)
-    truth, forecast, h = truth[observed], forecast[observed], int(observed.sum())
-    if h == 0:
-        warnings.warn("missing truth: scaled error is undefined")
-        return float("nan")
-    pairs = np.abs(context[: c - s] - context[s:])
-    pairs = pairs[np.isfinite(pairs)]
-    if pairs.size == 0:
-        warnings.warn("no observed seasonal pair in the context: scaled error is undefined")
-        return float("nan")
-    denom = np.sum(pairs)
-    if denom == 0.0:
-        warnings.warn("perfectly seasonal context: scaled error is undefined")
-        return float("nan")
-    return float(pairs.size / h * np.sum(np.abs(forecast - truth)) / denom)
+    errors, h = np.zeros(len(truth)), observed.sum(axis=1)
+    for rows, _, (error,) in _observed_groups(observed, np.abs(forecast - truth)):
+        errors[rows] = error.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pairs = np.abs(context[:, : c - s] - context[:, s:])
+        finite = np.isfinite(pairs)
+        scale, p = np.zeros(len(truth)), finite.sum(axis=1)
+        for rows, _, (pair,) in _observed_groups(finite, pairs):
+            scale[rows] = pair.sum(axis=1)
+        scores = p / h * errors / scale
+    return _per_row(_flag_undefined(scores, "scaled error", [
+        (h == 0, "with no observed truth"),
+        (p == 0, "with no observed seasonal pair in the context"),
+        (scale == 0.0, "with a perfectly seasonal context"),
+    ]), shape)
 
 
 def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
-    """One-sided Fourier amplitude spectrum, zero-frequency term
-    included."""
+    """One-sided Fourier amplitude spectrum along the last axis,
+    zero-frequency term included."""
     return np.abs(np.fft.rfft(np.asarray(x, dtype=np.float64)))
 
 
-def vrse(truth: np.ndarray, point_forecast: np.ndarray) -> float:
-    """Relative squared discrepancy of the amplitude spectra.
+def vrse(truth: np.ndarray, point_forecast: np.ndarray):
+    """Relative squared discrepancy of the amplitude spectra, per row of
+    the last axis: a float for 1-D input, else an array.
 
     Compares the overall frequency content (the "shape") of the forecast
     with the truth, ignoring time alignment. Steps with missing truth are
     dropped from both series before the spectra are taken.
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    forecast = np.asarray(point_forecast, dtype=np.float64)
+    shape = np.shape(truth)[:-1]
+    truth, forecast = _rows(truth), _rows(point_forecast)
     if truth.shape != forecast.shape:
         raise ValueError(f"truth {truth.shape} and forecast {forecast.shape} differ in shape")
-    if truth.size < 2:
+    if truth.shape[1] < 2:
         raise ValueError("need at least two samples to compare spectra")
     observed = ~np.isnan(truth)
-    truth, forecast = truth[observed], forecast[observed]
-    if truth.size < 2:
-        warnings.warn("fewer than two observed steps: relative spectral error is undefined")
-        return float("nan")
-    a_true = amplitude_spectrum(truth)
-    a_fc = amplitude_spectrum(forecast)
-    denom = np.sum(a_true**2)
-    if denom == 0.0:
-        warnings.warn("zero-energy truth: relative spectral error is undefined")
-        return float("nan")
-    return float(np.sum((a_fc - a_true) ** 2) / denom)
+    scores, energy = np.full((2, len(truth)), np.nan)
+    for rows, n, (kept_truth, kept_forecast) in _observed_groups(observed, truth, forecast):
+        if n < 2:
+            continue
+        a_true = amplitude_spectrum(kept_truth)
+        a_fc = amplitude_spectrum(kept_forecast)
+        energy[rows] = np.sum(a_true**2, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores[rows] = np.sum((a_fc - a_true) ** 2, axis=1) / energy[rows]
+    return _per_row(_flag_undefined(scores, "relative spectral error", [
+        (observed.sum(axis=1) < 2, "with fewer than two observed steps"),
+        (energy == 0.0, "with zero-energy truth"),
+    ]), shape)
 
 
 def sample_quantiles(
     samples: np.ndarray,
     levels: tuple[float, ...] = QUANTILE_LEVELS,
 ) -> np.ndarray:
-    """Empirical per-step quantiles of sample paths, shape ``(len(levels), H)``.
+    """Empirical per-step quantiles of sample paths: ``(..., n_samples, H)``
+    paths give ``(len(levels), ..., H)`` quantiles.
 
     Uses the inclusive linear-interpolation definition (numpy's default);
     quantile conventions differ between libraries, so this one is fixed
     here and used everywhere in the package.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ValueError(f"expected (n_samples, horizon) paths, got shape {samples.shape}")
-    return np.quantile(samples, levels, axis=0, method="linear")
+    if samples.ndim < 2:
+        raise ValueError(f"expected (..., n_samples, horizon) paths, got shape {samples.shape}")
+    return np.quantile(samples, levels, axis=-2, method="linear")
 
 
 def seasonal_naive(
@@ -177,32 +230,34 @@ def seasonal_naive(
     horizon: int,
     levels: tuple[float, ...] = QUANTILE_LEVELS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat the last season of the context; deterministic, so every
-    quantile equals the point forecast. Returns ``(point, quantile_stack)``.
+    """Repeat the last season of each context row; deterministic, so every
+    quantile equals the point forecast. Returns ``(point, quantile_stack)``
+    of shapes ``(..., horizon)`` and ``(len(levels), ..., horizon)``.
 
     A missing phase of the last season takes the same phase one season
     earlier, and so on back; a phase never observed takes the last
-    observed value.
+    observed value of its row.
     """
     context = np.asarray(context, dtype=np.float64)
-    s = int(seasonality)
-    if len(context) < s:
-        raise ValueError(f"context length {len(context)} is shorter than one season ({s})")
-    season = context[-s:].copy()
-    end = len(context) - s  # the earlier seasons end here, on phase s - 1
+    c, s = context.shape[-1], int(seasonality)
+    if c < s:
+        raise ValueError(f"context length {c} is shorter than one season ({s})")
+    season = context[..., c - s:].copy()
+    end = c - s  # the earlier seasons end here, on phase s - 1
     while end > 0 and not np.isfinite(season).all():
-        earlier, tail = context[max(end - s, 0):end], season[s - min(end, s):]
+        earlier, tail = context[..., max(end - s, 0):end], season[..., s - min(end, s):]
         np.copyto(tail, earlier, where=~np.isfinite(tail))
         end -= s
     missing = ~np.isfinite(season)
     if missing.any():
-        observed = context[np.isfinite(context)]
-        if not observed.size:
-            raise ValueError("context has no observed values")
-        season[missing] = observed[-1]
-    reps = int(np.ceil(horizon / s))
-    point = np.tile(season, reps)[:horizon]
-    return point, np.tile(point, (len(levels), 1))
+        observed = np.isfinite(context)
+        if not observed.any(axis=-1).all():
+            raise ValueError(f"{int((~observed.any(axis=-1)).sum())} context row(s) have no "
+                             "observed values")
+        last = c - 1 - np.argmax(observed[..., ::-1], axis=-1)
+        np.copyto(season, np.take_along_axis(context, last[..., None], axis=-1), where=missing)
+    point = season[..., np.arange(horizon) % s]
+    return point, np.broadcast_to(point, (len(levels), *point.shape)).copy()
 
 
 def aggregate_relative(scores, baseline_scores) -> float:

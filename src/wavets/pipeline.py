@@ -292,43 +292,61 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
             for i, (item_id, _) in enumerate(contexts)]
 
 
+def _groups(keys) -> list[list[int]]:
+    """Row indices per distinct key, in order of first appearance."""
+    groups: dict = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    return list(groups.values())
+
+
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
     baseline. Missing steps of a held-out horizon are left out of every
-    score; the forecasts still cover the whole horizon. A series whose
-    MASE or VRSE is undefined (NaN) is left out of that mean, and one
+    score; the forecasts still cover the whole horizon. The series are
+    scored as one stack: one quantile call per sample count, one
+    seasonal-naive and MASE call per naive season (the dataset's, or less
+    for a context with few observed values) and one VRSE call. A series
+    whose MASE or VRSE is undefined (NaN) is left out of that mean, and one
     warning per dataset names every such series."""
-    season = seasonality_for_freq(dataset.freq)
-    rows, undefined = [], []
-    for item_id, context, horizon in make_windows(dataset, config):
+    windows = make_windows(dataset, config)
+    if not windows:
+        raise WavetsError(f"dataset {name}: no series to score")
+    for item_id, _, horizon in windows:
         if item_id not in samples:
             raise WavetsError(f"dataset {name}: no forecast for series {item_id!r}")
-        paths = samples[item_id]
-        if paths.shape[1] != len(horizon):
+        if np.ndim(samples[item_id]) != 2 or samples[item_id].shape[1] != len(horizon):
             raise WavetsError(f"dataset {name}: forecast horizon mismatch for {item_id!r}")
-        quantiles = sample_quantiles(paths)
-        median = quantiles[QUANTILE_LEVELS.index(0.5)]
-        # missing context values stay in place, so the seasons keep their phase
-        naive_season = min(season, int(np.isfinite(context).sum()) - 1) or 1
-        naive_point, naive_quantiles = seasonal_naive(context, naive_season, len(horizon))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            scores = (mase(horizon, median, context, naive_season),
-                      mase(horizon, naive_point, context, naive_season),
-                      vrse(horizon, median), vrse(horizon, naive_point))
-        if np.isnan(scores).any():
-            undefined.append(item_id)
-        rows.append((horizon, quantiles, naive_quantiles, *scores))
+    item_ids, contexts, truths = zip(*windows)
+    contexts, truths = np.stack(contexts), np.stack(truths)
+    # missing context values stay in place, so the seasons keep their phase
+    seasons = np.minimum(seasonality_for_freq(dataset.freq), np.isfinite(contexts).sum(axis=1) - 1)
+    seasons = np.maximum(seasons, 1).tolist()
+    model_q = np.empty((len(QUANTILE_LEVELS), *truths.shape))
+    for rows in _groups(len(samples[item_id]) for item_id in item_ids):
+        model_q[:, rows] = sample_quantiles(np.stack([samples[item_ids[i]] for i in rows]))
+    median = model_q[QUANTILE_LEVELS.index(0.5)]
+    naive_point, naive_q = np.empty_like(truths), np.empty_like(model_q)
+    model_mase, naive_mase = np.empty(len(truths)), np.empty(len(truths))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rows in _groups(seasons):
+            season = seasons[rows[0]]
+            naive_point[rows], naive_q[:, rows] = seasonal_naive(contexts[rows], season,
+                                                                 truths.shape[1])
+            model_mase[rows] = mase(truths[rows], median[rows], contexts[rows], season)
+            naive_mase[rows] = mase(truths[rows], naive_point[rows], contexts[rows], season)
+        model_vrse, naive_vrse = vrse(truths, median), vrse(truths, naive_point)
+    undefined = [item_ids[i] for i in np.flatnonzero(
+        np.isnan([model_mase, naive_mase, model_vrse, naive_vrse]).any(axis=0))]
     if undefined:
         warnings.warn(f"dataset {name}: MASE or VRSE is undefined for {len(undefined)} of "
-                      f"{len(rows)} series, left out of those means: {', '.join(undefined)}")
-    truths, model_q, naive_q, model_mase, naive_mase, model_vrse, naive_vrse = zip(*rows)
-    truth_stack = np.stack(truths)
+                      f"{len(truths)} series, left out of those means: {', '.join(undefined)}")
     return {
-        ("model", "wql"): wql(truth_stack, np.stack(model_q, axis=1)),
+        ("model", "wql"): wql(truths, model_q),
         ("model", "mase"): float(np.nanmean(model_mase)),
         ("model", "vrse"): float(np.nanmean(model_vrse)),
-        ("seasonal_naive", "wql"): wql(truth_stack, np.stack(naive_q, axis=1)),
+        ("seasonal_naive", "wql"): wql(truths, naive_q),
         ("seasonal_naive", "mase"): float(np.nanmean(naive_mase)),
         ("seasonal_naive", "vrse"): float(np.nanmean(naive_vrse)),
     }

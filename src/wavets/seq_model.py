@@ -7,10 +7,10 @@ start of a sequence), and additive smoothing gives an unseen history the
 uniform distribution. The lower-order counts are not used for backoff.
 The interface is the minimal contract a neural replacement would need to
 satisfy: a vocabulary size, the number of trailing tokens a query reads,
-the next-token distributions of a batch of histories, and a state per
-history such that histories of equal state have equal distributions. The
-Markov model's state is the count row of an observed order-k history and
-``-1`` for every unseen one.
+the next-token distributions of a batch of histories, and an integer
+state per history such that histories of equal state have equal
+distributions, in any call. The Markov model's state is the count row of
+an observed order-k history and ``-1`` for every unseen one.
 
 Histories are passed as ``(G, L)`` int arrays, one history per row with
 the most recent token last; ``-1`` left-pads a history that is shorter
@@ -35,13 +35,18 @@ read without pickle. Version 1 was a JSON dict of dicts.
 
 Sampling advances the ``N x S`` paths of all series of a command
 together, one token per step. Each step groups the paths by the state of
-their history (one ``np.unique``), queries the model once with one
-history per distinct state, and builds the masked, tempered and
-normalised CDF of those rows only; unseen histories share one row. Each
-path draws one uniform per token from its own seeded stream and inverts
-its state's CDF with it, so a fixed seed gives the same paths whatever
-the batching. The uniforms and the drawn tokens take ``N x S x n_tokens``
-values, the synthesis of the paths ``N x S x H`` per band.
+their history (one ``np.unique``). A state's masked, tempered and
+normalised CDF is built once per call, from one query at the first step
+that reaches it, and reused at every later step; unseen histories share
+one state. A step that reaches new states makes one query for all of
+them, so each distinct state is queried exactly once per call. The row
+arithmetic is row-local, so a CDF does not depend on the step or the
+other rows it was built with. Each path draws one uniform per token from
+its own seeded stream and inverts its state's CDF with it, so a fixed
+seed gives the same paths whatever the batching. The uniforms and the
+drawn tokens take ``N x S x n_tokens`` values, the cached CDFs ``V``
+values per distinct state, the synthesis of the paths ``N x S x H`` per
+band.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 class SequenceModel(Protocol):
     """A query reads at most the last ``order`` columns of each history
     row and returns one distribution per row; two rows of equal
-    ``history_states`` have equal distributions."""
+    ``history_states``, in the same or different calls, have equal
+    distributions."""
 
     vocab_size: int
     order: int
@@ -213,6 +219,18 @@ def cross_entropy(
         return float(-np.log(probs[np.arange(len(positions)), seq[positions]]).mean())
 
 
+def path_uniforms(seeds: Sequence[int], n_samples: int, n: int) -> np.ndarray:
+    """``(len(seeds) * n_samples, n)`` uniforms in ``[0, 1)``: row ``i *
+    n_samples + s`` equals ``default_rng(child).random(n)`` for the ``s``-th
+    child spawned from ``SeedSequence(seeds[i])``. It is read from the raw
+    PCG64 stream without a ``Generator``: ``Generator.random`` is
+    ``(next_uint64 >> 11) * 2**-53``."""
+    raw = np.array([np.random.PCG64(child).random_raw(n) for seed in seeds
+                    for child in np.random.SeedSequence(seed).spawn(n_samples)],
+                   dtype=np.uint64).reshape(-1, n)
+    return (raw >> 11) * 2.0**-53
+
+
 def sample_forecast(
     model: SequenceModel,
     contexts: Sequence[TokenStream],
@@ -232,18 +250,20 @@ def sample_forecast(
     context's scale statistics, all paths in one call.
 
     All ``N x n_samples`` paths advance one token per step. A step groups
-    the paths by ``model.history_states``, makes one query with one
-    history per distinct state, and draws each path's token by inverse-CDF
-    lookup of its own uniform, one ``searchsorted`` per state. Path ``s``
-    of series ``i`` draws its ``n_tokens`` uniforms up front from the
-    ``s``-th stream spawned from ``SeedSequence(seeds[i])``, one per token,
-    so fixed seeds give bit-identical output whatever the other series,
-    the same as a per-path ``Generator.choice`` loop over the full
-    history. Temperature 0 takes the argmax and draws nothing. At any
-    temperature, a path that reaches a state whose distribution has no
-    mass fails the call with "sampling distribution has no mass"; the
-    caller's retry by halves (:func:`wavets.pipeline.forecast_dataset`)
-    then fails only the series of that path.
+    the paths by ``model.history_states``, queries the model once with one
+    history per state no earlier step has reached, and draws each path's
+    token by inverse-CDF lookup of its own uniform, one ``searchsorted``
+    per state; each state's CDF is built once per call. Path ``s`` of
+    series ``i`` draws its ``n_tokens`` uniforms up front with
+    :func:`path_uniforms`, one per token, so fixed seeds give bit-identical
+    output whatever the other series, the same as a per-path
+    ``Generator.choice`` loop over the full history. Temperature 0 takes
+    the argmax (a CDF that steps from 0 to 1 there, read at 0) and draws
+    nothing. At any temperature, a path that reaches a state whose
+    distribution has no mass fails the call with "sampling distribution
+    has no mass"; the caller's retry by halves
+    (:func:`wavets.pipeline.forecast_dataset`) then fails only the series
+    of that path.
     """
     if model.vocab_size != codebook.vocab_size:
         raise ValueError(
@@ -254,37 +274,40 @@ def sample_forecast(
         raise ValueError(f"temperature must be non-negative, got {temperature}")
     n_tokens = sum(coefficient_layout(horizon_length, get_family(config.family), config.level,
                                       config.boundary_mode))
-    if temperature > 0.0:
-        uniforms = np.array([
-            np.random.default_rng(child).random(n_tokens)
-            for seed in seeds for child in np.random.SeedSequence(seed).spawn(n_samples)
-        ]).reshape(-1, n_tokens)
     series = np.repeat(np.arange(len(contexts)), n_samples)  # of each path
+    uniforms = (path_uniforms(seeds, n_samples, n_tokens) if temperature > 0.0
+                else np.zeros((len(series), n_tokens)))  # temperature 0 draws nothing
     windows = np.array([_padded_windows(c.tokens, model.order)[-1] for c in contexts],
                        dtype=np.int64).reshape(-1, model.order)[series]
     generated = np.empty((len(series), n_tokens), dtype=np.int64)
+    cdfs: dict = {}  # state -> its CDF, built at the first step that reaches it
     for step in range(n_tokens):
-        _, first, inverse = np.unique(model.history_states(windows), return_index=True,
-                                      return_inverse=True)
-        probs = model.next_token_distributions(windows[first])
-        probs[:, codebook.eos_id] = 0.0
-        probs[:, codebook.pad_id] = 0.0
-        if temperature not in (0.0, 1.0):
-            probs **= 1.0 / temperature
-        totals = probs.sum(axis=1, keepdims=True)
-        if (totals <= 0.0).any():
-            raise ValueError("sampling distribution has no mass")
-        if temperature == 0.0:
-            generated[:, step] = probs.argmax(axis=1)[inverse]
-        else:
-            # What Generator.choice(p=probs / total) does with one uniform.
-            probs /= totals
-            cdf = probs.cumsum(axis=1, out=probs)
-            cdf /= cdf[:, -1:]
-            members = np.argsort(inverse, kind="stable")
-            bounds = np.cumsum(np.bincount(inverse, minlength=len(first)))[:-1]
-            for row, paths in zip(cdf, np.split(members, bounds)):
-                generated[paths, step] = row.searchsorted(uniforms[paths, step], side="right")
+        states, first, inverse = np.unique(model.history_states(windows), return_index=True,
+                                           return_inverse=True)
+        states = states.tolist()
+        new = [j for j, state in enumerate(states) if state not in cdfs]
+        if new:
+            probs = model.next_token_distributions(windows[first[new]])
+            probs[:, codebook.eos_id] = 0.0
+            probs[:, codebook.pad_id] = 0.0
+            if temperature not in (0.0, 1.0):
+                probs **= 1.0 / temperature
+            totals = probs.sum(axis=1, keepdims=True)
+            if (totals <= 0.0).any():
+                raise ValueError("sampling distribution has no mass")
+            if temperature == 0.0:
+                # a step at the argmax, which a uniform of 0 always draws
+                cdf = (np.arange(model.vocab_size) >= probs.argmax(axis=1)[:, None]).astype(float)
+            else:
+                # What Generator.choice(p=probs / total) does with one uniform.
+                probs /= totals
+                cdf = probs.cumsum(axis=1, out=probs)
+                cdf /= cdf[:, -1:]
+            cdfs.update(zip((states[j] for j in new), cdf))
+        members = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse, minlength=len(states)))[:-1]
+        for state, paths in zip(states, np.split(members, bounds)):
+            generated[paths, step] = cdfs[state].searchsorted(uniforms[paths, step], side="right")
         windows[:, :-1] = windows[:, 1:]
         windows[:, -1] = generated[:, step]
     mu, sigma = np.array([(c.scale.mu, c.scale.sigma) for c in contexts]).reshape(-1, 2).T

@@ -372,3 +372,28 @@ def test_ablate_refuses_a_grid_key_that_is_no_config_field(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: unsupported grid keys ['colour']; allowed ('family', ")
     assert not (tmp_path / "refused").exists()
+
+
+def test_warnings_are_printed_as_one_line_each(tmp_path, capsys):
+    # a zero-energy horizon: the VRSE of synth-00000 is undefined in every cell
+    dataset = make_dataset(N_SERIES, context_length=64, horizon=16, seed=0)
+    dataset.series[0].values[-16:] = 0.0
+    save_dataset(dataset, tmp_path / "data.jsonl")
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("grid:\n  family: [haar, db4]\n")
+    code, out, err = run(["ablate", "--data", tmp_path / "data.jsonl", "--grid", grid,
+                          "--out-dir", tmp_path / "cells", *FLAGS], capsys)
+    assert code == 0 and "(2 cells, 0 failed)" in out
+    assert err.splitlines() == 2 * [
+        f"warning: dataset cell: MASE or VRSE is undefined for 1 of {N_SERIES} series, "
+        "left out of those means: synth-00000"]
+
+
+def test_a_target_that_is_no_array_of_numbers_fails_with_one_error_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0, {}, 3.0]}\n')
+    code, _, err = run(["fit-codebook", "--data", data, "--out", tmp_path / "cb.json", *FLAGS],
+                       capsys)
+    assert code == 1
+    assert err == (f"error: {data}:1: bad target: float() argument must be a string or a real "
+                   "number, not 'dict'\n")

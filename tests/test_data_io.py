@@ -1,6 +1,8 @@
 """Dataset files and the held-out-tail split: jsonl and long-CSV round
 trips with missing values, and the shapes ``split_last_h`` returns."""
 
+import json
+import re
 from datetime import datetime
 
 import numpy as np
@@ -97,3 +99,68 @@ def test_split_last_h_skips_series_without_a_context():
 def test_split_last_h_rejects_a_non_positive_horizon():
     with pytest.raises(ValueError, match="horizon must be positive"):
         split_last_h(gappy_dataset(), horizon=0)
+
+
+@pytest.mark.parametrize("lines, where", [
+    (['{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0, Infinity]}'], 1),
+    (['{"__meta__": {}}', '{"item_id": "a", "start": "2021-01-01", "freq": "h", '
+      '"target": [null, -Infinity, 2.0]}'], 2),
+    (['{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0, 2.0]}',
+      '{"item_id": "b", "start": "2021-01-01", "freq": "h", "target": [1e400]}'], 2),
+])
+def test_jsonl_refuses_an_infinite_value_naming_its_line(tmp_path, lines, where):
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{where}: infinite value in target"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-Infinity", "1e400"])
+def test_long_csv_refuses_an_infinite_value_naming_its_line(tmp_path, value):
+    path = tmp_path / "data.csv"
+    path.write_text("item_id,timestamp,value\na,2021-01-01T00:00:00,1.5\n"
+                    f"a,2021-01-01T01:00:00,{value}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: infinite value '{value}'$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("target, message", [
+    ("[1.0, {}, 3.0]", "bad target"),
+    ("[[1.0, 2.0], [3.0]]", "bad target"),
+    ('["x"]', "bad target"),
+    ("[[1.0, 2.0]]", "target must be a flat array of numbers, got 2 dimension"),
+    ("4.0", "target must be a flat array of numbers, got 0 dimension"),
+])
+def test_jsonl_refuses_a_target_that_is_no_flat_array_of_numbers(tmp_path, target, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                    f'{{"item_id": "b", "start": "2021-01-01", "freq": "h", "target": {target}}}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {message}"):
+        load_dataset(path)
+
+
+def test_jsonl_reads_nulls_as_missing_and_integers_as_floats(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", '
+                    '"target": [1, null, -0.0, 2.5, null]}\n')
+    values = load_dataset(path).series[0].values
+    assert values.dtype == np.float64
+    np.testing.assert_array_equal(values, [1.0, np.nan, 0.0, 2.5, np.nan])
+    assert np.signbit(values[2])
+
+
+def test_save_dataset_writes_the_bytes_of_a_json_dumps_reference(tmp_path):
+    values = np.array([np.nan, -0.0, 0.0, 1e308, -1e-308, 0.1, 1 / 3, np.nan, 5e-324])
+    dataset = Dataset([TimeSeries("a", START, "h", values)], "h", meta={"k": 1})
+    save_dataset(dataset, tmp_path / "data.jsonl")
+    target = [None if np.isnan(v) else float(v) for v in values]
+    record = {"item_id": "a", "start": START.isoformat(), "freq": "h", "target": target}
+    expected = (json.dumps({"__meta__": {"k": 1}}, sort_keys=True) + "\n"
+                + json.dumps(record, sort_keys=True) + "\n")
+    assert (tmp_path / "data.jsonl").read_bytes() == expected.encode()
+    assert '"target": [null, -0.0, 0.0, 1e+308, ' in expected
+    save_dataset(dataset, tmp_path / "data.csv")
+    csv_values = [line.rsplit(",", 1)[1] for line in
+                  (tmp_path / "data.csv").read_text().splitlines()[1:]]
+    assert csv_values == ["" if np.isnan(v) else repr(float(v)) for v in values]
+    assert_same_series(load_dataset(tmp_path / "data.jsonl"), dataset)

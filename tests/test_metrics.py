@@ -124,3 +124,74 @@ def test_aggregate_relative_refuses_mismatched_or_non_positive_baselines():
         aggregate_relative([1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match="must be positive"):
         aggregate_relative([1.0, 2.0], [1.0, 0.0])
+
+
+def stacked_rows():
+    """Truth, forecast and context rows: clean, gappy, all-missing truth,
+    zero-energy truth, a perfectly seasonal context, a context with no
+    observed seasonal pair, and a truth with one observed step."""
+    rng = np.random.default_rng(9)
+    truth, forecast = rng.normal(5.0, 2.0, (8, 16)), rng.normal(5.0, 2.0, (8, 16))
+    context = rng.normal(5.0, 2.0, (8, 64))
+    truth[1, [0, 5, 6, 15]] = context[1, [3, 40]] = np.nan
+    truth[2] = np.nan
+    truth[3] = 0.0
+    context[4] = np.tile(rng.normal(size=2), 32)
+    context[5, ::2] = np.nan
+    context[5, 1::4] = np.nan
+    truth[6, 1:] = np.nan
+    truth[7, 2:12] = np.nan
+    return truth, forecast, context
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_stacked_rows_are_bit_identical_to_one_row_calls():
+    truth, forecast, context = stacked_rows()
+    with pytest.warns(UserWarning):
+        mase_rows = mase(truth, forecast, context, 2)
+    with pytest.warns(UserWarning):
+        vrse_rows = vrse(truth, forecast)
+    with pytest.warns(UserWarning):
+        alone = [(mase(t, f, c, 2), vrse(t, f)) for t, f, c in zip(truth, forecast, context)]
+    assert same_bits(mase_rows, [m for m, _ in alone])
+    assert same_bits(vrse_rows, [v for _, v in alone])
+    assert np.isnan(mase_rows[[2, 4, 5]]).all() and np.isnan(vrse_rows[[2, 3, 6]]).all()
+    assert np.isfinite(mase_rows[[0, 1, 3, 6, 7]]).all() and np.isfinite(vrse_rows[[0, 1, 7]]).all()
+    with pytest.warns(UserWarning):  # any leading axes
+        nested = mase(truth.reshape(2, 4, 16), forecast.reshape(2, 4, 16),
+                      context.reshape(2, 4, 64), 2)
+    assert same_bits(nested, mase_rows.reshape(2, 4))
+
+    paths = np.random.default_rng(2).normal(size=(8, 20, 16))
+    paths[3] = 0.0
+    quantiles = sample_quantiles(paths)
+    assert quantiles.shape == (len(QUANTILE_LEVELS), 8, 16)
+    for i in range(8):
+        assert same_bits(quantiles[:, i], sample_quantiles(paths[i]))
+
+    context[6] = np.nan  # left padding: fewer observed values than a season
+    context[6, -3:] = [1.0, np.nan, 2.0]
+    point, stack = seasonal_naive(context, 7, 16)
+    assert point.shape == (8, 16) and stack.shape == (len(QUANTILE_LEVELS), 8, 16)
+    for i in range(8):
+        row_point, row_stack = seasonal_naive(context[i], 7, 16)
+        assert same_bits(point[i], row_point) and same_bits(stack[:, i], row_stack)
+    with pytest.raises(ValueError, match="1 context row"):
+        seasonal_naive(np.vstack([context, np.full(64, np.nan)]), 7, 16)
+
+
+def test_each_call_warns_once_with_the_count_per_cause():
+    truth, forecast, context = stacked_rows()
+    with pytest.warns(UserWarning) as record:
+        mase(truth, forecast, context, 2)
+        vrse(truth, forecast)
+    assert [str(w.message) for w in record] == [
+        "scaled error is undefined for 3 of 8 row(s): 1 with no observed truth; "
+        "1 with no observed seasonal pair in the context; 1 with a perfectly seasonal context",
+        "relative spectral error is undefined for 3 of 8 row(s): "
+        "2 with fewer than two observed steps; 1 with zero-energy truth",
+    ]

@@ -353,6 +353,69 @@ def test_evaluate_dataset_warns_once_naming_series_with_undefined_scores():
     assert all(np.isfinite(value) for value in scores.values())
 
 
+def oracle_scores(dataset, samples, config):
+    """``evaluate_dataset`` one series at a time: 1-D numpy on each
+    series' observed values, the naive season of each phase walked back by
+    hand."""
+    season = seasonality_for_freq(dataset.freq)
+    rows = []
+    for item_id, context, horizon in make_windows(dataset, config):
+        quantiles = np.quantile(samples[item_id], QUANTILE_LEVELS, axis=0)
+        median, observed = quantiles[QUANTILE_LEVELS.index(0.5)], ~np.isnan(horizon)
+        finite = np.isfinite(context)
+        s, c = max(min(season, int(finite.sum()) - 1), 1), len(context)
+        latest = [[t for t in range(c - s + j, -1, -s) if finite[t]] for j in range(s)]
+        last = context[finite][-1]
+        naive = np.array([context[latest[t % s][0]] if latest[t % s] else last
+                          for t in range(len(horizon))])
+        pairs = [abs(context[t] - context[t + s]) for t in range(c - s) if finite[t] & finite[t + s]]
+        truth = horizon[observed]
+
+        def scores(point):  # MASE and VRSE, NaN where undefined
+            point = point[observed]
+            a_true, a_point = np.abs(np.fft.rfft(truth)), np.abs(np.fft.rfft(point))
+            scale, energy = np.sum(pairs), np.sum(a_true ** 2)
+            return (len(pairs) / len(truth) * np.sum(np.abs(point - truth)) / scale
+                    if len(truth) and scale else math.nan,
+                    np.sum((a_point - a_true) ** 2) / energy
+                    if len(truth) > 1 and energy else math.nan)
+
+        rows.append((horizon, quantiles, np.tile(naive, (len(QUANTILE_LEVELS), 1)),
+                     *scores(median), *scores(naive)))
+    truths, model_q, naive_q, model_mase, model_vrse, naive_mase, naive_vrse = zip(*rows)
+    return {
+        ("model", "wql"): wql(np.stack(truths), np.stack(model_q, axis=1)),
+        ("model", "mase"): float(np.nanmean(model_mase)),
+        ("model", "vrse"): float(np.nanmean(model_vrse)),
+        ("seasonal_naive", "wql"): wql(np.stack(truths), np.stack(naive_q, axis=1)),
+        ("seasonal_naive", "mase"): float(np.nanmean(naive_mase)),
+        ("seasonal_naive", "vrse"): float(np.nanmean(naive_vrse)),
+    }
+
+
+@pytest.mark.parametrize("gaps", [False, True])
+def test_evaluate_dataset_equals_a_per_series_oracle(gaps):
+    dataset = small_dataset(12, seed=4)
+    rng = np.random.default_rng(5)
+    samples = {s.item_id: rng.normal(np.mean(s.values), 1.0, (CONFIG.n_samples, CONFIG.horizon))
+               for s in dataset.series}
+    dataset.series[0].values[-CONFIG.horizon:] = 0.0  # zero-energy horizon: undefined VRSE
+    if gaps:
+        for series in dataset.series[1:]:
+            values = series.values
+            values[rng.choice(len(values), 12, replace=False)] = np.nan
+        dataset.series[2].values[:-CONFIG.horizon - 9] = np.nan  # a shorter naive season
+        dataset.series[3].values[-CONFIG.horizon:-1] = np.nan  # one observed horizon step
+    with pytest.warns(UserWarning, match="MASE or VRSE is undefined"):
+        got = evaluate_dataset("d", dataset, samples, CONFIG)
+    expected = oracle_scores(dataset, samples, CONFIG)
+    assert all(np.isfinite(value) for value in got.values())
+    if gaps:
+        assert got == pytest.approx(expected, rel=1e-12)
+    else:
+        assert got == expected
+
+
 def test_evaluate_dataset_keeps_the_seasons_of_a_gappy_context_in_time():
     # hourly (season 24): the last two seasons of the context and the
     # horizon repeat one period exactly; the first 16 context steps are

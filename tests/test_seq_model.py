@@ -19,6 +19,7 @@ from wavets.seq_model import (
     MarkovModel,
     cross_entropy,
     load_model,
+    path_uniforms,
     sample_forecast,
     save_model,
 )
@@ -58,8 +59,10 @@ def contexts(trained):
 
 
 def keyed_states(histories):
-    """Each distinct history row as its own state."""
-    return np.unique(np.asarray(histories), axis=0, return_inverse=True)[1].ravel()
+    """Each distinct history row as its own state, the same in every call:
+    the row read as a base-2**16 number (``-1`` padding is digit 0)."""
+    rows = np.asarray(histories, dtype=np.int64) + 1
+    return rows @ (1 << 16) ** np.arange(rows.shape[1], dtype=np.int64)
 
 
 def reference_sample(model, context, horizon_length, config, codebook, n_samples,
@@ -106,6 +109,8 @@ def test_sampler_matches_per_path_choice_loop(trained, contexts, temperature):
 
 
 def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
+    """Each state is queried once per call, at the first step that reaches
+    it; later steps reuse its distribution."""
     model, codebook, _ = trained
     n_tokens = sum(coefficient_layout(16, get_family(CONFIG.family), CONFIG.level))
     sparse = MarkovModel(model.vocab_size, model.order, model.alpha).fit([[1, 2, 3, 1, 2, 4]])
@@ -120,17 +125,21 @@ def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
                 return path_states[-1]
 
             def next_token_distributions(self, histories):
-                queried.append(inner.history_states(histories))
+                queried.append((len(path_states), inner.history_states(histories)))
                 return inner.next_token_distributions(histories)
 
         sample_forecast(Spy(), contexts, 16, CONFIG.tokenizer_config(), codebook, SEEDS,
                         n_samples=6)
-        assert len(path_states) == len(queried) == n_tokens
-        for states, rows in zip(path_states, queried):
-            assert len(states) == 24
-            assert sorted(rows) == sorted(set(states.tolist()))
+        assert len(path_states) == n_tokens and all(len(s) == 24 for s in path_states)
+        seen = set()
+        for step, states in enumerate(path_states, start=1):
+            rows = [r for at, q in queried if at == step for r in q.tolist()]
+            assert sorted(rows) == sorted(set(states.tolist()) - seen)
+            seen.update(rows)
+        assert 1 <= len(queried) < n_tokens
     # under the sparse model many paths are unseen at once, and share one row
     assert max(int(np.sum(states == -1)) for states in path_states) > 1
+    assert sum(np.sum(q == -1) for _, q in queried) == 1
 
 
 @pytest.fixture
@@ -148,6 +157,8 @@ def drawn(monkeypatch):
 
 
 def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts, drawn):
+    """Every history the paths reach is queried exactly once in the whole
+    call, so also never twice in one step."""
     model, codebook, _ = trained
     queries = []
 
@@ -164,12 +175,12 @@ def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts, 
     full = np.concatenate([np.repeat([c.tokens for c in contexts[:2]], 6, axis=0),
                            np.stack(drawn)], axis=1)
     start, n_tokens = len(contexts[0].tokens), len(drawn[0])
-    distinct = [{tuple(row[start + t - model.order:start + t]) for row in full}
-                for t in range(n_tokens)]
-    assert len(queries) == n_tokens
-    assert [sorted(q) for q in queries] == [sorted(d) for d in distinct]
-    assert n_tokens < sum(len(q) for q in queries) < 12 * n_tokens
-    assert all(len(row) == model.order for q in queries for row in q)
+    distinct = {tuple(row[start + t - model.order:start + t]) for row in full
+                for t in range(n_tokens)}
+    queried = [row for q in queries for row in q]
+    assert sorted(queried) == sorted(distinct)
+    assert len(queries) <= n_tokens < len(queried) < 12 * n_tokens
+    assert all(len(row) == model.order for row in queried)
 
 
 def test_sampler_never_draws_eos_or_pad(trained, contexts, drawn):
@@ -190,6 +201,15 @@ def test_sampler_never_draws_eos_or_pad(trained, contexts, drawn):
     tokens = np.concatenate(drawn)
     assert len(drawn) == 96 and tokens.size > 0
     assert not np.isin(tokens, [codebook.eos_id, codebook.pad_id]).any()
+
+
+@pytest.mark.parametrize("seeds", [[0], [11, 12, 13], [2**32 - 1, 3029871508]])
+def test_path_uniforms_equal_generator_random(seeds):
+    expected = [np.random.default_rng(child).random(37) for seed in seeds
+                for child in np.random.SeedSequence(seed).spawn(4)]
+    got = path_uniforms(seeds, 4, 37)
+    assert got.shape == (4 * len(seeds), 37)
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
