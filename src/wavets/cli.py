@@ -239,18 +239,18 @@ def cmd_forecast(args) -> int:
             initializer=_forecast_init,
             initargs=(args.model, args.codebook, config),
         ) as pool:
-            chunks = pool.map(_forecast_chunk, [contexts[i:i + size]
-                                                for i in range(0, len(contexts), size)])
-            results = [result for chunk in chunks for result in chunk]
+            chunks = list(pool.map(_forecast_chunk, [contexts[i:i + size]
+                                                     for i in range(0, len(contexts), size)]))
+        forecasts = [pair for done, _ in chunks for pair in done]
+        failed = [pair for _, errors in chunks for pair in errors]
     else:
-        results = forecast_dataset(model, codebook, config, contexts)
-    forecasts = [(item_id, paths) for item_id, paths, _ in results if paths is not None]
+        forecasts, failed = forecast_dataset(model, codebook, config, contexts)
     _write_jsonl(args.out, {
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),
         "horizon": config.horizon, "n_samples": config.n_samples},
         ({"item_id": item_id, "samples": paths.tolist()} for item_id, paths in forecasts))
     print(f"forecast {len(forecasts)} series -> {args.out}")
-    return _report([(item_id, error) for item_id, _, error in results if error is not None])
+    return _report(failed)
 
 
 def cmd_eval(args) -> int:
@@ -262,18 +262,17 @@ def cmd_eval(args) -> int:
     if repeated:
         raise ValueError(f"--data file names must differ, repeated: {', '.join(repeated)}")
     fingerprint = config.fingerprint()
-    per_dataset = {}
+    per_dataset, unscored = {}, []
     for name, data_path, forecast_path in zip(names, args.data, args.forecasts):
         dataset = load_dataset(data_path)
         meta, records = _read_records(forecast_path)
         _check_meta(meta, forecast_path, config)
         samples = {r["item_id"]: np.asarray(r["samples"], dtype=np.float64) for r in records}
-        per_dataset[name] = evaluate_dataset(name, dataset, samples, config)
+        per_dataset[name], failed = evaluate_dataset(name, dataset, samples, config)
+        unscored += failed
 
-    rows = []
-    for name, scores in sorted(per_dataset.items()):
-        for (model_name, metric), value in sorted(scores.items()):
-            rows.append((name, model_name, metric, value))
+    rows = [(name, *key, value) for name, scores in sorted(per_dataset.items())
+            for key, value in sorted(scores.items())]
     for metric in ("wql", "mase", "vrse"):
         model_scores = [per_dataset[n][("model", metric)] for n in sorted(per_dataset)]
         naive_scores = [per_dataset[n][("seasonal_naive", metric)] for n in sorted(per_dataset)]
@@ -295,7 +294,7 @@ def cmd_eval(args) -> int:
         for row in rows:
             writer.writerow([row[0], row[1], row[2], repr(row[3])])
     print(f"wrote {args.out}")
-    return 0
+    return _report(unscored)
 
 
 def cmd_ablate(args) -> int:

@@ -9,20 +9,23 @@ tokenized context and are scored on the held-out horizon by WQL, MASE and
 VRSE, next to the seasonal-naive baseline, whose seasons stay aligned in
 time across missing context values. A command tokenizes, or inverts, each
 window kind (contexts, horizons) of all its series as one stack on the last
-axis, and :func:`forecast_dataset` advances all sample paths together. Series
-``item_id`` samples with the seed ``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``,
-so its paths do not depend on the rest of the batch or on the worker that
-runs it. One rule fails a series: where a stacked call raises, its halves
-run again, down to single series, so a series fails in a batch exactly
-when it fails alone, with that error, and the rest are unchanged (say, a
-context or window with no observed value, coefficients that overflow, or
-a sampling distribution without mass). An ablation cell (:func:`run_cell`)
-trains on a dataset's ``split_last_h`` train view, scores the horizons held
-out from it and fails on any series.
+axis; :func:`forecast_dataset` samples the token ids of all paths together
+and inverts them in one call. Series ``item_id`` samples with the seed
+``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``, so its paths do not
+depend on the rest of the batch or on the worker that runs it. One rule
+fails a series: where a stacked call raises, its halves run again, down to
+single series, so a series fails in a batch exactly when it fails alone,
+with that error, and the rest are unchanged (say, a context or window with
+no observed value, coefficients that overflow, or a sampling distribution
+without mass); each stage returns ``(item_id, error)`` per failed series
+next to its results. An ablation cell (:func:`run_cell`) trains on a
+dataset's ``split_last_h`` train view, scores the horizons held out from it
+and fails on any series.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -32,7 +35,6 @@ import numpy as np
 
 from .codebook import Codebook, check_token_ids, fit_codebook
 from .data_io import Dataset, split_last_h
-from .dwt import coefficient_layout
 from .exceptions import WavetsError
 from .families import get_family
 from .metrics import (
@@ -207,7 +209,8 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
     missing, its kind is unknown, its token count is not its window's
     layout (plus a horizon's EOS), an id is outside the vocabulary, or an
     EOS sits anywhere but the last position of a horizon."""
-    family = get_family(config.family)
+    tok_config = config.tokenizer_config()
+    layout_of = functools.cache(lambda kind: tok_config.layout(getattr(config, _WINDOW_FIELDS[kind])))
     rows, failed = {}, {}
     for i, record in enumerate(records):
         item_id, kind = record.get("item_id"), record.get("kind")
@@ -217,8 +220,7 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                 raise ValueError(f"missing field(s) {', '.join(missing)}")
             if not isinstance(item_id, str) or kind not in _WINDOW_FIELDS:
                 raise ValueError(f"need a string item_id and a kind in {list(_WINDOW_FIELDS)}")
-            layout = coefficient_layout(getattr(config, _WINDOW_FIELDS[kind]), family,
-                                        config.level, config.boundary_mode)
+            layout = layout_of(kind)
             eos = [sum(layout)] if kind == "horizon" else []
             tokens = np.asarray(record["tokens"])
             if (tokens.ndim != 1 or tokens.dtype.kind not in "iu"
@@ -271,25 +273,28 @@ def series_seed(seed: int, item_id: str) -> int:
 
 
 def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
-    """Sample paths for every ``(item_id, context)`` pair in one batch.
-
-    Returns ``(item_id, paths, None)`` per series in input order, or
-    ``(item_id, None, message)`` for a series that fails: a series fails
-    exactly when it fails forecast alone, with that message, and leaves
-    the paths of the rest unchanged.
-    """
+    """``(item_id, (n_samples, horizon) paths)`` per ``(item_id, context)``
+    pair and ``(item_id, error)`` per series that fails, in input order.
+    The model draws the token ids of all paths in one call, and one
+    :func:`detokenize` call inverts them, each under its series' context
+    scale. A series fails exactly when it fails forecast alone, with that
+    error, and leaves the paths of the rest unchanged."""
     tok_config = config.tokenizer_config()
 
     def sample(rows):
         scale, (stack,) = _scaled_stacks(contexts, rows)
-        return sample_forecast(model, tokenize(stack, scale, tok_config, codebook).rows(),
-                               config.horizon, tok_config, codebook,
-                               [series_seed(config.seed, contexts[i][0]) for i in rows],
-                               config.n_samples, config.temperature)
+        n_tokens = sum(tok_config.layout(config.horizon))
+        ids = sample_forecast(model, tokenize(stack, scale, tok_config, codebook), n_tokens,
+                              codebook, [series_seed(config.seed, contexts[i][0]) for i in rows],
+                              config.n_samples, config.temperature)
+        per_path = ScaleStats(*(np.repeat(s, config.n_samples) for s in (scale.mu, scale.sigma)))
+        paths = detokenize(TokenStream(ids.reshape(-1, n_tokens), per_path), config.horizon,
+                           tok_config, codebook)
+        return paths.reshape(*ids.shape[:2], config.horizon)
 
     paths, failed = _by_row(sample, len(contexts))
-    return [(item_id, paths.get(i), str(failed[i]) if i in failed else None)
-            for i, (item_id, _) in enumerate(contexts)]
+    return ([(contexts[i][0], paths[i]) for i in sorted(paths)],
+            [(contexts[i][0], failed[i]) for i in sorted(failed)])
 
 
 def _groups(keys) -> list[list[int]]:
@@ -302,21 +307,26 @@ def _groups(keys) -> list[list[int]]:
 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
-    baseline. Missing steps of a held-out horizon are left out of every
-    score; the forecasts still cover the whole horizon. The series are
-    scored as one stack: one quantile call per sample count, one
-    seasonal-naive and MASE call per naive season (the dataset's, or less
-    for a context with few observed values) and one VRSE call. A series
-    whose MASE or VRSE is undefined (NaN) is left out of that mean, and one
-    warning per dataset names every such series."""
-    windows = make_windows(dataset, config)
+    baseline over the series with ``(n_samples, horizon)`` forecast paths,
+    and ``(item_id, error)`` for every other series. Missing steps of a
+    held-out horizon are left out of every score; the forecasts still cover
+    the whole horizon. The series are scored as one stack: one quantile
+    call per sample count, one seasonal-naive and MASE call per naive
+    season (the dataset's, or less for a context with few observed values)
+    and one VRSE call. A series whose MASE or VRSE is undefined (NaN) is
+    left out of that mean, one warning per metric names every such series,
+    and a mean with no defined score is NaN."""
+    windows, failed = [], []
+    for item_id, context, horizon in make_windows(dataset, config):
+        shape = np.shape(samples.get(item_id))
+        if len(shape) == 2 and shape[1] == len(horizon):
+            windows.append((item_id, context, horizon))
+        else:
+            got = f"a forecast of shape {shape}" if item_id in samples else "no forecast"
+            failed.append((item_id, WavetsError(f"dataset {name}: {got}, expected (n_samples, "
+                                                f"{len(horizon)}) paths")))
     if not windows:
         raise WavetsError(f"dataset {name}: no series to score")
-    for item_id, _, horizon in windows:
-        if item_id not in samples:
-            raise WavetsError(f"dataset {name}: no forecast for series {item_id!r}")
-        if np.ndim(samples[item_id]) != 2 or samples[item_id].shape[1] != len(horizon):
-            raise WavetsError(f"dataset {name}: forecast horizon mismatch for {item_id!r}")
     item_ids, contexts, truths = zip(*windows)
     contexts, truths = np.stack(contexts), np.stack(truths)
     # missing context values stay in place, so the seasons keep their phase
@@ -337,36 +347,34 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
             model_mase[rows] = mase(truths[rows], median[rows], contexts[rows], season)
             naive_mase[rows] = mase(truths[rows], naive_point[rows], contexts[rows], season)
         model_vrse, naive_vrse = vrse(truths, median), vrse(truths, naive_point)
-    undefined = [item_ids[i] for i in np.flatnonzero(
-        np.isnan([model_mase, naive_mase, model_vrse, naive_vrse]).any(axis=0))]
-    if undefined:
-        warnings.warn(f"dataset {name}: MASE or VRSE is undefined for {len(undefined)} of "
-                      f"{len(truths)} series, left out of those means: {', '.join(undefined)}")
-    return {
-        ("model", "wql"): wql(truths, model_q),
-        ("model", "mase"): float(np.nanmean(model_mase)),
-        ("model", "vrse"): float(np.nanmean(model_vrse)),
-        ("seasonal_naive", "wql"): wql(truths, naive_q),
-        ("seasonal_naive", "mase"): float(np.nanmean(naive_mase)),
-        ("seasonal_naive", "vrse"): float(np.nanmean(naive_vrse)),
-    }
+    scores = {("model", "wql"): wql(truths, model_q), ("seasonal_naive", "wql"): wql(truths, naive_q)}
+    for metric, columns in (("mase", (model_mase, naive_mase)), ("vrse", (model_vrse, naive_vrse))):
+        undefined = [item_ids[i] for i in np.flatnonzero(np.isnan(columns).any(axis=0))]
+        if undefined:
+            warnings.warn(f"dataset {name}: {metric.upper()} is undefined for {len(undefined)} of "
+                          f"{len(truths)} series, left out of its mean: {', '.join(undefined)}")
+        for model, column in zip(("model", "seasonal_naive"), columns):
+            defined = not np.isnan(column).all()  # nanmean warns on an empty mean
+            scores[model, metric] = float(np.nanmean(column)) if defined else float("nan")
+    return scores, failed
+
+
+def _complete(results, failed):
+    """A stage's results, or an error naming its first failed series."""
+    if failed:
+        item_id, exc = failed[0]
+        raise WavetsError(f"series {item_id!r}: {exc}")
+    return results
 
 
 def run_cell(config: RunConfig, dataset: Dataset):
     """Fit, train, forecast and score one ablation cell in memory; any
     per-series failure fails the cell."""
     train_windows = make_windows(split_last_h(dataset, config.horizon)[0], config)
-    sample, skipped = pool_coefficients(train_windows, config)
+    sample = _complete(*pool_coefficients(train_windows, config))
     codebook = fit_codebook(sample, config.vocab_budget, config.bounds())
-    pairs, failures = tokenize_windows(train_windows, config, codebook)
-    if skipped or failures:
-        item_id, exc = (skipped + failures)[0]
-        raise WavetsError(f"series {item_id!r}: {exc}")
+    pairs = _complete(*tokenize_windows(train_windows, config, codebook))
     model = train_model([(ctx, hor) for _, ctx, hor in pairs], config, codebook)
     contexts = [(item_id, context) for item_id, context, _ in make_windows(dataset, config)]
-    samples = {}
-    for item_id, paths, error in forecast_dataset(model, codebook, config, contexts):
-        if error:
-            raise WavetsError(f"series {item_id!r}: {error}")
-        samples[item_id] = paths
-    return evaluate_dataset("cell", dataset, samples, config)
+    forecasts = _complete(*forecast_dataset(model, codebook, config, contexts))
+    return _complete(*evaluate_dataset("cell", dataset, dict(forecasts), config))

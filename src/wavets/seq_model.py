@@ -34,19 +34,18 @@ and the arrays ``keys``, ``indptr``, ``tokens`` and ``counts``. It is
 read without pickle. Version 1 was a JSON dict of dicts.
 
 Sampling advances the ``N x S`` paths of all series of a command
-together, one token per step. Each step groups the paths by the state of
-their history (one ``np.unique``). A state's masked, tempered and
-normalised CDF is built once per call, from one query at the first step
-that reaches it, and reused at every later step; unseen histories share
-one state. A step that reaches new states makes one query for all of
-them, so each distinct state is queried exactly once per call. The row
+together, one token per step, and returns their token ids; the tokenizer
+turns them into values. Each step groups the paths by the state of their
+history (one ``np.unique``). A state's masked, tempered and normalised
+CDF is built once per call, from one query at the first step that
+reaches it, and reused at every later step; unseen histories share one
+state. A step that reaches new states makes one query for all of them,
+so each distinct state is queried exactly once per call. The row
 arithmetic is row-local, so a CDF does not depend on the step or the
 other rows it was built with. Each path draws one uniform per token from
 its own seeded stream and inverts its state's CDF with it, so a fixed
 seed gives the same paths whatever the batching. The uniforms and the
-drawn tokens take ``N x S x n_tokens`` values, the cached CDFs ``V``
-values per distinct state, the synthesis of the paths ``N x S x H`` per
-band.
+drawn tokens take ``N x S x n_tokens`` values, the CDFs ``V`` per state.
 """
 
 from __future__ import annotations
@@ -60,10 +59,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import Codebook
-from .dwt import coefficient_layout
 from .exceptions import SchemaError
-from .families import get_family
-from .tokenizer import ScaleStats, TokenizerConfig, TokenStream, detokenize
+from .tokenizer import TokenStream
 
 _FORMAT = "wavets.markov"
 _VERSION = 2
@@ -233,21 +230,18 @@ def path_uniforms(seeds: Sequence[int], n_samples: int, n: int) -> np.ndarray:
 
 def sample_forecast(
     model: SequenceModel,
-    contexts: Sequence[TokenStream],
-    horizon_length: int,
-    config: TokenizerConfig,
+    contexts: TokenStream,
+    n_tokens: int,
     codebook: Codebook,
     seeds: Sequence[int],
     n_samples: int = 20,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Autoregressive sample paths of every context, inverted to real
-    values: ``(N, n_samples, horizon_length)`` paths.
+    """Autoregressive sample paths after every row of an ``(N, L)`` stack
+    of context tokens: ``(N, n_samples, n_tokens)`` int64 token ids.
 
-    Exactly ``sum(coefficient_layout(horizon_length))`` tokens are drawn
-    per path with EOS and PAD masked out of the sampling distribution, so
-    every path detokenizes to exactly ``horizon_length`` values under its
-    context's scale statistics, all paths in one call.
+    EOS and PAD are masked out of the sampling distribution. A path starts
+    from the last ``model.order`` context tokens, ``-1``-padded on the left.
 
     All ``N x n_samples`` paths advance one token per step. A step groups
     the paths by ``model.history_states``, queries the model once with one
@@ -272,14 +266,12 @@ def sample_forecast(
         )
     if temperature < 0:
         raise ValueError(f"temperature must be non-negative, got {temperature}")
-    n_tokens = sum(coefficient_layout(horizon_length, get_family(config.family), config.level,
-                                      config.boundary_mode))
-    series = np.repeat(np.arange(len(contexts)), n_samples)  # of each path
+    n_series = len(contexts.tokens)
+    padded = np.concatenate([np.full((n_series, model.order), -1), contexts.tokens], axis=1)
+    windows = np.repeat(padded[:, -model.order:], n_samples, axis=0)  # one row per path
     uniforms = (path_uniforms(seeds, n_samples, n_tokens) if temperature > 0.0
-                else np.zeros((len(series), n_tokens)))  # temperature 0 draws nothing
-    windows = np.array([_padded_windows(c.tokens, model.order)[-1] for c in contexts],
-                       dtype=np.int64).reshape(-1, model.order)[series]
-    generated = np.empty((len(series), n_tokens), dtype=np.int64)
+                else np.zeros((len(windows), n_tokens)))  # temperature 0 draws nothing
+    generated = np.empty((len(windows), n_tokens), dtype=np.int64)
     cdfs: dict = {}  # state -> its CDF, built at the first step that reaches it
     for step in range(n_tokens):
         states, first, inverse = np.unique(model.history_states(windows), return_index=True,
@@ -310,10 +302,7 @@ def sample_forecast(
             generated[paths, step] = cdfs[state].searchsorted(uniforms[paths, step], side="right")
         windows[:, :-1] = windows[:, 1:]
         windows[:, -1] = generated[:, step]
-    mu, sigma = np.array([(c.scale.mu, c.scale.sigma) for c in contexts]).reshape(-1, 2).T
-    paths = detokenize(TokenStream(generated, ScaleStats(mu=mu[series], sigma=sigma[series])),
-                       horizon_length, config, codebook)
-    return paths.reshape(len(contexts), n_samples, horizon_length)
+    return generated.reshape(n_series, n_samples, n_tokens)
 
 
 def save_model(model: MarkovModel, path, meta: dict | None = None) -> None:

@@ -11,8 +11,8 @@ as PAD tokens.
 Inverse: dequantize (PAD contributes 0), rebuild the coefficient pyramid,
 apply the inverse transform and undo the scaling.
 
-A stream stores no band layout: :func:`detokenize` derives it from the
-:class:`TokenizerConfig` and the window length, so a token file record is
+A stream stores no band layout: :meth:`TokenizerConfig.layout` derives it
+from the configuration and the window length, so a token file record is
 just ``{item_id, kind, tokens, mu, sigma}``.
 
 Both directions work on the last axis: one stream can hold a
@@ -49,6 +49,10 @@ class TokenizerConfig:
     level: int = 1
     threshold: ThresholdSpec = field(default_factory=ThresholdSpec)
     boundary_mode: str = "symmetric"
+
+    def layout(self, length: int) -> list[int]:
+        """Band sizes ``[a_J, d_J, ..., d_1]`` of a length-``length`` window."""
+        return coefficient_layout(length, get_family(self.family), self.level, self.boundary_mode)
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,7 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
     constant context mean; an EOS token among the coefficients is refused
     by :func:`~wavets.codebook.dequantize`.
     """
-    family = get_family(config.family)
-    layout = coefficient_layout(length, family, config.level, config.boundary_mode)
+    layout = config.layout(length)
     coeff_tokens = stream.tokens[..., :-1] if stream.has_eos else stream.tokens
     if coeff_tokens.shape[-1] != sum(layout):
         raise ValueError(f"{coeff_tokens.shape[-1]} coefficient tokens do not match the layout "
@@ -203,7 +206,7 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
     parts = np.split(values, np.cumsum(layout)[:-1], axis=-1)
     pyramid = CoefficientPyramid(approx=parts[0], details=tuple(parts[1:]), level=config.level,
                                  input_length=length, boundary_mode=config.boundary_mode)
-    z = reconstruct(pyramid, family)
+    z = reconstruct(pyramid, get_family(config.family))
     sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)
     return z * sigma[..., None] + mu[..., None]
 

@@ -288,6 +288,39 @@ def test_eval_refuses_two_datasets_with_one_file_name(tmp_path, capsys):
     assert not (tmp_path / "both.csv").exists()
 
 
+def test_eval_scores_the_series_that_did_forecast(tmp_path, capsys):
+    # synth-00001 has no observed context: every stage fails it alone, and
+    # eval scores the other three as if the dataset held only them
+    flags = [*FLAGS, "--seed", "1"]  # at seed 1 every score is defined
+    full, kept = tmp_path / "full", tmp_path / "kept"
+    data, cb, tok = full / "data.jsonl", tmp_path / "cb.json", tmp_path / "tok.jsonl"
+    model, fc = tmp_path / "model.json", tmp_path / "forecast.jsonl"
+    for directory in (full, kept):
+        directory.mkdir()
+    assert run(["synth", "--out", data, "--n-series", 4, *flags], capsys)[0] == 0
+    dataset = load_dataset(data)
+    dataset.series[1].values[:-16] = np.nan
+    save_dataset(dataset, data)
+    dataset.series.pop(1)
+    save_dataset(dataset, kept / "data.jsonl")
+    unscalable = "error: series 'synth-00001': cannot scale a window with no observed values"
+    for argv, expected in (
+            (["fit-codebook", "--data", data, "--out", cb], [unscalable]),
+            (["tokenize", "--data", data, "--codebook", cb, "--out", tok], [unscalable]),
+            (["train", "--tokens", tok, "--codebook", cb, "--out", model], []),
+            (["forecast", "--data", data, "--codebook", cb, "--model", model, "--out", fc],
+             [unscalable]),
+            (["eval", "--data", data, "--forecasts", fc, "--out", full / "eval.csv"],
+             ["error: series 'synth-00001': dataset data.jsonl: no forecast, "
+              "expected (n_samples, 16) paths"]),
+            (["eval", "--data", kept / "data.jsonl", "--forecasts", fc,
+              "--out", kept / "eval.csv"], [])):
+        code, _, err = run(argv + flags, capsys)
+        assert (code, err.splitlines()) == (1 if expected else 0, expected), argv[0]
+    assert (full / "eval.csv").read_bytes() == (kept / "eval.csv").read_bytes()
+    assert "nan" not in (kept / "eval.csv").read_text()
+
+
 def test_fit_codebook_skips_unscalable_series(tmp_path, capsys):
     broken, _, _ = make_inputs(tmp_path, capsys)
     out = tmp_path / "codebook-broken.json"
@@ -375,7 +408,7 @@ def test_ablate_refuses_a_grid_key_that_is_no_config_field(tmp_path, capsys):
 
 
 def test_warnings_are_printed_as_one_line_each(tmp_path, capsys):
-    # a zero-energy horizon: the VRSE of synth-00000 is undefined in every cell
+    # synth-00000 is all zeros: its MASE and VRSE are undefined in every cell
     dataset = make_dataset(N_SERIES, context_length=64, horizon=16, seed=0)
     dataset.series[0].values[-16:] = 0.0
     save_dataset(dataset, tmp_path / "data.jsonl")
@@ -385,8 +418,8 @@ def test_warnings_are_printed_as_one_line_each(tmp_path, capsys):
                           "--out-dir", tmp_path / "cells", *FLAGS], capsys)
     assert code == 0 and "(2 cells, 0 failed)" in out
     assert err.splitlines() == 2 * [
-        f"warning: dataset cell: MASE or VRSE is undefined for 1 of {N_SERIES} series, "
-        "left out of those means: synth-00000"]
+        f"warning: dataset cell: {metric} is undefined for 1 of {N_SERIES} series, "
+        "left out of its mean: synth-00000" for metric in ("MASE", "VRSE")]
 
 
 def test_a_target_that_is_no_array_of_numbers_fails_with_one_error_line(tmp_path, capsys):

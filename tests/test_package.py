@@ -2,6 +2,7 @@
 interpreter, where no other import has loaded a submodule yet, and the
 modules that start-up of the command line loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -60,3 +61,36 @@ def test_bare_import_exposes_the_names_the_benchmark_reads():
 
 def test_command_line_start_up_loads_only_the_declared_dependencies():
     assert sorted(set(probe()["distributions"]) - DEPENDENCIES) == []
+
+
+def layout_calls(tree) -> int:
+    """Calls of ``coefficient_layout`` under an AST node, bare or as an attribute."""
+    return sum(isinstance(node, ast.Call) and "coefficient_layout" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree))
+
+
+def test_only_dwt_and_the_tokenizer_know_about_wavelets():
+    """The sampler deals in token ids; band layouts come from
+    ``TokenizerConfig.layout``, the one place outside ``dwt`` that turns a
+    configuration into band sizes."""
+    imported = []  # (module within the package, name)
+    for node in ast.walk(ast.parse((SRC / "wavets" / "seq_model.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("wavets").lstrip(".")
+            imported += [(module or alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name.removeprefix("wavets").lstrip("."), None)
+                         for alias in node.names]
+    assert [module for module, _ in imported if module in ("dwt", "families")] == []
+    assert {name for module, name in imported if module == "tokenizer"} <= {"TokenStream"}
+
+    calls = {path.name: layout_calls(ast.parse(path.read_text()))
+             for path in sorted((SRC / "wavets").glob("*.py")) if path.name != "dwt.py"}
+    tokenizer = ast.parse((SRC / "wavets" / "tokenizer.py").read_text())
+    (config,) = [node for node in tokenizer.body
+                 if isinstance(node, ast.ClassDef) and node.name == "TokenizerConfig"]
+    (layout,) = [node for node in config.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "layout"]
+    assert layout_calls(layout) == 1
+    assert {name: n for name, n in calls.items() if n} == {"tokenizer.py": 1}

@@ -32,8 +32,9 @@ from wavets.pipeline import (
     tokenize_windows,
     train_model,
 )
-from wavets.seq_model import MarkovModel
-from wavets.tokenizer import ScaleStats, compute_scale, pad_to_length, tokenize_pair
+from wavets.seq_model import MarkovModel, sample_forecast
+from wavets.tokenizer import (ScaleStats, TokenStream, compute_scale, detokenize, pad_to_length,
+                              tokenize, tokenize_pair)
 
 CONFIG = RunConfig(context_length=64, horizon=16, n_samples=3, order=2)
 
@@ -74,8 +75,10 @@ def test_forecast_dataset_returns_the_error():
     sample, _ = pool_coefficients(windows, CONFIG)
     codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
     item_id, context, _ = windows[1]
-    assert forecast_dataset(None, codebook, CONFIG, [(item_id, context)]) == [
-        ("synth-00001", None, "cannot scale a window with no observed values")]
+    forecasts, failed = forecast_dataset(None, codebook, CONFIG, [(item_id, context)])
+    assert forecasts == []
+    assert [(item_id, str(exc)) for item_id, exc in failed] == [
+        ("synth-00001", "cannot scale a window with no observed values")]
 
 
 def trained_inputs(dataset):
@@ -106,14 +109,29 @@ def test_forecast_dataset_fails_only_the_series_without_mass():
             probs[(histories[:, -self.order:] == tail).all(axis=1)] = 0.0
             return probs
 
-    results = forecast_dataset(Starved(), codebook, CONFIG, contexts)
-    assert [(item_id, error) for item_id, _, error in results] == [
-        (item_id, "sampling distribution has no mass" if item_id == "synth-00003" else None)
-        for item_id, _ in contexts]
-    others = forecast_dataset(model, codebook, CONFIG,
-                              [pair for pair in contexts if pair[0] != "synth-00003"])
-    assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
-        (i, p.tobytes()) for i, p, _ in others]
+    forecasts, failed = forecast_dataset(Starved(), codebook, CONFIG, contexts)
+    assert [(item_id, str(exc)) for item_id, exc in failed] == [
+        ("synth-00003", "sampling distribution has no mass")]
+    others, none_failed = forecast_dataset(model, codebook, CONFIG,
+                                           [pair for pair in contexts if pair[0] != "synth-00003"])
+    assert none_failed == []
+    assert [(i, p.tobytes()) for i, p in forecasts] == [(i, p.tobytes()) for i, p in others]
+
+
+def test_forecast_dataset_inverts_each_path_under_its_series_scale():
+    codebook, model, contexts = trained_inputs(small_dataset(3, seed=2))
+    forecasts, failed = forecast_dataset(model, codebook, CONFIG, contexts)
+    assert failed == []
+    tok_config = CONFIG.tokenizer_config()
+    n_tokens = sum(tok_config.layout(CONFIG.horizon))
+    for (item_id, paths), (_, context) in zip(forecasts, contexts, strict=True):
+        stream = tokenize(context, compute_scale(context), tok_config, codebook)
+        (ids,) = sample_forecast(model, replace(stream, tokens=stream.tokens[None]), n_tokens,
+                                 codebook, [series_seed(CONFIG.seed, item_id)], CONFIG.n_samples)
+        expected = [detokenize(TokenStream(row, stream.scale), CONFIG.horizon, tok_config, codebook)
+                    for row in ids]
+        assert paths.shape == (CONFIG.n_samples, CONFIG.horizon)
+        assert paths.tobytes() == np.array(expected).tobytes()
 
 
 def test_forecast_dataset_fails_every_series_on_a_batch_error():
@@ -122,8 +140,10 @@ def test_forecast_dataset_fails_every_series_on_a_batch_error():
     model = MarkovModel(codebook.vocab_size + 1, CONFIG.order, CONFIG.alpha)
     mismatch = (f"model vocabulary ({codebook.vocab_size + 1}) does not match "
                 f"codebook vocabulary ({codebook.vocab_size})")
-    assert forecast_dataset(model, codebook, CONFIG, contexts) == [
-        (item_id, None, "cannot scale a window with no observed values"
+    forecasts, failed = forecast_dataset(model, codebook, CONFIG, contexts)
+    assert forecasts == []
+    assert [(item_id, str(exc)) for item_id, exc in failed] == [
+        (item_id, "cannot scale a window with no observed values"
          if item_id == "synth-00001" else mismatch) for item_id, _ in contexts]
 
 
@@ -164,11 +184,11 @@ def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
     np.testing.assert_array_equal(sample, expected)
 
     contexts = [(item_id, context) for item_id, context, _ in broken]
-    results = forecast_dataset(model, codebook, CONFIG, contexts)
-    assert [error for _, _, error in results] == [None, no_context, None, None, overflows, None]
-    others = forecast_dataset(model, codebook, CONFIG, [contexts[i] for i in (0, 2, 3, 5)])
-    assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
-        (i, p.tobytes()) for i, p, _ in others]
+    forecasts, failed = forecast_dataset(model, codebook, CONFIG, contexts)
+    assert [(item_id, str(exc)) for item_id, exc in failed] == [
+        ("synth-00001", no_context), ("synth-00004", overflows)]
+    others, _ = forecast_dataset(model, codebook, CONFIG, [contexts[i] for i in (0, 2, 3, 5)])
+    assert [(i, p.tobytes()) for i, p in forecasts] == [(i, p.tobytes()) for i, p in others]
 
 
 def with_overflowing_horizon(windows, index):
@@ -229,11 +249,10 @@ def test_a_context_whose_deviation_overflows_fails_alone_at_its_scale():
     assert [(item_id, str(exc)) for item_id, exc in skipped] == expected
     assert sample.tobytes() == pool_coefficients(clean, CONFIG)[0].tobytes()
 
-    results = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in broken])
-    assert [(item_id, error) for item_id, _, error in results if error] == expected
-    others = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in clean])
-    assert [(i, p.tobytes()) for i, p, _ in results if p is not None] == [
-        (i, p.tobytes()) for i, p, _ in others]
+    forecasts, failed = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in broken])
+    assert [(item_id, str(exc)) for item_id, exc in failed] == expected
+    others, _ = forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in clean])
+    assert [(i, p.tobytes()) for i, p in forecasts] == [(i, p.tobytes()) for i, p in others]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -284,7 +303,11 @@ def test_run_cell_trains_only_on_the_train_view(monkeypatch):
         return original(corpora[-1], **kwargs)
 
     monkeypatch.setattr(pipeline, "train_markov", spy)
-    scores = run_cell(CONFIG, dataset)
+    with pytest.warns(UserWarning) as record:  # synth-00000 is all zeros
+        scores = run_cell(CONFIG, dataset)
+    assert [str(w.message) for w in record] == [
+        f"dataset cell: {metric} is undefined for 1 of 5 series, left out of its mean: synth-00000"
+        for metric in ("MASE", "VRSE")]
     assert np.isfinite(scores[("model", "wql")])
     (corpus,) = corpora
     train_view, _ = split_last_h(dataset, CONFIG.horizon)
@@ -319,7 +342,8 @@ def test_evaluate_dataset_scores_a_gappy_horizon_on_its_observed_steps():
     dataset = Dataset([series], series.freq)
     ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
     paths = np.random.default_rng(1).normal(np.nanmean(horizon), 1.0, size=(3, CONFIG.horizon))
-    scores = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
+    scores, failed = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
+    assert failed == []
 
     observed = ~np.isnan(horizon)
     truth, quantiles = horizon[observed], sample_quantiles(paths[:, observed])
@@ -346,11 +370,48 @@ def test_evaluate_dataset_warns_once_naming_series_with_undefined_scores():
     windows = make_windows(dataset, CONFIG)
     samples = {item_id: np.tile(horizon + 1.0, (3, 1)) for item_id, _, horizon in windows}
     with pytest.warns(UserWarning) as record:
-        scores = evaluate_dataset("toy", dataset, samples, CONFIG)
+        scores, _ = evaluate_dataset("toy", dataset, samples, CONFIG)
     assert [str(w.message) for w in record] == [
-        "dataset toy: MASE or VRSE is undefined for 1 of 5 series, "
-        "left out of those means: synth-00000"]
+        f"dataset toy: {metric} is undefined for 1 of 5 series, left out of its mean: synth-00000"
+        for metric in ("MASE", "VRSE")]
     assert all(np.isfinite(value) for value in scores.values())
+
+
+def test_evaluate_dataset_names_the_undefined_metric_and_leaves_an_empty_mean_nan():
+    # all-zero horizons: VRSE is undefined for every series, MASE for none
+    dataset = small_dataset(4, seed=1)
+    for series in dataset.series:
+        series.values[-CONFIG.horizon:] = 0.0
+    path = np.linspace(-1.0, 1.0, CONFIG.horizon)
+    samples = {s.item_id: path + np.arange(3.0)[:, None] for s in dataset.series}
+    with pytest.warns(UserWarning) as record:
+        scores, failed = evaluate_dataset("zeros", dataset, samples, CONFIG)
+    assert failed == []
+    assert [str(w.message) for w in record] == [
+        *2 * ["all-zero or missing truth: weighted quantile loss is undefined"],
+        "dataset zeros: VRSE is undefined for 4 of 4 series, left out of its mean: "
+        "synth-00000, synth-00001, synth-00002, synth-00003"]
+    assert all(math.isnan(scores[model, metric]) for model in ("model", "seasonal_naive")
+               for metric in ("wql", "vrse"))
+    assert np.isfinite(scores["model", "mase"]) and np.isfinite(scores["seasonal_naive", "mase"])
+
+
+def test_evaluate_dataset_scores_the_series_with_a_forecast_and_returns_the_rest():
+    dataset = small_dataset(5, seed=4)  # every score defined
+    rng = np.random.default_rng(6)
+    samples = {s.item_id: rng.normal(np.mean(s.values), 1.0, (CONFIG.n_samples, CONFIG.horizon))
+               for s in dataset.series}
+    del samples["synth-00001"]
+    samples["synth-00003"] = samples["synth-00003"][:, :-1]
+    scores, failed = evaluate_dataset("d", dataset, samples, CONFIG)
+    assert [(item_id, str(exc)) for item_id, exc in failed] == [
+        ("synth-00001", "dataset d: no forecast, expected (n_samples, 16) paths"),
+        ("synth-00003", "dataset d: a forecast of shape (3, 15), expected (n_samples, 16) paths")]
+    kept = Dataset([s for s in dataset.series if s.item_id not in ("synth-00001", "synth-00003")],
+                   dataset.freq)
+    assert evaluate_dataset("d", kept, samples, CONFIG) == (scores, [])
+    with pytest.raises(WavetsError, match="^dataset d: no series to score$"):
+        evaluate_dataset("d", dataset, {}, CONFIG)
 
 
 def oracle_scores(dataset, samples, config):
@@ -406,8 +467,9 @@ def test_evaluate_dataset_equals_a_per_series_oracle(gaps):
             values[rng.choice(len(values), 12, replace=False)] = np.nan
         dataset.series[2].values[:-CONFIG.horizon - 9] = np.nan  # a shorter naive season
         dataset.series[3].values[-CONFIG.horizon:-1] = np.nan  # one observed horizon step
-    with pytest.warns(UserWarning, match="MASE or VRSE is undefined"):
-        got = evaluate_dataset("d", dataset, samples, CONFIG)
+    with pytest.warns(UserWarning, match="VRSE is undefined"):
+        got, failed = evaluate_dataset("d", dataset, samples, CONFIG)
+    assert failed == []
     expected = oracle_scores(dataset, samples, CONFIG)
     assert all(np.isfinite(value) for value in got.values())
     if gaps:
@@ -427,7 +489,7 @@ def test_evaluate_dataset_keeps_the_seasons_of_a_gappy_context_in_time():
     dataset = Dataset([TimeSeries("s", datetime(2020, 1, 1), "h", values)], "h")
     ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
     paths = np.tile(horizon + 1.0, (3, 1))
-    scores = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
+    scores, _ = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
     # the naive forecast fills the gap from the season before: exact
     assert scores[("seasonal_naive", "wql")] == 0.0
     assert scores[("seasonal_naive", "mase")] == 0.0

@@ -8,12 +8,9 @@ import math
 import numpy as np
 import pytest
 
-import wavets.seq_model as seq_model
 from wavets.codebook import fit_codebook
 from wavets.data_synth import make_dataset
-from wavets.dwt import coefficient_layout
 from wavets.exceptions import SchemaError
-from wavets.families import get_family
 from wavets.pipeline import RunConfig, make_windows, pool_coefficients
 from wavets.seq_model import (
     MarkovModel,
@@ -23,9 +20,10 @@ from wavets.seq_model import (
     sample_forecast,
     save_model,
 )
-from wavets.tokenizer import ScaleStats, TokenStream, compute_scale, detokenize, tokenize
+from wavets.tokenizer import ScaleStats, TokenStream, compute_scale, tokenize
 
 CONFIG = RunConfig(context_length=64, horizon=16, vocab_budget=16, order=2)
+N_TOKENS = sum(CONFIG.tokenizer_config().layout(CONFIG.horizon))  # drawn per path
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +43,13 @@ def trained():
 
 @pytest.fixture(scope="module")
 def contexts(trained):
-    """Four context streams of different scales, two of them shorter
-    than the order (1 and 0 tokens)."""
-    _, codebook, context = trained
+    """A stack of four context streams, one row each."""
+    _, codebook, _ = trained
     windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=8), CONFIG)
-    streams = [tokenize(w[1], compute_scale(w[1]), CONFIG.tokenizer_config(), codebook)
-               for w in windows[:2]]
-    for n in (1, 0):
-        streams.append(dataclasses.replace(
-            context, tokens=context.tokens[len(context.tokens) - n:],
-            scale=ScaleStats(mu=float(n), sigma=2.0)))
-    return streams
+    stack = np.stack([context for _, context, _ in windows])
+    stats = [compute_scale(context) for context in stack]
+    scale = ScaleStats(np.array([s.mu for s in stats]), np.array([s.sigma for s in stats]))
+    return tokenize(stack, scale, CONFIG.tokenizer_config(), codebook)
 
 
 def keyed_states(histories):
@@ -65,17 +59,14 @@ def keyed_states(histories):
     return rows @ (1 << 16) ** np.arange(rows.shape[1], dtype=np.int64)
 
 
-def reference_sample(model, context, horizon_length, config, codebook, n_samples,
-                     temperature, seed):
+def reference_sample(model, context_tokens, codebook, n_samples, temperature, seed):
     """One ``Generator.choice`` per path and token on the full history."""
-    family = get_family(config.family)
-    layout = coefficient_layout(horizon_length, family, config.level, config.boundary_mode)
-    paths = np.empty((n_samples, horizon_length))
+    paths = np.empty((n_samples, N_TOKENS), dtype=np.int64)
     for s, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
         rng = np.random.default_rng(child)
         generated = []
-        for _ in range(sum(layout)):
-            probs = model.next_token_distribution(list(context.tokens) + generated)
+        for _ in range(N_TOKENS):
+            probs = model.next_token_distribution(list(context_tokens) + generated)
             probs[codebook.eos_id] = 0.0
             probs[codebook.pad_id] = 0.0
             if temperature == 0.0:
@@ -84,8 +75,7 @@ def reference_sample(model, context, horizon_length, config, codebook, n_samples
             if temperature != 1.0:
                 probs = probs ** (1.0 / temperature)
             generated.append(int(rng.choice(len(probs), p=probs / probs.sum())))
-        paths[s] = detokenize(TokenStream(tokens=generated, scale=context.scale),
-                              horizon_length, config, codebook)
+        paths[s] = generated
     return paths
 
 
@@ -95,12 +85,11 @@ SEEDS = [11, 12, 13, 14]
 @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
 def test_sampler_matches_per_path_choice_loop(trained, contexts, temperature):
     model, codebook, _ = trained
-    config = CONFIG.tokenizer_config()
-    got = sample_forecast(model, contexts, 16, config, codebook, SEEDS, n_samples=6,
+    got = sample_forecast(model, contexts, N_TOKENS, codebook, SEEDS, n_samples=6,
                           temperature=temperature)
-    assert got.shape == (4, 6, 16)
-    for paths, context, seed in zip(got, contexts, SEEDS, strict=True):
-        expected = reference_sample(model, context, 16, config, codebook, 6, temperature, seed)
+    assert got.shape == (4, 6, N_TOKENS) and got.dtype == np.int64
+    for paths, tokens, seed in zip(got, contexts.tokens, SEEDS, strict=True):
+        expected = reference_sample(model, tokens, codebook, 6, temperature, seed)
         np.testing.assert_array_equal(paths, expected)
         if temperature == 0.0:
             assert np.all(paths == paths[0])
@@ -112,7 +101,6 @@ def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
     """Each state is queried once per call, at the first step that reaches
     it; later steps reuse its distribution."""
     model, codebook, _ = trained
-    n_tokens = sum(coefficient_layout(16, get_family(CONFIG.family), CONFIG.level))
     sparse = MarkovModel(model.vocab_size, model.order, model.alpha).fit([[1, 2, 3, 1, 2, 4]])
     for inner in (model, sparse):
         path_states, queried = [], []
@@ -128,35 +116,20 @@ def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
                 queried.append((len(path_states), inner.history_states(histories)))
                 return inner.next_token_distributions(histories)
 
-        sample_forecast(Spy(), contexts, 16, CONFIG.tokenizer_config(), codebook, SEEDS,
-                        n_samples=6)
-        assert len(path_states) == n_tokens and all(len(s) == 24 for s in path_states)
+        sample_forecast(Spy(), contexts, N_TOKENS, codebook, SEEDS, n_samples=6)
+        assert len(path_states) == N_TOKENS and all(len(s) == 24 for s in path_states)
         seen = set()
         for step, states in enumerate(path_states, start=1):
             rows = [r for at, q in queried if at == step for r in q.tolist()]
             assert sorted(rows) == sorted(set(states.tolist()) - seen)
             seen.update(rows)
-        assert 1 <= len(queried) < n_tokens
+        assert 1 <= len(queried) < N_TOKENS
     # under the sparse model many paths are unseen at once, and share one row
     assert max(int(np.sum(states == -1)) for states in path_states) > 1
     assert sum(np.sum(q == -1) for _, q in queried) == 1
 
 
-@pytest.fixture
-def drawn(monkeypatch):
-    """The token ids of every path the sampler detokenizes."""
-    tokens = []
-    original = seq_model.detokenize
-
-    def spy(stream, *args):
-        tokens.extend(stream.tokens)
-        return original(stream, *args)
-
-    monkeypatch.setattr(seq_model, "detokenize", spy)
-    return tokens
-
-
-def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts, drawn):
+def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts):
     """Every history the paths reach is queried exactly once in the whole
     call, so also never twice in one step."""
     model, codebook, _ = trained
@@ -170,20 +143,20 @@ def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts, 
             queries.append([tuple(row) for row in histories])
             return model.next_token_distributions(histories)
 
-    sample_forecast(Counting(), contexts[:2], 16, CONFIG.tokenizer_config(), codebook,
-                    SEEDS[:2], n_samples=6)
-    full = np.concatenate([np.repeat([c.tokens for c in contexts[:2]], 6, axis=0),
-                           np.stack(drawn)], axis=1)
-    start, n_tokens = len(contexts[0].tokens), len(drawn[0])
+    drawn = sample_forecast(Counting(), contexts.take([0, 1]), N_TOKENS, codebook, SEEDS[:2],
+                            n_samples=6)
+    full = np.concatenate([np.repeat(contexts.tokens[:2], 6, axis=0),
+                           drawn.reshape(12, N_TOKENS)], axis=1)
+    start = contexts.tokens.shape[1]
     distinct = {tuple(row[start + t - model.order:start + t]) for row in full
-                for t in range(n_tokens)}
+                for t in range(N_TOKENS)}
     queried = [row for q in queries for row in q]
     assert sorted(queried) == sorted(distinct)
-    assert len(queries) <= n_tokens < len(queried) < 12 * n_tokens
+    assert len(queries) <= N_TOKENS < len(queried) < 12 * N_TOKENS
     assert all(len(row) == model.order for row in queried)
 
 
-def test_sampler_never_draws_eos_or_pad(trained, contexts, drawn):
+def test_sampler_never_draws_eos_or_pad(trained, contexts):
     _, codebook, _ = trained
 
     class FavoursEosAndPad:
@@ -196,11 +169,11 @@ def test_sampler_never_draws_eos_or_pad(trained, contexts, drawn):
             return probs
 
     for temperature in (1.0, 0.5, 0.0):
-        sample_forecast(FavoursEosAndPad(), contexts, 16, CONFIG.tokenizer_config(), codebook,
-                        SEEDS, n_samples=8, temperature=temperature)
-    tokens = np.concatenate(drawn)
-    assert len(drawn) == 96 and tokens.size > 0
-    assert not np.isin(tokens, [codebook.eos_id, codebook.pad_id]).any()
+        ids = sample_forecast(FavoursEosAndPad(), contexts, N_TOKENS, codebook, SEEDS,
+                              n_samples=8, temperature=temperature)
+        assert ids.shape == (4, 8, N_TOKENS) and ids.dtype == np.int64
+        assert ((ids >= 0) & (ids < codebook.vocab_size)).all()
+        assert not np.isin(ids, [codebook.eos_id, codebook.pad_id]).any()
 
 
 @pytest.mark.parametrize("seeds", [[0], [11, 12, 13], [2**32 - 1, 3029871508]])
@@ -226,7 +199,7 @@ def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
 
     for temperature in (1.0, 0.0):
         with pytest.raises(ValueError, match="^sampling distribution has no mass$"):
-            sample_forecast(OnlyEos(), contexts, 16, CONFIG.tokenizer_config(), codebook, SEEDS,
+            sample_forecast(OnlyEos(), contexts, N_TOKENS, codebook, SEEDS,
                             temperature=temperature)
 
 
@@ -239,18 +212,20 @@ def reference_cross_entropy(model, context, horizon, pad_id):
 
 
 @pytest.mark.parametrize("n_context", [0, 1, 2])
-def test_context_shorter_than_order_matches_reference_loops(trained, n_context):
+def test_context_shorter_than_order_matches_reference_loops(trained, contexts, n_context):
     _, codebook, context = trained
     rng = np.random.default_rng(4)
     model = MarkovModel(codebook.vocab_size, order=3, alpha=0.5).fit(
         [rng.integers(0, codebook.vocab_size, 3000)])
-    short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:])
-    config = CONFIG.tokenizer_config()
+    # a stack of two contexts that keep only their last n_context tokens
+    short = TokenStream(contexts.tokens[:2, contexts.tokens.shape[1] - n_context:], scale=None)
     for temperature in (1.0, 0.0):
-        paths = sample_forecast(model, [short], 16, config, codebook, [11], n_samples=6,
+        paths = sample_forecast(model, short, N_TOKENS, codebook, SEEDS[:2], n_samples=6,
                                 temperature=temperature)
-        np.testing.assert_array_equal(
-            paths[0], reference_sample(model, short, 16, config, codebook, 6, temperature, 11))
+        for got, tokens, seed in zip(paths, short.tokens, SEEDS[:2], strict=True):
+            np.testing.assert_array_equal(
+                got, reference_sample(model, tokens, codebook, 6, temperature, seed))
+    short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:])
     horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20))
     assert (horizon.tokens == codebook.pad_id).any()
     assert cross_entropy(model, short, horizon, codebook.pad_id) == pytest.approx(
@@ -393,11 +368,11 @@ def test_checkpoint_header_is_checked(trained, tmp_path, change, message):
         load_model(path)
 
 
-def test_order_whose_keys_overflow_int64_is_refused(trained):
+def test_order_whose_keys_overflow_int64_is_refused(trained, contexts):
     MarkovModel(vocab_size=1024, order=5, alpha=0.1)
     with pytest.raises(ValueError, match="int64"):
         MarkovModel(vocab_size=1024, order=6, alpha=0.1)
-    model, codebook, context = trained
+    model, codebook, _ = trained
 
     class LongWindow:
         vocab_size, order = model.vocab_size, 40
@@ -409,10 +384,9 @@ def test_order_whose_keys_overflow_int64_is_refused(trained):
             return model.next_token_distributions(histories)
 
     # the sampler groups paths by the model's states, so it sets no limit of its own
-    config = CONFIG.tokenizer_config()
     np.testing.assert_array_equal(
-        sample_forecast(LongWindow(), [context], 16, config, codebook, [3]),
-        sample_forecast(model, [context], 16, config, codebook, [3]))
+        sample_forecast(LongWindow(), contexts, N_TOKENS, codebook, SEEDS),
+        sample_forecast(model, contexts, N_TOKENS, codebook, SEEDS))
 
 
 def test_cross_entropy_by_hand():
