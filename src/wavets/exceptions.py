@@ -12,6 +12,11 @@ class UnknownFamilyError(WavetsError, KeyError):
         super().__init__(f"unknown wavelet family: {name!r}")
         self.name = name
 
+    def __reduce__(self):
+        # Rebuild from the name: the default passes the formatted message
+        # back to __init__, which would wrap it a second time.
+        return type(self), (self.name,)
+
 
 class SchemaError(WavetsError):
     """A serialized artifact is malformed, incomplete or has the wrong version."""

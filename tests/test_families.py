@@ -1,6 +1,7 @@
 """Filter-bank definitions and property checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -99,6 +100,15 @@ def test_vanishing_moments(name):
 def test_unknown_family_error():
     with pytest.raises(UnknownFamilyError, match="sym13"):
         get_family("sym13")
+
+
+def test_unknown_family_error_survives_pickle():
+    error = UnknownFamilyError("nope")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is UnknownFamilyError
+    assert str(copy) == str(error)
+    assert copy.args == error.args
+    assert copy.name == "nope"
 
 
 def test_family_name_case_insensitive():
