@@ -4,19 +4,21 @@
 ``detokenize``, ``train``, ``forecast`` and ``eval`` run the protocol one
 step at a time through files; ``ablate`` runs it in memory over a
 configuration grid. This module only parses arguments, reads and writes
-files and prints summaries.
+files and prints summaries. It has no file format of its own: every
+JSON-lines file goes through :func:`~wavets.data_io.read_jsonl` and
+:func:`~wavets.data_io.write_jsonl`.
 
 Configuration precedence is flags > config file (YAML or JSON) > the
 defaults of :class:`~wavets.pipeline.RunConfig`, whose fields also name the
-flags and config keys. Every output carries the configuration fingerprint,
-and those made with a codebook its hash, in its ``__meta__`` header. That
-header is the only record of how an artifact was made, so commands refuse
-one whose header lacks or mismatches what they expect. A token file holds
-``{item_id, kind, tokens, mu, sigma}`` records, ``kind`` being ``context``
-or ``horizon`` (which ends with EOS). Each failed series or record gets
-its own ``error:`` line while the rest are still processed, and the
-command then exits with status 1. A warning (say, a score left undefined)
-is printed as one ``warning:`` line.
+flags and config keys; ``--help`` shows each flag's default. Every output
+carries the configuration fingerprint, and those made with a codebook its
+hash, in its ``__meta__`` header. That header is the only record of how an
+artifact was made, so commands refuse one whose header lacks or mismatches
+what they expect. A token file holds ``{item_id, kind, tokens, mu, sigma}``
+records, ``kind`` being ``context`` or ``horizon`` (which ends with EOS).
+Each failed series or record gets its own ``error:`` line while the rest
+are still processed, and the command then exits with status 1. A warning
+(say, a score left undefined) is printed as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 import yaml
 
 from .codebook import Codebook, codebook_hash, fit_codebook, load_codebook, save_codebook
-from .data_io import load_dataset, save_dataset
+from .data_io import load_dataset, read_jsonl, save_dataset, write_jsonl
 from .data_synth import make_dataset
 from .dwt import decompose  # noqa: F401  kept bound here: bench/tests patch every binding of it
 from .exceptions import FingerprintMismatchError, SchemaError, WavetsError
@@ -79,8 +81,9 @@ def build_config(args) -> RunConfig:
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="YAML/JSON config file")
     for f in fields(RunConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            type=type(f.default), help=f.metadata["help"])
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                            help=" ".join(filter(None, (f.metadata["help"],
+                                                        f"(default: {f.default})"))))
 
 
 def _check_meta(meta: dict, source, config: RunConfig, codebook: Codebook | None = None):
@@ -93,23 +96,6 @@ def _check_meta(meta: dict, source, config: RunConfig, codebook: Codebook | None
             raise FingerprintMismatchError(
                 f"{source} was produced under {key} {meta[key]}, current {key} is {want}"
             )
-
-
-def _read_records(path):
-    """The ``__meta__`` mapping and the other records of a JSON-lines file."""
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    if not all(isinstance(r, dict) for r in records):
-        raise SchemaError(f"{path} must hold one JSON object per line")
-    meta = next((r["__meta__"] for r in records if "__meta__" in r), {})
-    return meta, [r for r in records if "__meta__" not in r]
-
-
-def _write_jsonl(path, meta: dict, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"__meta__": meta}, sort_keys=True) + "\n")
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _report(failures, noun: str = "series") -> int:
@@ -157,13 +143,13 @@ def cmd_tokenize(args) -> int:
     pairs, failures = tokenize_windows(make_windows(dataset, config), config, codebook)
     streams = [(item_id, kind, stream) for item_id, ctx_stream, hor_stream in pairs
                for kind, stream in (("context", ctx_stream), ("horizon", hor_stream))]
-    _write_jsonl(args.out, {
+    write_jsonl(args.out, {
         "fingerprint": fingerprint, "codebook": codebook_hash(codebook),
         "family": config.family, "level": config.level},
         ({"item_id": item_id, "kind": kind, "tokens": stream.tokens.tolist(),
           "mu": stream.scale.mu, "sigma": stream.scale.sigma} for item_id, kind, stream in streams))
     n_tokens = sum(len(stream.tokens) for _, _, stream in streams)
-    n_pad = sum(int(np.sum(stream.tokens == codebook.pad_id)) for _, _, stream in streams)
+    n_pad = sum(int(np.sum(stream.tokens == codebook.PAD_ID)) for _, _, stream in streams)
     pad_rate = n_pad / n_tokens if n_tokens else 0.0
     print(f"tokenized {args.data}: PAD rate {pad_rate:.4%}, fingerprint {fingerprint}")
     return _report(failures)
@@ -172,10 +158,10 @@ def cmd_tokenize(args) -> int:
 def cmd_detokenize(args) -> int:
     config = build_config(args)
     codebook = load_codebook(args.codebook)
-    meta, records = _read_records(args.tokens)
+    meta, lines = read_jsonl(args.tokens)
     _check_meta(meta, args.tokens, config, codebook)
-    windows, failures = detokenize_windows(records, config, codebook)
-    _write_jsonl(args.out, meta, ({"item_id": item_id, "kind": kind, "values": values.tolist()}
+    windows, failures = detokenize_windows([record for _, record in lines], config, codebook)
+    write_jsonl(args.out, meta, ({"item_id": item_id, "kind": kind, "values": values.tolist()}
                                   for item_id, kind, values in windows))
     if args.reference:
         truths = {(item_id, kind): truth
@@ -197,8 +183,9 @@ def cmd_detokenize(args) -> int:
 def cmd_train(args) -> int:
     config = build_config(args)
     codebook = load_codebook(args.codebook)
-    meta, records = _read_records(args.tokens)
+    meta, lines = read_jsonl(args.tokens)
     _check_meta(meta, args.tokens, config, codebook)
+    records = [record for _, record in lines]
     kinds, failed = read_token_records(records, config, codebook)
     streams = {(records[i]["item_id"], kind): row
                for kind, (rows, stack) in kinds.items() for i, row in zip(rows, stack.rows())}
@@ -245,7 +232,7 @@ def cmd_forecast(args) -> int:
         failed = [pair for _, errors in chunks for pair in errors]
     else:
         forecasts, failed = forecast_dataset(model, codebook, config, contexts)
-    _write_jsonl(args.out, {
+    write_jsonl(args.out, {
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),
         "horizon": config.horizon, "n_samples": config.n_samples},
         ({"item_id": item_id, "samples": paths.tolist()} for item_id, paths in forecasts))
@@ -265,9 +252,16 @@ def cmd_eval(args) -> int:
     per_dataset, unscored = {}, []
     for name, data_path, forecast_path in zip(names, args.data, args.forecasts):
         dataset = load_dataset(data_path)
-        meta, records = _read_records(forecast_path)
+        meta, lines = read_jsonl(forecast_path)
         _check_meta(meta, forecast_path, config)
-        samples = {r["item_id"]: np.asarray(r["samples"], dtype=np.float64) for r in records}
+        samples = {}
+        for line, record in lines:
+            try:
+                if not isinstance(record.get("item_id"), str) or "samples" not in record:
+                    raise ValueError("need a string item_id and samples")
+                samples[record["item_id"]] = np.asarray(record["samples"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{forecast_path}:{line}: {exc}") from None
         per_dataset[name], failed = evaluate_dataset(name, dataset, samples, config)
         unscored += failed
 
@@ -306,15 +300,15 @@ def cmd_ablate(args) -> int:
     unknown = set(grid) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unsupported grid keys {sorted(unknown)}; allowed {_CONFIG_KEYS}")
+    keys = sorted(grid)
+    cells = [dict(zip(keys, cell)) for cell in itertools.product(*(grid[k] for k in keys))]
+    cell_configs = [replace(config, **overrides) for overrides in cells]  # refuses a bad value
     dataset = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    keys = sorted(grid)
     results = []
     n_failed = 0
-    for cell in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, cell))
-        cell_config = replace(config, **overrides)
+    for overrides, cell_config in zip(cells, cell_configs):
         fingerprint = cell_config.fingerprint()
         cell_path = out_dir / f"cell-{fingerprint}.json"
         payload = {"fingerprint": fingerprint, "overrides": overrides}

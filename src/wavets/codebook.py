@@ -2,8 +2,10 @@
 
 The vocabulary consists of ``B`` value tokens (one per bin center) plus the
 two special tokens ``PAD`` (missing value) and ``EOS`` (end of sequence).
-Token ids are laid out as ``pad = 0``, ``eos = 1``, value tokens from 2, so
-the special ids never depend on ``B``.
+The token ids are fixed: ``Codebook.PAD_ID = 0``, ``Codebook.EOS_ID = 1``
+and value tokens from ``Codebook.VALUE_OFFSET = 2``, so the special ids
+never depend on ``B``. A codebook file keeps the three ids as fields, and
+:func:`load_codebook` refuses a file whose ids differ from them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,10 +22,6 @@ from .exceptions import SchemaError
 
 _FORMAT = "wavets.codebook"
 _VERSION = 1
-
-PAD_ID = 0
-EOS_ID = 1
-VALUE_OFFSET = 2
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,11 @@ class Codebook:
     centers: np.ndarray
     edges: np.ndarray
     bounds: tuple[float, float]
-    pad_id: int = PAD_ID
-    eos_id: int = EOS_ID
-    value_offset: int = VALUE_OFFSET
+
+    PAD_ID: ClassVar[int] = 0
+    EOS_ID: ClassVar[int] = 1
+    VALUE_OFFSET: ClassVar[int] = 2
+    pad_id: ClassVar[int] = PAD_ID  # the lower-case name bench/ reads
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
@@ -59,9 +60,6 @@ class Codebook:
         lo, hi = self.bounds
         if not (lo <= c[0] and c[-1] <= hi):
             raise ValueError(f"centers [{c[0]}, {c[-1]}] exceed bounds ({lo}, {hi})")
-        ids = {self.pad_id, self.eos_id}
-        if len(ids) != 2 or max(ids) >= self.value_offset:
-            raise ValueError("special token ids must be distinct and below value_offset")
 
     @property
     def n_bins(self) -> int:
@@ -69,7 +67,7 @@ class Codebook:
 
     @property
     def vocab_size(self) -> int:
-        return len(self.centers) + 2
+        return len(self.centers) + self.VALUE_OFFSET
 
     @property
     def bin_width(self) -> float:
@@ -125,8 +123,8 @@ def quantize(values: np.ndarray, codebook: Codebook) -> np.ndarray:
     if np.any(np.isinf(arr)):
         raise ValueError("cannot quantize infinite values")
     safe = np.where(missing, 0.0, arr)
-    tokens = codebook.value_offset + np.searchsorted(codebook.edges, safe, side="right")
-    return np.where(missing, codebook.pad_id, tokens).astype(np.int64)
+    tokens = Codebook.VALUE_OFFSET + np.searchsorted(codebook.edges, safe, side="right")
+    return np.where(missing, Codebook.PAD_ID, tokens).astype(np.int64)
 
 
 def check_token_ids(tokens: np.ndarray, codebook: Codebook) -> None:
@@ -136,20 +134,20 @@ def check_token_ids(tokens: np.ndarray, codebook: Codebook) -> None:
         raise ValueError(f"token id(s) {np.unique(tokens[bad]).tolist()} outside the vocabulary")
 
 
-def dequantize(tokens: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Map an array of token ids back to bin centers.
-
-    Returns ``(values, missing)``: PAD tokens yield value 0.0 with the
-    missing flag set. EOS or out-of-vocabulary ids are errors.
-    """
+def dequantize(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Map an array of token ids back to bin centers; PAD tokens yield
+    0.0. EOS or out-of-vocabulary ids are errors."""
     arr = np.asarray(tokens, dtype=np.int64)
-    if np.any(arr == codebook.eos_id):
+    if np.any(arr == Codebook.EOS_ID):
         raise ValueError("cannot dequantize the EOS token")
     check_token_ids(arr, codebook)
-    missing = arr == codebook.pad_id
-    idx = np.where(missing, 0, arr - codebook.value_offset)
-    values = np.where(missing, 0.0, codebook.centers[idx])
-    return values, missing
+    missing = arr == Codebook.PAD_ID
+    idx = np.where(missing, 0, arr - Codebook.VALUE_OFFSET)
+    return np.where(missing, 0.0, codebook.centers[idx])
+
+
+_SPECIAL_IDS = {"pad_id": Codebook.PAD_ID, "eos_id": Codebook.EOS_ID,
+                "value_offset": Codebook.VALUE_OFFSET}
 
 
 def _to_payload(codebook: Codebook) -> dict:
@@ -159,9 +157,7 @@ def _to_payload(codebook: Codebook) -> dict:
         "centers": codebook.centers.tolist(),
         "edges": codebook.edges.tolist(),
         "bounds": list(codebook.bounds),
-        "pad_id": codebook.pad_id,
-        "eos_id": codebook.eos_id,
-        "value_offset": codebook.value_offset,
+        **_SPECIAL_IDS,
     }
 
 
@@ -190,16 +186,16 @@ def load_codebook(path) -> Codebook:
             f"codebook version mismatch in {path}: found {payload.get('version')}, "
             f"expected {_VERSION}"
         )
-    required = ("centers", "edges", "bounds", "pad_id", "eos_id", "value_offset")
-    missing = [key for key in required if key not in payload]
+    missing = [key for key in ("centers", "edges", "bounds", *_SPECIAL_IDS) if key not in payload]
     if missing:
         raise SchemaError(f"codebook file {path} is missing fields: {missing}")
+    other = {key: payload[key] for key, fixed in _SPECIAL_IDS.items() if payload[key] != fixed}
+    if other:
+        raise SchemaError(f"codebook file {path} has special token ids {other}; the ids are "
+                          f"fixed at {_SPECIAL_IDS}")
     # invariant violations (e.g. non-monotone centers) surface as ValueError
     return Codebook(
         centers=np.array(payload["centers"], dtype=np.float64),
         edges=np.array(payload["edges"], dtype=np.float64),
         bounds=tuple(payload["bounds"]),
-        pad_id=int(payload["pad_id"]),
-        eos_id=int(payload["eos_id"]),
-        value_offset=int(payload["value_offset"]),
     )

@@ -13,6 +13,10 @@ optionally followed by ``.gz``); any other name is rejected:
 
 Infinite values are refused at ingestion, naming ``path:line``: a missing
 value is written as missing, never as an infinity.
+
+:func:`read_jsonl` and :func:`write_jsonl` are the one JSON-lines codec of
+the package, for datasets, token files, forecasts and inverted windows
+alike: a ``__meta__`` header, then one JSON object per line.
 """
 
 from __future__ import annotations
@@ -200,76 +204,88 @@ def _load_long_csv(path) -> Dataset:
     return Dataset(series=series, freq=freq)
 
 
-def _load_jsonl(path) -> Dataset:
-    series = []
-    meta: dict = {}
-    freqs = set()
+def read_jsonl(path) -> tuple[dict, list[tuple[int, dict]]]:
+    """The ``__meta__`` header of a JSON-lines file (``{}`` without one)
+    and ``(line number, record)`` for each other non-blank line; a line
+    that is not a JSON object is refused, naming ``path:line``."""
+    meta, records = {}, []
     with _open_text(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if "__meta__" in record:
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got "
+                                 f"{type(record).__name__}")
+            if "__meta__" not in record:
+                records.append((lineno, record))
+            elif isinstance(record["__meta__"], dict):
                 meta = record["__meta__"]
-                continue
-            for field_name in ("start", "freq", "target"):
-                if field_name not in record:
-                    raise ValueError(f"{path}:{lineno}: record is missing field {field_name!r}")
-            try:
-                values = np.array(record["target"], dtype=np.float64)  # null -> NaN
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad target: {exc}") from None
-            if values.ndim != 1:
-                raise ValueError(f"{path}:{lineno}: target must be a flat array of numbers, "
-                                 f"got {values.ndim} dimension(s)")
-            if np.isinf(values).any():
-                raise ValueError(f"{path}:{lineno}: infinite value in target at index "
-                                 f"{int(np.flatnonzero(np.isinf(values))[0])}")
-            item_id = str(record.get("item_id", f"series-{len(series)}"))
-            try:
-                start = datetime.fromisoformat(record["start"])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad start timestamp: {exc}") from None
-            freqs.add(record["freq"])
-            series.append(
-                TimeSeries(item_id=item_id, start=start, freq=record["freq"], values=values)
-            )
+            else:
+                raise ValueError(f"{path}:{lineno}: the __meta__ header must be a JSON object")
+    return meta, records
+
+
+def write_jsonl(path, meta: dict, records) -> None:
+    """Write the ``__meta__`` header, unless ``meta`` is empty, then one
+    record per line, keys sorted."""
+    with _open_text(path, "w") as fh:
+        if meta:
+            fh.write(json.dumps({"__meta__": meta}, sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _load_jsonl(path) -> Dataset:
+    meta, records = read_jsonl(path)
+    series, freqs = [], set()
+    for lineno, record in records:
+        for field_name in ("start", "freq", "target"):
+            if field_name not in record:
+                raise ValueError(f"{path}:{lineno}: record is missing field {field_name!r}")
+        try:
+            values = np.array(record["target"], dtype=np.float64)  # null -> NaN
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad target: {exc}") from None
+        if values.ndim != 1:
+            raise ValueError(f"{path}:{lineno}: target must be a flat array of numbers, "
+                             f"got {values.ndim} dimension(s)")
+        if np.isinf(values).any():
+            raise ValueError(f"{path}:{lineno}: infinite value in target at index "
+                             f"{int(np.flatnonzero(np.isinf(values))[0])}")
+        item_id = str(record.get("item_id", f"series-{len(series)}"))
+        try:
+            start = datetime.fromisoformat(record["start"])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad start timestamp: {exc}") from None
+        freqs.add(record["freq"])
+        series.append(TimeSeries(item_id=item_id, start=start, freq=record["freq"], values=values))
     if not series:
         raise ValueError(f"{path}: no series records")
     if len(freqs) > 1:
         raise ValueError(f"{path}: mixed sampling frequencies {sorted(freqs)}")
-    return Dataset(
-        series=series, freq=freqs.pop(), meta=meta
-    )
+    return Dataset(series=series, freq=freqs.pop(), meta=meta)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset; floats use their shortest round-tripping decimal
     form."""
-    if _detect_format(path) == "long-csv":
-        with _open_text(path, "w") as fh:
-            fh.write("item_id,timestamp,value\n")
-            for s in dataset.series:
-                for i, v in enumerate(s.values.tolist()):
-                    ts = _advance(s.start, s.freq, i)
-                    text = repr(v) if v == v else ""
-                    fh.write(f"{s.item_id},{ts.isoformat()},{text}\n")
-    else:
-        with _open_text(path, "w") as fh:
-            if dataset.meta:
-                fh.write(json.dumps({"__meta__": dataset.meta}, sort_keys=True) + "\n")
-            for s in dataset.series:
-                record = {
-                    "item_id": s.item_id,
-                    "start": s.start.isoformat(),
-                    "freq": s.freq,
-                    "target": [v if v == v else None for v in s.values.tolist()],  # NaN != NaN
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    if _detect_format(path) == "jsonl":
+        write_jsonl(path, dataset.meta, (
+            {"item_id": s.item_id, "start": s.start.isoformat(), "freq": s.freq,
+             "target": [v if v == v else None for v in s.values.tolist()]}  # NaN != NaN
+            for s in dataset.series))
+        return
+    with _open_text(path, "w") as fh:
+        fh.write("item_id,timestamp,value\n")
+        for s in dataset.series:
+            for i, v in enumerate(s.values.tolist()):
+                ts = _advance(s.start, s.freq, i)
+                text = repr(v) if v == v else ""
+                fh.write(f"{s.item_id},{ts.isoformat()},{text}\n")
 
 
 def split_last_h(

@@ -18,7 +18,7 @@ the same formulas on the dense lag matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 
 import numpy as np
@@ -28,6 +28,7 @@ from .data_io import Dataset, TimeSeries
 KINDS = ("trend_exp", "sparse_spikes", "multi_freq_switch", "gp_kernel_mix", "tsmixup")
 
 _EPOCH = datetime(2020, 1, 1)
+_FREQ = "h"  # every synthetic series is hourly
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
     return TimeSeries(
         item_id=f"{spec.kind}-{spec.seed}",
         start=_EPOCH,
-        freq="h",
+        freq=_FREQ,
         values=values,
     )
 
@@ -217,9 +218,8 @@ def make_dataset(
     context_length: int = 512,
     horizon: int = 64,
     seed: int = 0,
-    freq: str = "h",
 ) -> Dataset:
-    """Synthetic training corpus of full-length series (context plus
+    """Synthetic hourly corpus of full-length series (context plus
     horizon), suitable for the file formats and the held-out-tail split.
 
     Each series is ``tsmixup`` with probability ``mix[0]`` and
@@ -230,6 +230,8 @@ def make_dataset(
     """
     if n_series < 1:
         raise ValueError(f"need at least one series, got {n_series}")
+    if len(mix) != 2:
+        raise ValueError(f"need two mixture probabilities (tsmixup, gp_kernel_mix), got {mix}")
     if any(p < 0 for p in mix):
         raise ValueError(f"mixture probabilities must be non-negative, got {mix}")
     if not np.isclose(sum(mix), 1.0):
@@ -241,8 +243,5 @@ def make_dataset(
     for i, (kind, child) in enumerate(zip(kinds, children)):
         spec = GeneratorSpec(kind=kind, length=context_length + horizon,
                              seed=int(child.generate_state(1)[0]))
-        series.append(
-            TimeSeries(item_id=f"synth-{i:05d}", start=_EPOCH, freq=freq,
-                       values=generate(spec).values)
-        )
-    return Dataset(series=series, freq=freq)
+        series.append(replace(generate(spec), item_id=f"synth-{i:05d}"))
+    return Dataset(series=series, freq=_FREQ)

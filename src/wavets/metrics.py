@@ -1,5 +1,8 @@
 """Forecast evaluation: WQL, MASE, VRSE, relative scores and ranks.
 
+Quantiles are taken and scored at the nine fixed levels
+:data:`QUANTILE_LEVELS` (0.1, 0.2, ..., 0.9); no function takes others.
+
 Missing truth values (NaN) are left out: WQL, MASE and VRSE score a
 forecast on the observed steps of its truth only, as if the series were
 restricted to them. :func:`sample_quantiles`, :func:`seasonal_naive`,
@@ -42,14 +45,13 @@ DEFAULT_SEASONALITY = {
 }
 
 
-def seasonality_for_freq(freq: str, default: int = 1) -> int:
-    """Season length for a frequency tag; unknown tags warn and use
-    ``default``."""
+def seasonality_for_freq(freq: str) -> int:
+    """Season length for a frequency tag; unknown tags warn and use 1."""
     key = str(freq).lower()
     if key in DEFAULT_SEASONALITY:
         return DEFAULT_SEASONALITY[key]
-    warnings.warn(f"unknown frequency tag {freq!r}; using seasonality {default}")
-    return default
+    warnings.warn(f"unknown frequency tag {freq!r}; using seasonality 1")
+    return 1
 
 
 def quantile_loss(q: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
@@ -100,32 +102,29 @@ def _flag_undefined(scores: np.ndarray, what: str, causes) -> np.ndarray:
     return scores
 
 
-def wql(
-    truth: np.ndarray,
-    quantile_forecasts: np.ndarray,
-    levels: tuple[float, ...] = QUANTILE_LEVELS,
-) -> float:
+def wql(truth: np.ndarray, quantile_forecasts: np.ndarray) -> float:
     """Weighted quantile loss averaged over the quantile levels.
 
-    ``quantile_forecasts`` stacks one forecast array per level along the
-    first axis; the remaining axes must match ``truth``, which may cover a
-    single series or a whole dataset (all non-level axes are summed, and
-    the loss is normalized by the summed magnitude of the truth). Missing
-    truth values drop out of both sums.
+    ``quantile_forecasts`` stacks one forecast array per level of
+    :data:`QUANTILE_LEVELS` along the first axis; the remaining axes must
+    match ``truth``, which may cover a single series or a whole dataset
+    (all non-level axes are summed, and the loss is normalized by the
+    summed magnitude of the truth). Missing truth values drop out of both
+    sums.
     """
     truth = np.asarray(truth, dtype=np.float64)
     qf = np.asarray(quantile_forecasts, dtype=np.float64)
-    if qf.shape != (len(levels), *truth.shape):
-        raise ValueError(
-            f"expected quantile forecasts of shape {(len(levels), *truth.shape)}, got {qf.shape}"
-        )
+    if qf.shape != (len(QUANTILE_LEVELS), *truth.shape):
+        raise ValueError(f"expected quantile forecasts of shape "
+                         f"{(len(QUANTILE_LEVELS), *truth.shape)}, got {qf.shape}")
     observed = ~np.isnan(truth)
     truth, qf = truth[observed], qf[:, observed]
     denom = np.sum(np.abs(truth))
     if denom == 0.0:
         warnings.warn("all-zero or missing truth: weighted quantile loss is undefined")
         return float("nan")
-    per_level = [2.0 * np.sum(quantile_loss(qf[i], truth, a)) / denom for i, a in enumerate(levels)]
+    per_level = [2.0 * np.sum(quantile_loss(qf[i], truth, a)) / denom
+                 for i, a in enumerate(QUANTILE_LEVELS)]
     return float(np.mean(per_level))
 
 
@@ -207,12 +206,10 @@ def vrse(truth: np.ndarray, point_forecast: np.ndarray):
     ]), shape)
 
 
-def sample_quantiles(
-    samples: np.ndarray,
-    levels: tuple[float, ...] = QUANTILE_LEVELS,
-) -> np.ndarray:
-    """Empirical per-step quantiles of sample paths: ``(..., n_samples, H)``
-    paths give ``(len(levels), ..., H)`` quantiles.
+def sample_quantiles(samples: np.ndarray) -> np.ndarray:
+    """Empirical per-step quantiles of sample paths at
+    :data:`QUANTILE_LEVELS`: ``(..., n_samples, H)`` paths give
+    ``(len(QUANTILE_LEVELS), ..., H)`` quantiles.
 
     Uses the inclusive linear-interpolation definition (numpy's default);
     quantile conventions differ between libraries, so this one is fixed
@@ -221,18 +218,12 @@ def sample_quantiles(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim < 2:
         raise ValueError(f"expected (..., n_samples, horizon) paths, got shape {samples.shape}")
-    return np.quantile(samples, levels, axis=-2, method="linear")
+    return np.quantile(samples, QUANTILE_LEVELS, axis=-2, method="linear")
 
 
-def seasonal_naive(
-    context: np.ndarray,
-    seasonality: int,
-    horizon: int,
-    levels: tuple[float, ...] = QUANTILE_LEVELS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat the last season of each context row; deterministic, so every
-    quantile equals the point forecast. Returns ``(point, quantile_stack)``
-    of shapes ``(..., horizon)`` and ``(len(levels), ..., horizon)``.
+def seasonal_naive(context: np.ndarray, seasonality: int, horizon: int) -> np.ndarray:
+    """Repeat the last season of each context row: the ``(..., horizon)``
+    point forecast. It is deterministic, so every quantile equals it.
 
     A missing phase of the last season takes the same phase one season
     earlier, and so on back; a phase never observed takes the last
@@ -256,8 +247,7 @@ def seasonal_naive(
                              "observed values")
         last = c - 1 - np.argmax(observed[..., ::-1], axis=-1)
         np.copyto(season, np.take_along_axis(context, last[..., None], axis=-1), where=missing)
-    point = season[..., np.arange(horizon) % s]
-    return point, np.broadcast_to(point, (len(levels), *point.shape)).copy()
+    return season[..., np.arange(horizon) % s]
 
 
 def aggregate_relative(scores, baseline_scores) -> float:

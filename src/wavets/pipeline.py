@@ -25,7 +25,6 @@ and fails on any series.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import warnings
@@ -36,7 +35,6 @@ import numpy as np
 from .codebook import Codebook, check_token_ids, fit_codebook
 from .data_io import Dataset, split_last_h
 from .exceptions import WavetsError
-from .families import get_family
 from .metrics import (
     QUANTILE_LEVELS,
     mase,
@@ -63,15 +61,18 @@ def _option(default, help_text=None):
 @dataclass(frozen=True)
 class RunConfig:
     """Validated pipeline configuration; hashable to a stable
-    fingerprint. Its fields and defaults are the only list of settings:
-    the command-line flags and config-file keys are derived from them."""
+    fingerprint. Its fields are the only list of settings: the command-line
+    flags and config-file keys are derived from them. The tokenizer fields
+    take their defaults and range rules from :class:`TokenizerConfig` and
+    :class:`ThresholdSpec`."""
 
-    family: str = _option("bior2.2", "wavelet family name")
-    level: int = _option(1, "decomposition level")
-    threshold_method: str = _option("none", "none | cdf | visu_soft | visu_hard | fdrc")
-    threshold_b: float = _option(0.5, "cutoff base for cdf thresholding")
-    threshold_q: float = _option(0.05, "error level for fdrc thresholding")
-    sigma_estimator: str = _option("mad_finest", "mad_finest | std_finest")
+    family: str = _option(TokenizerConfig.family, "wavelet family name")
+    level: int = _option(TokenizerConfig.level, "decomposition level")
+    threshold_method: str = _option(ThresholdSpec.method,
+                                    "none | cdf | visu_soft | visu_hard | fdrc")
+    threshold_b: float = _option(ThresholdSpec.b, "cutoff base for cdf thresholding")
+    threshold_q: float = _option(ThresholdSpec.q, "error level for fdrc thresholding")
+    sigma_estimator: str = _option(ThresholdSpec.sigma_estimator, "mad_finest | std_finest")
     vocab_budget: int = _option(1024, "total vocabulary size budget")
     bound_lo: float = _option(-30.0, "lower quantization bound")
     bound_hi: float = _option(30.0, "upper quantization bound")
@@ -82,7 +83,7 @@ class RunConfig:
     n_samples: int = _option(20, "sample paths per series")
     temperature: float = _option(1.0)
     seed: int = _option(0)
-    boundary_mode: str = _option("symmetric", "symmetric | periodization")
+    boundary_mode: str = _option(TokenizerConfig.boundary_mode, "symmetric | periodization")
     mix_tsmixup: float = _option(0.9, "probability of tsmixup (vs GP) in synthetic corpora")
 
     def __post_init__(self):
@@ -90,16 +91,13 @@ class RunConfig:
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-        get_family(self.family)  # raises for unknown names
-        self.tokenizer_config()  # validates the threshold method and parameters
-        if self.level < 1:
-            raise ValueError(f"decomposition level must be positive, got {self.level}")
+        tok_config = self.tokenizer_config()  # validates the threshold method and parameters
+        for length in (self.context_length, self.horizon):  # family, level and boundary mode
+            tok_config.layout(length)
         if self.vocab_budget < 5:
             raise ValueError(f"vocabulary budget must be at least 5, got {self.vocab_budget}")
         if not self.bound_lo < 0.0 < self.bound_hi:
             raise ValueError(f"bounds must straddle 0, got ({self.bound_lo}, {self.bound_hi})")
-        if self.context_length < 2 or self.horizon < 2:
-            raise ValueError("context length and horizon must be at least 2")
         if self.order < 1:
             raise ValueError(f"model order must be at least 1, got {self.order}")
         if self.alpha <= 0:
@@ -210,7 +208,8 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
     layout (plus a horizon's EOS), an id is outside the vocabulary, or an
     EOS sits anywhere but the last position of a horizon."""
     tok_config = config.tokenizer_config()
-    layout_of = functools.cache(lambda kind: tok_config.layout(getattr(config, _WINDOW_FIELDS[kind])))
+    layouts = {kind: tok_config.layout(getattr(config, length))
+               for kind, length in _WINDOW_FIELDS.items()}
     rows, failed = {}, {}
     for i, record in enumerate(records):
         item_id, kind = record.get("item_id"), record.get("kind")
@@ -220,7 +219,7 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                 raise ValueError(f"missing field(s) {', '.join(missing)}")
             if not isinstance(item_id, str) or kind not in _WINDOW_FIELDS:
                 raise ValueError(f"need a string item_id and a kind in {list(_WINDOW_FIELDS)}")
-            layout = layout_of(kind)
+            layout = layouts[kind]
             eos = [sum(layout)] if kind == "horizon" else []
             tokens = np.asarray(record["tokens"])
             if (tokens.ndim != 1 or tokens.dtype.kind not in "iu"
@@ -229,7 +228,7 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                                  f"layout {layout}{' and EOS' if eos else ''}, got {tokens.dtype} of shape "
                                  f"{tokens.shape}")
             check_token_ids(tokens, codebook)
-            at = np.flatnonzero(tokens == codebook.eos_id).tolist()
+            at = np.flatnonzero(tokens == Codebook.EOS_ID).tolist()
             if at != eos:
                 raise ValueError(f"EOS token at position(s) {at}, expected {eos}")
             rows.setdefault(kind, []).append((i, tokens, float(record["mu"]), float(record["sigma"])))
@@ -260,10 +259,8 @@ def detokenize_windows(records, config: RunConfig, codebook: Codebook):
 
 def train_model(corpus, config: RunConfig, codebook: Codebook) -> MarkovModel:
     """The reference Markov model over (context, horizon) stream pairs."""
-    return train_markov(
-        corpus, order=config.order, alpha=config.alpha,
-        vocab_size=codebook.vocab_size, pad_id=codebook.pad_id,
-    )
+    return train_markov(corpus, order=config.order, alpha=config.alpha,
+                        vocab_size=codebook.vocab_size)
 
 
 def series_seed(seed: int, item_id: str) -> int:
@@ -336,18 +333,18 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
     for rows in _groups(len(samples[item_id]) for item_id in item_ids):
         model_q[:, rows] = sample_quantiles(np.stack([samples[item_ids[i]] for i in rows]))
     median = model_q[QUANTILE_LEVELS.index(0.5)]
-    naive_point, naive_q = np.empty_like(truths), np.empty_like(model_q)
+    naive_point = np.empty_like(truths)
     model_mase, naive_mase = np.empty(len(truths)), np.empty(len(truths))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for rows in _groups(seasons):
             season = seasons[rows[0]]
-            naive_point[rows], naive_q[:, rows] = seasonal_naive(contexts[rows], season,
-                                                                 truths.shape[1])
+            naive_point[rows] = seasonal_naive(contexts[rows], season, truths.shape[1])
             model_mase[rows] = mase(truths[rows], median[rows], contexts[rows], season)
             naive_mase[rows] = mase(truths[rows], naive_point[rows], contexts[rows], season)
         model_vrse, naive_vrse = vrse(truths, median), vrse(truths, naive_point)
-    scores = {("model", "wql"): wql(truths, model_q), ("seasonal_naive", "wql"): wql(truths, naive_q)}
+    scores = {("model", "wql"): wql(truths, model_q),  # every naive quantile is its point
+              ("seasonal_naive", "wql"): wql(truths, np.broadcast_to(naive_point, model_q.shape))}
     for metric, columns in (("mase", (model_mase, naive_mase)), ("vrse", (model_vrse, naive_vrse))):
         undefined = [item_ids[i] for i in np.flatnonzero(np.isnan(columns).any(axis=0))]
         if undefined:

@@ -171,7 +171,7 @@ def train_markov(
     order: int,
     alpha: float,
     vocab_size: int,
-    pad_id: int = 0,
+    pad_id: int = Codebook.PAD_ID,
 ) -> MarkovModel:
     """Fit a Markov model on concatenated context+horizon token streams.
 
@@ -198,7 +198,7 @@ def cross_entropy(
     model: SequenceModel,
     context: TokenStream,
     horizon: TokenStream,
-    pad_id: int = 0,
+    pad_id: int = Codebook.PAD_ID,
 ) -> float:
     """Mean negative log-likelihood of the horizon tokens (EOS included).
 
@@ -280,8 +280,8 @@ def sample_forecast(
         new = [j for j, state in enumerate(states) if state not in cdfs]
         if new:
             probs = model.next_token_distributions(windows[first[new]])
-            probs[:, codebook.eos_id] = 0.0
-            probs[:, codebook.pad_id] = 0.0
+            probs[:, codebook.EOS_ID] = 0.0
+            probs[:, codebook.PAD_ID] = 0.0
             if temperature not in (0.0, 1.0):
                 probs **= 1.0 / temperature
             totals = probs.sum(axis=1, keepdims=True)

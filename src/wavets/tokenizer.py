@@ -24,6 +24,7 @@ to its own call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -50,9 +51,14 @@ class TokenizerConfig:
     threshold: ThresholdSpec = field(default_factory=ThresholdSpec)
     boundary_mode: str = "symmetric"
 
+    @functools.cached_property
+    def wavelet(self) -> WaveletFamily:
+        """The filters of ``family``, looked up once per configuration."""
+        return get_family(self.family)
+
     def layout(self, length: int) -> list[int]:
         """Band sizes ``[a_J, d_J, ..., d_1]`` of a length-``length`` window."""
-        return coefficient_layout(length, get_family(self.family), self.level, self.boundary_mode)
+        return coefficient_layout(length, self.wavelet, self.level, self.boundary_mode)
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,8 @@ def coefficients(windows: np.ndarray, scale: ScaleStats,
     stack with one ``scale`` per row: gap-fill, z-score, decompose and
     threshold the details; coefficients that overflow are refused."""
     mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
-    pyramid = decompose((fill_missing(windows) - mu) / sigma, get_family(config.family),
-                        config.level, config.boundary_mode)
+    pyramid = decompose((fill_missing(windows) - mu) / sigma, config.wavelet, config.level,
+                        config.boundary_mode)
     if not all(np.isfinite(band).all() for band in (pyramid.approx, *pyramid.details)):
         raise ValueError("wavelet coefficients are not finite")
     return apply_threshold(pyramid, config.threshold)
@@ -160,12 +166,12 @@ def tokenize(
     """
     windows = np.asarray(windows, dtype=np.float64)
     pyramid = coefficients(windows, scale, config)
-    observed = _band_observed(np.isfinite(windows), get_family(config.family), config.level,
+    observed = _band_observed(np.isfinite(windows), config.wavelet, config.level,
                               config.boundary_mode)
-    tokens = [np.where(obs, quantize(band, codebook), codebook.pad_id)
+    tokens = [np.where(obs, quantize(band, codebook), Codebook.PAD_ID)
               for band, obs in zip((pyramid.approx, *pyramid.details), observed)]
     if append_eos:
-        tokens.append(np.full((*windows.shape[:-1], 1), codebook.eos_id))
+        tokens.append(np.full((*windows.shape[:-1], 1), Codebook.EOS_ID))
     return TokenStream(tokens=np.concatenate(tokens, axis=-1), scale=scale, has_eos=append_eos)
 
 
@@ -202,11 +208,10 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
     if coeff_tokens.shape[-1] != sum(layout):
         raise ValueError(f"{coeff_tokens.shape[-1]} coefficient tokens do not match the layout "
                          f"{layout} of a length-{length} window")
-    values, _ = dequantize(coeff_tokens, codebook)
-    parts = np.split(values, np.cumsum(layout)[:-1], axis=-1)
+    parts = np.split(dequantize(coeff_tokens, codebook), np.cumsum(layout)[:-1], axis=-1)
     pyramid = CoefficientPyramid(approx=parts[0], details=tuple(parts[1:]), level=config.level,
                                  input_length=length, boundary_mode=config.boundary_mode)
-    z = reconstruct(pyramid, get_family(config.family))
+    z = reconstruct(pyramid, config.wavelet)
     sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)
     return z * sigma[..., None] + mu[..., None]
 

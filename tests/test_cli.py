@@ -208,14 +208,80 @@ def test_refuses_an_artifact_without_a_header(tmp_path, capsys):
             1, [f"error: {source} has no {key} in its __meta__ header"], False), argv[0]
 
 
-@pytest.mark.parametrize("line", ["[1, 2]", "7"])
+@pytest.mark.parametrize("line", ["[1, 2]", "7", "{not json"])
 def test_refuses_a_token_file_line_that_is_not_an_object(tmp_path, capsys, line):
     round_trip(tmp_path, capsys)
-    tokens = tmp_path / "odd.jsonl"
+    tokens, cb = tmp_path / "odd.jsonl", tmp_path / "codebook.json"
     tokens.write_text((tmp_path / "tokens.jsonl").read_text() + line + "\n")
-    code, _, err = run(["train", "--tokens", tokens, "--codebook", tmp_path / "codebook.json",
-                        "--out", tmp_path / "odd-model.json", *FLAGS], capsys)
-    assert (code, err.splitlines()) == (1, [f"error: {tokens} must hold one JSON object per line"])
+    where = 2 + 2 * N_SERIES  # after the header and two records per series
+    message = {"[1, 2]": "expected a JSON object, got list", "7": "expected a JSON object, got int",
+               "{not json": "bad JSON: Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)"}[line]
+    for argv in (["train", "--tokens", tokens, "--codebook", cb],
+                 ["detokenize", "--tokens", tokens, "--codebook", cb]):
+        code, _, err = run([*argv, "--out", tmp_path / "out", *FLAGS], capsys)
+        assert (code, err.splitlines(), (tmp_path / "out").exists()) == (
+            1, [f"error: {tokens}:{where}: {message}"], False), argv[0]
+
+
+def test_refuses_a_dataset_line_that_is_not_an_object(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert run(["synth", "--out", data, "--n-series", 3, *FLAGS], capsys)[0] == 0
+    data.write_text(data.read_text() + "5\n")
+    code, _, err = run(["fit-codebook", "--data", data, "--out", tmp_path / "cb.json", *FLAGS],
+                       capsys)
+    assert (code, err.splitlines()) == (1, [f"error: {data}:5: expected a JSON object, got int"])
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: r.pop("samples"), "need a string item_id and samples"),
+    (lambda r: r.pop("item_id"), "need a string item_id and samples"),
+    (lambda r: r.__setitem__("item_id", ["synth-00003"]), "need a string item_id and samples"),
+    (lambda r: r.__setitem__("samples", "many"), "could not convert string to float: 'many'"),
+])
+def test_eval_refuses_a_forecast_record_without_item_id_or_samples(tmp_path, capsys, change,
+                                                                    message):
+    round_trip(tmp_path, capsys)
+    forecasts = tmp_path / "odd.jsonl"
+
+    def corrupt(record):
+        if record["item_id"] == "synth-00003":
+            change(record)
+        return record
+
+    rewrite_records(tmp_path / "forecast.jsonl", forecasts, corrupt)
+    code, _, err = run(["eval", "--data", tmp_path / "data.jsonl", "--forecasts", forecasts,
+                        "--out", tmp_path / "odd.csv", *FLAGS], capsys)
+    assert (code, err.splitlines(), (tmp_path / "odd.csv").exists()) == (
+        1, [f"error: {forecasts}:5: {message}"], False)
+
+
+def test_refuses_a_codebook_with_other_special_ids(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    cb = tmp_path / "codebook.json"
+    payload = json.loads(cb.read_text())
+    payload["value_offset"] = 3
+    cb.write_text(json.dumps(payload))
+    code, _, err = run(["tokenize", "--data", tmp_path / "data.jsonl", "--codebook", cb,
+                        "--out", tmp_path / "odd.jsonl", *FLAGS], capsys)
+    assert (code, err.splitlines(), (tmp_path / "odd.jsonl").exists()) == (1, [
+        f"error: codebook file {cb} has special token ids {{'value_offset': 3}}; the ids are "
+        "fixed at {'pad_id': 0, 'eos_id': 1, 'value_offset': 2}"], False)
+
+
+def test_a_level_too_deep_for_a_window_is_one_config_error(tmp_path, capsys):
+    # bior2.2 takes level 3 at 64 steps and level 1 at 16 steps
+    data, cb = tmp_path / "data.jsonl", tmp_path / "cb.json"
+    assert run(["synth", "--out", data, "--n-series", 3, *FLAGS], capsys)[0] == 0
+    assert run(["fit-codebook", "--data", data, "--out", cb, *FLAGS], capsys)[0] == 0
+    for argv, length, level in (
+            (["tokenize", "--data", data, "--codebook", cb], 16, 2),
+            (["fit-codebook", "--data", data], 64, 4)):
+        out = tmp_path / "out"
+        code, _, err = run([*argv, "--out", out, *FLAGS, "--level", level], capsys)
+        assert (code, err.splitlines(), out.exists()) == (1, [
+            f"error: signal of length {length} is too short for level {level} with family "
+            f"'bior2.2' (max level {1 if length == 16 else 3})"], False), argv[0]
 
 
 class TestConfig:
@@ -258,6 +324,13 @@ class TestConfig:
             assert code == 0 and err == ""
         else:
             assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
+
+    def test_each_flag_shows_the_default_of_its_field(self):
+        tokenize = build_parser()._subparsers._group_actions[0].choices["tokenize"]
+        helps = {action.dest: action.help for action in tokenize._actions}
+        assert helps["family"] == f"wavelet family name (default: {RunConfig().family})"
+        for f in fields(RunConfig):
+            assert helps[f.name].endswith(f"(default: {getattr(RunConfig(), f.name)})"), f.name
 
     def test_one_flag_per_field(self):
         parser = build_parser()
@@ -397,6 +470,15 @@ def test_ablate_runs_a_grid_over_any_config_field(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["fingerprint", "order"]
     assert sorted(row[1] for row in rows[1:]) == ["1", "2"]
+
+
+def test_ablate_refuses_a_grid_value_before_it_runs_any_cell(tmp_path, capsys):
+    # level 2 fits the 64-step contexts but not the 16-step horizons
+    code, out, err = ablate_grid(tmp_path, capsys, "grid:\n  level: [1, 2]\n",
+                                 tmp_path / "refused")
+    assert (code, out, err.splitlines()) == (1, "", [
+        "error: signal of length 16 is too short for level 2 with family 'bior2.2' (max level 1)"])
+    assert not (tmp_path / "refused").exists()
 
 
 def test_ablate_refuses_a_grid_key_that_is_no_config_field(tmp_path, capsys):

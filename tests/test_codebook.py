@@ -1,5 +1,7 @@
 """Codebook fitting, token/value mapping and persistence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,37 +70,34 @@ def token(value, cb):
 
 
 def center(tok, cb):
-    """``(value, missing)`` of one token, through a one-element array."""
-    (value,), (missing,) = dequantize(np.array([tok]), cb)
-    return value, missing
+    """The value of one token, through a one-element array."""
+    (value,) = dequantize(np.array([tok]), cb)
+    return value
 
 
 class TestMapping:
     def test_edge_logic(self):
         cb = small_codebook()
-        assert token(0.3, cb) == cb.value_offset + 1  # middle bin
-        assert token(0.7, cb) == cb.value_offset + 2
-        value, missing = center(token(0.7, cb), cb)
-        assert value == 1.0 and not missing
+        assert token(0.3, cb) == Codebook.VALUE_OFFSET + 1  # middle bin
+        assert token(0.7, cb) == Codebook.VALUE_OFFSET + 2
+        assert center(token(0.7, cb), cb) == 1.0
         # half-open bins: the left edge belongs to the upper bin
-        assert token(0.5, cb) == cb.value_offset + 2
-        assert token(-0.5, cb) == cb.value_offset + 1
+        assert token(0.5, cb) == Codebook.VALUE_OFFSET + 2
+        assert token(-0.5, cb) == Codebook.VALUE_OFFSET + 1
 
     def test_clamping(self):
         cb = small_codebook()
-        assert token(1e6, cb) == cb.value_offset + cb.n_bins - 1
-        assert token(-1e6, cb) == cb.value_offset
+        assert token(1e6, cb) == Codebook.VALUE_OFFSET + cb.n_bins - 1
+        assert token(-1e6, cb) == Codebook.VALUE_OFFSET
 
     def test_pad_round_trip(self):
         cb = small_codebook()
-        assert token(float("nan"), cb) == cb.pad_id
-        value, missing = center(cb.pad_id, cb)
-        assert value == 0.0 and missing
+        assert token(float("nan"), cb) == Codebook.PAD_ID
+        assert center(Codebook.PAD_ID, cb) == 0.0
 
     def test_zero_center_exact(self):
         cb = small_codebook()
-        value, _ = center(token(0.0, cb), cb)
-        assert value == 0.0
+        assert center(token(0.0, cb), cb) == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -107,23 +106,29 @@ class TestMapping:
     def test_eos_and_oov_rejected(self):
         cb = small_codebook()
         with pytest.raises(ValueError):
-            center(cb.eos_id, cb)
+            center(Codebook.EOS_ID, cb)
         with pytest.raises(ValueError,
                            match=rf"^token id\(s\) \[{cb.vocab_size}\] outside the vocabulary$"):
             center(cb.vocab_size, cb)
 
     def test_special_ids_disjoint(self):
         cb = small_codebook()
-        value_tokens = set(range(cb.value_offset, cb.vocab_size))
-        assert {cb.pad_id, cb.eos_id}.isdisjoint(value_tokens)
-        assert max(value_tokens) < cb.vocab_size
+        value_tokens = set(range(Codebook.VALUE_OFFSET, cb.vocab_size))
+        assert {Codebook.PAD_ID, Codebook.EOS_ID}.isdisjoint(value_tokens)
+        assert len(value_tokens) == cb.n_bins
+        assert cb.pad_id == Codebook.PAD_ID  # the lower-case name still resolves
+
+    def test_special_ids_are_not_settable(self):
+        # a settable offset let quantize emit ids outside the vocabulary
+        with pytest.raises(TypeError, match="value_offset"):
+            Codebook(np.array([-1.0, 0.0, 1.0]), np.array([-0.5, 0.5]), (-30, 30), value_offset=3)
 
     @settings(max_examples=100, deadline=None)
     @given(w=st.floats(min_value=-30.0, max_value=30.0))
     def test_round_trip_half_width(self, w):
         rng = np.random.default_rng(0)
         cb = fit_codebook(rng.uniform(-10, 10, 2000), 256, (-30.0, 30.0))
-        value, _ = center(token(w, cb), cb)
+        value = center(token(w, cb), cb)
         if cb.centers[0] <= w <= cb.centers[-1]:
             assert abs(value - w) <= cb.bin_width / 2 + 1e-12
 
@@ -167,6 +172,19 @@ class TestPersistence:
         del payload["pad_id"]
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="pad_id"):
+            load_codebook(path)
+
+    @pytest.mark.parametrize("key, value", [("value_offset", 3), ("pad_id", 1), ("eos_id", 0)])
+    def test_other_special_ids_are_refused(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "cb.json"
+        save_codebook(small_codebook(), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        refused = re.escape(f"codebook file {path} has special token ids {{'{key}': {value}}}")
+        with pytest.raises(SchemaError, match=f"^{refused}; the ids are fixed at "):
             load_codebook(path)
 
     def test_version_mismatch(self, tmp_path):

@@ -8,7 +8,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from wavets.data_io import Dataset, TimeSeries, load_dataset, save_dataset, split_last_h
+from wavets.data_io import (Dataset, TimeSeries, load_dataset, read_jsonl, save_dataset,
+                            split_last_h, write_jsonl)
 
 START = datetime(2021, 3, 1, 6)
 
@@ -164,3 +165,29 @@ def test_save_dataset_writes_the_bytes_of_a_json_dumps_reference(tmp_path):
                   (tmp_path / "data.csv").read_text().splitlines()[1:]]
     assert csv_values == ["" if np.isnan(v) else repr(float(v)) for v in values]
     assert_same_series(load_dataset(tmp_path / "data.jsonl"), dataset)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("5", "expected a JSON object, got int"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('"text"', "expected a JSON object, got str"),
+    ("{not json", "bad JSON: Expecting property name enclosed in double quotes"),
+    ('{"__meta__": 5}', "the __meta__ header must be a JSON object"),
+])
+def test_jsonl_refuses_a_line_that_is_not_a_json_object_naming_it(tmp_path, line, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                    f"\n{line}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz"])
+def test_jsonl_codec_round_trips_the_header_and_numbers_each_line(tmp_path, name):
+    records = [{"b": [1.5, None], "a": "x"}, {"a": "y"}]
+    write_jsonl(tmp_path / name, {"fingerprint": "f"}, iter(records))
+    assert read_jsonl(tmp_path / name) == ({"fingerprint": "f"}, [(2, records[0]), (3, records[1])])
+    write_jsonl(tmp_path / name, {}, records)  # an empty header is left out
+    assert read_jsonl(tmp_path / name) == ({}, [(1, records[0]), (2, records[1])])
+    if not name.endswith(".gz"):
+        assert (tmp_path / name).read_text() == '{"a": "x", "b": [1.5, null]}\n{"a": "y"}\n'

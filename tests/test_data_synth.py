@@ -24,12 +24,12 @@ def test_make_dataset_differs_under_another_seed():
 
 
 def test_make_dataset_shape_and_labels():
-    dataset = make_dataset(3, context_length=40, horizon=8, seed=0, freq="d")
+    dataset = make_dataset(3, context_length=40, horizon=8, seed=0)
     assert [s.item_id for s in dataset.series] == ["synth-00000", "synth-00001", "synth-00002"]
     assert values(dataset).shape == (3, 48)
     assert np.all(np.isfinite(values(dataset)))
-    assert dataset.freq == "d"
-    assert all(s.freq == "d" for s in dataset.series)
+    assert dataset.freq == "h"
+    assert all(s.freq == "h" for s in dataset.series)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -61,6 +61,9 @@ def test_generators_refuse_bad_parameters():
                                       params={"n_segments": 10}))) == 10
     with pytest.raises(ValueError, match="non-negative"):
         make_dataset(2, mix=(1.5, -0.5))
+    for mix in ((0.5, 0.25, 0.25), (1.0,)):
+        with pytest.raises(ValueError, match=r"^need two mixture probabilities"):
+            make_dataset(2, mix=mix, context_length=30, horizon=2)
 
 
 def dense_gp_kernel_mix(spec, rng, drawn):

@@ -53,11 +53,10 @@ def test_seasonal_naive_fills_missing_phases_from_earlier_seasons():
     # season 3; phase 0 is missing in the last two seasons, phase 2 in
     # every season, so it takes the last observed value (7.0)
     context = np.array([1.0, 2.0, nan, 4.0, 5.0, nan, nan, 6.0, nan, nan, 7.0, nan])
-    point, quantiles = seasonal_naive(context, 3, 7)
+    point = seasonal_naive(context, 3, 7)
     np.testing.assert_array_equal(point, [4.0, 7.0, 7.0, 4.0, 7.0, 7.0, 4.0])
-    assert quantiles.shape == (len(QUANTILE_LEVELS), 7) and (quantiles == point).all()
     # the earliest, partial season holds phase 2 only
-    point, _ = seasonal_naive(np.array([9.0, 1.0, 2.0, nan, 4.0, 5.0, nan]), 3, 3)
+    point = seasonal_naive(np.array([9.0, 1.0, 2.0, nan, 4.0, 5.0, nan]), 3, 3)
     np.testing.assert_array_equal(point, [4.0, 5.0, 9.0])
     with pytest.raises(ValueError, match="no observed values"):
         seasonal_naive(np.full(5, nan), 2, 3)
@@ -77,7 +76,7 @@ def test_left_padding_scores_like_the_observed_values():
     observed = RNG.normal(5.0, 2.0, size=50)
     padded = np.concatenate([np.full(14, np.nan), observed])
     for season in (1, 7, 24):
-        assert (seasonal_naive(padded, season, 16)[0] == seasonal_naive(observed, season, 16)[0]).all()
+        assert (seasonal_naive(padded, season, 16) == seasonal_naive(observed, season, 16)).all()
         assert mase(TRUTH[0], TRUTH[1], padded, season) == mase(TRUTH[0], TRUTH[1], observed, season)
 
 
@@ -175,11 +174,10 @@ def test_stacked_rows_are_bit_identical_to_one_row_calls():
 
     context[6] = np.nan  # left padding: fewer observed values than a season
     context[6, -3:] = [1.0, np.nan, 2.0]
-    point, stack = seasonal_naive(context, 7, 16)
-    assert point.shape == (8, 16) and stack.shape == (len(QUANTILE_LEVELS), 8, 16)
+    point = seasonal_naive(context, 7, 16)
+    assert point.shape == (8, 16)
     for i in range(8):
-        row_point, row_stack = seasonal_naive(context[i], 7, 16)
-        assert same_bits(point[i], row_point) and same_bits(stack[:, i], row_stack)
+        assert same_bits(point[i], seasonal_naive(context[i], 7, 16))
     with pytest.raises(ValueError, match="1 context row"):
         seasonal_naive(np.vstack([context, np.full(64, np.nan)]), 7, 16)
 

@@ -94,3 +94,24 @@ def test_only_dwt_and_the_tokenizer_know_about_wavelets():
                  if isinstance(node, ast.FunctionDef) and node.name == "layout"]
     assert layout_calls(layout) == 1
     assert {name: n for name, n in calls.items() if n} == {"tokenizer.py": 1}
+
+
+def json_calls(tree, name: str) -> list[ast.Call]:
+    """Calls of ``json.<name>`` under an AST node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == name
+            and getattr(node.func.value, "id", None) == "json"]
+
+
+def test_one_json_lines_codec():
+    """JSON is parsed only by the codebook and model loaders and by
+    ``data_io``'s JSON-lines reader; the command line writes JSON only as
+    whole documents (an ablation cell), never line by line."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "wavets").glob("*.py"))}
+    parsers = {name for name, tree in trees.items() if json_calls(tree, "loads")}
+    assert parsers == {"data_io.py", "codebook.py", "seq_model.py"}
+    dumps = json_calls(trees["cli.py"], "dumps")
+    assert len(dumps) == 1 and [k.arg for k in dumps[0].keywords] == ["sort_keys", "indent"]
+    assert not [node.name for node in ast.walk(trees["cli.py"]) if isinstance(node, ast.FunctionDef)
+                and ("jsonl" in node.name or "record" in node.name)]

@@ -33,8 +33,8 @@ from wavets.pipeline import (
     train_model,
 )
 from wavets.seq_model import MarkovModel, sample_forecast
-from wavets.tokenizer import (ScaleStats, TokenStream, compute_scale, detokenize, pad_to_length,
-                              tokenize, tokenize_pair)
+from wavets.tokenizer import (ScaleStats, TokenizerConfig, TokenStream, compute_scale, detokenize,
+                              pad_to_length, tokenize, tokenize_pair)
 
 CONFIG = RunConfig(context_length=64, horizon=16, n_samples=3, order=2)
 
@@ -48,6 +48,29 @@ def with_empty_context(dataset, item_id):
         if series.item_id == item_id:
             series.values[:-CONFIG.horizon] = np.nan
     return dataset
+
+
+def test_run_config_takes_the_tokenizer_defaults_from_the_tokenizer():
+    assert RunConfig().tokenizer_config() == TokenizerConfig()
+
+
+@pytest.mark.parametrize("settings, length", [
+    ({"context_length": 64, "horizon": 16, "level": 2}, 16),
+    ({"context_length": 16, "horizon": 64, "level": 2}, 16),
+    ({"context_length": 64, "horizon": 16, "level": 5, "family": "haar"}, 16),
+    ({"context_length": 8, "horizon": 64}, 8),
+    ({"context_length": 64, "horizon": 1, "family": "haar"}, 1),
+    ({"level": 0}, 512),
+])
+def test_run_config_refuses_a_level_too_deep_for_either_window(settings, length):
+    # the message is the tokenizer's own layout rule, word for word
+    config = RunConfig()
+    family, level = settings.get("family", config.family), settings.get("level", config.level)
+    with pytest.raises(ValueError) as expected:
+        coefficient_layout(length, get_family(family), level)
+    with pytest.raises(ValueError) as refused:
+        RunConfig(**settings)
+    assert str(refused.value) == str(expected.value)
 
 
 def test_seed_rule_is_pinned():
@@ -280,17 +303,21 @@ def test_the_retry_makes_one_call_per_kind_and_bisects_only_where_a_call_raises(
         assert attempts[0] == 6 and len(attempts) <= 2 * math.ceil(math.log2(6)) + 1 == 7
 
 
-def test_tokenize_windows_fails_every_series_on_a_batch_error():
-    # level 2 fits the 64-step contexts but not the 16-step horizons
+def test_tokenize_windows_fails_every_series_on_a_batch_error(monkeypatch):
+    # a tokenizer that refuses every stack: each series fails alone with its error
     windows = make_windows(with_empty_context(small_dataset(), "synth-00001"), CONFIG)
     codebook, _, _ = trained_inputs(small_dataset())
-    pairs, failures = tokenize_windows(windows, replace(CONFIG, level=2), codebook)
-    too_short = ("signal of length 16 is too short for level 2 with family 'bior2.2' "
-                 "(max level 1)")
+
+    def refuse(windows, *args, **kwargs):
+        raise ValueError(f"cannot tokenize {len(windows)} window(s)")
+
+    monkeypatch.setattr(pipeline, "tokenize", refuse)
+    pairs, failures = tokenize_windows(windows, CONFIG, codebook)
     assert pairs == []
     assert [(item_id, str(exc)) for item_id, exc in failures] == [
         (item_id, "cannot scale a window with no observed values"
-         if item_id == "synth-00001" else too_short) for item_id, _, _ in windows]
+         if item_id == "synth-00001" else "cannot tokenize 1 window(s)")
+        for item_id, _, _ in windows]
 
 
 def test_run_cell_trains_only_on_the_train_view(monkeypatch):
@@ -350,12 +377,13 @@ def test_evaluate_dataset_scores_a_gappy_horizon_on_its_observed_steps():
     median = quantiles[QUANTILE_LEVELS.index(0.5)]
     history = context[np.isfinite(context)]
     season = min(seasonality_for_freq(dataset.freq), len(history) - 1) or 1
-    naive_point, naive_quantiles = seasonal_naive(history, season, CONFIG.horizon)
+    naive_point = seasonal_naive(history, season, CONFIG.horizon)
+    naive_quantiles = np.tile(naive_point[observed], (len(QUANTILE_LEVELS), 1))
     expected = {
         ("model", "wql"): wql(truth, quantiles),
         ("model", "mase"): mase(truth, median, history, season),
         ("model", "vrse"): vrse(truth, median),
-        ("seasonal_naive", "wql"): wql(truth, naive_quantiles[:, observed]),
+        ("seasonal_naive", "wql"): wql(truth, naive_quantiles),
         ("seasonal_naive", "mase"): mase(truth, naive_point[observed], history, season),
         ("seasonal_naive", "vrse"): vrse(truth, naive_point[observed]),
     }

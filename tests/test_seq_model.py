@@ -67,8 +67,8 @@ def reference_sample(model, context_tokens, codebook, n_samples, temperature, se
         generated = []
         for _ in range(N_TOKENS):
             probs = model.next_token_distribution(list(context_tokens) + generated)
-            probs[codebook.eos_id] = 0.0
-            probs[codebook.pad_id] = 0.0
+            probs[codebook.EOS_ID] = 0.0
+            probs[codebook.PAD_ID] = 0.0
             if temperature == 0.0:
                 generated.append(int(np.argmax(probs)))
                 continue
@@ -165,7 +165,7 @@ def test_sampler_never_draws_eos_or_pad(trained, contexts):
 
         def next_token_distributions(self, histories):
             probs = np.full((len(histories), self.vocab_size), 1e-6)
-            probs[:, [codebook.eos_id, codebook.pad_id]] = 1.0
+            probs[:, [codebook.EOS_ID, codebook.PAD_ID]] = 1.0
             return probs
 
     for temperature in (1.0, 0.5, 0.0):
@@ -173,7 +173,7 @@ def test_sampler_never_draws_eos_or_pad(trained, contexts):
                               n_samples=8, temperature=temperature)
         assert ids.shape == (4, 8, N_TOKENS) and ids.dtype == np.int64
         assert ((ids >= 0) & (ids < codebook.vocab_size)).all()
-        assert not np.isin(ids, [codebook.eos_id, codebook.pad_id]).any()
+        assert not np.isin(ids, [codebook.EOS_ID, codebook.PAD_ID]).any()
 
 
 @pytest.mark.parametrize("seeds", [[0], [11, 12, 13], [2**32 - 1, 3029871508]])
@@ -194,7 +194,7 @@ def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
 
         def next_token_distributions(self, histories):
             probs = np.zeros((len(histories), self.vocab_size))
-            probs[:, codebook.eos_id] = 1.0
+            probs[:, codebook.EOS_ID] = 1.0
             return probs
 
     for temperature in (1.0, 0.0):
@@ -227,9 +227,9 @@ def test_context_shorter_than_order_matches_reference_loops(trained, contexts, n
                 got, reference_sample(model, tokens, codebook, 6, temperature, seed))
     short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:])
     horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20))
-    assert (horizon.tokens == codebook.pad_id).any()
-    assert cross_entropy(model, short, horizon, codebook.pad_id) == pytest.approx(
-        reference_cross_entropy(model, short, horizon, codebook.pad_id), rel=1e-12)
+    assert (horizon.tokens == codebook.PAD_ID).any()
+    assert cross_entropy(model, short, horizon, codebook.PAD_ID) == pytest.approx(
+        reference_cross_entropy(model, short, horizon, codebook.PAD_ID), rel=1e-12)
 
 
 def test_suffix_query_equals_full_history_query(trained):

@@ -79,7 +79,7 @@ class TestForward:
         x = np.full(64, 7.0)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         stream = tokenize(x, compute_scale(x), config, cb)
-        zero_token = cb.value_offset + int(np.where(cb.centers == 0.0)[0][0])
+        zero_token = cb.VALUE_OFFSET + int(np.where(cb.centers == 0.0)[0][0])
         assert np.all(stream.tokens == zero_token)
 
     def test_bior_512_layout(self):
@@ -229,7 +229,7 @@ class TestPairs:
         ctx, hor = tokenize_pair(x[:512], x[512:], config, cb)
         assert coefficient_layout(64, get_family("bior2.2"), 1) == [34, 34]
         assert len(hor.tokens) == 69 and hor.has_eos
-        assert hor.tokens[-1] == cb.eos_id
+        assert hor.tokens[-1] == cb.EOS_ID
         assert not ctx.has_eos
         assert hor.scale == ctx.scale
 
@@ -237,7 +237,7 @@ class TestPairs:
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         ctx, hor = tokenize_pair(np.full(32, 3.0), np.full(16, 3.0), config, cb)
-        zero_token = cb.value_offset + int(np.where(cb.centers == 0.0)[0][0])
+        zero_token = cb.VALUE_OFFSET + int(np.where(cb.centers == 0.0)[0][0])
         assert np.all(hor.tokens[:-1] == zero_token)
 
     def test_horizon_in_range_monte_carlo(self):
@@ -275,14 +275,14 @@ class TestMissing:
         x[:40] = np.nan
         stream = tokenize(x, compute_scale(x), config, cb)
         # level-1 coefficients 0..19 of both bands cover only missing samples
-        n_pad = int(np.sum(stream.tokens == cb.pad_id))
+        n_pad = int(np.sum(stream.tokens == cb.PAD_ID))
         assert n_pad == 40
 
     def test_all_pad_stream_inverts_to_mean(self):
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         layout = coefficient_layout(32, get_family("haar"), 1)
-        stream = TokenStream(tokens=np.full(sum(layout), cb.pad_id, dtype=np.int64),
+        stream = TokenStream(tokens=np.full(sum(layout), cb.PAD_ID, dtype=np.int64),
                              scale=ScaleStats(mu=5.5, sigma=2.0))
         recon = detokenize(stream, 32, config, cb)
         np.testing.assert_allclose(recon, 5.5, atol=1e-12)
@@ -298,8 +298,8 @@ class TestMissing:
             for level in (1, 2, 3):
                 config = TokenizerConfig(family=name, level=level, boundary_mode=mode)
                 layout = coefficient_layout(n, family, level, mode)
-                tokens = rng.integers(cb.value_offset, cb.vocab_size, size=(5, sum(layout)))
-                tokens[rng.random(tokens.shape) < 0.1] = cb.pad_id
+                tokens = rng.integers(cb.VALUE_OFFSET, cb.vocab_size, size=(5, sum(layout)))
+                tokens[rng.random(tokens.shape) < 0.1] = cb.PAD_ID
                 mu, sigma = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
 
                 got = detokenize(TokenStream(tokens, ScaleStats(mu=mu, sigma=sigma)), n, config, cb)
@@ -348,7 +348,7 @@ class TestErrors:
         x = np.random.default_rng(10).standard_normal(32)
         stream = tokenize(x, compute_scale(x), config, cb)
         corrupted = TokenStream(
-            tokens=np.where(np.arange(len(stream.tokens)) == 3, cb.eos_id, stream.tokens),
+            tokens=np.where(np.arange(len(stream.tokens)) == 3, cb.EOS_ID, stream.tokens),
             scale=stream.scale,
         )
         with pytest.raises(ValueError, match="EOS"):
@@ -358,7 +358,7 @@ class TestErrors:
         # a length-32 haar window has the layout [16, 16]; 10 tokens cannot fill it
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
-        stream = TokenStream(np.full(10, cb.value_offset), ScaleStats(0.0, 1.0))
+        stream = TokenStream(np.full(10, cb.VALUE_OFFSET), ScaleStats(0.0, 1.0))
         with pytest.raises(ValueError, match=r"10 coefficient tokens do not match the layout "
                                              r"\[16, 16\] of a length-32 window"):
             detokenize(stream, 32, config, cb)
@@ -369,11 +369,11 @@ class TestErrors:
         cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
         scale = ScaleStats(0.0, 1.0)
         np.testing.assert_array_equal(
-            detokenize(TokenStream(np.r_[np.full(32, cb.value_offset), cb.eos_id], scale,
+            detokenize(TokenStream(np.r_[np.full(32, cb.VALUE_OFFSET), cb.EOS_ID], scale,
                                    has_eos=True), 32, config, cb),
-            detokenize(TokenStream(np.full(32, cb.value_offset), scale), 32, config, cb))
+            detokenize(TokenStream(np.full(32, cb.VALUE_OFFSET), scale), 32, config, cb))
         for n_tokens, has_eos in ((33, False), (32, True), (9, True)):
-            stream = TokenStream(np.full(n_tokens, cb.value_offset), scale, has_eos=has_eos)
+            stream = TokenStream(np.full(n_tokens, cb.VALUE_OFFSET), scale, has_eos=has_eos)
             with pytest.raises(ValueError, match=r"do not match the layout \[16, 16\] of a "
                                                  r"length-32 window"):
                 detokenize(stream, 32, config, cb)
