@@ -110,7 +110,6 @@ def cmd_synth(args) -> int:
     config = build_config(args)
     dataset = make_dataset(
         n_series=args.n_series,
-        mix=(config.mix_tsmixup, 1.0 - config.mix_tsmixup),
         context_length=config.context_length,
         horizon=config.horizon,
         seed=config.seed,
@@ -124,7 +123,7 @@ def cmd_synth(args) -> int:
 def cmd_fit_codebook(args) -> int:
     config = build_config(args)
     sample, skipped = pool_coefficients(make_windows(load_dataset(args.data), config), config)
-    codebook = fit_codebook(sample, config.vocab_budget, config.bounds())
+    codebook = fit_codebook(sample, config.vocab_budget)
     save_codebook(codebook, args.out)
     clamped = np.sum((sample < codebook.edges[0]) | (sample >= codebook.edges[-1]))
     print(

@@ -6,6 +6,8 @@ The token ids are fixed: ``Codebook.PAD_ID = 0``, ``Codebook.EOS_ID = 1``
 and value tokens from ``Codebook.VALUE_OFFSET = 2``, so the special ids
 never depend on ``B``. A codebook file keeps the three ids as fields, and
 :func:`load_codebook` refuses a file whose ids differ from them.
+:func:`fit_codebook` clips every codebook at ``BOUNDS``, in the units of
+context-scaled coefficients.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .exceptions import SchemaError
 
 _FORMAT = "wavets.codebook"
 _VERSION = 1
+BOUNDS = (-30.0, 30.0)  # the clipping bounds of every fitted codebook
 
 
 @dataclass(frozen=True)
@@ -75,40 +78,36 @@ class Codebook:
         return float(np.max(np.diff(self.centers)))
 
 
-def fit_codebook(
-    sample: np.ndarray,
-    vocab_budget: int,
-    bounds: tuple[float, float] = (-30.0, 30.0),
-) -> Codebook:
+def check_vocab_budget(vocab_budget: int) -> None:
+    """Refuse a budget too small for the special tokens and three bins."""
+    if vocab_budget < 5:
+        raise ValueError(f"vocabulary budget must be at least 5, got {vocab_budget}")
+
+
+def fit_codebook(sample: np.ndarray, vocab_budget: int) -> Codebook:
     """Fit a codebook to a sample of (scaled) wavelet coefficients.
 
     Bins use the Freedman-Diaconis width ``2 IQR n^(-1/3)``, widened if
     necessary so that the value-token count stays within
     ``vocab_budget - 2``. Bins tile symmetrically about a center bin at
-    exactly 0 and are clipped to ``bounds``.
+    exactly 0 and are clipped to ``BOUNDS``.
     """
     sample = np.asarray(sample, dtype=np.float64).ravel()
     sample = sample[np.isfinite(sample)]
     if sample.size == 0:
         raise ValueError("cannot fit a codebook to an empty sample")
-    if vocab_budget < 5:
-        raise ValueError(f"vocabulary budget must be at least 5, got {vocab_budget}")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < 0.0 < hi:
-        raise ValueError(f"bounds must straddle 0, got ({lo}, {hi})")
+    check_vocab_budget(vocab_budget)
+    lo, hi = BOUNDS  # symmetric: -lo == hi
 
     q75, q25 = np.percentile(sample, [75.0, 25.0])
     fd_width = 2.0 * (q75 - q25) * sample.size ** (-1.0 / 3.0)
-    floor_width = (hi - lo) / (vocab_budget - 2)
-    width = max(fd_width, floor_width)
-    half_budget = (vocab_budget - 3) // 2
-    k = min(int(-lo / width), int(hi / width), half_budget)
+    width = max(fd_width, (hi - lo) / (vocab_budget - 2))
+    k = min(int(hi / width), (vocab_budget - 3) // 2)
     if k < 1:
-        k = 1
-        width = min(-lo, hi)
+        k, width = 1, hi
     centers = width * np.arange(-k, k + 1, dtype=np.float64)
     edges = (centers[:-1] + centers[1:]) / 2.0
-    return Codebook(centers=centers, edges=edges, bounds=(lo, hi))
+    return Codebook(centers=centers, edges=edges, bounds=BOUNDS)
 
 
 def quantize(values: np.ndarray, codebook: Codebook) -> np.ndarray:

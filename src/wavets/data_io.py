@@ -8,27 +8,31 @@ optionally followed by ``.gz``); any other name is rejected:
   row, ISO-8601 timestamps, empty value field = missing.
 * ``jsonl``: one record per series with fields ``item_id``, ``start``,
   ``freq`` and ``target`` (a flat array of numbers; ``null`` entries are
-  missing). An optional leading ``{"__meta__": {...}}`` record carries
-  provenance and is preserved in ``Dataset.meta``.
+  missing). An optional ``{"__meta__": {...}}`` record on the first line
+  carries provenance and is preserved in ``Dataset.meta``.
 
 Infinite values are refused at ingestion, naming ``path:line``: a missing
 value is written as missing, never as an infinity.
 
 :func:`read_jsonl` and :func:`write_jsonl` are the one JSON-lines codec of
 the package, for datasets, token files, forecasts and inverted windows
-alike: a ``__meta__`` header, then one JSON object per line.
+alike: a ``__meta__`` header, then one JSON object per line. The reader
+hands out each record as it reads its line, so a dataset is converted
+record by record.
 """
 
 from __future__ import annotations
 
 import calendar
 import gzip
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -204,12 +208,10 @@ def _load_long_csv(path) -> Dataset:
     return Dataset(series=series, freq=freq)
 
 
-def read_jsonl(path) -> tuple[dict, list[tuple[int, dict]]]:
-    """The ``__meta__`` header of a JSON-lines file (``{}`` without one)
-    and ``(line number, record)`` for each other non-blank line; a line
-    that is not a JSON object is refused, naming ``path:line``."""
-    meta, records = {}, []
+def _json_objects(path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line, as it is read."""
     with _open_text(path, "r") as fh:
+        first_line = True  # the one line a header may take
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -220,13 +222,24 @@ def read_jsonl(path) -> tuple[dict, list[tuple[int, dict]]]:
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got "
                                  f"{type(record).__name__}")
-            if "__meta__" not in record:
-                records.append((lineno, record))
-            elif isinstance(record["__meta__"], dict):
-                meta = record["__meta__"]
-            else:
-                raise ValueError(f"{path}:{lineno}: the __meta__ header must be a JSON object")
-    return meta, records
+            if "__meta__" in record and not (first_line and isinstance(record["__meta__"], dict)):
+                raise ValueError(f"{path}:{lineno}: the __meta__ header must be a JSON object "
+                                 "on the first line")
+            first_line = False
+            yield lineno, record
+
+
+def read_jsonl(path) -> tuple[dict, Iterator[tuple[int, dict]]]:
+    """The ``__meta__`` header of a JSON-lines file (``{}`` without one),
+    and an iterator that reads ``(line number, record)`` for each other
+    non-blank line only when asked for it. A line that is not a JSON
+    object, or a header that is no object or not on the first non-blank
+    line, is refused, naming ``path:line``."""
+    objects = _json_objects(path)
+    first = next(objects, None)
+    if first and "__meta__" in first[1]:
+        return first[1]["__meta__"], objects
+    return {}, itertools.chain([first] if first else [], objects)
 
 
 def write_jsonl(path, meta: dict, records) -> None:

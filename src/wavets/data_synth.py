@@ -5,8 +5,9 @@ well (exponential trends, sparse spikes, frequency content that switches
 over time) plus the two training augmentations: convex mixtures of
 generated series and draws from Gaussian processes with randomly combined
 kernels. :func:`generate` is deterministic under the spec's seed, and
-:func:`make_dataset` builds a corpus of the two augmentations that is
-deterministic under its own seed.
+:func:`make_dataset` builds a corpus of the two augmentations, a
+``TSMIXUP_SHARE`` of mixtures in expectation, that is deterministic under
+its own seed.
 
 The stationary GP kernels (rbf, periodic) and their sums and products are
 evaluated once per distinct lag ``t_i - t_j`` and expanded to the pair
@@ -26,6 +27,7 @@ import numpy as np
 from .data_io import Dataset, TimeSeries
 
 KINDS = ("trend_exp", "sparse_spikes", "multi_freq_switch", "gp_kernel_mix", "tsmixup")
+TSMIXUP_SHARE = 0.9  # probability that a corpus series is tsmixup, else gp_kernel_mix
 
 _EPOCH = datetime(2020, 1, 1)
 _FREQ = "h"  # every synthetic series is hourly
@@ -214,7 +216,6 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
 
 def make_dataset(
     n_series: int,
-    mix: tuple[float, float] = (0.9, 0.1),
     context_length: int = 512,
     horizon: int = 64,
     seed: int = 0,
@@ -222,22 +223,17 @@ def make_dataset(
     """Synthetic hourly corpus of full-length series (context plus
     horizon), suitable for the file formats and the held-out-tail split.
 
-    Each series is ``tsmixup`` with probability ``mix[0]`` and
-    ``gp_kernel_mix`` with probability ``mix[1]``, drawn from a picker
-    stream seeded by ``seed``. Series ``i`` is generated at length
+    Each series is ``tsmixup`` with probability ``TSMIXUP_SHARE`` and
+    ``gp_kernel_mix`` otherwise, drawn from a picker stream seeded by
+    ``seed``. Series ``i`` is generated at length
     ``context_length + horizon`` from the seed of the ``i``-th child of
     ``SeedSequence(seed)``.
     """
     if n_series < 1:
         raise ValueError(f"need at least one series, got {n_series}")
-    if len(mix) != 2:
-        raise ValueError(f"need two mixture probabilities (tsmixup, gp_kernel_mix), got {mix}")
-    if any(p < 0 for p in mix):
-        raise ValueError(f"mixture probabilities must be non-negative, got {mix}")
-    if not np.isclose(sum(mix), 1.0):
-        raise ValueError(f"mixture probabilities must sum to 1, got {mix}")
     picker = np.random.default_rng(np.random.SeedSequence(seed).generate_state(1)[0])
-    kinds = ["tsmixup" if picker.random() < mix[0] else "gp_kernel_mix" for _ in range(n_series)]
+    kinds = ["tsmixup" if picker.random() < TSMIXUP_SHARE else "gp_kernel_mix"
+             for _ in range(n_series)]
     children = np.random.SeedSequence(seed).spawn(n_series)
     series = []
     for i, (kind, child) in enumerate(zip(kinds, children)):

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .codebook import Codebook, check_token_ids, fit_codebook
+from .codebook import Codebook, check_token_ids, check_vocab_budget, fit_codebook
 from .data_io import Dataset, split_last_h
 from .exceptions import WavetsError
 from .metrics import (
@@ -44,7 +44,7 @@ from .metrics import (
     vrse,
     wql,
 )
-from .seq_model import MarkovModel, sample_forecast, train_markov
+from .seq_model import MarkovModel, check_model_settings, sample_forecast, train_markov
 from .thresholding import ThresholdSpec
 from .tokenizer import (ScaleStats, TokenizerConfig, TokenStream, coefficients, compute_scale,
                         detokenize, pad_to_length, tokenize)
@@ -62,59 +62,42 @@ def _option(default, help_text=None):
 class RunConfig:
     """Validated pipeline configuration; hashable to a stable
     fingerprint. Its fields are the only list of settings: the command-line
-    flags and config-file keys are derived from them. The tokenizer fields
-    take their defaults and range rules from :class:`TokenizerConfig` and
-    :class:`ThresholdSpec`."""
+    flags and config-file keys are derived from them. Each field takes its
+    range rule from the code that uses it: the tokenizer fields their
+    defaults too, from :class:`TokenizerConfig` and :class:`ThresholdSpec`;
+    ``vocab_budget`` from :func:`fit_codebook`; ``order`` and ``alpha`` from
+    the Markov model, whose vocabulary is at most ``vocab_budget``."""
 
     family: str = _option(TokenizerConfig.family, "wavelet family name")
     level: int = _option(TokenizerConfig.level, "decomposition level")
     threshold_method: str = _option(ThresholdSpec.method,
                                     "none | cdf | visu_soft | visu_hard | fdrc")
-    threshold_b: float = _option(ThresholdSpec.b, "cutoff base for cdf thresholding")
-    threshold_q: float = _option(ThresholdSpec.q, "error level for fdrc thresholding")
-    sigma_estimator: str = _option(ThresholdSpec.sigma_estimator, "mad_finest | std_finest")
     vocab_budget: int = _option(1024, "total vocabulary size budget")
-    bound_lo: float = _option(-30.0, "lower quantization bound")
-    bound_hi: float = _option(30.0, "upper quantization bound")
     context_length: int = _option(512)
     horizon: int = _option(64)
     order: int = _option(3, "Markov model order")
     alpha: float = _option(0.1, "Markov smoothing constant")
     n_samples: int = _option(20, "sample paths per series")
-    temperature: float = _option(1.0)
     seed: int = _option(0)
     boundary_mode: str = _option(TokenizerConfig.boundary_mode, "symmetric | periodization")
-    mix_tsmixup: float = _option(0.9, "probability of tsmixup (vs GP) in synthetic corpora")
 
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-        tok_config = self.tokenizer_config()  # validates the threshold method and parameters
+        tok_config = self.tokenizer_config()  # validates the threshold method
         for length in (self.context_length, self.horizon):  # family, level and boundary mode
             tok_config.layout(length)
-        if self.vocab_budget < 5:
-            raise ValueError(f"vocabulary budget must be at least 5, got {self.vocab_budget}")
-        if not self.bound_lo < 0.0 < self.bound_hi:
-            raise ValueError(f"bounds must straddle 0, got ({self.bound_lo}, {self.bound_hi})")
-        if self.order < 1:
-            raise ValueError(f"model order must be at least 1, got {self.order}")
-        if self.alpha <= 0:
-            raise ValueError(f"smoothing must be positive, got {self.alpha}")
+        check_vocab_budget(self.vocab_budget)
+        check_model_settings(self.vocab_budget, self.order, self.alpha)
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample path, got {self.n_samples}")
-        if not 0.0 <= self.mix_tsmixup <= 1.0:
-            raise ValueError(f"mixup probability must be in [0, 1], got {self.mix_tsmixup}")
 
     def tokenizer_config(self) -> TokenizerConfig:
-        threshold = ThresholdSpec(method=self.threshold_method, b=self.threshold_b,
-                                  q=self.threshold_q, sigma_estimator=self.sigma_estimator)
-        return TokenizerConfig(family=self.family, level=self.level, threshold=threshold,
+        return TokenizerConfig(family=self.family, level=self.level,
+                               threshold=ThresholdSpec(method=self.threshold_method),
                                boundary_mode=self.boundary_mode)
-
-    def bounds(self) -> tuple[float, float]:
-        return (self.bound_lo, self.bound_hi)
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -283,7 +266,7 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
         n_tokens = sum(tok_config.layout(config.horizon))
         ids = sample_forecast(model, tokenize(stack, scale, tok_config, codebook), n_tokens,
                               codebook, [series_seed(config.seed, contexts[i][0]) for i in rows],
-                              config.n_samples, config.temperature)
+                              config.n_samples)
         per_path = ScaleStats(*(np.repeat(s, config.n_samples) for s in (scale.mu, scale.sigma)))
         paths = detokenize(TokenStream(ids.reshape(-1, n_tokens), per_path), config.horizon,
                            tok_config, codebook)
@@ -369,7 +352,7 @@ def run_cell(config: RunConfig, dataset: Dataset):
     per-series failure fails the cell."""
     train_windows = make_windows(split_last_h(dataset, config.horizon)[0], config)
     sample = _complete(*pool_coefficients(train_windows, config))
-    codebook = fit_codebook(sample, config.vocab_budget, config.bounds())
+    codebook = fit_codebook(sample, config.vocab_budget)
     pairs = _complete(*tokenize_windows(train_windows, config, codebook))
     model = train_model([(ctx, hor) for _, ctx, hor in pairs], config, codebook)
     contexts = [(item_id, context) for item_id, context, _ in make_windows(dataset, config)]

@@ -24,9 +24,9 @@ is 0, and a ``-1`` of left padding is a leading zero digit, so a padded
 row has the key of its unpadded history. ``_keys`` holds the observed
 histories sorted; row ``r`` owns ``_tokens[_indptr[r]:_indptr[r + 1]]``
 and the matching ``_counts``. Training encodes each (history, target)
-pair as ``key * V + target``, so the model refuses an order for which
-``(V + 1)**k * V`` does not fit in int64 (at ``V = 1024``, any order
-above 5).
+pair as ``key * V + target``, so :func:`check_model_settings` refuses an
+order for which ``(V + 1)**k * V`` does not fit in int64 (at ``V = 1024``,
+any order above 5).
 
 A checkpoint is an uncompressed ``.npz`` archive holding ``header`` (a JSON
 string: format, version 2, vocabulary size, order, smoothing and meta)
@@ -36,8 +36,8 @@ read without pickle. Version 1 was a JSON dict of dicts.
 Sampling advances the ``N x S`` paths of all series of a command
 together, one token per step, and returns their token ids; the tokenizer
 turns them into values. Each step groups the paths by the state of their
-history (one ``np.unique``). A state's masked, tempered and normalised
-CDF is built once per call, from one query at the first step that
+history (one ``np.unique``). A state's masked and normalised CDF is
+built once per call, from one query at the first step that
 reaches it, and reused at every later step; unseen histories share one
 state. A step that reaches new states makes one query for all of them,
 so each distinct state is queried exactly once per call. The row
@@ -82,12 +82,20 @@ class SequenceModel(Protocol):
     def history_states(self, histories: np.ndarray) -> np.ndarray: ...
 
 
-def _key_weights(vocab_size: int, order: int) -> np.ndarray:
-    """Digit weights of an order-``order`` history key, oldest token first."""
-    if (vocab_size + 1) ** order * vocab_size > _INT64_MAX:
+def check_model_settings(vocab_size: int, order: int, alpha: float) -> None:
+    """Refuse a vocabulary size, order or smoothing constant the Markov
+    model cannot take, including an order whose history keys overflow
+    int64 at ``vocab_size``. An order that passes also fits every smaller
+    vocabulary."""
+    if vocab_size < 2:
+        raise ValueError(f"vocabulary size must be at least 2, got {vocab_size}")
+    if order < 1:
+        raise ValueError(f"model order must be at least 1, got {order}")
+    if alpha <= 0:
+        raise ValueError(f"smoothing constant must be positive, got {alpha}")
+    if order >= 63 or (vocab_size + 1) ** order * vocab_size > _INT64_MAX:  # 3**63 > 2**63
         raise ValueError(f"order {order} overflows int64 history keys at vocabulary size "
                          f"{vocab_size}: (V + 1)**order * V must fit")
-    return (vocab_size + 1) ** np.arange(order - 1, -1, -1, dtype=np.int64)
 
 
 class MarkovModel:
@@ -100,17 +108,13 @@ class MarkovModel:
     """
 
     def __init__(self, vocab_size: int, order: int, alpha: float):
-        if vocab_size < 2:
-            raise ValueError(f"vocabulary size must be at least 2, got {vocab_size}")
-        if order < 1:
-            raise ValueError(f"model order must be at least 1, got {order}")
-        if alpha <= 0:
-            raise ValueError(f"smoothing constant must be positive, got {alpha}")
+        check_model_settings(vocab_size, order, alpha)
         self.vocab_size = int(vocab_size)
         self.order = int(order)
         self.alpha = float(alpha)
         self.meta: dict = {}
-        self._weights = _key_weights(self.vocab_size, self.order)
+        # digit weights of an order-k history key, oldest token first
+        self._weights = (self.vocab_size + 1) ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
         self.fit([])
 
     def _set_counts(self, keys, indptr, tokens, counts) -> None:
@@ -235,7 +239,6 @@ def sample_forecast(
     codebook: Codebook,
     seeds: Sequence[int],
     n_samples: int = 20,
-    temperature: float = 1.0,
 ) -> np.ndarray:
     """Autoregressive sample paths after every row of an ``(N, L)`` stack
     of context tokens: ``(N, n_samples, n_tokens)`` int64 token ids.
@@ -251,11 +254,9 @@ def sample_forecast(
     series ``i`` draws its ``n_tokens`` uniforms up front with
     :func:`path_uniforms`, one per token, so fixed seeds give bit-identical
     output whatever the other series, the same as a per-path
-    ``Generator.choice`` loop over the full history. Temperature 0 takes
-    the argmax (a CDF that steps from 0 to 1 there, read at 0) and draws
-    nothing. At any temperature, a path that reaches a state whose
-    distribution has no mass fails the call with "sampling distribution
-    has no mass"; the caller's retry by halves
+    ``Generator.choice`` loop over the full history. A path that reaches a
+    state whose distribution has no mass fails the call with "sampling
+    distribution has no mass"; the caller's retry by halves
     (:func:`wavets.pipeline.forecast_dataset`) then fails only the series
     of that path.
     """
@@ -264,13 +265,10 @@ def sample_forecast(
             f"model vocabulary ({model.vocab_size}) does not match "
             f"codebook vocabulary ({codebook.vocab_size})"
         )
-    if temperature < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
     n_series = len(contexts.tokens)
     padded = np.concatenate([np.full((n_series, model.order), -1), contexts.tokens], axis=1)
     windows = np.repeat(padded[:, -model.order:], n_samples, axis=0)  # one row per path
-    uniforms = (path_uniforms(seeds, n_samples, n_tokens) if temperature > 0.0
-                else np.zeros((len(windows), n_tokens)))  # temperature 0 draws nothing
+    uniforms = path_uniforms(seeds, n_samples, n_tokens)
     generated = np.empty((len(windows), n_tokens), dtype=np.int64)
     cdfs: dict = {}  # state -> its CDF, built at the first step that reaches it
     for step in range(n_tokens):
@@ -282,19 +280,13 @@ def sample_forecast(
             probs = model.next_token_distributions(windows[first[new]])
             probs[:, codebook.EOS_ID] = 0.0
             probs[:, codebook.PAD_ID] = 0.0
-            if temperature not in (0.0, 1.0):
-                probs **= 1.0 / temperature
             totals = probs.sum(axis=1, keepdims=True)
             if (totals <= 0.0).any():
                 raise ValueError("sampling distribution has no mass")
-            if temperature == 0.0:
-                # a step at the argmax, which a uniform of 0 always draws
-                cdf = (np.arange(model.vocab_size) >= probs.argmax(axis=1)[:, None]).astype(float)
-            else:
-                # What Generator.choice(p=probs / total) does with one uniform.
-                probs /= totals
-                cdf = probs.cumsum(axis=1, out=probs)
-                cdf /= cdf[:, -1:]
+            # What Generator.choice(p=probs / total) does with one uniform.
+            probs /= totals
+            cdf = probs.cumsum(axis=1, out=probs)
+            cdf /= cdf[:, -1:]
             cdfs.update(zip((states[j] for j in new), cdf))
         members = np.argsort(inverse, kind="stable")
         bounds = np.cumsum(np.bincount(inverse, minlength=len(states)))[:-1]

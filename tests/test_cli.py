@@ -299,12 +299,22 @@ class TestConfig:
 
     def test_rejects_unknown_key(self, tmp_path, capsys):
         config_file = tmp_path / "config.yaml"
-        config_file.write_text("levels: 3\n")
+        config_file.write_text("levels: 3\ntemperature: 0.5\n")  # a typo and a removed setting
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config(self.parse("--config", config_file))
         code, _, err = run(["synth", "--out", tmp_path / "d.jsonl", "--config", config_file],
                            capsys)
-        assert code == 1 and "error: unknown config keys" in err
+        assert (code, err) == (1, f"error: unknown config keys in {config_file}: "
+                                  "['levels', 'temperature']\n")
+
+    @pytest.mark.parametrize("flag", ["--temperature", "--sigma-estimator", "--threshold-b",
+                                      "--threshold-q", "--bound-lo", "--bound-hi",
+                                      "--mix-tsmixup"])
+    def test_refuses_each_removed_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as exited:
+            self.parse(flag, "1")
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 1\n")
 
     @pytest.mark.parametrize("line, error", [
         ('level: "2"', "level must be of type int, got '2'"),
@@ -479,13 +489,22 @@ def test_ablate_refuses_a_grid_value_before_it_runs_any_cell(tmp_path, capsys):
     assert (code, out, err.splitlines()) == (1, "", [
         "error: signal of length 16 is too short for level 2 with family 'bior2.2' (max level 1)"])
     assert not (tmp_path / "refused").exists()
+    # an order whose history keys overflow at the vocabulary budget
+    code, out, err = ablate_grid(tmp_path, capsys, "grid:\n  order: [2, 7]\n",
+                                 tmp_path / "refused")
+    assert (code, out, err.splitlines()) == (1, "", [
+        "error: order 7 overflows int64 history keys at vocabulary size 1024: "
+        "(V + 1)**order * V must fit"])
+    assert not (tmp_path / "refused").exists()
 
 
 def test_ablate_refuses_a_grid_key_that_is_no_config_field(tmp_path, capsys):
-    code, _, err = ablate_grid(tmp_path, capsys, "grid:\n  order: [1]\n  colour: [red]\n",
+    code, _, err = ablate_grid(tmp_path, capsys,
+                               "grid:\n  order: [1]\n  colour: [red]\n  temperature: [0.5]\n",
                                tmp_path / "refused")
     assert code == 1
-    assert err.startswith("error: unsupported grid keys ['colour']; allowed ('family', ")
+    assert err.startswith("error: unsupported grid keys ['colour', 'temperature']; allowed "
+                          "('family', ")
     assert not (tmp_path / "refused").exists()
 
 

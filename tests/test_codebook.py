@@ -31,36 +31,34 @@ class TestFit:
     def test_freedman_diaconis_width(self):
         # linspace(0, 2, 1000) has IQR exactly 1, so h = 2 * 1000^(-1/3) = 0.2
         sample = np.linspace(0.0, 2.0, 1000)
-        cb = fit_codebook(sample, 1024, (-30.0, 30.0))
+        cb = fit_codebook(sample, 1024)
         assert abs(cb.bin_width - 0.2) <= 1e-9
 
     def test_budget_and_zero_center(self):
         rng = np.random.default_rng(0)
-        cb = fit_codebook(rng.standard_normal(5000), 1024, (-30.0, 30.0))
+        cb = fit_codebook(rng.standard_normal(5000), 1024)
         assert cb.n_bins <= 1022
         assert cb.vocab_size <= 1024
         assert np.any(cb.centers == 0.0)
         assert cb.n_bins % 2 == 1
 
     def test_degenerate_iqr_falls_back_to_budget_width(self):
-        cb = fit_codebook(np.zeros(100), 1024, (-30.0, 30.0))
+        cb = fit_codebook(np.zeros(100), 1024)
         assert abs(cb.bin_width - 60.0 / 1022) <= 1e-12
 
     def test_deterministic_and_permutation_invariant(self):
         rng = np.random.default_rng(7)
         sample = rng.standard_normal(4000)
-        cb1 = fit_codebook(sample, 512, (-30.0, 30.0))
-        cb2 = fit_codebook(sample[::-1].copy(), 512, (-30.0, 30.0))
+        cb1 = fit_codebook(sample, 512)
+        cb2 = fit_codebook(sample[::-1].copy(), 512)
         assert np.array_equal(cb1.centers, cb2.centers)
         assert codebook_hash(cb1) == codebook_hash(cb2)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            fit_codebook(np.array([]), 1024, (-30.0, 30.0))
+            fit_codebook(np.array([]), 1024)
         with pytest.raises(ValueError):
-            fit_codebook(np.ones(10), 4, (-30.0, 30.0))
-        with pytest.raises(ValueError):
-            fit_codebook(np.ones(10), 1024, (1.0, 30.0))
+            fit_codebook(np.ones(10), 4)
 
 
 def token(value, cb):
@@ -127,7 +125,7 @@ class TestMapping:
     @given(w=st.floats(min_value=-30.0, max_value=30.0))
     def test_round_trip_half_width(self, w):
         rng = np.random.default_rng(0)
-        cb = fit_codebook(rng.uniform(-10, 10, 2000), 256, (-30.0, 30.0))
+        cb = fit_codebook(rng.uniform(-10, 10, 2000), 256)
         value = center(token(w, cb), cb)
         if cb.centers[0] <= w <= cb.centers[-1]:
             assert abs(value - w) <= cb.bin_width / 2 + 1e-12
@@ -146,7 +144,7 @@ class TestMapping:
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
-        cb = fit_codebook(rng.standard_normal(3000), 1024, (-30.0, 30.0))
+        cb = fit_codebook(rng.standard_normal(3000), 1024)
         path = tmp_path / "cb.json"
         save_codebook(cb, path)
         loaded = load_codebook(path)

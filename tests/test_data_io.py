@@ -186,8 +186,20 @@ def test_jsonl_refuses_a_line_that_is_not_a_json_object_naming_it(tmp_path, line
 def test_jsonl_codec_round_trips_the_header_and_numbers_each_line(tmp_path, name):
     records = [{"b": [1.5, None], "a": "x"}, {"a": "y"}]
     write_jsonl(tmp_path / name, {"fingerprint": "f"}, iter(records))
-    assert read_jsonl(tmp_path / name) == ({"fingerprint": "f"}, [(2, records[0]), (3, records[1])])
+    meta, lines = read_jsonl(tmp_path / name)
+    assert (meta, list(lines)) == ({"fingerprint": "f"}, [(2, records[0]), (3, records[1])])
     write_jsonl(tmp_path / name, {}, records)  # an empty header is left out
-    assert read_jsonl(tmp_path / name) == ({}, [(1, records[0]), (2, records[1])])
+    meta, lines = read_jsonl(tmp_path / name)
+    assert (meta, list(lines)) == ({}, [(1, records[0]), (2, records[1])])
     if not name.endswith(".gz"):
         assert (tmp_path / name).read_text() == '{"a": "x", "b": [1.5, null]}\n{"a": "y"}\n'
+
+
+def test_jsonl_reads_each_record_only_when_asked_and_refuses_a_later_header(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('\n{"__meta__": {"k": 1}}\n{"a": 1}\n{"__meta__": {"k": 2}}\n{not json\n')
+    meta, lines = read_jsonl(path)  # nothing past the header is read yet
+    assert meta == {"k": 1} and next(lines) == (3, {"a": 1})
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: the __meta__ header must "
+                                         "be a JSON object on the first line$"):
+        next(lines)

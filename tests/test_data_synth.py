@@ -59,11 +59,6 @@ def test_generators_refuse_bad_parameters():
         generate(GeneratorSpec(kind="multi_freq_switch", length=10, params={"n_segments": 11}))
     assert len(generate(GeneratorSpec(kind="multi_freq_switch", length=10,
                                       params={"n_segments": 10}))) == 10
-    with pytest.raises(ValueError, match="non-negative"):
-        make_dataset(2, mix=(1.5, -0.5))
-    for mix in ((0.5, 0.25, 0.25), (1.0,)):
-        with pytest.raises(ValueError, match=r"^need two mixture probabilities"):
-            make_dataset(2, mix=mix, context_length=30, horizon=2)
 
 
 def dense_gp_kernel_mix(spec, rng, drawn):

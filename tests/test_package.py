@@ -115,3 +115,33 @@ def test_one_json_lines_codec():
     assert len(dumps) == 1 and [k.arg for k in dumps[0].keywords] == ["sort_keys", "indent"]
     assert not [node.name for node in ast.walk(trees["cli.py"]) if isinstance(node, ast.FunctionDef)
                 and ("jsonl" in node.name or "record" in node.name)]
+
+
+# The one import kept although its module never reads it: bench/tests
+# patch every binding of dwt.decompose, this one included.
+UNREAD_IMPORTS = {("cli.py", "decompose")}
+
+
+def unread_imports(path: Path) -> set[tuple[str, str]]:
+    """``(file name, name)`` for each name a module imports but never
+    reads. A name listed in ``__all__`` is read by ``import *``, and a
+    submodule a package's ``__init__`` imports is read as its attribute."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif (isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              and not (path.name == "__init__.py" and node.module is None)):
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return {(path.name, name) for name in imported - read}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = set().union(*map(unread_imports, sorted((SRC / "wavets").glob("*.py"))))
+    assert unread == UNREAD_IMPORTS

@@ -3,7 +3,7 @@ the forecast batch, seasonal-naive scoring and what an ablation cell
 trains on."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime
 
 import numpy as np
@@ -54,6 +54,14 @@ def test_run_config_takes_the_tokenizer_defaults_from_the_tokenizer():
     assert RunConfig().tokenizer_config() == TokenizerConfig()
 
 
+def test_run_config_holds_only_the_settings_runs_vary():
+    # thresholding, quantization bounds, sampling and the synthetic corpus
+    # mix are fixed by their modules' constants
+    assert [f.name for f in fields(RunConfig)] == [
+        "family", "level", "threshold_method", "vocab_budget", "context_length", "horizon",
+        "order", "alpha", "n_samples", "seed", "boundary_mode"]
+
+
 @pytest.mark.parametrize("settings, length", [
     ({"context_length": 64, "horizon": 16, "level": 2}, 16),
     ({"context_length": 16, "horizon": 64, "level": 2}, 16),
@@ -71,6 +79,29 @@ def test_run_config_refuses_a_level_too_deep_for_either_window(settings, length)
     with pytest.raises(ValueError) as refused:
         RunConfig(**settings)
     assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("settings, reference", [
+    ({"order": 7}, lambda: MarkovModel(1024, 7, 0.1)),
+    ({"vocab_budget": 64, "order": 10}, lambda: MarkovModel(64, 10, 0.1)),
+    ({"order": 0}, lambda: MarkovModel(1024, 0, 0.1)),
+    ({"alpha": 0.0}, lambda: MarkovModel(1024, 3, 0.0)),
+    ({"vocab_budget": 4}, lambda: fit_codebook(np.ones(3), 4)),
+])
+def test_run_config_refuses_what_the_model_or_the_codebook_would(settings, reference):
+    # the message is the model's or the codebook's own rule, word for word,
+    # with the vocabulary budget as the model's largest vocabulary
+    with pytest.raises(ValueError) as expected:
+        reference()
+    with pytest.raises(ValueError) as refused:
+        RunConfig(**settings)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_run_config_takes_the_largest_order_the_budget_allows():
+    assert RunConfig(order=5).order == 5
+    assert RunConfig(vocab_budget=64, order=9).order == 9
+    assert MarkovModel(fit_codebook(np.linspace(-3, 3, 301), 64).vocab_size, 9, 0.1).order == 9
 
 
 def test_seed_rule_is_pinned():
@@ -96,7 +127,7 @@ def test_pool_of_nothing_is_an_error():
 def test_forecast_dataset_returns_the_error():
     windows = make_windows(with_empty_context(small_dataset(), "synth-00001"), CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
-    codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
+    codebook = fit_codebook(sample, CONFIG.vocab_budget)
     item_id, context, _ = windows[1]
     forecasts, failed = forecast_dataset(None, codebook, CONFIG, [(item_id, context)])
     assert forecasts == []
@@ -108,7 +139,7 @@ def trained_inputs(dataset):
     """The codebook, model and ``(item_id, context)`` pairs of a dataset."""
     windows = make_windows(dataset, CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
-    codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
+    codebook = fit_codebook(sample, CONFIG.vocab_budget)
     pairs, _ = tokenize_windows(windows, CONFIG, codebook)
     model = train_model([(ctx, hor) for _, ctx, hor in pairs], CONFIG, codebook)
     return codebook, model, [(item_id, context) for item_id, context, _ in windows]

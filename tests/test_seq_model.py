@@ -32,7 +32,7 @@ def trained():
     its vocabulary (EOS and PAD included) and one context stream."""
     windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=3), CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
-    codebook = fit_codebook(sample, CONFIG.vocab_budget, CONFIG.bounds())
+    codebook = fit_codebook(sample, CONFIG.vocab_budget)
     model = MarkovModel(codebook.vocab_size, order=CONFIG.order, alpha=0.5).fit(
         [np.random.default_rng(0).integers(0, codebook.vocab_size, 2000)])
     context_window = windows[0][1]
@@ -59,7 +59,7 @@ def keyed_states(histories):
     return rows @ (1 << 16) ** np.arange(rows.shape[1], dtype=np.int64)
 
 
-def reference_sample(model, context_tokens, codebook, n_samples, temperature, seed):
+def reference_sample(model, context_tokens, codebook, n_samples, seed):
     """One ``Generator.choice`` per path and token on the full history."""
     paths = np.empty((n_samples, N_TOKENS), dtype=np.int64)
     for s, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
@@ -69,11 +69,6 @@ def reference_sample(model, context_tokens, codebook, n_samples, temperature, se
             probs = model.next_token_distribution(list(context_tokens) + generated)
             probs[codebook.EOS_ID] = 0.0
             probs[codebook.PAD_ID] = 0.0
-            if temperature == 0.0:
-                generated.append(int(np.argmax(probs)))
-                continue
-            if temperature != 1.0:
-                probs = probs ** (1.0 / temperature)
             generated.append(int(rng.choice(len(probs), p=probs / probs.sum())))
         paths[s] = generated
     return paths
@@ -82,19 +77,13 @@ def reference_sample(model, context_tokens, codebook, n_samples, temperature, se
 SEEDS = [11, 12, 13, 14]
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
-def test_sampler_matches_per_path_choice_loop(trained, contexts, temperature):
+def test_sampler_matches_per_path_choice_loop(trained, contexts):
     model, codebook, _ = trained
-    got = sample_forecast(model, contexts, N_TOKENS, codebook, SEEDS, n_samples=6,
-                          temperature=temperature)
+    got = sample_forecast(model, contexts, N_TOKENS, codebook, SEEDS, n_samples=6)
     assert got.shape == (4, 6, N_TOKENS) and got.dtype == np.int64
     for paths, tokens, seed in zip(got, contexts.tokens, SEEDS, strict=True):
-        expected = reference_sample(model, tokens, codebook, 6, temperature, seed)
-        np.testing.assert_array_equal(paths, expected)
-        if temperature == 0.0:
-            assert np.all(paths == paths[0])
-        else:
-            assert len({row.tobytes() for row in paths}) > 1
+        np.testing.assert_array_equal(paths, reference_sample(model, tokens, codebook, 6, seed))
+        assert len({row.tobytes() for row in paths}) > 1
 
 
 def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
@@ -168,12 +157,10 @@ def test_sampler_never_draws_eos_or_pad(trained, contexts):
             probs[:, [codebook.EOS_ID, codebook.PAD_ID]] = 1.0
             return probs
 
-    for temperature in (1.0, 0.5, 0.0):
-        ids = sample_forecast(FavoursEosAndPad(), contexts, N_TOKENS, codebook, SEEDS,
-                              n_samples=8, temperature=temperature)
-        assert ids.shape == (4, 8, N_TOKENS) and ids.dtype == np.int64
-        assert ((ids >= 0) & (ids < codebook.vocab_size)).all()
-        assert not np.isin(ids, [codebook.EOS_ID, codebook.PAD_ID]).any()
+    ids = sample_forecast(FavoursEosAndPad(), contexts, N_TOKENS, codebook, SEEDS, n_samples=8)
+    assert ids.shape == (4, 8, N_TOKENS) and ids.dtype == np.int64
+    assert ((ids >= 0) & (ids < codebook.vocab_size)).all()
+    assert not np.isin(ids, [codebook.EOS_ID, codebook.PAD_ID]).any()
 
 
 @pytest.mark.parametrize("seeds", [[0], [11, 12, 13], [2**32 - 1, 3029871508]])
@@ -197,10 +184,8 @@ def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
             probs[:, codebook.EOS_ID] = 1.0
             return probs
 
-    for temperature in (1.0, 0.0):
-        with pytest.raises(ValueError, match="^sampling distribution has no mass$"):
-            sample_forecast(OnlyEos(), contexts, N_TOKENS, codebook, SEEDS,
-                            temperature=temperature)
+    with pytest.raises(ValueError, match="^sampling distribution has no mass$"):
+        sample_forecast(OnlyEos(), contexts, N_TOKENS, codebook, SEEDS)
 
 
 def reference_cross_entropy(model, context, horizon, pad_id):
@@ -219,12 +204,9 @@ def test_context_shorter_than_order_matches_reference_loops(trained, contexts, n
         [rng.integers(0, codebook.vocab_size, 3000)])
     # a stack of two contexts that keep only their last n_context tokens
     short = TokenStream(contexts.tokens[:2, contexts.tokens.shape[1] - n_context:], scale=None)
-    for temperature in (1.0, 0.0):
-        paths = sample_forecast(model, short, N_TOKENS, codebook, SEEDS[:2], n_samples=6,
-                                temperature=temperature)
-        for got, tokens, seed in zip(paths, short.tokens, SEEDS[:2], strict=True):
-            np.testing.assert_array_equal(
-                got, reference_sample(model, tokens, codebook, 6, temperature, seed))
+    paths = sample_forecast(model, short, N_TOKENS, codebook, SEEDS[:2], n_samples=6)
+    for got, tokens, seed in zip(paths, short.tokens, SEEDS[:2], strict=True):
+        np.testing.assert_array_equal(got, reference_sample(model, tokens, codebook, 6, seed))
     short = dataclasses.replace(context, tokens=context.tokens[len(context.tokens) - n_context:])
     horizon = dataclasses.replace(context, tokens=rng.integers(0, codebook.vocab_size, 20))
     assert (horizon.tokens == codebook.PAD_ID).any()

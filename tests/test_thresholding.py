@@ -9,6 +9,7 @@ import pytest
 from wavets.dwt import decompose
 from wavets.families import get_family
 from wavets.thresholding import (
+    FDRC_Q,
     ThresholdSpec,
     apply_threshold,
     cdf_cutoff_fraction,
@@ -23,9 +24,9 @@ from wavets.thresholding import (
 MAD_SCALE = 0.6744897501960817
 
 
-def fdrc_hard(details, sigma, q):
+def fdrc_hard(details, sigma):
     """Hard-threshold ``details`` at their own step-up-selected level."""
-    return hard_threshold(details, fdrc_lambda(details, sigma, q)[0])
+    return hard_threshold(details, fdrc_lambda(details, sigma)[0])
 
 
 class TestVisuLambda:
@@ -42,8 +43,7 @@ class TestVisuLambda:
 
     def test_mad_consistency_monte_carlo(self):
         sample = np.random.default_rng(0).standard_normal(100_000)
-        assert abs(estimate_sigma(sample, "mad_finest") - 1.0) <= 0.02
-        assert abs(estimate_sigma(sample, "std_finest") - 1.0) <= 0.02
+        assert abs(estimate_sigma(sample) - 1.0) <= 0.02
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
@@ -62,22 +62,18 @@ class TestShrinkOperators:
 
 class TestCdfThreshold:
     def test_bottom_half_zeroed(self):
-        # fraction 0.5 at the finest of a single level with b = 0.5
-        out = cdf_threshold(np.array([10.0, -10.0, 0.1, -0.1]), 1, 1, 0.5)
+        # fraction 0.5 at the finest of a single level with base 0.5
+        out = cdf_threshold(np.array([10.0, -10.0, 0.1, -0.1]), 1, 1)
         np.testing.assert_allclose(out, [10.0, -10.0, 0.0, 0.0])
 
-    def test_tiny_b_keeps_everything(self):
-        d = np.array([5.0, -1.0, 0.2, 3.0])
-        np.testing.assert_allclose(cdf_threshold(d, 1, 3, 1e-9), d)
-
     def test_finer_levels_pruned_harder(self):
-        fracs = [cdf_cutoff_fraction(j, 3, 0.5) for j in (1, 2, 3)]
-        assert fracs[0] > fracs[1] > fracs[2]
+        fracs = [cdf_cutoff_fraction(j, 3) for j in (1, 2, 3)]
+        assert fracs == [0.5, 0.25, 0.125]
 
     def test_fraction_zeroed_ordering_in_pyramid(self):
         rng = np.random.default_rng(8)
         p = decompose(rng.standard_normal(512), get_family("haar"), 3)
-        out = apply_threshold(p, ThresholdSpec(method="cdf", b=0.5))
+        out = apply_threshold(p, ThresholdSpec(method="cdf"))
         # details stored coarsest-first: index 0 is the coarsest level
         zero_frac = [np.mean(d == 0.0) for d in out.details]
         assert zero_frac[-1] > zero_frac[0]
@@ -89,12 +85,12 @@ class TestFdrc:
         # [0.001, 0.2, 0.5, 0.9]; only the first passes its step-up bound
         p_values = np.array([0.001, 0.2, 0.5, 0.9])
         details = np.array([NormalDist().inv_cdf(1.0 - p / 2.0) for p in p_values])
-        lam, i0 = fdrc_lambda(details, sigma=1.0, q=0.05)
+        lam, i0 = fdrc_lambda(details, sigma=1.0)
         assert i0 == 1
         assert abs(lam - 3.2905) <= 1e-3
 
     @staticmethod
-    def _reference(details, sigma, q):
+    def _reference(details, sigma, q=FDRC_Q):
         """Step-up over two-sided p-values ``erfc(|d| / (sigma sqrt 2))``."""
         magnitudes = sorted((abs(d) for d in details), reverse=True)
         m = len(magnitudes)
@@ -110,39 +106,37 @@ class TestFdrc:
         rows[::3, : max(m // 10, 1)] *= 8.0  # a few spikes to discover
         rows[1::2] = np.round(rows[1::2], 1)  # tied magnitudes
         sigma = rng.uniform(0.5, 2.0, 60)
-        for q in (0.05, 0.3):
-            lam, i0 = fdrc_lambda(rows, sigma, q)
-            expected = [self._reference(row, s, q) for row, s in zip(rows, sigma.tolist())]
-            assert list(zip(lam.tolist(), i0.tolist())) == expected
-            assert 0 < i0.sum() < rows.size
+        lam, i0 = fdrc_lambda(rows, sigma)
+        expected = [self._reference(row, s) for row, s in zip(rows, sigma.tolist())]
+        assert list(zip(lam.tolist(), i0.tolist())) == expected
+        assert 0 < i0.sum() < rows.size
 
     def test_all_zero_details(self):
-        out = fdrc_hard(np.zeros(3), sigma=1.0, q=0.05)
+        out = fdrc_hard(np.zeros(3), sigma=1.0)
         np.testing.assert_allclose(out, 0.0)
-        lam, i0 = fdrc_lambda(np.zeros(3), sigma=1.0, q=0.05)
+        lam, i0 = fdrc_lambda(np.zeros(3), sigma=1.0)
         assert i0 == 0 and math.isinf(lam)
 
     def test_single_spike_survives(self):
         details = np.zeros(100)
         details[37] = 100.0
-        out = fdrc_hard(details, sigma=1.0, q=0.05)
+        out = fdrc_hard(details, sigma=1.0)
         assert out[37] == 100.0
         assert np.all(out[np.arange(100) != 37] == 0.0)
-        lam, i0 = fdrc_lambda(details, sigma=1.0, q=0.05)
+        lam, i0 = fdrc_lambda(details, sigma=1.0)
         assert i0 == 1 and 0.0 < lam <= 100.0
 
     def test_global_null_retention(self):
         rng = np.random.default_rng(123)
-        q = 0.05
         retained = [
-            np.mean(fdrc_hard(rng.standard_normal(1024), 1.0, q) != 0.0)
+            np.mean(fdrc_hard(rng.standard_normal(1024), 1.0) != 0.0)
             for _ in range(100)
         ]
-        assert np.mean(retained) <= 2 * q
+        assert np.mean(retained) <= 2 * FDRC_Q
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            fdrc_hard(np.ones(4), sigma=0.0, q=0.05)
+            fdrc_hard(np.ones(4), sigma=0.0)
 
 
 class TestApplyThreshold:
@@ -186,7 +180,7 @@ class TestApplyThreshold:
             np.mean(
                 np.concatenate(
                     apply_threshold(
-                        self._pyramid(seed=s), ThresholdSpec(method="fdrc", q=0.05)
+                        self._pyramid(seed=s), ThresholdSpec(method="fdrc")
                     ).details
                 )
                 != 0.0
@@ -204,8 +198,8 @@ class TestApplyThreshold:
             p.level, p.input_length, p.boundary_mode,
         )
         sigma = estimate_sigma(signs.details[-1])
-        assert math.isinf(fdrc_lambda(np.concatenate(signs.details), sigma, 0.05)[0])
-        out = apply_threshold(signs, ThresholdSpec(method="fdrc", q=0.05))
+        assert math.isinf(fdrc_lambda(np.concatenate(signs.details), sigma)[0])
+        out = apply_threshold(signs, ThresholdSpec(method="fdrc"))
         for before, after in zip(signs.details, out.details):
             assert after.shape == before.shape and after.dtype == np.float64
             assert np.all(after == 0.0) and not np.any(np.signbit(after))
@@ -239,17 +233,3 @@ class TestSpecValidation:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             ThresholdSpec(method="sure")
-
-    @pytest.mark.parametrize("b", [0.0, 1.0, -0.2])
-    def test_bad_b(self, b):
-        with pytest.raises(ValueError):
-            ThresholdSpec(method="cdf", b=b)
-
-    @pytest.mark.parametrize("q", [0.0, 1.0])
-    def test_bad_q(self, q):
-        with pytest.raises(ValueError):
-            ThresholdSpec(method="fdrc", q=q)
-
-    def test_bad_estimator(self):
-        with pytest.raises(ValueError):
-            ThresholdSpec(sigma_estimator="iqr")

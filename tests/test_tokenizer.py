@@ -23,14 +23,14 @@ from wavets.tokenizer import (
 BIOR22_SYNTHESIS_GAIN = 2.1214  # max abs row sum of the synthesis map, level 1
 
 
-def fitted_codebook(x, config, budget=1024, bounds=(-30.0, 30.0)):
+def fitted_codebook(x, config, budget=1024):
     """Codebook fitted to the window's own scaled coefficients, so the
     signal is guaranteed in-range."""
     family = get_family(config.family)
     scale = compute_scale(x)
     z = (fill_missing(np.asarray(x, dtype=np.float64)) - scale.mu) / scale.sigma
     p = decompose(z, family, config.level, config.boundary_mode)
-    return fit_codebook(np.concatenate([p.approx, *p.details]), budget, bounds)
+    return fit_codebook(np.concatenate([p.approx, *p.details]), budget)
 
 
 class TestScale:
@@ -77,7 +77,7 @@ class TestForward:
     def test_constant_window_all_zero_center(self):
         config = TokenizerConfig(family="haar", level=1)
         x = np.full(64, 7.0)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         stream = tokenize(x, compute_scale(x), config, cb)
         zero_token = cb.VALUE_OFFSET + int(np.where(cb.centers == 0.0)[0][0])
         assert np.all(stream.tokens == zero_token)
@@ -112,7 +112,7 @@ def stacked_windows(config, n=83):
         scale = compute_scale(quiet)
         z = (quiet - scale.mu) / scale.sigma
         details = decompose(z, family, config.level, config.boundary_mode).details
-        if np.isinf(fdrc_lambda(np.concatenate(details), estimate_sigma(details[-1]), 0.05)[0]):
+        if np.isinf(fdrc_lambda(np.concatenate(details), estimate_sigma(details[-1]))[0]):
             break
     rng = np.random.default_rng(23)
     spike = rng.standard_normal(n)
@@ -130,7 +130,7 @@ class TestStackedForward:
     @pytest.mark.parametrize("mode", ["symmetric", "periodization"])
     @pytest.mark.parametrize("name", available_families())
     def test_each_row_tokenizes_as_alone(self, name, mode, method):
-        cb = fit_codebook(np.linspace(-6.0, 6.0, 4001), 4096, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-6.0, 6.0, 4001), 4096)
         family = get_family(name)
         for level in (1, 2, 3):
             config = TokenizerConfig(family=name, level=level, boundary_mode=mode,
@@ -197,7 +197,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(5)
         context = rng.standard_normal(64) * 2.0 + 1.0
         scale = compute_scale(context)
-        cb = fit_codebook(np.linspace(-3, 3, 601), 1024, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-3, 3, 601), 1024)
         family = get_family("haar")
         layout = coefficient_layout(32, family, 1)
         coeffs = rng.choice(cb.centers, size=sum(layout))
@@ -235,7 +235,7 @@ class TestPairs:
 
     def test_constant_pair_zero_center(self):
         config = TokenizerConfig(family="haar", level=1)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         ctx, hor = tokenize_pair(np.full(32, 3.0), np.full(16, 3.0), config, cb)
         zero_token = cb.VALUE_OFFSET + int(np.where(cb.centers == 0.0)[0][0])
         assert np.all(hor.tokens[:-1] == zero_token)
@@ -252,7 +252,7 @@ class TestPairs:
             s = compute_scale(c)
             p = decompose((c - s.mu) / s.sigma, family, 1)
             pool += [p.approx, *p.details]
-        cb = fit_codebook(np.concatenate(pool), 1024, (-30.0, 30.0))
+        cb = fit_codebook(np.concatenate(pool), 1024)
         lo, hi = cb.edges[0], cb.edges[-1]
         clamped = 0
         total = 0
@@ -280,7 +280,7 @@ class TestMissing:
 
     def test_all_pad_stream_inverts_to_mean(self):
         config = TokenizerConfig(family="haar", level=1)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         layout = coefficient_layout(32, get_family("haar"), 1)
         stream = TokenStream(tokens=np.full(sum(layout), cb.PAD_ID, dtype=np.int64),
                              scale=ScaleStats(mu=5.5, sigma=2.0))
@@ -292,7 +292,7 @@ class TestMissing:
     def test_stacked_streams_invert_like_each_row(self, name, mode):
         # PAD tokens included; each row has its own scale
         family = get_family(name)
-        cb = fit_codebook(np.linspace(-3, 3, 301), 64, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-3, 3, 301), 64)
         rng = np.random.default_rng(17)
         for n in (64, 67):
             for level in (1, 2, 3):
@@ -344,7 +344,7 @@ class TestMissing:
 class TestErrors:
     def test_eos_inside_segment(self):
         config = TokenizerConfig(family="haar", level=1)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         x = np.random.default_rng(10).standard_normal(32)
         stream = tokenize(x, compute_scale(x), config, cb)
         corrupted = TokenStream(
@@ -357,7 +357,7 @@ class TestErrors:
     def test_inconsistent_segments(self):
         # a length-32 haar window has the layout [16, 16]; 10 tokens cannot fill it
         config = TokenizerConfig(family="haar", level=1)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         stream = TokenStream(np.full(10, cb.VALUE_OFFSET), ScaleStats(0.0, 1.0))
         with pytest.raises(ValueError, match=r"10 coefficient tokens do not match the layout "
                                              r"\[16, 16\] of a length-32 window"):
@@ -366,7 +366,7 @@ class TestErrors:
     def test_token_count_must_match_segments(self):
         # a trailing EOS is not counted against the layout [16, 16]
         config = TokenizerConfig(family="haar", level=1)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256, (-30.0, 30.0))
+        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         scale = ScaleStats(0.0, 1.0)
         np.testing.assert_array_equal(
             detokenize(TokenStream(np.r_[np.full(32, cb.VALUE_OFFSET), cb.EOS_ID], scale,
