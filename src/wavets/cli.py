@@ -18,7 +18,10 @@ what they expect. A token file holds ``{item_id, kind, tokens, mu, sigma}``
 records, ``kind`` being ``context`` or ``horizon`` (which ends with EOS).
 Each failed series or record gets its own ``error:`` line while the rest
 are still processed, and the command then exits with status 1. A warning
-(say, a score left undefined) is printed as one ``warning:`` line.
+(say, a score left undefined, which only
+:func:`~wavets.pipeline.evaluate_dataset` reports) is printed as one
+``warning:`` line each time it is raised; :func:`main` is the one place
+that decides how warnings print, and no library code silences them.
 """
 
 from __future__ import annotations
@@ -269,10 +272,8 @@ def cmd_eval(args) -> int:
     for metric in ("wql", "mase", "vrse"):
         model_scores = [per_dataset[n][("model", metric)] for n in sorted(per_dataset)]
         naive_scores = [per_dataset[n][("seasonal_naive", metric)] for n in sorted(per_dataset)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rel = aggregate_relative(model_scores, naive_scores)
-            naive_rel = aggregate_relative(naive_scores, naive_scores)
+        rel = aggregate_relative(model_scores, naive_scores)
+        naive_rel = aggregate_relative(naive_scores, naive_scores)
         table = np.array([model_scores, naive_scores])
         ranks = average_rank(table) if np.all(np.isfinite(table)) else [float("nan")] * 2
         rows.append(("ALL", "model", f"relative_{metric}", rel))
@@ -382,6 +383,7 @@ def _print_warning(message, *_):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)  # each cell or dataset reports its own
         warnings.showwarning = _print_warning
         try:
             return args.func(args)

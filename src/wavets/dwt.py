@@ -43,21 +43,11 @@ class CoefficientPyramid:
     """Multi-level transform output: approximation plus per-level details.
 
     ``details`` is ordered coarsest-first, matching the coarse-to-fine
-    token layout used downstream.
+    token layout used downstream; the level is their count.
     """
 
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
-    level: int
-    input_length: int
-    boundary_mode: str
-
-    @property
-    def total_coefficients(self) -> int:
-        return sum(self.segment_lengths())
-
-    def segment_lengths(self) -> list[int]:
-        return [band.shape[-1] for band in (self.approx, *self.details)]
 
 
 def _check_mode(mode: str) -> str:
@@ -172,29 +162,22 @@ def decompose(
         approx = _strided_filter(extended, family.dec_lo)
         details.append(_strided_filter(extended, family.dec_hi))
     details.reverse()
-    return CoefficientPyramid(
-        approx=approx,
-        details=tuple(details),
-        level=level,
-        input_length=x.shape[-1],
-        boundary_mode=boundary_mode,
-    )
+    return CoefficientPyramid(approx=approx, details=tuple(details))
 
 
-def reconstruct(pyramid: CoefficientPyramid, family: WaveletFamily) -> np.ndarray:
-    """Invert :func:`decompose`; returns exactly ``input_length`` samples
-    along the last axis of the bands."""
-    expected = coefficient_layout(pyramid.input_length, family, pyramid.level, pyramid.boundary_mode)
-    actual = pyramid.segment_lengths()
-    if actual != expected:
-        raise ValueError(
-            f"length-inconsistent pyramid: bands have lengths {actual}, "
-            f"expected {expected} for input length {pyramid.input_length}"
-        )
+def reconstruct(pyramid: CoefficientPyramid, family: WaveletFamily, length: int,
+                boundary_mode: str) -> np.ndarray:
+    """Invert :func:`decompose` of a length-``length`` signal under
+    ``boundary_mode``; returns ``length`` samples along the last axis of
+    the bands. The bands must have the sizes of
+    :func:`coefficient_layout`, which the caller checks (as
+    :func:`~wavets.tokenizer.detokenize` does): each stage yields the next
+    band's size."""
+    _check_mode(boundary_mode)
     current = pyramid.approx
-    targets = expected[2:] + [pyramid.input_length]  # each stage yields the next band's length
+    targets = [detail.shape[-1] for detail in pyramid.details[1:]] + [length]
     for detail, target in zip(pyramid.details, targets):
-        current = _synthesis_step(current, detail, family, target, pyramid.boundary_mode)
+        current = _synthesis_step(current, detail, family, target, boundary_mode)
     return current
 
 

@@ -10,10 +10,17 @@ restricted to them. :func:`sample_quantiles`, :func:`seasonal_naive`,
 gives one result per row, and each row's result is bit-identical to a
 one-row call, because every row is reduced as the 1-D array of its
 observed values (rows are grouped by their count of observed values).
-:func:`wql` scores a whole stack as one number. Degenerate rows (all-zero
-or all-missing truth, a perfectly seasonal context, zero-energy spectra)
-score NaN rather than raising, so batch evaluation can proceed, and each
-call warns once with the count of such rows per cause.
+:func:`wql` scores a whole stack as one number.
+
+A score that is undefined is NaN, without a warning; the caller decides
+what to report (:func:`wavets.pipeline.evaluate_dataset` names the
+series). The causes:
+
+* WQL: no observed truth value is nonzero.
+* MASE: a row with no observed truth, no seasonal pair of the context
+  with both values observed, or a perfectly seasonal context.
+* VRSE: a row with fewer than two observed truth steps, or whose
+  observed truth has a zero-energy spectrum.
 """
 
 from __future__ import annotations
@@ -70,11 +77,6 @@ def _rows(values) -> np.ndarray:
     return values.reshape(-1, values.shape[-1])
 
 
-def _per_row(scores: np.ndarray, shape: tuple):
-    """A float for a one-row call on 1-D input, else ``scores`` in ``shape``."""
-    return float(scores[0]) if shape == () else scores.reshape(shape)
-
-
 def _observed_groups(keep: np.ndarray, *arrays: np.ndarray):
     """Yield ``(rows, n, kept)`` per count ``n`` of kept entries in a row of
     the 2-D mask ``keep``: ``rows`` selects the rows with that count and
@@ -83,23 +85,6 @@ def _observed_groups(keep: np.ndarray, *arrays: np.ndarray):
     for n in np.unique(counts).tolist():
         rows = counts == n
         yield rows, n, [a[rows][keep[rows]].reshape(int(rows.sum()), n) for a in arrays]
-
-
-def _flag_undefined(scores: np.ndarray, what: str, causes) -> np.ndarray:
-    """Set to NaN the rows of each ``(mask, cause)`` not flagged by an
-    earlier cause, and warn once with the count per cause."""
-    undefined = np.zeros(scores.shape, dtype=bool)
-    counts = []
-    for mask, cause in causes:
-        mask = mask & ~undefined
-        if mask.any():
-            counts.append(f"{int(mask.sum())} {cause}")
-        undefined |= mask
-    if counts:
-        warnings.warn(f"{what} is undefined for {int(undefined.sum())} of {scores.size} row(s): "
-                      f"{'; '.join(counts)}")
-    scores[undefined] = np.nan
-    return scores
 
 
 def wql(truth: np.ndarray, quantile_forecasts: np.ndarray) -> float:
@@ -121,7 +106,6 @@ def wql(truth: np.ndarray, quantile_forecasts: np.ndarray) -> float:
     truth, qf = truth[observed], qf[:, observed]
     denom = np.sum(np.abs(truth))
     if denom == 0.0:
-        warnings.warn("all-zero or missing truth: weighted quantile loss is undefined")
         return float("nan")
     per_level = [2.0 * np.sum(quantile_loss(qf[i], truth, a)) / denom
                  for i, a in enumerate(QUANTILE_LEVELS)]
@@ -135,7 +119,7 @@ def mase(
     seasonality: int,
 ):
     """Mean absolute error scaled by the in-sample seasonal-naive error,
-    per row of the last axis: a float for 1-D input, else an array.
+    per row of the last axis: an array of shape ``truth.shape[:-1]``.
 
     ``(P / H) * sum|err| / sum_t |x_t - x_{t+S}|``, where ``H`` counts the
     observed truth steps and the error sum runs over them, and the scale
@@ -163,11 +147,8 @@ def mase(
         for rows, _, (pair,) in _observed_groups(finite, pairs):
             scale[rows] = pair.sum(axis=1)
         scores = p / h * errors / scale
-    return _per_row(_flag_undefined(scores, "scaled error", [
-        (h == 0, "with no observed truth"),
-        (p == 0, "with no observed seasonal pair in the context"),
-        (scale == 0.0, "with a perfectly seasonal context"),
-    ]), shape)
+    scores[(h == 0) | (p == 0) | (scale == 0.0)] = np.nan
+    return scores.reshape(shape)
 
 
 def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
@@ -178,7 +159,7 @@ def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
 
 def vrse(truth: np.ndarray, point_forecast: np.ndarray):
     """Relative squared discrepancy of the amplitude spectra, per row of
-    the last axis: a float for 1-D input, else an array.
+    the last axis: an array of shape ``truth.shape[:-1]``.
 
     Compares the overall frequency content (the "shape") of the forecast
     with the truth, ignoring time alignment. Steps with missing truth are
@@ -200,10 +181,8 @@ def vrse(truth: np.ndarray, point_forecast: np.ndarray):
         energy[rows] = np.sum(a_true**2, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             scores[rows] = np.sum((a_fc - a_true) ** 2, axis=1) / energy[rows]
-    return _per_row(_flag_undefined(scores, "relative spectral error", [
-        (observed.sum(axis=1) < 2, "with fewer than two observed steps"),
-        (energy == 0.0, "with zero-energy truth"),
-    ]), shape)
+    scores[energy == 0.0] = np.nan  # rows with fewer than two observed steps stay NaN
+    return scores.reshape(shape)
 
 
 def sample_quantiles(samples: np.ndarray) -> np.ndarray:
@@ -253,8 +232,8 @@ def seasonal_naive(context: np.ndarray, seasonality: int, horizon: int) -> np.nd
 def aggregate_relative(scores, baseline_scores) -> float:
     """Geometric mean of per-dataset score ratios against a baseline.
 
-    Non-positive ratios cannot enter a geometric mean; they are dropped
-    with a warning.
+    Non-positive and NaN ratios cannot enter a geometric mean; they are
+    dropped, and a mean of no ratio is NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     baseline = np.asarray(baseline_scores, dtype=np.float64)
@@ -263,10 +242,7 @@ def aggregate_relative(scores, baseline_scores) -> float:
     if np.any(baseline <= 0):
         raise ValueError("baseline scores must be positive")
     ratios = scores / baseline
-    keep = ratios > 0
-    if not keep.all():
-        warnings.warn(f"excluding {int((~keep).sum())} non-positive score ratio(s)")
-    ratios = ratios[keep]
+    ratios = ratios[ratios > 0]
     if ratios.size == 0:
         return float("nan")
     return float(np.exp(np.mean(np.log(ratios))))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -143,10 +144,12 @@ def _scaled_stacks(windows, rows):
 def pool_coefficients(windows, config: RunConfig):
     """Pool the coefficients the codebook is fit to.
 
-    Returns the approximation and detail bands of every window with an
-    observed value, each scaled by its series' context statistics, plus
-    ``(item_id, error)`` for each series set aside (a horizon with no
-    observed value is left out alone).
+    Returns the approximation and detail coefficients of every window with
+    an observed value, each scaled by its series' context statistics, that
+    :func:`tokenize` quantizes: a coefficient it emits as PAD (no observed
+    sample in its filter support) is left out. Also returns ``(item_id,
+    error)`` for each series set aside (a horizon with no observed value
+    is left out alone).
     """
     tok_config = config.tokenizer_config()
 
@@ -163,8 +166,8 @@ def pool_coefficients(windows, config: RunConfig):
     pooled, failed = _by_row(bands, len(windows))
     if not pooled:
         raise WavetsError("no usable training windows")
-    return (np.concatenate([band for i in sorted(pooled) for band in pooled[i]]),
-            [(windows[i][0], failed[i]) for i in sorted(failed)])
+    sample = np.concatenate([band for i in sorted(pooled) for band in pooled[i]])
+    return sample[~np.isnan(sample)], [(windows[i][0], failed[i]) for i in sorted(failed)]
 
 
 def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
@@ -188,8 +191,10 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
     of each kind as ``{kind: (indices, stream)}``; map each invalid one's
     index to ``(item_id, kind, error)``. A record is invalid when a field is
     missing, its kind is unknown, its token count is not its window's
-    layout (plus a horizon's EOS), an id is outside the vocabulary, or an
-    EOS sits anywhere but the last position of a horizon."""
+    layout (plus a horizon's EOS), an id is outside the vocabulary, an EOS
+    sits anywhere but the last position of a horizon, or its scale is not
+    one :func:`compute_scale` gives (a finite ``mu`` and a finite, positive
+    ``sigma``)."""
     tok_config = config.tokenizer_config()
     layouts = {kind: tok_config.layout(getattr(config, length))
                for kind, length in _WINDOW_FIELDS.items()}
@@ -214,7 +219,11 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
             at = np.flatnonzero(tokens == Codebook.EOS_ID).tolist()
             if at != eos:
                 raise ValueError(f"EOS token at position(s) {at}, expected {eos}")
-            rows.setdefault(kind, []).append((i, tokens, float(record["mu"]), float(record["sigma"])))
+            mu, sigma = float(record["mu"]), float(record["sigma"])
+            if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
+                raise ValueError(f"need a finite mu and a positive, finite sigma, got mu {mu} "
+                                 f"and sigma {sigma}")
+            rows.setdefault(kind, []).append((i, tokens, mu, sigma))
         except (TypeError, ValueError) as exc:
             failed[i] = (item_id, kind, exc)
     return {kind: (indices, TokenStream(np.stack(tokens), ScaleStats(np.array(mu), np.array(sigma)),
@@ -287,48 +296,51 @@ def _groups(keys) -> list[list[int]]:
 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
-    baseline over the series with ``(n_samples, horizon)`` forecast paths,
-    and ``(item_id, error)`` for every other series. Missing steps of a
+    baseline over the series with ``(n_samples, horizon)`` finite forecast
+    paths, and ``(item_id, error)`` for every other series. Missing steps of a
     held-out horizon are left out of every score; the forecasts still cover
-    the whole horizon. The series are scored as one stack: one quantile
-    call per sample count, one seasonal-naive and MASE call per naive
-    season (the dataset's, or less for a context with few observed values)
-    and one VRSE call. A series whose MASE or VRSE is undefined (NaN) is
-    left out of that mean, one warning per metric names every such series,
-    and a mean with no defined score is NaN."""
+    the whole horizon. The series are scored as one ``(N, S, H)`` stack:
+    one quantile call, one seasonal-naive and MASE call per naive season
+    (the dataset's, or less for a context with few observed values) and one
+    VRSE call. The metrics return NaN for an undefined score, and this is
+    the one place that reports it: a series whose MASE or VRSE is undefined
+    is left out of that mean and one warning per metric names every such
+    series; an undefined WQL (no observed held-out value is nonzero) gets
+    one warning naming the dataset. A mean with no defined score is NaN."""
+    expected = (config.n_samples, config.horizon)
     windows, failed = [], []
     for item_id, context, horizon in make_windows(dataset, config):
         shape = np.shape(samples.get(item_id))
-        if len(shape) == 2 and shape[1] == len(horizon):
+        if shape == expected and np.isfinite(samples[item_id]).all():
             windows.append((item_id, context, horizon))
         else:
-            got = f"a forecast of shape {shape}" if item_id in samples else "no forecast"
-            failed.append((item_id, WavetsError(f"dataset {name}: {got}, expected (n_samples, "
-                                                f"{len(horizon)}) paths")))
+            got = ("no forecast" if item_id not in samples
+                   else f"a forecast of shape {shape}" if shape != expected
+                   else "a forecast with non-finite values")
+            failed.append((item_id, WavetsError(f"dataset {name}: {got}, expected {expected} "
+                                                "finite paths")))
     if not windows:
         raise WavetsError(f"dataset {name}: no series to score")
     item_ids, contexts, truths = zip(*windows)
     contexts, truths = np.stack(contexts), np.stack(truths)
+    model_q = sample_quantiles(np.stack([samples[item_id] for item_id in item_ids]))
+    median = model_q[QUANTILE_LEVELS.index(0.5)]
     # missing context values stay in place, so the seasons keep their phase
     seasons = np.minimum(seasonality_for_freq(dataset.freq), np.isfinite(contexts).sum(axis=1) - 1)
     seasons = np.maximum(seasons, 1).tolist()
-    model_q = np.empty((len(QUANTILE_LEVELS), *truths.shape))
-    for rows in _groups(len(samples[item_id]) for item_id in item_ids):
-        model_q[:, rows] = sample_quantiles(np.stack([samples[item_ids[i]] for i in rows]))
-    median = model_q[QUANTILE_LEVELS.index(0.5)]
     naive_point = np.empty_like(truths)
     model_mase, naive_mase = np.empty(len(truths)), np.empty(len(truths))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for rows in _groups(seasons):
-            season = seasons[rows[0]]
-            naive_point[rows] = seasonal_naive(contexts[rows], season, truths.shape[1])
-            model_mase[rows] = mase(truths[rows], median[rows], contexts[rows], season)
-            naive_mase[rows] = mase(truths[rows], naive_point[rows], contexts[rows], season)
-        model_vrse, naive_vrse = vrse(truths, median), vrse(truths, naive_point)
+    for rows in _groups(seasons):
+        season = seasons[rows[0]]
+        naive_point[rows] = seasonal_naive(contexts[rows], season, truths.shape[1])
+        model_mase[rows] = mase(truths[rows], median[rows], contexts[rows], season)
+        naive_mase[rows] = mase(truths[rows], naive_point[rows], contexts[rows], season)
     scores = {("model", "wql"): wql(truths, model_q),  # every naive quantile is its point
               ("seasonal_naive", "wql"): wql(truths, np.broadcast_to(naive_point, model_q.shape))}
-    for metric, columns in (("mase", (model_mase, naive_mase)), ("vrse", (model_vrse, naive_vrse))):
+    if np.isnan(list(scores.values())).any():
+        warnings.warn(f"dataset {name}: WQL is undefined, no observed held-out value is nonzero")
+    for metric, columns in (("mase", (model_mase, naive_mase)),
+                            ("vrse", (vrse(truths, median), vrse(truths, naive_point)))):
         undefined = [item_ids[i] for i in np.flatnonzero(np.isnan(columns).any(axis=0))]
         if undefined:
             warnings.warn(f"dataset {name}: {metric.upper()} is undefined for {len(undefined)} of "

@@ -122,14 +122,13 @@ class MarkovModel:
         # the keys plus a sentinel above every key, so a lookup stays in bounds
         self._lookup = np.append(keys, _INT64_MAX)
 
-    def fit(self, sequences: Sequence[Sequence[int]],
-            skip_targets: frozenset[int] = frozenset()) -> MarkovModel:
+    def fit(self, sequences: Sequence[Sequence[int]]) -> MarkovModel:
         """Count every (history, target) pair of every history length in
-        the sequences, replacing any earlier counts. Skipped targets are
-        not counted but stay visible inside histories."""
+        the sequences, replacing any earlier counts. PAD targets are not
+        counted but stay visible inside histories."""
         pad = np.full(self.order, -1, dtype=np.int64)
         flat = np.concatenate([pad, *(np.r_[np.asarray(s, dtype=np.int64), pad] for s in sequences)])
-        targets = np.flatnonzero((flat >= 0) & ~np.isin(flat, list(skip_targets)))
+        targets = np.flatnonzero((flat >= 0) & (flat != Codebook.PAD_ID))
         keys = np.zeros(len(targets), dtype=np.int64)  # of the length-L history before each target
         codes = [flat[targets]]
         for length in range(1, self.order + 1):
@@ -175,7 +174,6 @@ def train_markov(
     order: int,
     alpha: float,
     vocab_size: int,
-    pad_id: int = Codebook.PAD_ID,
 ) -> MarkovModel:
     """Fit a Markov model on concatenated context+horizon token streams.
 
@@ -187,8 +185,7 @@ def train_markov(
     if not corpus:
         raise ValueError("cannot train on an empty corpus")
     model = MarkovModel(vocab_size=vocab_size, order=order, alpha=alpha)
-    return model.fit([np.concatenate([ctx.tokens, hor.tokens]) for ctx, hor in corpus],
-                     skip_targets=frozenset({int(pad_id)}))
+    return model.fit([np.concatenate([ctx.tokens, hor.tokens]) for ctx, hor in corpus])
 
 
 def _padded_windows(tokens: np.ndarray, order: int) -> np.ndarray:
@@ -238,7 +235,7 @@ def sample_forecast(
     n_tokens: int,
     codebook: Codebook,
     seeds: Sequence[int],
-    n_samples: int = 20,
+    n_samples: int,
 ) -> np.ndarray:
     """Autoregressive sample paths after every row of an ``(N, L)`` stack
     of context tokens: ``(N, n_samples, n_tokens)`` int64 token ids.
@@ -338,16 +335,17 @@ def load_model(path) -> MarkovModel:
     missing = [k for k in ("vocab_size", "order", "alpha") if k not in header]
     if missing:
         raise SchemaError(f"model file {path} is missing fields: {missing}")
-    if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays) and keys.dtype == np.int64
-            and len(indptr) == len(keys) + 1 and indptr[0] == 0
-            and indptr[-1] == len(tokens) == len(counts)
-            and np.all(np.diff(keys) > 0) and np.all(np.diff(indptr) >= 0)):
-        raise SchemaError(f"corrupt model file {path}: inconsistent count arrays")
     model = MarkovModel(
         vocab_size=int(header["vocab_size"]),
         order=int(header["order"]),
         alpha=float(header["alpha"]),
     )
+    if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays) and keys.dtype == np.int64
+            and len(indptr) == len(keys) + 1 and indptr[0] == 0
+            and indptr[-1] == len(tokens) == len(counts)
+            and np.all(np.diff(keys) > 0) and np.all(np.diff(indptr) >= 0)
+            and np.all((tokens >= 0) & (tokens < model.vocab_size)) and np.all(counts > 0)):
+        raise SchemaError(f"corrupt model file {path}: inconsistent count arrays")
     model.meta = header.get("meta", {})
     model._set_counts(keys, indptr, tokens, counts)
     return model

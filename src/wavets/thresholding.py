@@ -142,7 +142,7 @@ def apply_threshold(pyramid: CoefficientPyramid, spec: ThresholdSpec) -> Coeffic
     """Threshold the detail bands of a pyramid, row by row; the
     approximation band is returned bit-identical. The output pyramid is
     shape-identical to the input."""
-    level = pyramid.level
+    level = len(pyramid.details)
     # details are stored coarsest-first: index i holds level j = level - i
     if spec.method == "none":
         new_details = tuple(d.copy() for d in pyramid.details)
@@ -151,8 +151,8 @@ def apply_threshold(pyramid: CoefficientPyramid, spec: ThresholdSpec) -> Coeffic
             cdf_threshold(d, level - i, level) for i, d in enumerate(pyramid.details)
         )
     elif spec.method in ("visu_soft", "visu_hard"):
-        finest = pyramid.details[-1]
-        lam = visu_lambda(finest, pyramid.total_coefficients)
+        n_coefficients = sum(band.shape[-1] for band in (pyramid.approx, *pyramid.details))
+        lam = visu_lambda(pyramid.details[-1], n_coefficients)
         shrink = soft_threshold if spec.method == "visu_soft" else hard_threshold
         new_details = tuple(shrink(d, lam) for d in pyramid.details)
     else:  # fdrc

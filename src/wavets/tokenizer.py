@@ -2,11 +2,12 @@
 
 Forward: z-score the window with context statistics, fill missing values,
 decompose with the configured wavelet, optionally threshold the details
-(:func:`coefficients`, which refuses coefficients that overflow),
-quantize every coefficient against a shared codebook and concatenate the
-bands coarsest-first ``[a_J, d_J, ..., d_1]``. Coefficients whose entire
-filter support lies in missing (or synthetic padding) samples are emitted
-as PAD tokens.
+and mark as missing (NaN) each coefficient whose entire filter support
+lies in missing (or synthetic padding) samples (:func:`coefficients`,
+which refuses coefficients that overflow); then quantize every
+coefficient against a shared codebook, a missing one to PAD, and
+concatenate the bands coarsest-first ``[a_J, d_J, ..., d_1]``. The
+codebook is fit to the same coefficients, the missing ones left out.
 
 Inverse: dequantize (PAD contributes 0), rebuild the coefficient pyramid,
 apply the inverse transform and undo the scaling.
@@ -142,13 +143,21 @@ def coefficients(windows: np.ndarray, scale: ScaleStats,
                  config: TokenizerConfig) -> CoefficientPyramid:
     """The forward step before quantization, for a window or a ``(rows, n)``
     stack with one ``scale`` per row: gap-fill, z-score, decompose and
-    threshold the details; coefficients that overflow are refused."""
+    threshold the details, then set to NaN each coefficient with no
+    observed sample in its filter support; coefficients that overflow are
+    refused."""
+    windows = np.asarray(windows, dtype=np.float64)
     mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
     pyramid = decompose((fill_missing(windows) - mu) / sigma, config.wavelet, config.level,
                         config.boundary_mode)
     if not all(np.isfinite(band).all() for band in (pyramid.approx, *pyramid.details)):
         raise ValueError("wavelet coefficients are not finite")
-    return apply_threshold(pyramid, config.threshold)
+    pyramid = apply_threshold(pyramid, config.threshold)  # new arrays, so masked in place
+    observed = _band_observed(np.isfinite(windows), config.wavelet, config.level,
+                              config.boundary_mode)
+    for band, obs in zip((pyramid.approx, *pyramid.details), observed):
+        band[~obs] = np.nan
+    return pyramid
 
 
 def tokenize(
@@ -161,17 +170,13 @@ def tokenize(
     """Tokenize a window, or a ``(rows, n)`` stack of windows with one
     ``scale`` per row, into one stream; NaN entries are missing values.
 
-    Each window's :func:`coefficients` are quantized; with
-    ``append_eos`` every row ends with an EOS token.
+    Each window's :func:`coefficients` are quantized, a missing one to
+    PAD; with ``append_eos`` every row ends with an EOS token.
     """
-    windows = np.asarray(windows, dtype=np.float64)
     pyramid = coefficients(windows, scale, config)
-    observed = _band_observed(np.isfinite(windows), config.wavelet, config.level,
-                              config.boundary_mode)
-    tokens = [np.where(obs, quantize(band, codebook), Codebook.PAD_ID)
-              for band, obs in zip((pyramid.approx, *pyramid.details), observed)]
+    tokens = [quantize(band, codebook) for band in (pyramid.approx, *pyramid.details)]
     if append_eos:
-        tokens.append(np.full((*windows.shape[:-1], 1), Codebook.EOS_ID))
+        tokens.append(np.full((*pyramid.approx.shape[:-1], 1), Codebook.EOS_ID))
     return TokenStream(tokens=np.concatenate(tokens, axis=-1), scale=scale, has_eos=append_eos)
 
 
@@ -209,9 +214,8 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
         raise ValueError(f"{coeff_tokens.shape[-1]} coefficient tokens do not match the layout "
                          f"{layout} of a length-{length} window")
     parts = np.split(dequantize(coeff_tokens, codebook), np.cumsum(layout)[:-1], axis=-1)
-    pyramid = CoefficientPyramid(approx=parts[0], details=tuple(parts[1:]), level=config.level,
-                                 input_length=length, boundary_mode=config.boundary_mode)
-    z = reconstruct(pyramid, config.wavelet)
+    z = reconstruct(CoefficientPyramid(parts[0], tuple(parts[1:])), config.wavelet, length,
+                    config.boundary_mode)
     sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)
     return z * sigma[..., None] + mu[..., None]
 

@@ -395,7 +395,7 @@ def test_eval_scores_the_series_that_did_forecast(tmp_path, capsys):
              [unscalable]),
             (["eval", "--data", data, "--forecasts", fc, "--out", full / "eval.csv"],
              ["error: series 'synth-00001': dataset data.jsonl: no forecast, "
-              "expected (n_samples, 16) paths"]),
+              "expected (4, 16) finite paths"]),
             (["eval", "--data", kept / "data.jsonl", "--forecasts", fc,
               "--out", kept / "eval.csv"], [])):
         code, _, err = run(argv + flags, capsys)

@@ -145,3 +145,32 @@ def unread_imports(path: Path) -> set[tuple[str, str]]:
 def test_no_module_imports_a_name_it_never_reads():
     unread = set().union(*map(unread_imports, sorted((SRC / "wavets").glob("*.py"))))
     assert unread == UNREAD_IMPORTS
+
+
+WARNING_FILTERS = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"}
+
+
+def warning_filter_uses(tree, scope: str = "") -> list[tuple[str, str]]:
+    """``(enclosing function, name)`` for each use of a ``warnings``
+    filter function under an AST node, as ``warnings.name`` or a bare name."""
+    uses = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            uses += warning_filter_uses(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.id if isinstance(node, ast.Name) else
+                None)
+        if name in WARNING_FILTERS:
+            uses.append((scope, name))
+        uses += warning_filter_uses(node, scope)
+    return uses
+
+
+def test_only_the_command_line_decides_how_warnings_print():
+    """Metrics return NaN for an undefined score, ``evaluate_dataset``
+    reports it and ``cli.main`` prints it: no library code hides a
+    warning, so a warning raised is a warning shown."""
+    uses = {(path.name, scope, name) for path in sorted((SRC / "wavets").glob("*.py"))
+            for scope, name in warning_filter_uses(ast.parse(path.read_text()))}
+    assert uses == {("cli.py", "main", "catch_warnings"), ("cli.py", "main", "simplefilter")}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wavets.pipeline as pipeline
-from wavets.codebook import fit_codebook
+from wavets.codebook import Codebook, fit_codebook
 from wavets.data_io import Dataset, TimeSeries, split_last_h
 from wavets.data_synth import make_dataset
 from wavets.dwt import coefficient_layout
@@ -122,6 +122,24 @@ def test_pool_skips_unscalable_series():
 def test_pool_of_nothing_is_an_error():
     with pytest.raises(WavetsError, match="no usable training windows"):
         pool_coefficients([], CONFIG)
+
+
+@pytest.mark.parametrize("settings", [{}, {"family": "db2", "level": 2, "threshold_method": "fdrc"}])
+def test_pool_holds_exactly_the_coefficients_tokenize_quantizes(settings):
+    # long gaps in every context and in one horizon: the codebook is fit to
+    # the coefficients that become value tokens, and to none that become PAD
+    config = replace(CONFIG, **settings)
+    dataset = small_dataset(6, seed=7)
+    for k, series in enumerate(dataset.series):
+        series.values[10 + 5 * k:40 + 5 * k] = np.nan
+    dataset.series[2].values[-14:-3] = np.nan
+    windows = make_windows(dataset, config)
+    sample, failed = pool_coefficients(windows, config)
+    pairs, _ = tokenize_windows(windows, config, fit_codebook(sample, config.vocab_budget))
+    tokens = np.concatenate([stream.tokens for _, *streams in pairs for stream in streams])
+    assert failed == [] and len(pairs) == len(windows) == 6
+    assert np.isfinite(sample).all() and (tokens == Codebook.PAD_ID).sum() > 100
+    assert sample.size == np.sum(tokens >= Codebook.VALUE_OFFSET)
 
 
 def test_forecast_dataset_returns_the_error():
@@ -447,7 +465,7 @@ def test_evaluate_dataset_names_the_undefined_metric_and_leaves_an_empty_mean_na
         scores, failed = evaluate_dataset("zeros", dataset, samples, CONFIG)
     assert failed == []
     assert [str(w.message) for w in record] == [
-        *2 * ["all-zero or missing truth: weighted quantile loss is undefined"],
+        "dataset zeros: WQL is undefined, no observed held-out value is nonzero",
         "dataset zeros: VRSE is undefined for 4 of 4 series, left out of its mean: "
         "synth-00000, synth-00001, synth-00002, synth-00003"]
     assert all(math.isnan(scores[model, metric]) for model in ("model", "seasonal_naive")
@@ -462,12 +480,16 @@ def test_evaluate_dataset_scores_the_series_with_a_forecast_and_returns_the_rest
                for s in dataset.series}
     del samples["synth-00001"]
     samples["synth-00003"] = samples["synth-00003"][:, :-1]
+    samples["synth-00004"] = samples["synth-00004"][1:]  # fewer paths than n_samples
+    samples["synth-00002"][1, 7] = np.nan
     scores, failed = evaluate_dataset("d", dataset, samples, CONFIG)
     assert [(item_id, str(exc)) for item_id, exc in failed] == [
-        ("synth-00001", "dataset d: no forecast, expected (n_samples, 16) paths"),
-        ("synth-00003", "dataset d: a forecast of shape (3, 15), expected (n_samples, 16) paths")]
-    kept = Dataset([s for s in dataset.series if s.item_id not in ("synth-00001", "synth-00003")],
-                   dataset.freq)
+        ("synth-00001", "dataset d: no forecast, expected (3, 16) finite paths"),
+        ("synth-00002", "dataset d: a forecast with non-finite values, expected (3, 16) finite "
+                        "paths"),
+        ("synth-00003", "dataset d: a forecast of shape (3, 15), expected (3, 16) finite paths"),
+        ("synth-00004", "dataset d: a forecast of shape (2, 16), expected (3, 16) finite paths")]
+    kept = Dataset([s for s in dataset.series if s.item_id == "synth-00000"], dataset.freq)
     assert evaluate_dataset("d", kept, samples, CONFIG) == (scores, [])
     with pytest.raises(WavetsError, match="^dataset d: no series to score$"):
         evaluate_dataset("d", dataset, {}, CONFIG)
@@ -605,6 +627,15 @@ def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
     (3, lambda r: r["tokens"].__setitem__(20, 2), "EOS token at position(s) [], expected [20]"),
     (3, lambda r: r.update(sigma=None),
      "float() argument must be a string or a real number, not 'NoneType'"),
+    # a scale compute_scale never gives: it would invert to NaN or to a constant window
+    (3, lambda r: r.update(mu=1.5, sigma=math.nan),
+     "need a finite mu and a positive, finite sigma, got mu 1.5 and sigma nan"),
+    (2, lambda r: r.update(mu=1.5, sigma=0.0),
+     "need a finite mu and a positive, finite sigma, got mu 1.5 and sigma 0.0"),
+    (2, lambda r: r.update(mu=1.5, sigma=-2.0),
+     "need a finite mu and a positive, finite sigma, got mu 1.5 and sigma -2.0"),
+    (3, lambda r: r.update(mu=-math.inf, sigma=2.0),
+     "need a finite mu and a positive, finite sigma, got mu -inf and sigma 2.0"),
 ])
 def test_a_bad_token_record_fails_alone(index, corrupt, message):
     dataset = small_dataset(4, seed=5)

@@ -185,7 +185,7 @@ def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
             return probs
 
     with pytest.raises(ValueError, match="^sampling distribution has no mass$"):
-        sample_forecast(OnlyEos(), contexts, N_TOKENS, codebook, SEEDS)
+        sample_forecast(OnlyEos(), contexts, N_TOKENS, codebook, SEEDS, 6)
 
 
 def reference_cross_entropy(model, context, horizon, pad_id):
@@ -236,8 +236,7 @@ def test_fit_matches_a_counting_loop():
     # Sequences shorter than the order, an empty one, and PAD (0) targets.
     rng = np.random.default_rng(7)
     sequences = [rng.integers(0, 6, n) for n in (0, 1, 3, 40, 200)]
-    model = MarkovModel(vocab_size=6, order=3, alpha=0.1).fit(sequences,
-                                                              skip_targets=frozenset({0}))
+    model = MarkovModel(vocab_size=6, order=3, alpha=0.1).fit(sequences)
     expected = {}
     for seq in sequences:
         seq = [int(t) for t in seq]
@@ -319,6 +318,11 @@ def test_corrupt_checkpoint_is_refused(tmp_path, payload):
     lambda arrays: arrays.update(tokens=arrays["tokens"].astype(np.float64)),
     lambda arrays: arrays.update(keys=arrays["keys"].astype(np.uint64)),
     lambda arrays: arrays.pop("counts"),
+    # token ids below and above the vocabulary, and counts that are not positive
+    lambda arrays: arrays.update(tokens=np.full(len(arrays["tokens"]), -3)),
+    lambda arrays: arrays.update(tokens=np.full(len(arrays["tokens"]), 38)),
+    lambda arrays: arrays.update(counts=np.full(len(arrays["counts"]), -1_000_000)),
+    lambda arrays: arrays.update(counts=np.zeros_like(arrays["counts"])),
 ])
 def test_checkpoint_with_inconsistent_arrays_is_refused(trained, tmp_path, corrupt):
     path = tmp_path / "model.json"
@@ -367,16 +371,15 @@ def test_order_whose_keys_overflow_int64_is_refused(trained, contexts):
 
     # the sampler groups paths by the model's states, so it sets no limit of its own
     np.testing.assert_array_equal(
-        sample_forecast(LongWindow(), contexts, N_TOKENS, codebook, SEEDS),
-        sample_forecast(model, contexts, N_TOKENS, codebook, SEEDS))
+        sample_forecast(LongWindow(), contexts, N_TOKENS, codebook, SEEDS, 6),
+        sample_forecast(model, contexts, N_TOKENS, codebook, SEEDS, 6))
 
 
 def test_cross_entropy_by_hand():
     # Vocabulary {0 = PAD, 1, 2, 3}, order 1, add-one smoothing, one
     # training sequence 1 2 1 3: counts after "2" are {1: 1}, after "1"
     # {2: 1, 3: 1}, and "0" is an unseen history.
-    model = MarkovModel(vocab_size=4, order=1, alpha=1.0).fit([[1, 2, 1, 3]],
-                                                              skip_targets=frozenset({0}))
+    model = MarkovModel(vocab_size=4, order=1, alpha=1.0).fit([[1, 2, 1, 3]])
 
     def stream(tokens):
         return TokenStream(tokens=tokens, scale=None)

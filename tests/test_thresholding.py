@@ -157,14 +157,11 @@ class TestApplyThreshold:
         for method in ("cdf", "visu_soft", "visu_hard", "fdrc"):
             out = apply_threshold(p, ThresholdSpec(method=method))
             assert np.array_equal(out.approx, p.approx)
-            assert out.segment_lengths() == p.segment_lengths()
+            assert [d.shape for d in out.details] == [d.shape for d in p.details]
 
     def test_visu_hard_on_zero_details(self):
         p = self._pyramid()
-        zeroed = type(p)(
-            p.approx, tuple(np.zeros_like(d) for d in p.details),
-            p.level, p.input_length, p.boundary_mode,
-        )
+        zeroed = type(p)(p.approx, tuple(np.zeros_like(d) for d in p.details))
         out = apply_threshold(zeroed, ThresholdSpec(method="visu_hard"))
         for d in out.details:
             assert np.all(d == 0.0)
@@ -193,10 +190,7 @@ class TestApplyThreshold:
         # unit magnitudes give sigma_hat = 1 / 0.6745, so every p-value is
         # 0.5 > q: fdrc_lambda returns inf and every detail becomes +0.0
         p = self._pyramid(level=2)
-        signs = type(p)(
-            p.approx, tuple(np.where(d < 0, -1.0, 1.0) for d in p.details),
-            p.level, p.input_length, p.boundary_mode,
-        )
+        signs = type(p)(p.approx, tuple(np.where(d < 0, -1.0, 1.0) for d in p.details))
         sigma = estimate_sigma(signs.details[-1])
         assert math.isinf(fdrc_lambda(np.concatenate(signs.details), sigma)[0])
         out = apply_threshold(signs, ThresholdSpec(method="fdrc"))
@@ -222,7 +216,7 @@ class TestApplyThreshold:
         for before, after in zip(p.details, out.details):
             assert np.all(before[after != 0.0] != 0.0)
         if method == "visu_soft":
-            lam = visu_lambda(p.details[-1], p.total_coefficients)
+            lam = visu_lambda(p.details[-1], sum(b.size for b in (p.approx, *p.details)))
             for before, after in zip(p.details, out.details):
                 kept = after != 0.0
                 if lam > 0:

@@ -202,8 +202,8 @@ class TestRoundTrip:
         layout = coefficient_layout(32, family, 1)
         coeffs = rng.choice(cb.centers, size=sum(layout))
         parts = np.split(coeffs, np.cumsum(layout)[:-1])
-        pyramid = CoefficientPyramid(parts[0], tuple(parts[1:]), 1, 32, "symmetric")
-        horizon = reconstruct(pyramid, family) * scale.sigma + scale.mu
+        pyramid = CoefficientPyramid(parts[0], tuple(parts[1:]))
+        horizon = reconstruct(pyramid, family, 32, "symmetric") * scale.sigma + scale.mu
         _, hor_stream = tokenize_pair(context, horizon, config, cb)
         recon = detokenize(hor_stream, 32, config, cb)
         assert np.max(np.abs(recon - horizon)) <= 1e-9
@@ -355,13 +355,16 @@ class TestErrors:
             detokenize(corrupted, 32, config, cb)
 
     def test_inconsistent_segments(self):
-        # a length-32 haar window has the layout [16, 16]; 10 tokens cannot fill it
+        # a length-32 haar window has the layout [16, 16]; 10 tokens cannot
+        # fill it, nor 31, one approximation coefficient short: reconstruct
+        # takes the layout that detokenize checks
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256)
-        stream = TokenStream(np.full(10, cb.VALUE_OFFSET), ScaleStats(0.0, 1.0))
-        with pytest.raises(ValueError, match=r"10 coefficient tokens do not match the layout "
-                                             r"\[16, 16\] of a length-32 window"):
-            detokenize(stream, 32, config, cb)
+        for n_tokens in (10, 31):
+            stream = TokenStream(np.full(n_tokens, cb.VALUE_OFFSET), ScaleStats(0.0, 1.0))
+            with pytest.raises(ValueError, match=rf"^{n_tokens} coefficient tokens do not match "
+                                                 r"the layout \[16, 16\] of a length-32 window$"):
+                detokenize(stream, 32, config, cb)
 
     def test_token_count_must_match_segments(self):
         # a trailing EOS is not counted against the layout [16, 16]
