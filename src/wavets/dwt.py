@@ -172,11 +172,18 @@ def reconstruct(pyramid: CoefficientPyramid, family: WaveletFamily, length: int,
     the bands. The bands must have the sizes of
     :func:`coefficient_layout`, which the caller checks (as
     :func:`~wavets.tokenizer.detokenize` does): each stage yields the next
-    band's size."""
+    band's size. A stage whose bands the analysis of its target length
+    would not yield is refused."""
     _check_mode(boundary_mode)
     current = pyramid.approx
     targets = [detail.shape[-1] for detail in pyramid.details[1:]] + [length]
     for detail, target in zip(pyramid.details, targets):
+        sizes = (current.shape[-1], detail.shape[-1])
+        if sizes != (_band_length(target, family.filter_length, boundary_mode),) * 2:
+            raise ValueError(
+                f"length-inconsistent pyramid: bands of {sizes[0]} and {sizes[1]} "
+                f"coefficients cannot make {target} samples"
+            )
         current = _synthesis_step(current, detail, family, target, boundary_mode)
     return current
 

@@ -183,6 +183,24 @@ def test_errors():
         decompose(np.ones(64), f, 1, "wraparound")
 
 
+def test_inconsistent_pyramid_rejected():
+    f = get_family("haar")
+    p = decompose(np.arange(16.0), f, 2)
+    short_approx = CoefficientPyramid(p.approx[:-1], p.details)
+    with pytest.raises(ValueError, match=r"inconsistent pyramid: bands of 3 and 4 "
+                                         r"coefficients cannot make 8 samples"):
+        reconstruct(short_approx, f, 16, "symmetric")
+    # a short finer band sets the coarser stage a short target, which the
+    # finer stage then cannot grow to the signal length
+    short_fine = CoefficientPyramid(p.approx, (p.details[0], p.details[1][:-1]))
+    with pytest.raises(ValueError, match=r"inconsistent pyramid: bands of 7 and 7 "
+                                         r"coefficients cannot make 16 samples"):
+        reconstruct(short_fine, f, 16, "symmetric")
+    with pytest.raises(ValueError, match=r"inconsistent pyramid: bands of 8 and 8 "
+                                         r"coefficients cannot make 17 samples"):
+        reconstruct(p, f, 17, "symmetric")
+
+
 def test_max_level_values():
     assert max_level(1024, get_family("haar")) == 10
     assert max_level(2, get_family("haar")) == 1
