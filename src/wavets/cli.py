@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -200,20 +201,6 @@ def cmd_train(args) -> int:
     return _report(failed.values(), "record")
 
 
-_WORKER_STATE: dict = {}
-
-
-def _forecast_init(model_path: str, codebook_path: str, config: RunConfig):
-    _WORKER_STATE["model"] = load_model(model_path)
-    _WORKER_STATE["codebook"] = load_codebook(codebook_path)
-    _WORKER_STATE["config"] = config
-
-
-def _forecast_chunk(contexts):
-    state = _WORKER_STATE
-    return forecast_dataset(state["model"], state["codebook"], state["config"], contexts)
-
-
 def cmd_forecast(args) -> int:
     config = build_config(args)
     codebook = load_codebook(args.codebook)
@@ -221,19 +208,16 @@ def cmd_forecast(args) -> int:
     _check_meta(model.meta, args.model, config, codebook)
     contexts = [(item_id, context) for item_id, context, _ in
                 make_windows(load_dataset(args.data), config)]
+    forecast = functools.partial(forecast_dataset, model, codebook, config)
     if args.workers > 1:
         size = -(-len(contexts) // args.workers) or 1  # contiguous chunks, one per worker
-        with ProcessPoolExecutor(
-            max_workers=args.workers,
-            initializer=_forecast_init,
-            initargs=(args.model, args.codebook, config),
-        ) as pool:
-            chunks = list(pool.map(_forecast_chunk, [contexts[i:i + size]
-                                                     for i in range(0, len(contexts), size)]))
-        forecasts = [pair for done, _ in chunks for pair in done]
-        failed = [pair for _, errors in chunks for pair in errors]
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            chunks = list(pool.map(forecast, [contexts[i:i + size]
+                                              for i in range(0, len(contexts), size)]))
     else:
-        forecasts, failed = forecast_dataset(model, codebook, config, contexts)
+        chunks = [forecast(contexts)]
+    forecasts = [pair for done, _ in chunks for pair in done]
+    failed = [pair for _, errors in chunks for pair in errors]
     write_jsonl(args.out, {
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),
         "horizon": config.horizon, "n_samples": config.n_samples},

@@ -4,10 +4,12 @@ The generator kinds cover the pattern families the pipeline should handle
 well (exponential trends, sparse spikes, frequency content that switches
 over time) plus the two training augmentations: convex mixtures of
 generated series and draws from Gaussian processes with randomly combined
-kernels. :func:`generate` is deterministic under the spec's seed, and
-:func:`make_dataset` builds a corpus of the two augmentations, a
-``TSMIXUP_SHARE`` of mixtures in expectation, that is deterministic under
-its own seed.
+kernels. A spec sets only a kind, a length and a seed: each kind's shape
+constants are fixed, and it draws the rest (spike positions, segment cuts,
+kernels, mixture components) from the seed's stream. :func:`generate` is
+deterministic under the spec's seed, and :func:`make_dataset` builds a
+corpus of the two augmentations, a ``TSMIXUP_SHARE`` of mixtures in
+expectation, that is deterministic under its own seed.
 
 The stationary GP kernels (rbf, periodic) and their sums and products are
 evaluated once per distinct lag ``t_i - t_j`` and expanded to the pair
@@ -19,7 +21,7 @@ the same formulas on the dense lag matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
@@ -35,52 +37,36 @@ _FREQ = "h"  # every synthetic series is hourly
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """One synthetic series: a kind, its parameters and an RNG seed.
-
-    ``noise_level`` adds i.i.d. Gaussian noise of that standard deviation
-    on top of the clean pattern.
-    """
+    """One synthetic series: a kind, a length and an RNG seed."""
 
     kind: str
     length: int
-    noise_level: float = 0.0
     seed: int = 0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
         if self.length < 2:
             raise ValueError(f"series length must be at least 2, got {self.length}")
-        if self.noise_level < 0:
-            raise ValueError(f"noise level must be non-negative, got {self.noise_level}")
 
 
 def _trend_exp(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    a = float(spec.params.get("a", 1.0))
-    b = float(spec.params.get("b", 3.0))
     t = np.linspace(0.0, 1.0, spec.length)
-    return a * np.exp(b * t)
+    return np.exp(3.0 * t)
 
 
 def _sparse_spikes(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    baseline = float(spec.params.get("baseline", 0.0))
-    rate = float(spec.params.get("rate", 0.02))
-    lo, hi = spec.params.get("height_range", (3.0, 10.0))
-    y = np.full(spec.length, baseline)
-    hits = rng.random(spec.length) < rate
+    y = np.zeros(spec.length)
+    hits = rng.random(spec.length) < 0.02
     n_hits = int(hits.sum())
     if n_hits:
-        heights = rng.uniform(lo, hi, n_hits) * rng.choice([-1.0, 1.0], n_hits)
+        heights = rng.uniform(3.0, 10.0, n_hits) * rng.choice([-1.0, 1.0], n_hits)
         y[hits] += heights
     return y
 
 
 def _multi_freq_switch(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    n_segments = int(spec.params.get("n_segments", 3))
-    n_freqs = int(spec.params.get("n_freqs", 2))
-    if n_segments < 1 or n_freqs < 1:
-        raise ValueError("n_segments and n_freqs must be positive")
+    n_segments, n_freqs = 3, 2
     if n_segments > spec.length:
         raise ValueError(f"n_segments={n_segments} exceeds the series length {spec.length}")
     cuts = np.sort(rng.choice(np.arange(1, spec.length), size=n_segments - 1, replace=False))
@@ -134,9 +120,7 @@ def _lags(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _gp_kernel_mix(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    n_kernels = int(spec.params.get("n_kernels", rng.integers(1, 4)))
-    if n_kernels < 1:
-        raise ValueError(f"gp_kernel_mix needs at least one kernel, got n_kernels={n_kernels}")
+    n_kernels = int(rng.integers(1, 4))
     t, lags, where = _lags(spec.length)
 
     def draw_kernel() -> np.ndarray:
@@ -169,23 +153,11 @@ def _gp_kernel_mix(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _tsmixup(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    components = spec.params.get("components")
-    if components is None:
-        n_parts = int(spec.params.get("n_components", rng.integers(1, 4)))
-        base_kinds = [k for k in KINDS if k != "tsmixup"]
-        components = [
-            GeneratorSpec(
-                kind=str(rng.choice(base_kinds)),
-                length=spec.length,
-                noise_level=0.0,
-                seed=int(rng.integers(0, 2**63)),
-            )
-            for _ in range(n_parts)
-        ]
-    if not 1 <= len(components) <= 3:
-        raise ValueError(f"tsmixup takes 1-3 components, got {len(components)}")
-    if any(c.length != spec.length for c in components):
-        raise ValueError("tsmixup components must share the mixture's length")
+    n_parts = int(rng.integers(1, 4))
+    base_kinds = [k for k in KINDS if k != "tsmixup"]
+    components = [GeneratorSpec(kind=str(rng.choice(base_kinds)), length=spec.length,
+                                seed=int(rng.integers(0, 2**63)))
+                  for _ in range(n_parts)]
     weights = rng.dirichlet(np.ones(len(components)))
     stacked = np.stack([generate(c).values for c in components])
     return weights @ stacked
@@ -203,14 +175,11 @@ _GENERATORS = {
 def generate(spec: GeneratorSpec) -> TimeSeries:
     """Materialize one series; identical specs yield identical series."""
     rng = np.random.default_rng(spec.seed)
-    values = _GENERATORS[spec.kind](spec, rng)
-    if spec.noise_level > 0:
-        values = values + spec.noise_level * rng.standard_normal(spec.length)
     return TimeSeries(
         item_id=f"{spec.kind}-{spec.seed}",
         start=_EPOCH,
         freq=_FREQ,
-        values=values,
+        values=_GENERATORS[spec.kind](spec, rng),
     )
 
 

@@ -124,14 +124,14 @@ def _synthesis_step(
     return folded[..., :target_len]
 
 
-def max_level(n: int, family: WaveletFamily, boundary_mode: str = "symmetric") -> int:
-    """Largest decomposition level accepted for an input of length ``n``.
+def max_level(n: int, family: WaveletFamily) -> int:
+    """Largest decomposition level accepted for an input of length ``n``,
+    in either boundary mode.
 
     Uses the standard toolbox rule ``floor(log2(n / (L - 1)))``: below it
     every cascade stage is longer than the filter, above it boundary
     handling dominates the coefficients.
     """
-    _check_mode(boundary_mode)
     step = max(family.filter_length - 1, 1)
     if n < step:
         return 0
@@ -202,7 +202,7 @@ def coefficient_layout(
     mode = _check_mode(boundary_mode)
     if not isinstance(level, (int, np.integer)) or level < 1:
         raise ValueError(f"decomposition level must be a positive integer, got {level!r}")
-    allowed = max_level(n, family, mode)
+    allowed = max_level(n, family)
     if level > allowed:
         raise ValueError(
             f"signal of length {n} is too short for level {level} with "

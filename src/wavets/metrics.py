@@ -232,16 +232,16 @@ def seasonal_naive(context: np.ndarray, seasonality: int, horizon: int) -> np.nd
 def aggregate_relative(scores, baseline_scores) -> float:
     """Geometric mean of per-dataset score ratios against a baseline.
 
-    Non-positive and NaN ratios cannot enter a geometric mean; they are
-    dropped, and a mean of no ratio is NaN.
+    Non-positive and NaN ratios, and ratios to a baseline that is not
+    positive, cannot enter a geometric mean; they are dropped, and a mean
+    of no ratio is NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     baseline = np.asarray(baseline_scores, dtype=np.float64)
     if scores.shape != baseline.shape:
         raise ValueError("scores and baseline must cover the same datasets")
-    if np.any(baseline <= 0):
-        raise ValueError("baseline scores must be positive")
-    ratios = scores / baseline
+    defined = baseline > 0
+    ratios = scores[defined] / baseline[defined]
     ratios = ratios[ratios > 0]
     if ratios.size == 0:
         return float("nan")

@@ -114,13 +114,13 @@ def make_windows(dataset: Dataset, config: RunConfig):
     ]
 
 
-def _by_row(call, n: int):
-    """Run a stacked ``call(rows)``, which returns one result per index in
-    ``rows``, on all ``n`` rows. Only where a call raises are its halves run
-    again, down to single rows, so a row fails exactly when its own one-row
-    call fails, with that call's error. Returns ``(results, errors)``, both
-    keyed by row index."""
-    results, errors, pending = {}, {}, [list(range(n))] if n else []
+def _by_row(call, ids):
+    """Run a stacked ``call(rows)``, which returns one result per position in
+    ``rows``, on every row of ``ids``. Only where a call raises are its
+    halves run again, down to single rows, so a row fails exactly when its
+    own one-row call fails, with that call's error. Returns ``[(id,
+    result)]`` and ``[(id, error)]``, each in input order."""
+    results, errors, pending = {}, {}, [list(range(len(ids)))] if ids else []
     while pending:
         rows = pending.pop()
         try:
@@ -130,7 +130,8 @@ def _by_row(call, n: int):
                 errors[rows[0]] = exc
             else:
                 pending += [rows[len(rows) // 2:], rows[:len(rows) // 2]]
-    return results, errors
+    return ([(ids[i], results[i]) for i in sorted(results)],
+            [(ids[i], errors[i]) for i in sorted(errors)])
 
 
 def _scaled_stacks(windows, rows):
@@ -144,30 +145,26 @@ def _scaled_stacks(windows, rows):
 def pool_coefficients(windows, config: RunConfig):
     """Pool the coefficients the codebook is fit to.
 
-    Returns the approximation and detail coefficients of every window with
-    an observed value, each scaled by its series' context statistics, that
-    :func:`tokenize` quantizes: a coefficient it emits as PAD (no observed
-    sample in its filter support) is left out. Also returns ``(item_id,
-    error)`` for each series set aside (a horizon with no observed value
-    is left out alone).
+    Returns the coefficients :func:`tokenize` quantizes, of the context
+    and the horizon of every series :func:`tokenize_windows` keeps: the
+    approximation and detail coefficients, scaled by the series' context
+    statistics, without those it emits as PAD (no observed sample in their
+    filter support). Also returns ``(item_id, error)`` for each series set
+    aside, in input order; a series fails here exactly when it fails
+    :func:`tokenize_windows`, with the same error.
     """
     tok_config = config.tokenizer_config()
 
-    def bands(rows):  # each row's context bands, then its horizon's if observed
-        scale, (contexts, horizons) = _scaled_stacks(windows, rows)
-        observed = np.isfinite(horizons).any(axis=1)
-        context = coefficients(contexts, scale, tok_config)
-        horizon = coefficients(horizons[observed], ScaleStats(scale.mu[observed],
-                                                              scale.sigma[observed]), tok_config)
-        horizon_rows = zip(horizon.approx, *horizon.details)
-        return [[*row, *(next(horizon_rows) if obs else ())]
-                for row, obs in zip(zip(context.approx, *context.details), observed)]
+    def bands(rows):  # each row's context bands, then its horizon's
+        scale, stacks = _scaled_stacks(windows, rows)
+        pyramids = [coefficients(stack, scale, tok_config) for stack in stacks]
+        return list(zip(*(band for p in pyramids for band in (p.approx, *p.details))))
 
-    pooled, failed = _by_row(bands, len(windows))
+    pooled, failed = _by_row(bands, [item_id for item_id, *_ in windows])
     if not pooled:
         raise WavetsError("no usable training windows")
-    sample = np.concatenate([band for i in sorted(pooled) for band in pooled[i]])
-    return sample[~np.isnan(sample)], [(windows[i][0], failed[i]) for i in sorted(failed)]
+    sample = np.concatenate([band for _, row in pooled for band in row])
+    return sample[~np.isnan(sample)], failed
 
 
 def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
@@ -181,9 +178,8 @@ def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
         return list(zip(tokenize(contexts, scale, tok_config, codebook).rows(),
                         tokenize(horizons, scale, tok_config, codebook, append_eos=True).rows()))
 
-    pairs, failed = _by_row(streams, len(windows))
-    return ([(windows[i][0], *pairs[i]) for i in sorted(pairs)],
-            [(windows[i][0], failed[i]) for i in sorted(failed)])
+    pairs, failed = _by_row(streams, [item_id for item_id, *_ in windows])
+    return [(item_id, *pair) for item_id, pair in pairs], failed
 
 
 def read_token_records(records, config: RunConfig, codebook: Codebook):
@@ -240,11 +236,9 @@ def detokenize_windows(records, config: RunConfig, codebook: Codebook):
     for kind, (rows, stream) in kinds.items():
         length = getattr(config, _WINDOW_FIELDS[kind])
         done, errors = _by_row(lambda sub: detokenize(stream.take(sub), length,
-                                                      config.tokenizer_config(), codebook),
-                               len(rows))
-        values.update((rows[j], window) for j, window in done.items())
-        failed.update((rows[j], (records[rows[j]]["item_id"], kind, exc))
-                      for j, exc in errors.items())
+                                                      config.tokenizer_config(), codebook), rows)
+        values.update(done)
+        failed.update((i, (records[i]["item_id"], kind, exc)) for i, exc in errors)
     return ([(records[i]["item_id"], records[i]["kind"], values[i]) for i in sorted(values)],
             [failed[i] for i in sorted(failed)])
 
@@ -267,7 +261,9 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
     The model draws the token ids of all paths in one call, and one
     :func:`detokenize` call inverts them, each under its series' context
     scale. A series fails exactly when it fails forecast alone, with that
-    error, and leaves the paths of the rest unchanged."""
+    error, and leaves the paths of the rest unchanged; so the results of
+    contiguous chunks of the pairs, forecast one call each (say, in a
+    process pool), concatenate to the results of one call."""
     tok_config = config.tokenizer_config()
 
     def sample(rows):
@@ -281,9 +277,7 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
                            tok_config, codebook)
         return paths.reshape(*ids.shape[:2], config.horizon)
 
-    paths, failed = _by_row(sample, len(contexts))
-    return ([(contexts[i][0], paths[i]) for i in sorted(paths)],
-            [(contexts[i][0], failed[i]) for i in sorted(failed)])
+    return _by_row(sample, [item_id for item_id, _ in contexts])
 
 
 def _groups(keys) -> list[list[int]]:
@@ -297,28 +291,35 @@ def _groups(keys) -> list[list[int]]:
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
     baseline over the series with ``(n_samples, horizon)`` finite forecast
-    paths, and ``(item_id, error)`` for every other series. Missing steps of a
-    held-out horizon are left out of every score; the forecasts still cover
-    the whole horizon. The series are scored as one ``(N, S, H)`` stack:
-    one quantile call, one seasonal-naive and MASE call per naive season
-    (the dataset's, or less for a context with few observed values) and one
-    VRSE call. The metrics return NaN for an undefined score, and this is
-    the one place that reports it: a series whose MASE or VRSE is undefined
-    is left out of that mean and one warning per metric names every such
-    series; an undefined WQL (no observed held-out value is nonzero) gets
-    one warning naming the dataset. A mean with no defined score is NaN."""
+    paths and an observed context value, and ``(item_id, error)`` for every
+    other series. Missing steps of a held-out horizon are left out of every
+    score; the forecasts still cover the whole horizon. The series are
+    scored as one ``(N, S, H)`` stack: one quantile call, one seasonal-naive
+    and MASE call per naive season (the dataset's, or less for a context
+    with few observed values) and one VRSE call. The metrics return NaN for
+    an undefined score, and this is the one place that reports it: a series
+    whose MASE or VRSE is undefined is left out of that mean and one warning
+    per metric names every such series; an undefined WQL (no observed
+    held-out value is nonzero) gets one warning naming the dataset. A mean
+    with no defined score is NaN. A seasonal-naive score of 0 leaves the
+    dataset's relative score undefined
+    (:func:`~wavets.metrics.aggregate_relative` leaves it out), and gets one
+    warning per metric naming the dataset."""
     expected = (config.n_samples, config.horizon)
     windows, failed = [], []
     for item_id, context, horizon in make_windows(dataset, config):
         shape = np.shape(samples.get(item_id))
-        if shape == expected and np.isfinite(samples[item_id]).all():
-            windows.append((item_id, context, horizon))
-        else:
+        if shape != expected or not np.isfinite(samples[item_id]).all():
             got = ("no forecast" if item_id not in samples
                    else f"a forecast of shape {shape}" if shape != expected
                    else "a forecast with non-finite values")
             failed.append((item_id, WavetsError(f"dataset {name}: {got}, expected {expected} "
                                                 "finite paths")))
+        elif not np.isfinite(context).any():
+            failed.append((item_id, WavetsError(f"dataset {name}: no observed context value, "
+                                                "so no seasonal-naive baseline")))
+        else:
+            windows.append((item_id, context, horizon))
     if not windows:
         raise WavetsError(f"dataset {name}: no series to score")
     item_ids, contexts, truths = zip(*windows)
@@ -348,6 +349,10 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
         for model, column in zip(("model", "seasonal_naive"), columns):
             defined = not np.isnan(column).all()  # nanmean warns on an empty mean
             scores[model, metric] = float(np.nanmean(column)) if defined else float("nan")
+    for metric in ("wql", "mase", "vrse"):
+        if scores["seasonal_naive", metric] == 0:
+            warnings.warn(f"dataset {name}: relative {metric.upper()} is undefined, the "
+                          f"seasonal-naive {metric.upper()} is 0")
     return scores, failed
 
 

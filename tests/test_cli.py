@@ -4,13 +4,14 @@ per-series failure isolation and ablation sweeps."""
 import csv
 import json
 from dataclasses import fields
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 from wavets.cli import build_config, build_parser, main
 from wavets.codebook import load_codebook
-from wavets.data_io import load_dataset, save_dataset
+from wavets.data_io import Dataset, TimeSeries, load_dataset, save_dataset, write_jsonl
 from wavets.data_synth import make_dataset
 from wavets.pipeline import RunConfig
 from wavets.seq_model import load_model, save_model
@@ -402,6 +403,29 @@ def test_eval_scores_the_series_that_did_forecast(tmp_path, capsys):
         assert (code, err.splitlines()) == (1 if expected else 0, expected), argv[0]
     assert (full / "eval.csv").read_bytes() == (kept / "eval.csv").read_bytes()
     assert "nan" not in (kept / "eval.csv").read_text()
+
+
+def test_eval_writes_its_table_when_a_seasonal_naive_score_is_0(tmp_path, capsys):
+    # the series repeats its season exactly: seasonal naive scores WQL and
+    # VRSE 0, so those relative scores are undefined, and MASE's in-sample
+    # scale is 0
+    values = np.tile(10 * np.sin(2 * np.pi * np.arange(24) / 24), 4)[:80] + 20
+    data, fc, out = tmp_path / "data.jsonl", tmp_path / "forecast.jsonl", tmp_path / "eval.csv"
+    save_dataset(Dataset([TimeSeries("s", datetime(2020, 1, 1), "h", values)], "h"), data)
+    config = RunConfig(context_length=64, horizon=16, n_samples=4, order=2)  # FLAGS
+    write_jsonl(fc, {"fingerprint": config.fingerprint()},
+                [{"item_id": "s", "samples": np.tile(values[-16:] + 1.0, (4, 1)).tolist()}])
+    code, _, err = run(["eval", "--data", data, "--forecasts", fc, "--out", out, *FLAGS], capsys)
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: dataset data.jsonl: MASE is undefined for 1 of 1 series, left out of its "
+        "mean: s",
+        *(f"warning: dataset data.jsonl: relative {m} is undefined, the seasonal-naive {m} is 0"
+          for m in ("WQL", "VRSE"))]
+    with open(out, newline="", encoding="utf-8") as fh:
+        table = {(row[0], row[1], row[2]): row[3] for row in csv.reader(fh)}
+    assert table["data.jsonl", "seasonal_naive", "wql"] == "0.0"
+    assert [table["ALL", "model", f"relative_{m}"] for m in ("wql", "mase", "vrse")] == 3 * ["nan"]
 
 
 def test_fit_codebook_skips_unscalable_series(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_layout_matches_decompose_shapes():
         n = int(rng.integers(8, 700))
         family = get_family(rng.choice(available_families()))
         mode = rng.choice(["symmetric", "periodization"])
-        top = max_level(n, family, mode)
+        top = max_level(n, family)
         if top == 0:
             continue
         level = int(rng.integers(1, min(top, 4) + 1))
@@ -77,7 +77,7 @@ def test_round_trip(name, mode):
     family = get_family(name)
     for n in list(range(2, 40)) + [63, 64, 100, 255, 511, 512, 1000]:
         x = rng.standard_normal(n)
-        for level in range(1, min(5, max_level(n, family, mode)) + 1):
+        for level in range(1, min(5, max_level(n, family)) + 1):
             rec = reconstruct(decompose(x, family, level, mode), family, n, mode)
             assert np.max(np.abs(rec - x)) <= 1e-9, (name, mode, n, level)
 
@@ -122,7 +122,7 @@ def test_parseval_periodization_orthogonal():
         for level in (1, 2, 3):
             for m in (2, 5, 16):
                 n = m * 2**level
-                if max_level(n, f, "periodization") < level:
+                if max_level(n, f) < level:
                     continue
                 x = rng.standard_normal(n)
                 p = decompose(x, f, level, "periodization")
@@ -146,7 +146,7 @@ def test_periodization_exact_length_layout():
 )
 def test_round_trip_property(n, level, name, mode, seed):
     family = get_family(name)
-    if level > max_level(n, family, mode):
+    if level > max_level(n, family):
         return
     x = np.random.default_rng(seed).standard_normal(n)
     rec = reconstruct(decompose(x, family, level, mode), family, n, mode)
@@ -228,7 +228,7 @@ def test_decompose_matches_padded_convolution(name, mode):
     lengths = {step, step + 1, step + 2, 2 * step, 2 * step + 1, 4 * step + 3, 8 * step, 37, 64}
     for n in sorted(lengths):
         x = rng.standard_normal(n)
-        for level in range(1, min(3, max_level(n, family, mode)) + 1):
+        for level in range(1, min(3, max_level(n, family)) + 1):
             p = decompose(x, family, level, mode)
             approx, details = x, []
             for _ in range(level):

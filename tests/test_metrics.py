@@ -115,17 +115,19 @@ def test_aggregate_relative_excludes_non_positive_and_nan_ratios():
         warnings.simplefilter("error")
         assert aggregate_relative([0.0, 2.0, -1.0, np.nan, 8.0],
                                   [1.0, 1.0, 1.0, 1.0, 2.0]) == pytest.approx(8.0 ** 0.5)
+        # a baseline that is not positive leaves its ratio undefined, even 0 / 0
+        assert aggregate_relative([2.0, 1.0, 0.0, 1.0, 8.0],
+                                  [1.0, 0.0, 0.0, np.nan, 2.0]) == pytest.approx(8.0 ** 0.5)
+        assert np.isnan(aggregate_relative([0.0], [0.0]))
 
 
 def test_aggregate_relative_is_nan_when_every_ratio_is_excluded():
     assert np.isnan(aggregate_relative([0.0, -1.0], [1.0, 2.0]))
 
 
-def test_aggregate_relative_refuses_mismatched_or_non_positive_baselines():
+def test_aggregate_relative_refuses_mismatched_datasets():
     with pytest.raises(ValueError, match="same datasets"):
         aggregate_relative([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError, match="must be positive"):
-        aggregate_relative([1.0, 2.0], [1.0, 0.0])
 
 
 def stacked_rows():

@@ -248,11 +248,11 @@ def test_unusable_series_fail_alone_and_leave_the_rest_byte_identical():
             assert stream.tokens.tobytes() == expected.tokens.tobytes() == single.tokens.tobytes()
             assert stream.scale == expected.scale == single.scale
 
+    # the codebook pools exactly the series the tokenizer keeps
     sample, skipped = pool_coefficients(broken, CONFIG)
     assert [(item_id, str(exc)) for item_id, exc in skipped] == [
-        ("synth-00001", no_context), ("synth-00004", overflows)]
-    # the series without an observed horizon still pools its context
-    expected, _ = pool_coefficients([broken[i] for i in (0, 2, 3, 5)], CONFIG)
+        (item_id, str(exc)) for item_id, exc in failures]
+    expected, _ = pool_coefficients([broken[i] for i in (0, 2, 5)], CONFIG)
     np.testing.assert_array_equal(sample, expected)
 
     contexts = [(item_id, context) for item_id, context, _ in broken]
@@ -474,9 +474,9 @@ def test_evaluate_dataset_names_the_undefined_metric_and_leaves_an_empty_mean_na
 
 
 def test_evaluate_dataset_scores_the_series_with_a_forecast_and_returns_the_rest():
-    dataset = small_dataset(5, seed=4)  # every score defined
+    dataset = with_empty_context(small_dataset(6, seed=4), "synth-00005")  # scores defined
     rng = np.random.default_rng(6)
-    samples = {s.item_id: rng.normal(np.mean(s.values), 1.0, (CONFIG.n_samples, CONFIG.horizon))
+    samples = {s.item_id: rng.normal(np.nanmean(s.values), 1.0, (CONFIG.n_samples, CONFIG.horizon))
                for s in dataset.series}
     del samples["synth-00001"]
     samples["synth-00003"] = samples["synth-00003"][:, :-1]
@@ -488,7 +488,8 @@ def test_evaluate_dataset_scores_the_series_with_a_forecast_and_returns_the_rest
         ("synth-00002", "dataset d: a forecast with non-finite values, expected (3, 16) finite "
                         "paths"),
         ("synth-00003", "dataset d: a forecast of shape (3, 15), expected (3, 16) finite paths"),
-        ("synth-00004", "dataset d: a forecast of shape (2, 16), expected (3, 16) finite paths")]
+        ("synth-00004", "dataset d: a forecast of shape (2, 16), expected (3, 16) finite paths"),
+        ("synth-00005", "dataset d: no observed context value, so no seasonal-naive baseline")]
     kept = Dataset([s for s in dataset.series if s.item_id == "synth-00000"], dataset.freq)
     assert evaluate_dataset("d", kept, samples, CONFIG) == (scores, [])
     with pytest.raises(WavetsError, match="^dataset d: no series to score$"):
@@ -570,8 +571,13 @@ def test_evaluate_dataset_keeps_the_seasons_of_a_gappy_context_in_time():
     dataset = Dataset([TimeSeries("s", datetime(2020, 1, 1), "h", values)], "h")
     ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
     paths = np.tile(horizon + 1.0, (3, 1))
-    scores, _ = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
-    # the naive forecast fills the gap from the season before: exact
+    with pytest.warns(UserWarning) as caught:
+        scores, _ = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
+    # the naive forecast fills the gap from the season before: exact, so
+    # no relative score is defined
+    assert [str(w.message) for w in caught] == [
+        f"dataset d: relative {m} is undefined, the seasonal-naive {m} is 0"
+        for m in ("WQL", "MASE", "VRSE")]
     assert scores[("seasonal_naive", "wql")] == 0.0
     assert scores[("seasonal_naive", "mase")] == 0.0
     # the scale runs over the 35 lag-24 pairs with both values observed
