@@ -194,11 +194,15 @@ def cmd_train(args) -> int:
                for kind, (rows, stack) in kinds.items() for i, row in zip(rows, stack.rows())}
     corpus = [(ctx, streams[item_id, "horizon"]) for (item_id, kind), ctx in streams.items()
               if kind == "context" and (item_id, "horizon") in streams]
+    listed = {(r.get("item_id"), r.get("kind")) for r in records}
+    other = {"context": "horizon", "horizon": "context"}
+    unpaired = [(item_id, kind, f"no {other[kind]} record for this series")
+                for item_id, kind in streams if (item_id, other[kind]) not in listed]
     model = train_model(corpus, config, codebook)
     save_model(model, args.out, meta={
         "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook)})
     print(f"trained order-{config.order} model on {len(corpus)} pairs -> {args.out}")
-    return _report(failed.values(), "record")
+    return _report([*failed.values(), *unpaired], "record")
 
 
 def cmd_forecast(args) -> int:
@@ -258,8 +262,7 @@ def cmd_eval(args) -> int:
         naive_scores = [per_dataset[n][("seasonal_naive", metric)] for n in sorted(per_dataset)]
         rel = aggregate_relative(model_scores, naive_scores)
         naive_rel = aggregate_relative(naive_scores, naive_scores)
-        table = np.array([model_scores, naive_scores])
-        ranks = average_rank(table) if np.all(np.isfinite(table)) else [float("nan")] * 2
+        ranks = average_rank([model_scores, naive_scores])
         rows.append(("ALL", "model", f"relative_{metric}", rel))
         rows.append(("ALL", "seasonal_naive", f"relative_{metric}", naive_rel))
         rows.append(("ALL", "model", f"avg_rank_{metric}", float(ranks[0])))

@@ -14,6 +14,13 @@ optionally followed by ``.gz``); any other name is rejected:
 Infinite values are refused at ingestion, naming ``path:line``: a missing
 value is written as missing, never as an infinity.
 
+One table gives each frequency tag, in any case or as an alias such as
+``hourly``, its step and its season (:func:`season_length`). The CSV reader
+gives a series the first tag whose steps, taken from its first timestamp by
+the writer's own stepping, give every timestamp, else ``Ns`` for a first step
+of N seconds if that fits; a series no tag fits is irregular, and a CSV of
+one-row series gets the tag ``u``.
+
 :func:`read_jsonl` and :func:`write_jsonl` are the one JSON-lines codec of
 the package, for datasets, token files, forecasts and inverted windows
 alike: a ``__meta__`` header, then one JSON object per line. The reader
@@ -79,47 +86,61 @@ class SplitPair:
     horizon: np.ndarray
 
 
-_DELTA_TAGS = [
-    (timedelta(minutes=1), "min"),
-    (timedelta(minutes=15), "15min"),
-    (timedelta(minutes=30), "30min"),
-    (timedelta(hours=1), "h"),
-    (timedelta(days=1), "d"),
-    (timedelta(weeks=1), "w"),
-]
+#: Each tag's step (a ``timedelta``, or a count of calendar months) and season.
+_FREQUENCIES = {
+    "min": (timedelta(minutes=1), 1440),
+    "15min": (timedelta(minutes=15), 96),
+    "30min": (timedelta(minutes=30), 48),
+    "h": (timedelta(hours=1), 24),
+    "d": (timedelta(days=1), 7),
+    "w": (timedelta(weeks=1), 1),
+    "m": (1, 12),
+    "q": (3, 4),
+    "y": (12, 1),
+}
+_ALIASES = {"hourly": "h", "daily": "d", "weekly": "w", "monthly": "m", "quarterly": "q",
+            "yearly": "y", "a": "y"}
 
-_STEP_BY_TAG = {tag: delta for delta, tag in _DELTA_TAGS}
-_MONTH_STEPS = {"m": 1, "monthly": 1, "q": 3, "quarterly": 3, "y": 12, "a": 12, "yearly": 12}
+
+def _frequency(freq: str):
+    """``(step, season length)`` of a tag in any case, aliases resolved; a tag
+    ``Ns`` steps N seconds and has no season. ``None`` for a tag with no step."""
+    key = str(freq).lower()
+    key = _ALIASES.get(key, key)
+    if key in _FREQUENCIES:
+        return _FREQUENCIES[key]
+    if key.endswith("s") and key[:-1].isdigit() and int(key[:-1]) > 0:
+        return timedelta(seconds=int(key[:-1])), None
+    return None
 
 
-def _freq_tag(delta: timedelta) -> str:
-    for step, tag in _DELTA_TAGS:
-        if delta == step:
-            return tag
-    days = delta.days
-    if 28 <= days <= 31:
-        return "m"
-    if 89 <= days <= 93:
-        return "q"
-    if 365 <= days <= 366:
-        return "y"
-    return f"{int(delta.total_seconds())}s"
+def season_length(freq: str) -> int | None:
+    """The season length of a frequency tag; ``None`` for a tag without one."""
+    return (_frequency(freq) or (None, None))[1]
 
 
 def _advance(start: datetime, freq: str, steps: int) -> datetime:
     if steps == 0:
         return start
-    key = freq.lower()
-    if key in _MONTH_STEPS:
-        months = start.year * 12 + (start.month - 1) + _MONTH_STEPS[key] * steps
-        year, month = divmod(months, 12)
-        day = min(start.day, calendar.monthrange(year, month + 1)[1])
-        return start.replace(year=year, month=month + 1, day=day)
-    if key in _STEP_BY_TAG:
-        return start + _STEP_BY_TAG[key] * steps
-    if key.endswith("s") and key[:-1].isdigit():
-        return start + timedelta(seconds=int(key[:-1])) * steps
-    raise ValueError(f"cannot generate timestamps for frequency tag {freq!r}")
+    step, _ = _frequency(freq) or (None, None)
+    if step is None:
+        raise ValueError(f"cannot generate timestamps for frequency tag {freq!r}")
+    if isinstance(step, timedelta):
+        return start + step * steps
+    months = start.year * 12 + (start.month - 1) + step * steps
+    year, month = divmod(months, 12)
+    day = min(start.day, calendar.monthrange(year, month + 1)[1])
+    return start.replace(year=year, month=month + 1, day=day)
+
+
+def _freq_tag(stamps: list[datetime]) -> str | None:
+    """The first table tag, else the first step in seconds, whose :func:`_advance`
+    steps from the first timestamp give every timestamp; ``None`` if none does."""
+    seconds = f"{int((stamps[1] - stamps[0]).total_seconds())}s"
+    for tag in (*_FREQUENCIES, seconds):
+        if _frequency(tag) and all(_advance(stamps[0], tag, i) == t for i, t in enumerate(stamps)):
+            return tag
+    return None
 
 
 def _open_text(path, mode: str):
@@ -150,8 +171,7 @@ def load_dataset(path) -> Dataset:
 
 
 def _load_long_csv(path) -> Dataset:
-    rows: dict[str, list[tuple[datetime, float, int]]] = {}
-    seen: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[datetime, tuple[float, int]]] = {}  # item_id: {time: (value, line)}
     with _open_text(path, "r") as fh:
         header = fh.readline().strip()
         if header.split(",")[:3] != ["item_id", "timestamp", "value"]:
@@ -168,37 +188,29 @@ def _load_long_csv(path) -> Dataset:
                 ts = datetime.fromisoformat(ts_text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad timestamp {ts_text!r}: {exc}") from None
-            key = (item_id, ts_text)
-            if key in seen:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate (item_id, timestamp) {key}; "
-                    f"first occurrence at line {seen[key]}"
-                )
-            seen[key] = lineno
-            if value_text == "":
-                value = float("nan")
-            else:
-                try:
-                    value = float(value_text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad value {value_text!r}") from None
-                if math.isinf(value):
-                    raise ValueError(f"{path}:{lineno}: infinite value {value_text!r}")
-            rows.setdefault(item_id, []).append((ts, value, lineno))
+            by_time = rows.setdefault(item_id, {})
+            if ts in by_time:  # keyed by the instant, however its text writes it
+                raise ValueError(f"{path}:{lineno}: duplicate (item_id, timestamp) ({item_id!r}, "
+                                 f"{ts.isoformat()!r}); first occurrence at line {by_time[ts][1]}")
+            try:
+                value = float(value_text or "nan")  # an empty field is missing
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {value_text!r}") from None
+            if math.isinf(value):
+                raise ValueError(f"{path}:{lineno}: infinite value {value_text!r}")
+            by_time[ts] = (value, lineno)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    series = []
-    tags = set()
-    for item_id, triples in rows.items():
-        triples.sort(key=lambda t: t[0])
-        stamps = [t[0] for t in triples]
-        values = np.array([t[1] for t in triples])
+    series, tags = [], set()
+    for item_id, by_time in rows.items():
+        stamps = sorted(by_time)
+        values = np.array([by_time[t][0] for t in stamps])
         if len(stamps) > 1:
-            deltas = {stamps[i + 1] - stamps[i] for i in range(len(stamps) - 1)}
-            if len(deltas) > 1:
+            tag = _freq_tag(stamps)
+            if tag is None:
                 raise ValueError(f"{path}: series {item_id!r} has irregular timestamps")
-            tags.add(_freq_tag(deltas.pop()))
+            tags.add(tag)
         series.append(TimeSeries(item_id=item_id, start=stamps[0], freq="", values=values))
     if len(tags) > 1:
         raise ValueError(f"{path}: mixed sampling frequencies {sorted(tags)}")
@@ -292,6 +304,9 @@ def save_dataset(dataset: Dataset, path) -> None:
              "target": [v if v == v else None for v in s.values.tolist()]}  # NaN != NaN
             for s in dataset.series))
         return
+    for s in dataset.series:
+        if len(s) > 1:
+            _advance(s.start, s.freq, 1)  # refuse a tag with no step before writing a byte
     with _open_text(path, "w") as fh:
         fh.write("item_id,timestamp,value\n")
         for s in dataset.series:

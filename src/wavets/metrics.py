@@ -25,40 +25,9 @@ series). The causes:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 QUANTILE_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-#: Conventional season length per sampling-frequency tag.
-DEFAULT_SEASONALITY = {
-    "15min": 96,
-    "30min": 48,
-    "min": 1440,
-    "h": 24,
-    "hourly": 24,
-    "d": 7,
-    "daily": 7,
-    "w": 1,
-    "weekly": 1,
-    "m": 12,
-    "monthly": 12,
-    "q": 4,
-    "quarterly": 4,
-    "y": 1,
-    "a": 1,
-    "yearly": 1,
-}
-
-
-def seasonality_for_freq(freq: str) -> int:
-    """Season length for a frequency tag; unknown tags warn and use 1."""
-    key = str(freq).lower()
-    if key in DEFAULT_SEASONALITY:
-        return DEFAULT_SEASONALITY[key]
-    warnings.warn(f"unknown frequency tag {freq!r}; using seasonality 1")
-    return 1
 
 
 def quantile_loss(q: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
@@ -253,13 +222,16 @@ def average_rank(score_table: np.ndarray) -> np.ndarray:
     mean rank).
 
     ``score_table`` has one row per model and one column per dataset;
-    lower scores are better. Missing entries are rejected.
+    lower scores are better. A dataset where some model's score is not
+    finite is left out, as :func:`aggregate_relative` leaves out undefined
+    ratios; with no dataset left, every mean rank is NaN.
     """
     table = np.asarray(score_table, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError(f"expected a (models, datasets) table, got shape {table.shape}")
-    if not np.all(np.isfinite(table)):
-        raise ValueError("score table contains missing or non-finite entries")
+    table = table[:, np.isfinite(table).all(axis=0)]
+    if table.shape[1] == 0:
+        return np.full(len(table), np.nan)
     # per dataset: 1 + (models scoring lower) + half of (other models tied)
     lower = (table[None] < table[:, None]).sum(axis=1)
     tied = (table[None] == table[:, None]).sum(axis=1) - 1

@@ -34,14 +34,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .codebook import Codebook, check_token_ids, check_vocab_budget, fit_codebook
-from .data_io import Dataset, split_last_h
+from .data_io import Dataset, season_length, split_last_h
 from .exceptions import WavetsError
 from .metrics import (
     QUANTILE_LEVELS,
     mase,
     sample_quantiles,
     seasonal_naive,
-    seasonality_for_freq,
     vrse,
     wql,
 )
@@ -188,13 +187,14 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
     index to ``(item_id, kind, error)``. A record is invalid when a field is
     missing, its kind is unknown, its token count is not its window's
     layout (plus a horizon's EOS), an id is outside the vocabulary, an EOS
-    sits anywhere but the last position of a horizon, or its scale is not
+    sits anywhere but the last position of a horizon, its scale is not
     one :func:`compute_scale` gives (a finite ``mu`` and a finite, positive
-    ``sigma``)."""
+    ``sigma``), or an earlier record has its ``item_id`` and kind (records
+    are numbered from 1 in input order)."""
     tok_config = config.tokenizer_config()
     layouts = {kind: tok_config.layout(getattr(config, length))
                for kind, length in _WINDOW_FIELDS.items()}
-    rows, failed = {}, {}
+    rows, failed, first = {}, {}, {}
     for i, record in enumerate(records):
         item_id, kind = record.get("item_id"), record.get("kind")
         try:
@@ -203,6 +203,9 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                 raise ValueError(f"missing field(s) {', '.join(missing)}")
             if not isinstance(item_id, str) or kind not in _WINDOW_FIELDS:
                 raise ValueError(f"need a string item_id and a kind in {list(_WINDOW_FIELDS)}")
+            if first.setdefault((item_id, kind), i) != i:
+                raise ValueError(f"a second {kind} record of this series; the first is "
+                                 f"record {first[item_id, kind] + 1}")
             layout = layouts[kind]
             eos = [sum(layout)] if kind == "horizon" else []
             tokens = np.asarray(record["tokens"])
@@ -296,7 +299,9 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
     score; the forecasts still cover the whole horizon. The series are
     scored as one ``(N, S, H)`` stack: one quantile call, one seasonal-naive
     and MASE call per naive season (the dataset's, or less for a context
-    with few observed values) and one VRSE call. The metrics return NaN for
+    with few observed values) and one VRSE call. The dataset's season is its
+    frequency tag's :func:`~wavets.data_io.season_length`; a tag without one
+    gets season 1 and one warning naming the dataset. The metrics return NaN for
     an undefined score, and this is the one place that reports it: a series
     whose MASE or VRSE is undefined is left out of that mean and one warning
     per metric names every such series; an undefined WQL (no observed
@@ -326,8 +331,11 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
     contexts, truths = np.stack(contexts), np.stack(truths)
     model_q = sample_quantiles(np.stack([samples[item_id] for item_id in item_ids]))
     median = model_q[QUANTILE_LEVELS.index(0.5)]
+    season = season_length(dataset.freq)
+    if season is None:
+        warnings.warn(f"dataset {name}: frequency tag {dataset.freq!r} has no season, using 1")
     # missing context values stay in place, so the seasons keep their phase
-    seasons = np.minimum(seasonality_for_freq(dataset.freq), np.isfinite(contexts).sum(axis=1) - 1)
+    seasons = np.minimum(season or 1, np.isfinite(contexts).sum(axis=1) - 1)
     seasons = np.maximum(seasons, 1).tolist()
     naive_point = np.empty_like(truths)
     model_mase, naive_mase = np.empty(len(truths)), np.empty(len(truths))

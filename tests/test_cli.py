@@ -164,6 +164,41 @@ def test_train_fails_each_bad_record_alone(tmp_path, capsys):
         tmp_path / "others-model.json").read_bytes()
 
 
+def test_train_reports_duplicate_and_unpaired_records_and_trains_on_the_complete_pairs(
+        tmp_path, capsys):
+    # synth-00001 loses its horizon record; synth-00003 gets a second, different context
+    round_trip(tmp_path, capsys)
+    tok, cb = tmp_path / "tokens.jsonl", tmp_path / "codebook.json"
+    meta, *lines = tok.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    donor = next(r for r in records if (r["item_id"], r["kind"]) == ("synth-00004", "context"))
+    extra = dict(donor, item_id="synth-00003")
+    kept = [r for r in records if (r["item_id"], r["kind"]) != ("synth-00001", "horizon")]
+    for name, chosen in (("bad.jsonl", [*kept, extra]),
+                         ("others.jsonl", [r for r in records if r["item_id"] != "synth-00001"])):
+        (tmp_path / name).write_text("\n".join([meta, *map(json.dumps, chosen)]) + "\n")
+    code, out, err = run(["train", "--tokens", tmp_path / "bad.jsonl", "--codebook", cb,
+                          "--out", tmp_path / "bad-model.json", *FLAGS], capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "error: record 'synth-00003' context: a second context record of this series; the "
+        "first is record 6",
+        "error: record 'synth-00001' context: no horizon record for this series"]
+    assert f"on {N_SERIES - 1} pairs" in out
+    assert run(["train", "--tokens", tmp_path / "others.jsonl", "--codebook", cb,
+                "--out", tmp_path / "others-model.json", *FLAGS], capsys)[0] == 0
+    assert (tmp_path / "bad-model.json").read_bytes() == (
+        tmp_path / "others-model.json").read_bytes()
+    code, _, err = run(["detokenize", "--tokens", tmp_path / "bad.jsonl", "--codebook", cb,
+                        "--out", tmp_path / "bad-detok.jsonl", *FLAGS], capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "error: record 'synth-00003' context: a second context record of this series; the "
+        "first is record 6"]
+    keys = [(r["item_id"], r["kind"]) for r in records]
+    assert len(set(keys)) == len(keys) == 2 * N_SERIES  # tokenize writes each record once
+
+
 def test_detokenize_fails_a_corrupted_record_alone(tmp_path, capsys):
     round_trip(tmp_path, capsys)
     tok, cb = tmp_path / "tokens.jsonl", tmp_path / "codebook.json"
@@ -426,6 +461,59 @@ def test_eval_writes_its_table_when_a_seasonal_naive_score_is_0(tmp_path, capsys
         table = {(row[0], row[1], row[2]): row[3] for row in csv.reader(fh)}
     assert table["data.jsonl", "seasonal_naive", "wql"] == "0.0"
     assert [table["ALL", "model", f"relative_{m}"] for m in ("wql", "mase", "vrse")] == 3 * ["nan"]
+
+
+def test_eval_ranks_each_metric_over_the_datasets_where_it_is_defined(tmp_path, capsys):
+    # periodic.jsonl repeats its season exactly, so its MASE is undefined for
+    # both models; the mean MASE rank comes from the other dataset alone
+    config = RunConfig(context_length=64, horizon=16, n_samples=4, order=2)  # FLAGS
+    values = np.tile(10 * np.sin(2 * np.pi * np.arange(24) / 24), 4)[:80] + 20
+    synthetic = make_dataset(3, context_length=64, horizon=16, seed=1)
+    argv = []
+    for name, dataset in (("periodic", Dataset([TimeSeries("s", datetime(2020, 1, 1), "h",
+                                                           values)], "h")),
+                          ("synth", synthetic)):
+        save_dataset(dataset, tmp_path / f"{name}.jsonl")
+        noise = 0.1 * np.random.default_rng(2).standard_normal((4, 16))
+        write_jsonl(tmp_path / f"{name}-fc.jsonl", {"fingerprint": config.fingerprint()},
+                    [{"item_id": s.item_id, "samples": (s.values[-16:] + 1.0 + noise).tolist()}
+                     for s in dataset.series])  # close to the truth: beats seasonal naive
+        argv += ["--data", tmp_path / f"{name}.jsonl",
+                 "--forecasts", tmp_path / f"{name}-fc.jsonl"]
+    code, _, _ = run(["eval", *argv, "--out", tmp_path / "eval.csv", *FLAGS], capsys)
+    assert code == 0
+    with open(tmp_path / "eval.csv", newline="", encoding="utf-8") as fh:
+        table = {(row[0], row[1], row[2]): float(row[3]) for row in list(csv.reader(fh))[2:]}
+    assert np.isnan(table["periodic.jsonl", "model", "mase"])
+    assert table["synth.jsonl", "model", "mase"] < table["synth.jsonl", "seasonal_naive", "mase"]
+    assert 0 < table["ALL", "model", "relative_mase"] < 1
+    assert (table["ALL", "model", "avg_rank_mase"],
+            table["ALL", "seasonal_naive", "avg_rank_mase"]) == (1.0, 2.0)
+    assert (table["ALL", "model", "avg_rank_wql"],
+            table["ALL", "seasonal_naive", "avg_rank_wql"]) == (1.5, 1.5)
+
+
+def test_eval_warns_naming_the_dataset_whose_tag_has_no_season_and_scores_it_with_season_1(
+        tmp_path, capsys):
+    dataset = make_dataset(3, context_length=64, horizon=16, seed=1)
+    config = RunConfig(context_length=64, horizon=16, n_samples=4, order=2)  # FLAGS
+    write_jsonl(tmp_path / "fc.jsonl", {"fingerprint": config.fingerprint()},
+                [{"item_id": s.item_id, "samples": np.tile(s.values[-16:] + 1.0, (4, 1)).tolist()}
+                 for s in dataset.series])
+    for tag in ("7200s", "w"):  # weekly data has season 1
+        (tmp_path / tag).mkdir()
+        dataset.freq = tag
+        for series in dataset.series:
+            series.freq = tag
+        save_dataset(dataset, tmp_path / tag / "data.csv")
+        code, _, err = run(["eval", "--data", tmp_path / tag / "data.csv", "--forecasts",
+                            tmp_path / "fc.jsonl", "--out", tmp_path / tag / "eval.csv", *FLAGS],
+                           capsys)
+        assert code == 0
+        assert err.splitlines() == (["warning: dataset data.csv: frequency tag '7200s' has no "
+                                     "season, using 1"] if tag == "7200s" else [])
+    assert (tmp_path / "7200s" / "eval.csv").read_bytes() == (
+        tmp_path / "w" / "eval.csv").read_bytes()
 
 
 def test_fit_codebook_skips_unscalable_series(tmp_path, capsys):

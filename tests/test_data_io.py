@@ -1,5 +1,6 @@
 """Dataset files and the held-out-tail split: jsonl and long-CSV round
-trips with missing values, and the shapes ``split_last_h`` returns."""
+trips with missing values, the frequency table the CSV reader and writer
+share, and the shapes ``split_last_h`` returns."""
 
 import json
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from wavets.data_io import (Dataset, TimeSeries, load_dataset, read_jsonl, save_dataset,
-                            split_last_h, write_jsonl)
+                            season_length, split_last_h, write_jsonl)
 
 START = datetime(2021, 3, 1, 6)
 
@@ -59,6 +60,98 @@ def test_long_csv_writes_an_empty_field_for_a_missing_value(tmp_path):
     assert lines[1] == "a,2021-03-01T06:00:00,"
     assert lines[2].startswith("a,2021-03-01T07:00:00,")
     assert len(lines) == 1 + 30 + 12
+
+
+CANONICAL = {"min": 1440, "15min": 96, "30min": 48, "h": 24, "d": 7, "w": 1, "m": 12, "q": 4,
+             "y": 1}
+ALIASES = {"hourly": "h", "daily": "d", "weekly": "w", "monthly": "m", "quarterly": "q",
+           "yearly": "y", "a": "y", "H": "h", "Monthly": "m", "MIN": "min"}
+
+
+@pytest.mark.parametrize("start", [datetime(2020, 1, 31, 6), datetime(2020, 2, 29)],
+                         ids=["month-end", "leap-day"])
+@pytest.mark.parametrize("tag", [*CANONICAL, *ALIASES])
+def test_long_csv_round_trips_every_tag_under_its_canonical_name(tmp_path, tag, start):
+    values = np.arange(30.0)
+    values[4] = np.nan
+    dataset = Dataset([TimeSeries("a", start, tag, values),
+                       TimeSeries("b", start, tag, values[:7])], tag)
+    save_dataset(dataset, tmp_path / "data.csv")
+    loaded = load_dataset(tmp_path / "data.csv")
+    canonical = ALIASES.get(tag, tag)
+    assert loaded.freq == canonical
+    assert season_length(tag) == season_length(canonical) == CANONICAL[canonical]
+    for got, expected in zip(loaded.series, dataset.series):
+        assert (got.item_id, got.start, got.freq) == (expected.item_id, start, canonical)
+        np.testing.assert_array_equal(got.values, expected.values)
+    save_dataset(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "data.csv").read_bytes()
+
+
+def test_long_csv_steps_calendar_months_from_the_start_clamping_to_the_month_end(tmp_path):
+    start = datetime(2020, 1, 31)
+    save_dataset(Dataset([TimeSeries("a", start, "m", np.arange(4.0))], "m"), tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text().splitlines()[1:] == [
+        "a,2020-01-31T00:00:00,0.0", "a,2020-02-29T00:00:00,1.0", "a,2020-03-31T00:00:00,2.0",
+        "a,2020-04-30T00:00:00,3.0"]
+    save_dataset(Dataset([TimeSeries("a", start, "q", np.arange(2.0))], "q"), tmp_path / "q.csv")
+    assert (tmp_path / "q.csv").read_text().splitlines()[2] == "a,2020-04-30T00:00:00,1.0"
+
+
+@pytest.mark.parametrize("stamps, tag", [
+    (["2021-01-01T00:00:00", "2021-01-01T02:00:00", "2021-01-01T04:00:00"], "7200s"),
+    (["2020-01-01T00:00:00", "2020-01-31T00:00:00", "2020-03-01T00:00:00"], "2592000s"),
+])
+def test_long_csv_reads_a_step_outside_the_table_in_seconds_without_a_season(tmp_path, stamps,
+                                                                             tag):
+    path = tmp_path / "data.csv"
+    path.write_text("item_id,timestamp,value\n" + "".join(f"a,{t},{i}.5\n"
+                                                        for i, t in enumerate(stamps)))
+    dataset = load_dataset(path)
+    assert (dataset.freq, dataset.series[0].freq, season_length(tag)) == (tag, tag, None)
+    save_dataset(dataset, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("stamps", [
+    ["2021-01-01T00:00:00", "2021-01-01T00:00:00.500000", "2021-01-01T00:00:01"],
+    ["2021-01-01T00:00:00", "2021-01-01T01:00:00", "2021-01-01T03:00:00"],
+    ["2021-01-31T00:00:00", "2021-02-28T00:00:00", "2021-03-30T00:00:00"],  # m steps to Mar 31
+])
+def test_long_csv_refuses_a_series_that_no_tag_steps_through(tmp_path, stamps):
+    path = tmp_path / "data.csv"
+    path.write_text("item_id,timestamp,value\n" + "".join(f"a,{t},1.0\n" for t in stamps))
+    with pytest.raises(ValueError, match="series 'a' has irregular timestamps"):
+        load_dataset(path)
+
+
+def test_long_csv_refuses_one_instant_written_two_ways_naming_both_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("item_id,timestamp,value\na,2020-01-01T00:00:00,1\nb,2020-01-01T00:00:00,1\n"
+                    "a,2020-01-01 00:00:00,2\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: duplicate \(item_id, "
+                                         r"timestamp\) \('a', '2020-01-01T00:00:00'\); first "
+                                         r"occurrence at line 2$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("tag", ["5min", "u", "0s"])
+def test_save_dataset_refuses_a_tag_without_a_step_before_writing_a_byte(tmp_path, tag):
+    dataset = Dataset([TimeSeries("a", START, "h", [1.0]), TimeSeries("b", START, tag, [1.0, 2.0])],
+                      tag)
+    with pytest.raises(ValueError, match=f"cannot generate timestamps for frequency tag '{tag}'"):
+        save_dataset(dataset, tmp_path / "data.csv")
+    assert not (tmp_path / "data.csv").exists()
+    assert season_length(tag) is None
+
+
+def test_long_csv_of_single_row_series_round_trips_under_tag_u(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("item_id,timestamp,value\na,2021-01-01T00:00:00,1.5\nb,2021-06-01T12:00:00,\n")
+    dataset = load_dataset(path)
+    assert dataset.freq == "u" and [s.freq for s in dataset.series] == ["u", "u"]
+    save_dataset(dataset, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_split_last_h_shapes():

@@ -94,13 +94,16 @@ def test_average_rank_shares_tied_ranks():
     np.testing.assert_array_equal(average_rank(table[:1]), [1.0])
 
 
-@pytest.mark.parametrize("table", [
-    [[1.0, np.nan], [2.0, 3.0]],
-    [[1.0, np.inf], [2.0, 3.0]],
-    [1.0, 2.0],
-    np.ones((2, 2, 2)),
-])
-def test_average_rank_refuses_missing_entries_and_tables_that_are_not_2d(table):
+@pytest.mark.parametrize("undefined", [np.nan, np.inf])
+def test_average_rank_leaves_out_a_dataset_with_a_non_finite_score(undefined):
+    table = np.array([[1.0, undefined, 4.0], [2.0, 3.0, 1.0], [3.0, 1.0, 2.0]])
+    np.testing.assert_array_equal(average_rank(table), average_rank(table[:, [0, 2]]))
+    np.testing.assert_array_equal(average_rank(table), [2.0, 1.5, 2.5])
+    assert np.isnan(average_rank(table[:, 1:2])).all() and len(average_rank(table[:, 1:2])) == 3
+
+
+@pytest.mark.parametrize("table", [[1.0, 2.0], np.ones((2, 2, 2))])
+def test_average_rank_refuses_tables_that_are_not_2d(table):
     with pytest.raises(ValueError):
         average_rank(table)
 

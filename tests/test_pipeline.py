@@ -11,13 +11,13 @@ import pytest
 
 import wavets.pipeline as pipeline
 from wavets.codebook import Codebook, fit_codebook
-from wavets.data_io import Dataset, TimeSeries, split_last_h
+from wavets.data_io import Dataset, TimeSeries, season_length, split_last_h
 from wavets.data_synth import make_dataset
 from wavets.dwt import coefficient_layout
 from wavets.exceptions import WavetsError
 from wavets.families import get_family
 from wavets.metrics import (
-    QUANTILE_LEVELS, mase, sample_quantiles, seasonal_naive, seasonality_for_freq, vrse, wql,
+    QUANTILE_LEVELS, mase, sample_quantiles, seasonal_naive, vrse, wql,
 )
 from wavets.pipeline import (
     RunConfig,
@@ -425,7 +425,7 @@ def test_evaluate_dataset_scores_a_gappy_horizon_on_its_observed_steps():
     truth, quantiles = horizon[observed], sample_quantiles(paths[:, observed])
     median = quantiles[QUANTILE_LEVELS.index(0.5)]
     history = context[np.isfinite(context)]
-    season = min(seasonality_for_freq(dataset.freq), len(history) - 1) or 1
+    season = min(season_length(dataset.freq), len(history) - 1) or 1
     naive_point = seasonal_naive(history, season, CONFIG.horizon)
     naive_quantiles = np.tile(naive_point[observed], (len(QUANTILE_LEVELS), 1))
     expected = {
@@ -500,7 +500,7 @@ def oracle_scores(dataset, samples, config):
     """``evaluate_dataset`` one series at a time: 1-D numpy on each
     series' observed values, the naive season of each phase walked back by
     hand."""
-    season = seasonality_for_freq(dataset.freq)
+    season = season_length(dataset.freq)
     rows = []
     for item_id, context, horizon in make_windows(dataset, config):
         quantiles = np.quantile(samples[item_id], QUANTILE_LEVELS, axis=0)
@@ -642,6 +642,8 @@ def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
      "need a finite mu and a positive, finite sigma, got mu 1.5 and sigma -2.0"),
     (3, lambda r: r.update(mu=-math.inf, sigma=2.0),
      "need a finite mu and a positive, finite sigma, got mu -inf and sigma 2.0"),
+    (2, lambda r: r.update(item_id="synth-00000"),
+     "a second context record of this series; the first is record 1"),
 ])
 def test_a_bad_token_record_fails_alone(index, corrupt, message):
     dataset = small_dataset(4, seed=5)
