@@ -1,15 +1,19 @@
 """Dataset ingestion, export and train/test window extraction.
 
+A dataset has one frequency tag, ``Dataset.freq``; a series carries none.
+
 Two on-disk formats are supported, optionally gzip-compressed. The format
 always comes from the file name (``.csv``, ``.jsonl`` or ``.ndjson``, each
 optionally followed by ``.gz``); any other name is rejected:
 
 * ``long-csv``: header ``item_id,timestamp,value``, one observation per
-  row, ISO-8601 timestamps, empty value field = missing.
+  row, ISO-8601 timestamps stepped by the dataset's tag, empty value field
+  = missing; fields are quoted as the ``csv`` module's default dialect does.
 * ``jsonl``: one record per series with fields ``item_id``, ``start``,
-  ``freq`` and ``target`` (a flat array of numbers; ``null`` entries are
-  missing). An optional ``{"__meta__": {...}}`` record on the first line
-  carries provenance and is preserved in ``Dataset.meta``.
+  ``freq`` (the dataset's tag, in every record; the reader refuses records
+  that disagree) and ``target`` (a flat array of numbers; ``null`` entries
+  are missing). An optional ``{"__meta__": {...}}`` record on the first
+  line carries provenance and is preserved in ``Dataset.meta``.
 
 Infinite values are refused at ingestion, naming ``path:line``: a missing
 value is written as missing, never as an infinity.
@@ -31,6 +35,7 @@ record by record.
 from __future__ import annotations
 
 import calendar
+import csv
 import gzip
 import itertools
 import json
@@ -51,7 +56,6 @@ class TimeSeries:
 
     item_id: str
     start: datetime
-    freq: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -63,6 +67,8 @@ class TimeSeries:
 
 @dataclass
 class Dataset:
+    """Series sampled at one frequency, whose tag is ``freq`` alone."""
+
     series: list[TimeSeries]
     freq: str
     meta: dict = field(default_factory=dict)
@@ -104,27 +110,23 @@ _ALIASES = {"hourly": "h", "daily": "d", "weekly": "w", "monthly": "m", "quarter
 
 def _frequency(freq: str):
     """``(step, season length)`` of a tag in any case, aliases resolved; a tag
-    ``Ns`` steps N seconds and has no season. ``None`` for a tag with no step."""
+    ``Ns`` steps N seconds and has no season. ``(None, None)`` for a tag with no step."""
     key = str(freq).lower()
     key = _ALIASES.get(key, key)
     if key in _FREQUENCIES:
         return _FREQUENCIES[key]
     if key.endswith("s") and key[:-1].isdigit() and int(key[:-1]) > 0:
         return timedelta(seconds=int(key[:-1])), None
-    return None
+    return None, None
 
 
 def season_length(freq: str) -> int | None:
     """The season length of a frequency tag; ``None`` for a tag without one."""
-    return (_frequency(freq) or (None, None))[1]
+    return _frequency(freq)[1]
 
 
-def _advance(start: datetime, freq: str, steps: int) -> datetime:
-    if steps == 0:
-        return start
-    step, _ = _frequency(freq) or (None, None)
-    if step is None:
-        raise ValueError(f"cannot generate timestamps for frequency tag {freq!r}")
+def _advance(start: datetime, step, steps: int) -> datetime:
+    """``start`` moved by ``steps`` steps of a ``timedelta`` or a count of calendar months."""
     if isinstance(step, timedelta):
         return start + step * steps
     months = start.year * 12 + (start.month - 1) + step * steps
@@ -138,16 +140,18 @@ def _freq_tag(stamps: list[datetime]) -> str | None:
     steps from the first timestamp give every timestamp; ``None`` if none does."""
     seconds = f"{int((stamps[1] - stamps[0]).total_seconds())}s"
     for tag in (*_FREQUENCIES, seconds):
-        if _frequency(tag) and all(_advance(stamps[0], tag, i) == t for i, t in enumerate(stamps)):
+        step = _frequency(tag)[0]
+        if step and all(_advance(stamps[0], step, i) == t for i, t in enumerate(stamps)):
             return tag
     return None
 
 
-def _open_text(path, mode: str):
+def _open_text(path, mode: str, newline: str | None):
+    """``newline=""`` leaves line ends to the ``csv`` module."""
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, mode + "t", encoding="utf-8", newline=newline)
+    return open(path, mode, encoding="utf-8", newline=newline)
 
 
 def _detect_format(path) -> str:
@@ -170,59 +174,70 @@ def load_dataset(path) -> Dataset:
     return _load_jsonl(path)
 
 
+def _dataset(path, series: list[TimeSeries], tags: set, meta: dict) -> Dataset:
+    """The rule both readers end in: a file holds series, all at one tag
+    (``u`` if none has two timestamps to give it one)."""
+    if not series:
+        raise ValueError(f"{path}: no series")
+    if len(tags) > 1:
+        raise ValueError(f"{path}: mixed sampling frequencies {sorted(tags)}")
+    return Dataset(series=series, freq=tags.pop() if tags else "u", meta=meta)
+
+
+def _csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each non-blank row past the header, as it is read."""
+    with _open_text(path, "r", "") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header[:3] != ["item_id", "timestamp", "value"]:
+                raise ValueError(f"{path}: expected header 'item_id,timestamp,value', got "
+                                 f"{','.join(header)!r}")
+            yield from ((reader.line_num, row) for row in reader if row)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _load_long_csv(path) -> Dataset:
     rows: dict[str, dict[datetime, tuple[float, int]]] = {}  # item_id: {time: (value, line)}
-    with _open_text(path, "r") as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:3] != ["item_id", "timestamp", "value"]:
-            raise ValueError(f"{path}: expected header 'item_id,timestamp,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            item_id, ts_text, value_text = parts
-            try:
-                ts = datetime.fromisoformat(ts_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad timestamp {ts_text!r}: {exc}") from None
-            by_time = rows.setdefault(item_id, {})
-            if ts in by_time:  # keyed by the instant, however its text writes it
-                raise ValueError(f"{path}:{lineno}: duplicate (item_id, timestamp) ({item_id!r}, "
-                                 f"{ts.isoformat()!r}); first occurrence at line {by_time[ts][1]}")
-            try:
-                value = float(value_text or "nan")  # an empty field is missing
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value {value_text!r}") from None
-            if math.isinf(value):
-                raise ValueError(f"{path}:{lineno}: infinite value {value_text!r}")
-            by_time[ts] = (value, lineno)
+    for lineno, row in _csv_rows(path):
+        if len(row) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        item_id, ts_text, value_text = row
+        try:
+            ts = datetime.fromisoformat(ts_text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad timestamp {ts_text!r}: {exc}") from None
+        by_time = rows.setdefault(item_id, {})
+        if by_time and (next(iter(by_time)).tzinfo is None) != (ts.tzinfo is None):
+            raise ValueError(f"{path}:{lineno}: series {item_id!r} mixes timestamps with and "
+                             "without a UTC offset")
+        if ts in by_time:  # keyed by the instant, however its text writes it
+            raise ValueError(f"{path}:{lineno}: duplicate (item_id, timestamp) ({item_id!r}, "
+                             f"{ts.isoformat()!r}); first occurrence at line {by_time[ts][1]}")
+        try:
+            value = float(value_text or "nan")  # an empty field is missing
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value {value_text!r}") from None
+        if math.isinf(value):
+            raise ValueError(f"{path}:{lineno}: infinite value {value_text!r}")
+        by_time[ts] = (value, lineno)
 
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     series, tags = [], set()
     for item_id, by_time in rows.items():
         stamps = sorted(by_time)
-        values = np.array([by_time[t][0] for t in stamps])
         if len(stamps) > 1:
             tag = _freq_tag(stamps)
             if tag is None:
                 raise ValueError(f"{path}: series {item_id!r} has irregular timestamps")
             tags.add(tag)
-        series.append(TimeSeries(item_id=item_id, start=stamps[0], freq="", values=values))
-    if len(tags) > 1:
-        raise ValueError(f"{path}: mixed sampling frequencies {sorted(tags)}")
-    freq = tags.pop() if tags else "u"
-    for s in series:
-        s.freq = freq
-    return Dataset(series=series, freq=freq)
+        series.append(TimeSeries(item_id, stamps[0], np.array([by_time[t][0] for t in stamps])))
+    return _dataset(path, series, tags, {})
 
 
 def _json_objects(path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line, as it is read."""
-    with _open_text(path, "r") as fh:
+    with _open_text(path, "r", None) as fh:
         first_line = True  # the one line a header may take
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -257,7 +272,7 @@ def read_jsonl(path) -> tuple[dict, Iterator[tuple[int, dict]]]:
 def write_jsonl(path, meta: dict, records) -> None:
     """Write the ``__meta__`` header, unless ``meta`` is empty, then one
     record per line, keys sorted."""
-    with _open_text(path, "w") as fh:
+    with _open_text(path, "w", None) as fh:
         if meta:
             fh.write(json.dumps({"__meta__": meta}, sort_keys=True) + "\n")
         for record in records:
@@ -266,11 +281,14 @@ def write_jsonl(path, meta: dict, records) -> None:
 
 def _load_jsonl(path) -> Dataset:
     meta, records = read_jsonl(path)
-    series, freqs = [], set()
+    series, tags = [], set()
     for lineno, record in records:
         for field_name in ("start", "freq", "target"):
             if field_name not in record:
                 raise ValueError(f"{path}:{lineno}: record is missing field {field_name!r}")
+            if field_name != "target" and not isinstance(record[field_name], str):
+                raise ValueError(f"{path}:{lineno}: {field_name} must be a string, got "
+                                 f"{type(record[field_name]).__name__}")
         try:
             values = np.array(record["target"], dtype=np.float64)  # null -> NaN
         except (TypeError, ValueError) as exc:
@@ -286,34 +304,29 @@ def _load_jsonl(path) -> Dataset:
             start = datetime.fromisoformat(record["start"])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad start timestamp: {exc}") from None
-        freqs.add(record["freq"])
-        series.append(TimeSeries(item_id=item_id, start=start, freq=record["freq"], values=values))
-    if not series:
-        raise ValueError(f"{path}: no series records")
-    if len(freqs) > 1:
-        raise ValueError(f"{path}: mixed sampling frequencies {sorted(freqs)}")
-    return Dataset(series=series, freq=freqs.pop(), meta=meta)
+        tags.add(record["freq"])
+        series.append(TimeSeries(item_id=item_id, start=start, values=values))
+    return _dataset(path, series, tags, meta)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset; floats use their shortest round-tripping decimal
-    form."""
+    form, and every record or timestamp follows ``dataset.freq``."""
     if _detect_format(path) == "jsonl":
         write_jsonl(path, dataset.meta, (
-            {"item_id": s.item_id, "start": s.start.isoformat(), "freq": s.freq,
+            {"item_id": s.item_id, "start": s.start.isoformat(), "freq": dataset.freq,
              "target": [v if v == v else None for v in s.values.tolist()]}  # NaN != NaN
             for s in dataset.series))
         return
-    for s in dataset.series:
-        if len(s) > 1:
-            _advance(s.start, s.freq, 1)  # refuse a tag with no step before writing a byte
-    with _open_text(path, "w") as fh:
-        fh.write("item_id,timestamp,value\n")
+    step = _frequency(dataset.freq)[0] if any(len(s) > 1 for s in dataset.series) else timedelta(0)
+    if step is None:  # refused before a byte is written; one-row series need no step
+        raise ValueError(f"cannot generate timestamps for frequency tag {dataset.freq!r}")
+    with _open_text(path, "w", "") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("item_id", "timestamp", "value"))
         for s in dataset.series:
-            for i, v in enumerate(s.values.tolist()):
-                ts = _advance(s.start, s.freq, i)
-                text = repr(v) if v == v else ""
-                fh.write(f"{s.item_id},{ts.isoformat()},{text}\n")
+            writer.writerows((s.item_id, _advance(s.start, step, i).isoformat(),
+                              repr(v) if v == v else "") for i, v in enumerate(s.values.tolist()))
 
 
 def split_last_h(
@@ -343,12 +356,5 @@ def split_last_h(
         pairs.append(
             SplitPair(item_id=s.item_id, context=context.copy(), horizon=s.values[-horizon:].copy())
         )
-        train_series.append(
-            TimeSeries(item_id=s.item_id, start=s.start, freq=s.freq, values=head.copy())
-        )
-    train = Dataset(
-        series=train_series,
-        freq=dataset.freq,
-        meta=dict(dataset.meta),
-    )
-    return train, pairs
+        train_series.append(TimeSeries(s.item_id, s.start, head.copy()))
+    return Dataset(train_series, dataset.freq, dict(dataset.meta)), pairs

@@ -178,7 +178,6 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
     return TimeSeries(
         item_id=f"{spec.kind}-{spec.seed}",
         start=_EPOCH,
-        freq=_FREQ,
         values=_GENERATORS[spec.kind](spec, rng),
     )
 

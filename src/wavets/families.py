@@ -37,8 +37,6 @@ class WaveletFamily:
     dec_hi: np.ndarray
     rec_lo: np.ndarray
     rec_hi: np.ndarray
-    orthogonal: bool
-    vanishing_moments: tuple[int, int]  # (analysis, synthesis)
 
     def __post_init__(self):
         for attr in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
@@ -50,7 +48,7 @@ class WaveletFamily:
         return len(self.dec_lo)
 
 
-def _orthogonal_family(name, rec_lo, vanishing_moments):
+def _orthogonal_family(name, rec_lo):
     """Build an orthogonal family from its scaling (synthesis low-pass) filter.
 
     The quadrature-mirror relations fix the other three filters:
@@ -66,21 +64,19 @@ def _orthogonal_family(name, rec_lo, vanishing_moments):
         dec_hi=dec_hi,
         rec_lo=rec_lo,
         rec_hi=dec_hi[::-1].copy(),
-        orthogonal=True,
-        vanishing_moments=(vanishing_moments, vanishing_moments),
     )
 
 
 def _haar() -> WaveletFamily:
     h = math.sqrt(0.5)
-    return _orthogonal_family("haar", [h, h], 1)
+    return _orthogonal_family("haar", [h, h])
 
 
 def _db2() -> WaveletFamily:
     s3 = math.sqrt(3.0)
     scale = 4.0 * _SQRT2
     rec_lo = [(1.0 + s3) / scale, (3.0 + s3) / scale, (3.0 - s3) / scale, (1.0 - s3) / scale]
-    return _orthogonal_family("db2", rec_lo, 2)
+    return _orthogonal_family("db2", rec_lo)
 
 
 def _db4() -> WaveletFamily:
@@ -95,7 +91,7 @@ def _db4() -> WaveletFamily:
         0.0328830116668852,
         -0.010597401785069032,
     ]
-    return _orthogonal_family("db4", rec_lo, 4)
+    return _orthogonal_family("db4", rec_lo)
 
 
 def _bior22() -> WaveletFamily:
@@ -107,8 +103,6 @@ def _bior22() -> WaveletFamily:
         dec_hi=np.array([0.0, 2.0, -4.0, 2.0, 0.0, 0.0]) * s,
         rec_lo=np.array([0.0, 2.0, 4.0, 2.0, 0.0, 0.0]) * s,
         rec_hi=np.array([0.0, 1.0, 2.0, -6.0, 2.0, 1.0]) * s,
-        orthogonal=False,
-        vanishing_moments=(2, 2),
     )
 
 

@@ -269,6 +269,25 @@ def test_refuses_a_dataset_line_that_is_not_an_object(tmp_path, capsys):
     assert (code, err.splitlines()) == (1, [f"error: {data}:5: expected a JSON object, got int"])
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("tz.csv", "item_id,timestamp,value\na,2020-01-01T00:00:00,1\na,2020-01-01T01:00:00+00:00,2\n",
+     "3: series 'a' mixes timestamps with and without a UTC offset"),
+    ("list.jsonl", '{"item_id": "a", "start": "2020-01-01", "freq": ["h"], "target": [1.0]}\n',
+     "1: freq must be a string, got list"),
+    ("int.jsonl", '{"item_id": "a", "start": "2020-01-01", "freq": "h", "target": [1.0]}\n'
+                  '{"item_id": "b", "start": "2020-01-01", "freq": 1, "target": [1.0]}\n',
+     "2: freq must be a string, got int"),
+    ("start.jsonl", '{"item_id": "a", "start": 5, "freq": "h", "target": [1.0]}\n',
+     "1: start must be a string, got int"),
+], ids=["tz.csv", "list.jsonl", "int.jsonl", "start.jsonl"])
+def test_refuses_a_dataset_with_an_unreadable_timestamp_or_tag_in_one_error_line(
+        tmp_path, capsys, name, text, message):
+    (tmp_path / name).write_text(text)
+    code, _, err = run(["fit-codebook", "--data", tmp_path / name, "--out", tmp_path / "cb.json",
+                        *FLAGS], capsys)
+    assert (code, err.splitlines()) == (1, [f"error: {tmp_path / name}:{message}"])
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda r: r.pop("samples"), "need a string item_id and samples"),
     (lambda r: r.pop("item_id"), "need a string item_id and samples"),
@@ -446,7 +465,7 @@ def test_eval_writes_its_table_when_a_seasonal_naive_score_is_0(tmp_path, capsys
     # scale is 0
     values = np.tile(10 * np.sin(2 * np.pi * np.arange(24) / 24), 4)[:80] + 20
     data, fc, out = tmp_path / "data.jsonl", tmp_path / "forecast.jsonl", tmp_path / "eval.csv"
-    save_dataset(Dataset([TimeSeries("s", datetime(2020, 1, 1), "h", values)], "h"), data)
+    save_dataset(Dataset([TimeSeries("s", datetime(2020, 1, 1), values)], "h"), data)
     config = RunConfig(context_length=64, horizon=16, n_samples=4, order=2)  # FLAGS
     write_jsonl(fc, {"fingerprint": config.fingerprint()},
                 [{"item_id": "s", "samples": np.tile(values[-16:] + 1.0, (4, 1)).tolist()}])
@@ -470,8 +489,8 @@ def test_eval_ranks_each_metric_over_the_datasets_where_it_is_defined(tmp_path, 
     values = np.tile(10 * np.sin(2 * np.pi * np.arange(24) / 24), 4)[:80] + 20
     synthetic = make_dataset(3, context_length=64, horizon=16, seed=1)
     argv = []
-    for name, dataset in (("periodic", Dataset([TimeSeries("s", datetime(2020, 1, 1), "h",
-                                                           values)], "h")),
+    for name, dataset in (("periodic", Dataset([TimeSeries("s", datetime(2020, 1, 1), values)],
+                                                  "h")),
                           ("synth", synthetic)):
         save_dataset(dataset, tmp_path / f"{name}.jsonl")
         noise = 0.1 * np.random.default_rng(2).standard_normal((4, 16))
@@ -503,8 +522,6 @@ def test_eval_warns_naming_the_dataset_whose_tag_has_no_season_and_scores_it_wit
     for tag in ("7200s", "w"):  # weekly data has season 1
         (tmp_path / tag).mkdir()
         dataset.freq = tag
-        for series in dataset.series:
-            series.freq = tag
         save_dataset(dataset, tmp_path / tag / "data.csv")
         code, _, err = run(["eval", "--data", tmp_path / tag / "data.csv", "--forecasts",
                             tmp_path / "fc.jsonl", "--out", tmp_path / tag / "eval.csv", *FLAGS],

@@ -4,7 +4,7 @@ share, and the shapes ``split_last_h`` returns."""
 
 import json
 import re
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ def gappy_dataset():
     b = rng.standard_normal(12) * 1e-9
     b[5] = np.nan
     return Dataset(
-        series=[TimeSeries("a", START, "h", a), TimeSeries("b", START, "h", b)],
+        series=[TimeSeries("a", START, a), TimeSeries("b", START, b)],
         freq="h", meta={"source": "test"},
     )
 
@@ -32,7 +32,7 @@ def gappy_dataset():
 def assert_same_series(got, expected):
     assert [s.item_id for s in got.series] == [s.item_id for s in expected.series]
     for g, e in zip(got.series, expected.series):
-        assert (g.start, g.freq) == (e.start, e.freq)
+        assert g.start == e.start
         np.testing.assert_array_equal(g.values, e.values)  # NaN positions included
     assert got.freq == expected.freq
 
@@ -74,15 +74,14 @@ ALIASES = {"hourly": "h", "daily": "d", "weekly": "w", "monthly": "m", "quarterl
 def test_long_csv_round_trips_every_tag_under_its_canonical_name(tmp_path, tag, start):
     values = np.arange(30.0)
     values[4] = np.nan
-    dataset = Dataset([TimeSeries("a", start, tag, values),
-                       TimeSeries("b", start, tag, values[:7])], tag)
+    dataset = Dataset([TimeSeries("a", start, values), TimeSeries("b", start, values[:7])], tag)
     save_dataset(dataset, tmp_path / "data.csv")
     loaded = load_dataset(tmp_path / "data.csv")
     canonical = ALIASES.get(tag, tag)
     assert loaded.freq == canonical
     assert season_length(tag) == season_length(canonical) == CANONICAL[canonical]
     for got, expected in zip(loaded.series, dataset.series):
-        assert (got.item_id, got.start, got.freq) == (expected.item_id, start, canonical)
+        assert (got.item_id, got.start) == (expected.item_id, start)
         np.testing.assert_array_equal(got.values, expected.values)
     save_dataset(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "data.csv").read_bytes()
@@ -90,11 +89,11 @@ def test_long_csv_round_trips_every_tag_under_its_canonical_name(tmp_path, tag, 
 
 def test_long_csv_steps_calendar_months_from_the_start_clamping_to_the_month_end(tmp_path):
     start = datetime(2020, 1, 31)
-    save_dataset(Dataset([TimeSeries("a", start, "m", np.arange(4.0))], "m"), tmp_path / "m.csv")
+    save_dataset(Dataset([TimeSeries("a", start, np.arange(4.0))], "m"), tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text().splitlines()[1:] == [
         "a,2020-01-31T00:00:00,0.0", "a,2020-02-29T00:00:00,1.0", "a,2020-03-31T00:00:00,2.0",
         "a,2020-04-30T00:00:00,3.0"]
-    save_dataset(Dataset([TimeSeries("a", start, "q", np.arange(2.0))], "q"), tmp_path / "q.csv")
+    save_dataset(Dataset([TimeSeries("a", start, np.arange(2.0))], "q"), tmp_path / "q.csv")
     assert (tmp_path / "q.csv").read_text().splitlines()[2] == "a,2020-04-30T00:00:00,1.0"
 
 
@@ -108,7 +107,7 @@ def test_long_csv_reads_a_step_outside_the_table_in_seconds_without_a_season(tmp
     path.write_text("item_id,timestamp,value\n" + "".join(f"a,{t},{i}.5\n"
                                                         for i, t in enumerate(stamps)))
     dataset = load_dataset(path)
-    assert (dataset.freq, dataset.series[0].freq, season_length(tag)) == (tag, tag, None)
+    assert (dataset.freq, season_length(tag)) == (tag, None)
     save_dataset(dataset, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
@@ -137,8 +136,7 @@ def test_long_csv_refuses_one_instant_written_two_ways_naming_both_lines(tmp_pat
 
 @pytest.mark.parametrize("tag", ["5min", "u", "0s"])
 def test_save_dataset_refuses_a_tag_without_a_step_before_writing_a_byte(tmp_path, tag):
-    dataset = Dataset([TimeSeries("a", START, "h", [1.0]), TimeSeries("b", START, tag, [1.0, 2.0])],
-                      tag)
+    dataset = Dataset([TimeSeries("a", START, [1.0]), TimeSeries("b", START, [1.0, 2.0])], tag)
     with pytest.raises(ValueError, match=f"cannot generate timestamps for frequency tag '{tag}'"):
         save_dataset(dataset, tmp_path / "data.csv")
     assert not (tmp_path / "data.csv").exists()
@@ -149,7 +147,7 @@ def test_long_csv_of_single_row_series_round_trips_under_tag_u(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("item_id,timestamp,value\na,2021-01-01T00:00:00,1.5\nb,2021-06-01T12:00:00,\n")
     dataset = load_dataset(path)
-    assert dataset.freq == "u" and [s.freq for s in dataset.series] == ["u", "u"]
+    assert dataset.freq == "u"
     save_dataset(dataset, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
@@ -245,7 +243,7 @@ def test_jsonl_reads_nulls_as_missing_and_integers_as_floats(tmp_path):
 
 def test_save_dataset_writes_the_bytes_of_a_json_dumps_reference(tmp_path):
     values = np.array([np.nan, -0.0, 0.0, 1e308, -1e-308, 0.1, 1 / 3, np.nan, 5e-324])
-    dataset = Dataset([TimeSeries("a", START, "h", values)], "h", meta={"k": 1})
+    dataset = Dataset([TimeSeries("a", START, values)], "h", meta={"k": 1})
     save_dataset(dataset, tmp_path / "data.jsonl")
     target = [None if np.isnan(v) else float(v) for v in values]
     record = {"item_id": "a", "start": START.isoformat(), "freq": "h", "target": target}
@@ -296,3 +294,96 @@ def test_jsonl_reads_each_record_only_when_asked_and_refuses_a_later_header(tmp_
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: the __meta__ header must "
                                          "be a JSON object on the first line$"):
         next(lines)
+
+
+@pytest.mark.parametrize("name", ["data.jsonl", "data.csv"])
+def test_the_dataset_tag_is_the_one_written_and_read_back(tmp_path, name):
+    values = np.arange(5.0)
+    dataset = Dataset([TimeSeries("a", START, values), TimeSeries("b", START, values)], "d")
+    save_dataset(dataset, tmp_path / name)
+    assert load_dataset(tmp_path / name).freq == "d"
+    if name.endswith(".jsonl"):
+        _, records = read_jsonl(tmp_path / name)
+        assert [record["freq"] for _, record in records] == ["d", "d"]
+    else:  # every series is stepped by the dataset's tag
+        assert (tmp_path / name).read_text().splitlines()[5:7] == [
+            "a,2021-03-05T06:00:00,4.0", "b,2021-03-01T06:00:00,0.0"]
+
+
+@pytest.mark.parametrize("name", ["data.csv", "data.csv.gz"])
+def test_long_csv_quotes_an_id_holding_a_comma_a_quote_or_a_line_break(tmp_path, name):
+    ids = ["plain id", "a,b", 'a"b', "a,b\"c", "line\nbreak"]
+    dataset = Dataset([TimeSeries(i, START, [1.5, np.nan]) for i in ids], "h")
+    save_dataset(dataset, tmp_path / name)
+    assert_same_series(load_dataset(tmp_path / name), dataset)
+    if name == "data.csv":
+        assert (tmp_path / name).read_bytes().decode().split("\n")[1:5] == [
+            "plain id,2021-03-01T06:00:00,1.5", "plain id,2021-03-01T07:00:00,",
+            '"a,b",2021-03-01T06:00:00,1.5', '"a,b",2021-03-01T07:00:00,']
+        assert '\n"a""b",2021-03-01T06:00:00,1.5\n' in (tmp_path / name).read_text()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("data.csv", "item_id,timestamp,value\n\n"),
+    ("data.jsonl", '{"__meta__": {"k": 1}}\n\n'),
+    ("data.jsonl", ""),
+], ids=["csv", "jsonl-header-only", "jsonl-empty"])
+def test_a_file_without_series_is_refused(tmp_path, name, text):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / name))}: no series$"):
+        load_dataset(tmp_path / name)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("data.csv", "item_id,timestamp,value\na,2021-01-01T00:00:00,1\na,2021-01-01T01:00:00,2\n"
+                 "b,2021-01-01T00:00:00,1\nb,2021-01-02T00:00:00,2\n"),
+    ("data.jsonl", '{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                   '{"item_id": "b", "start": "2021-01-01", "freq": "d", "target": [1.0]}\n'),
+], ids=["csv", "jsonl"])
+def test_a_file_mixing_tags_is_refused(tmp_path, name, text):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / name))}: mixed sampling "
+                                         r"frequencies \['d', 'h'\]$"):
+        load_dataset(tmp_path / name)
+
+
+@pytest.mark.parametrize("rows", [
+    ["a,2020-01-01T00:00:00,1", "a,2020-01-01T01:00:00+00:00,2"],
+    ["a,2020-01-01T00:00:00+01:00,1", "b,2020-01-01T00:00:00,1", "a,2020-01-01T01:00:00,2"],
+], ids=["naive-then-aware", "aware-then-naive"])
+def test_long_csv_refuses_a_series_mixing_timestamps_with_and_without_an_offset(tmp_path, rows):
+    path = tmp_path / "tz.csv"
+    path.write_text("item_id,timestamp,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{len(rows) + 1}: series 'a' "
+                                         "mixes timestamps with and without a UTC offset$"):
+        load_dataset(path)
+
+
+def test_long_csv_reads_series_that_differ_in_having_an_offset(tmp_path):
+    path = tmp_path / "tz.csv"
+    path.write_text("item_id,timestamp,value\na,2020-01-01T00:00:00,1\na,2020-01-01T01:00:00,2\n"
+                    "b,2020-01-01T00:00:00+01:00,1\nb,2020-01-01T01:00:00+01:00,2\n")
+    dataset = load_dataset(path)
+    assert [s.start.utcoffset() for s in dataset.series] == [None, timedelta(hours=1)]
+    assert dataset.freq == "h"
+
+
+def test_long_csv_refuses_a_field_the_csv_module_cannot_read_naming_its_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('item_id,timestamp,value\na,2020-01-01T00:00:00,1\na,"' + "x" * 200_000)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: field larger than"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ('"start": "2021-01-01", "freq": ["h"]', "freq must be a string, got list"),
+    ('"start": "2021-01-01", "freq": 1', "freq must be a string, got int"),
+    ('"start": 5, "freq": "h"', "start must be a string, got int"),
+], ids=["freq-list", "freq-int", "start-int"])
+def test_jsonl_refuses_a_start_or_tag_that_is_no_string_naming_its_line(tmp_path, fields,
+                                                                          message):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                    f'{{"item_id": "b", {fields}, "target": [1.0]}}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {re.escape(message)}$"):
+        load_dataset(path)

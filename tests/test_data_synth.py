@@ -29,7 +29,6 @@ def test_make_dataset_shape_and_labels():
     assert values(dataset).shape == (3, 48)
     assert np.all(np.isfinite(values(dataset)))
     assert dataset.freq == "h"
-    assert all(s.freq == "h" for s in dataset.series)
 
 
 @pytest.mark.parametrize("kind", KINDS)

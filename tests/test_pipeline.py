@@ -405,7 +405,7 @@ def test_run_cell_fails_on_a_bad_series():
 
 
 def test_short_series_are_left_padded():
-    series = TimeSeries("short", datetime(2020, 1, 1), "h", np.arange(40.0))
+    series = TimeSeries("short", datetime(2020, 1, 1), np.arange(40.0))
     ((item_id, context, horizon),) = make_windows(Dataset([series], "h"), CONFIG)
     assert item_id == "short" and len(context) == CONFIG.context_length
     assert np.isnan(context[:-24]).all()
@@ -415,7 +415,7 @@ def test_short_series_are_left_padded():
 def test_evaluate_dataset_scores_a_gappy_horizon_on_its_observed_steps():
     series = small_dataset().series[1]
     series.values[-5] = np.nan
-    dataset = Dataset([series], series.freq)
+    dataset = Dataset([series], "h")
     ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
     paths = np.random.default_rng(1).normal(np.nanmean(horizon), 1.0, size=(3, CONFIG.horizon))
     scores, failed = evaluate_dataset("d", dataset, {item_id: paths}, CONFIG)
@@ -568,7 +568,7 @@ def test_evaluate_dataset_keeps_the_seasons_of_a_gappy_context_in_time():
     values = np.tile(period, 4)[4:84] + 0.0
     values[:16] += np.random.default_rng(3).normal(0.0, 1.0, 16)
     values[45:50] = np.nan
-    dataset = Dataset([TimeSeries("s", datetime(2020, 1, 1), "h", values)], "h")
+    dataset = Dataset([TimeSeries("s", datetime(2020, 1, 1), values)], "h")
     ((item_id, context, horizon),) = make_windows(dataset, CONFIG)
     paths = np.tile(horizon + 1.0, (3, 1))
     with pytest.warns(UserWarning) as caught:
