@@ -15,7 +15,7 @@ carries the configuration fingerprint, and those made with a codebook its
 hash, in its ``__meta__`` header. That header is the only record of how an
 artifact was made, so commands refuse one whose header lacks or mismatches
 what they expect. A token file holds ``{item_id, kind, tokens, mu, sigma}``
-records, ``kind`` being ``context`` or ``horizon`` (which ends with EOS).
+records, ``kind`` being ``context`` or ``horizon``.
 Each failed series or record gets its own ``error:`` line while the rest
 are still processed, and the command then exits with status 1. A warning
 (say, a score left undefined, which only

@@ -1,11 +1,10 @@
 """Quantization codebook: fitting, token/value mapping and persistence.
 
 The vocabulary consists of ``B`` value tokens (one per bin center) plus the
-two special tokens ``PAD`` (missing value) and ``EOS`` (end of sequence).
-The token ids are fixed: ``Codebook.PAD_ID = 0``, ``Codebook.EOS_ID = 1``
-and value tokens from ``Codebook.VALUE_OFFSET = 2``, so the special ids
-never depend on ``B``. A codebook file keeps the three ids as fields, and
-:func:`load_codebook` refuses a file whose ids differ from them.
+one special token ``PAD`` (missing value). The token ids are fixed:
+``Codebook.PAD_ID = 0`` and value tokens from ``Codebook.VALUE_OFFSET = 1``,
+so the PAD id never depends on ``B``. A codebook file keeps both ids as
+fields, and :func:`load_codebook` refuses a file whose ids differ from them.
 :func:`fit_codebook` clips every codebook at ``BOUNDS``, in the units of
 context-scaled coefficients.
 """
@@ -23,7 +22,7 @@ import numpy as np
 from .exceptions import SchemaError
 
 _FORMAT = "wavets.codebook"
-_VERSION = 1
+_VERSION = 2
 BOUNDS = (-30.0, 30.0)  # the clipping bounds of every fitted codebook
 
 
@@ -36,8 +35,7 @@ class Codebook:
     bounds: tuple[float, float]
 
     PAD_ID: ClassVar[int] = 0
-    EOS_ID: ClassVar[int] = 1
-    VALUE_OFFSET: ClassVar[int] = 2
+    VALUE_OFFSET: ClassVar[int] = 1
     pad_id: ClassVar[int] = PAD_ID  # the lower-case name bench/ reads
 
     def __post_init__(self):
@@ -79,7 +77,8 @@ class Codebook:
 
 
 def check_vocab_budget(vocab_budget: int) -> None:
-    """Refuse a budget too small for the special tokens and three bins."""
+    """Refuse a budget too small for three bins; :func:`fit_codebook`
+    keeps at most ``vocab_budget - 2``."""
     if vocab_budget < 5:
         raise ValueError(f"vocabulary budget must be at least 5, got {vocab_budget}")
 
@@ -90,7 +89,8 @@ def fit_codebook(sample: np.ndarray, vocab_budget: int) -> Codebook:
     Bins use the Freedman-Diaconis width ``2 IQR n^(-1/3)``, widened if
     necessary so that the value-token count stays within
     ``vocab_budget - 2``. Bins tile symmetrically about a center bin at
-    exactly 0 and are clipped to ``BOUNDS``.
+    exactly 0 and are clipped to ``BOUNDS``. With PAD the vocabulary is
+    ``n_bins + 1`` ids, so at least one id of the budget stays unused.
     """
     sample = np.asarray(sample, dtype=np.float64).ravel()
     sample = sample[np.isfinite(sample)]
@@ -135,18 +135,15 @@ def check_token_ids(tokens: np.ndarray, codebook: Codebook) -> None:
 
 def dequantize(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Map an array of token ids back to bin centers; PAD tokens yield
-    0.0. EOS or out-of-vocabulary ids are errors."""
+    0.0. Out-of-vocabulary ids are errors."""
     arr = np.asarray(tokens, dtype=np.int64)
-    if np.any(arr == Codebook.EOS_ID):
-        raise ValueError("cannot dequantize the EOS token")
     check_token_ids(arr, codebook)
     missing = arr == Codebook.PAD_ID
     idx = np.where(missing, 0, arr - Codebook.VALUE_OFFSET)
     return np.where(missing, 0.0, codebook.centers[idx])
 
 
-_SPECIAL_IDS = {"pad_id": Codebook.PAD_ID, "eos_id": Codebook.EOS_ID,
-                "value_offset": Codebook.VALUE_OFFSET}
+_SPECIAL_IDS = {"pad_id": Codebook.PAD_ID, "value_offset": Codebook.VALUE_OFFSET}
 
 
 def _to_payload(codebook: Codebook) -> dict:

@@ -8,10 +8,12 @@ optionally followed by ``.gz``); any other name is rejected:
 
 * ``long-csv``: header ``item_id,timestamp,value``, one observation per
   row, ISO-8601 timestamps stepped by the dataset's tag, empty value field
-  = missing; fields are quoted as the ``csv`` module's default dialect does.
-* ``jsonl``: one record per series with fields ``item_id``, ``start``,
-  ``freq`` (the dataset's tag, in every record; the reader refuses records
-  that disagree) and ``target`` (a flat array of numbers; ``null`` entries
+  = missing; fields are quoted as the ``csv`` module's default dialect does,
+  and every field of a series whose ``item_id`` holds a carriage return.
+* ``jsonl``: one record per series with fields ``item_id`` (unique;
+  ``series-N`` for the N-th record if absent), ``start``, ``freq`` (the
+  dataset's tag, in every record; the reader refuses records that
+  disagree) and ``target`` (a flat array of numbers; ``null`` entries
   are missing). An optional ``{"__meta__": {...}}`` record on the first
   line carries provenance and is preserved in ``Dataset.meta``.
 
@@ -281,14 +283,20 @@ def write_jsonl(path, meta: dict, records) -> None:
 
 def _load_jsonl(path) -> Dataset:
     meta, records = read_jsonl(path)
-    series, tags = [], set()
+    series, tags, first = [], set(), {}  # first: item_id -> its line
     for lineno, record in records:
         for field_name in ("start", "freq", "target"):
             if field_name not in record:
                 raise ValueError(f"{path}:{lineno}: record is missing field {field_name!r}")
-            if field_name != "target" and not isinstance(record[field_name], str):
+        record.setdefault("item_id", f"series-{len(series)}")
+        for field_name in ("item_id", "start", "freq"):
+            if not isinstance(record[field_name], str):
                 raise ValueError(f"{path}:{lineno}: {field_name} must be a string, got "
                                  f"{type(record[field_name]).__name__}")
+        item_id = record["item_id"]
+        if first.setdefault(item_id, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: duplicate item_id {item_id!r}; first occurrence "
+                             f"at line {first[item_id]}")
         try:
             values = np.array(record["target"], dtype=np.float64)  # null -> NaN
         except (TypeError, ValueError) as exc:
@@ -299,7 +307,6 @@ def _load_jsonl(path) -> Dataset:
         if np.isinf(values).any():
             raise ValueError(f"{path}:{lineno}: infinite value in target at index "
                              f"{int(np.flatnonzero(np.isinf(values))[0])}")
-        item_id = str(record.get("item_id", f"series-{len(series)}"))
         try:
             start = datetime.fromisoformat(record["start"])
         except ValueError as exc:
@@ -323,10 +330,13 @@ def save_dataset(dataset: Dataset, path) -> None:
         raise ValueError(f"cannot generate timestamps for frequency tag {dataset.freq!r}")
     with _open_text(path, "w", "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # the writer quotes a field holding ",", '"' or "\n", but not a lone "\r"
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(("item_id", "timestamp", "value"))
         for s in dataset.series:
-            writer.writerows((s.item_id, _advance(s.start, step, i).isoformat(),
-                              repr(v) if v == v else "") for i, v in enumerate(s.values.tolist()))
+            rows = ((s.item_id, _advance(s.start, step, i).isoformat(), repr(v) if v == v else "")
+                    for i, v in enumerate(s.values.tolist()))
+            (quote_all if "\r" in s.item_id else writer).writerows(rows)
 
 
 def split_last_h(

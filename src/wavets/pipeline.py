@@ -175,7 +175,7 @@ def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
     def streams(rows):
         scale, (contexts, horizons) = _scaled_stacks(windows, rows)
         return list(zip(tokenize(contexts, scale, tok_config, codebook).rows(),
-                        tokenize(horizons, scale, tok_config, codebook, append_eos=True).rows()))
+                        tokenize(horizons, scale, tok_config, codebook).rows()))
 
     pairs, failed = _by_row(streams, [item_id for item_id, *_ in windows])
     return [(item_id, *pair) for item_id, pair in pairs], failed
@@ -185,12 +185,11 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
     """Stack the valid token records ``{item_id, kind, tokens, mu, sigma}``
     of each kind as ``{kind: (indices, stream)}``; map each invalid one's
     index to ``(item_id, kind, error)``. A record is invalid when a field is
-    missing, its kind is unknown, its token count is not its window's
-    layout (plus a horizon's EOS), an id is outside the vocabulary, an EOS
-    sits anywhere but the last position of a horizon, its scale is not
-    one :func:`compute_scale` gives (a finite ``mu`` and a finite, positive
-    ``sigma``), or an earlier record has its ``item_id`` and kind (records
-    are numbered from 1 in input order)."""
+    missing, its kind is unknown, its tokens are not ``sum(layout)``
+    integer ids for its window's layout, an id is outside the vocabulary,
+    its scale is not one :func:`compute_scale` gives (a finite ``mu`` and
+    a finite, positive ``sigma``), or an earlier record has its ``item_id``
+    and kind (records are numbered from 1 in input order)."""
     tok_config = config.tokenizer_config()
     layouts = {kind: tok_config.layout(getattr(config, length))
                for kind, length in _WINDOW_FIELDS.items()}
@@ -207,17 +206,11 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                 raise ValueError(f"a second {kind} record of this series; the first is "
                                  f"record {first[item_id, kind] + 1}")
             layout = layouts[kind]
-            eos = [sum(layout)] if kind == "horizon" else []
             tokens = np.asarray(record["tokens"])
-            if (tokens.ndim != 1 or tokens.dtype.kind not in "iu"
-                    or len(tokens) != sum(layout) + len(eos)):
-                raise ValueError(f"tokens must be {sum(layout) + len(eos)} integer ids for the "
-                                 f"layout {layout}{' and EOS' if eos else ''}, got {tokens.dtype} of shape "
-                                 f"{tokens.shape}")
+            if tokens.ndim != 1 or tokens.dtype.kind not in "iu" or len(tokens) != sum(layout):
+                raise ValueError(f"tokens must be {sum(layout)} integer ids for the layout "
+                                 f"{layout}, got {tokens.dtype} of shape {tokens.shape}")
             check_token_ids(tokens, codebook)
-            at = np.flatnonzero(tokens == Codebook.EOS_ID).tolist()
-            if at != eos:
-                raise ValueError(f"EOS token at position(s) {at}, expected {eos}")
             mu, sigma = float(record["mu"]), float(record["sigma"])
             if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
                 raise ValueError(f"need a finite mu and a positive, finite sigma, got mu {mu} "
@@ -225,8 +218,7 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
             rows.setdefault(kind, []).append((i, tokens, mu, sigma))
         except (TypeError, ValueError) as exc:
             failed[i] = (item_id, kind, exc)
-    return {kind: (indices, TokenStream(np.stack(tokens), ScaleStats(np.array(mu), np.array(sigma)),
-                                        has_eos=kind == "horizon"))
+    return {kind: (indices, TokenStream(np.stack(tokens), ScaleStats(np.array(mu), np.array(sigma))))
             for kind, (indices, tokens, mu, sigma) in ((k, zip(*v)) for k, v in rows.items())}, failed
 
 

@@ -36,8 +36,8 @@ read without pickle. Version 1 was a JSON dict of dicts.
 Sampling advances the ``N x S`` paths of all series of a command
 together, one token per step, and returns their token ids; the tokenizer
 turns them into values. Each step groups the paths by the state of their
-history (one ``np.unique``). A state's masked and normalised CDF is
-built once per call, from one query at the first step that
+history (one ``np.unique``). A state's CDF, with PAD masked out and
+normalised, is built once per call, from one query at the first step that
 reaches it, and reused at every later step; unseen histories share one
 state. A step that reaches new states makes one query for all of them,
 so each distinct state is queried exactly once per call. The row
@@ -201,7 +201,7 @@ def cross_entropy(
     horizon: TokenStream,
     pad_id: int = Codebook.PAD_ID,
 ) -> float:
-    """Mean negative log-likelihood of the horizon tokens (EOS included).
+    """Mean negative log-likelihood of the horizon tokens.
 
     Each horizon position is predicted from the context plus all preceding
     horizon tokens, in one batched query; PAD targets are masked out of
@@ -240,7 +240,7 @@ def sample_forecast(
     """Autoregressive sample paths after every row of an ``(N, L)`` stack
     of context tokens: ``(N, n_samples, n_tokens)`` int64 token ids.
 
-    EOS and PAD are masked out of the sampling distribution. A path starts
+    PAD is masked out of the sampling distribution. A path starts
     from the last ``model.order`` context tokens, ``-1``-padded on the left.
 
     All ``N x n_samples`` paths advance one token per step. A step groups
@@ -275,7 +275,6 @@ def sample_forecast(
         new = [j for j, state in enumerate(states) if state not in cdfs]
         if new:
             probs = model.next_token_distributions(windows[first[new]])
-            probs[:, codebook.EOS_ID] = 0.0
             probs[:, codebook.PAD_ID] = 0.0
             totals = probs.sum(axis=1, keepdims=True)
             if (totals <= 0.0).any():

@@ -64,8 +64,8 @@ class TokenizerConfig:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Token ids in coarse-to-fine band order, the scale that inverts
-    them, and whether a single EOS token trails the coefficient tokens.
+    """Token ids in coarse-to-fine band order and the scale that inverts
+    them.
 
     ``tokens`` may stack several streams of the same layout along leading
     axes; ``scale`` then holds arrays of the leading shape, one mean and
@@ -74,7 +74,6 @@ class TokenStream:
 
     tokens: np.ndarray
     scale: ScaleStats
-    has_eos: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
@@ -165,19 +164,15 @@ def tokenize(
     scale: ScaleStats,
     config: TokenizerConfig,
     codebook: Codebook,
-    append_eos: bool = False,
 ) -> TokenStream:
     """Tokenize a window, or a ``(rows, n)`` stack of windows with one
     ``scale`` per row, into one stream; NaN entries are missing values.
 
-    Each window's :func:`coefficients` are quantized, a missing one to
-    PAD; with ``append_eos`` every row ends with an EOS token.
+    Each window's :func:`coefficients` are quantized, a missing one to PAD.
     """
     pyramid = coefficients(windows, scale, config)
     tokens = [quantize(band, codebook) for band in (pyramid.approx, *pyramid.details)]
-    if append_eos:
-        tokens.append(np.full((*pyramid.approx.shape[:-1], 1), Codebook.EOS_ID))
-    return TokenStream(tokens=np.concatenate(tokens, axis=-1), scale=scale, has_eos=append_eos)
+    return TokenStream(tokens=np.concatenate(tokens, axis=-1), scale=scale)
 
 
 def tokenize_pair(
@@ -190,11 +185,10 @@ def tokenize_pair(
 
     Both windows are scaled with the context statistics and decomposed
     independently; the horizon stream carries the context scale for
-    inversion and ends with an EOS token.
+    inversion.
     """
     scale = compute_scale(context)
-    return (tokenize(context, scale, config, codebook),
-            tokenize(horizon, scale, config, codebook, append_eos=True))
+    return tokenize(context, scale, config, codebook), tokenize(horizon, scale, config, codebook)
 
 
 def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
@@ -203,17 +197,15 @@ def detokenize(stream: TokenStream, length: int, config: TokenizerConfig,
     steps, or a stack of streams to one window per row.
 
     The band layout follows from ``config`` and ``length``; a stream whose
-    coefficient-token count differs from it is refused. PAD tokens
-    contribute zero coefficients, so an all-PAD stream inverts to the
-    constant context mean; an EOS token among the coefficients is refused
-    by :func:`~wavets.codebook.dequantize`.
+    token count differs from it is refused. PAD tokens contribute zero
+    coefficients, so an all-PAD stream inverts to the constant context
+    mean.
     """
     layout = config.layout(length)
-    coeff_tokens = stream.tokens[..., :-1] if stream.has_eos else stream.tokens
-    if coeff_tokens.shape[-1] != sum(layout):
-        raise ValueError(f"{coeff_tokens.shape[-1]} coefficient tokens do not match the layout "
+    if stream.tokens.shape[-1] != sum(layout):
+        raise ValueError(f"{stream.tokens.shape[-1]} tokens do not match the layout "
                          f"{layout} of a length-{length} window")
-    parts = np.split(dequantize(coeff_tokens, codebook), np.cumsum(layout)[:-1], axis=-1)
+    parts = np.split(dequantize(stream.tokens, codebook), np.cumsum(layout)[:-1], axis=-1)
     z = reconstruct(CoefficientPyramid(parts[0], tuple(parts[1:])), config.wavelet, length,
                     config.boundary_mode)
     sigma, mu = np.asarray(stream.scale.sigma), np.asarray(stream.scale.mu)

@@ -321,7 +321,7 @@ def test_refuses_a_codebook_with_other_special_ids(tmp_path, capsys):
                         "--out", tmp_path / "odd.jsonl", *FLAGS], capsys)
     assert (code, err.splitlines(), (tmp_path / "odd.jsonl").exists()) == (1, [
         f"error: codebook file {cb} has special token ids {{'value_offset': 3}}; the ids are "
-        "fixed at {'pad_id': 0, 'eos_id': 1, 'value_offset': 2}"], False)
+        "fixed at {'pad_id': 0, 'value_offset': 1}"], False)
 
 
 def test_a_level_too_deep_for_a_window_is_one_config_error(tmp_path, capsys):

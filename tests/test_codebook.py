@@ -101,10 +101,8 @@ class TestMapping:
         with pytest.raises(ValueError):
             token(float("inf"), small_codebook())
 
-    def test_eos_and_oov_rejected(self):
+    def test_oov_rejected(self):
         cb = small_codebook()
-        with pytest.raises(ValueError):
-            center(Codebook.EOS_ID, cb)
         with pytest.raises(ValueError,
                            match=rf"^token id\(s\) \[{cb.vocab_size}\] outside the vocabulary$"):
             center(cb.vocab_size, cb)
@@ -112,7 +110,7 @@ class TestMapping:
     def test_special_ids_disjoint(self):
         cb = small_codebook()
         value_tokens = set(range(Codebook.VALUE_OFFSET, cb.vocab_size))
-        assert {Codebook.PAD_ID, Codebook.EOS_ID}.isdisjoint(value_tokens)
+        assert Codebook.PAD_ID not in value_tokens
         assert len(value_tokens) == cb.n_bins
         assert cb.pad_id == Codebook.PAD_ID  # the lower-case name still resolves
 
@@ -172,7 +170,7 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="pad_id"):
             load_codebook(path)
 
-    @pytest.mark.parametrize("key, value", [("value_offset", 3), ("pad_id", 1), ("eos_id", 0)])
+    @pytest.mark.parametrize("key, value", [("value_offset", 3), ("pad_id", 1)])
     def test_other_special_ids_are_refused(self, tmp_path, key, value):
         import json
 
@@ -194,6 +192,19 @@ class TestPersistence:
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="version"):
+            load_codebook(path)
+
+    def test_a_version_1_file_is_refused_by_name(self, tmp_path):
+        # version 1 also held an EOS token at id 1, and its value ids started at 2
+        import json
+
+        path = tmp_path / "cb.json"
+        save_codebook(small_codebook(), path)
+        payload = json.loads(path.read_text())
+        payload.update(version=1, eos_id=1, value_offset=2)
+        path.write_text(json.dumps(payload))
+        refused = re.escape(f"codebook version mismatch in {path}: found 1, expected 2")
+        with pytest.raises(SchemaError, match=f"^{refused}$"):
             load_codebook(path)
 
     def test_corrupt_file(self, tmp_path):

@@ -312,7 +312,7 @@ def test_the_dataset_tag_is_the_one_written_and_read_back(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["data.csv", "data.csv.gz"])
 def test_long_csv_quotes_an_id_holding_a_comma_a_quote_or_a_line_break(tmp_path, name):
-    ids = ["plain id", "a,b", 'a"b', "a,b\"c", "line\nbreak"]
+    ids = ["plain id", "a,b", 'a"b', "a,b\"c", "line\nbreak", "carriage\rreturn"]
     dataset = Dataset([TimeSeries(i, START, [1.5, np.nan]) for i in ids], "h")
     save_dataset(dataset, tmp_path / name)
     assert_same_series(load_dataset(tmp_path / name), dataset)
@@ -321,6 +321,10 @@ def test_long_csv_quotes_an_id_holding_a_comma_a_quote_or_a_line_break(tmp_path,
             "plain id,2021-03-01T06:00:00,1.5", "plain id,2021-03-01T07:00:00,",
             '"a,b",2021-03-01T06:00:00,1.5', '"a,b",2021-03-01T07:00:00,']
         assert '\n"a""b",2021-03-01T06:00:00,1.5\n' in (tmp_path / name).read_text()
+        # the writer quotes "\n" but not a lone "\r", at which the reader would end the row
+        assert (tmp_path / name).read_bytes().decode().endswith(
+            '\n"carriage\rreturn","2021-03-01T06:00:00","1.5"\n'
+            '"carriage\rreturn","2021-03-01T07:00:00",""\n')
 
 
 @pytest.mark.parametrize("name, text", [
@@ -387,3 +391,38 @@ def test_jsonl_refuses_a_start_or_tag_that_is_no_string_naming_its_line(tmp_path
                     f'{{"item_id": "b", {fields}, "target": [1.0]}}\n')
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {re.escape(message)}$"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("ids, line, first", [
+    (['"a"', '"b"', '"a"'], 4, 1),
+    (['"a"', None, '"series-1"'], 4, 2),  # a record without an id is series-N
+], ids=["explicit", "default"])
+def test_jsonl_refuses_a_duplicate_item_id_naming_both_lines(tmp_path, ids, line, first):
+    path = tmp_path / "data.jsonl"
+    records = [(f'"item_id": {i}, ' if i else "") + '"start": "2021-01-01", "freq": "h", '
+               '"target": [1.0]' for i in ids]
+    path.write_text(f"{{{records[0]}}}\n{{{records[1]}}}\n\n{{{records[2]}}}\n")
+    item_id = json.loads(ids[2])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: duplicate item_id "
+                                         rf"'{item_id}'; first occurrence at line {first}$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("item_id, type_name", [('["b"]', "list"), ("7", "int"),
+                                                ("null", "NoneType")])
+def test_jsonl_refuses_an_item_id_that_is_no_string_naming_its_line(tmp_path, item_id,
+                                                                     type_name):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                    f'{{"item_id": {item_id}, "start": "2021-01-01", "freq": "h", '
+                    '"target": [1.0]}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: item_id must be a "
+                                         rf"string, got {type_name}$"):
+        load_dataset(path)
+
+
+def test_jsonl_names_a_series_without_an_id_by_its_position(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                    '{"start": "2021-01-01", "freq": "h", "target": [2.0]}\n')
+    assert [s.item_id for s in load_dataset(path).series] == ["a", "series-1"]

@@ -336,19 +336,21 @@ def test_the_retry_makes_one_call_per_kind_and_bisects_only_where_a_call_raises(
     calls = []
     original = pipeline.tokenize
 
-    def spy(stack, scale, tok_config, codebook, append_eos=False):
-        calls.append((len(stack), append_eos))
-        return original(stack, scale, tok_config, codebook, append_eos)
+    def spy(stack, scale, tok_config, codebook):
+        calls.append(stack.shape)
+        return original(stack, scale, tok_config, codebook)
 
     monkeypatch.setattr(pipeline, "tokenize", spy)
     tokenize_windows(windows, CONFIG, codebook)
     forecast_dataset(model, codebook, CONFIG, [(i, c) for i, c, _ in windows])
-    assert calls == [(6, False), (6, True), (6, False)]
+    context, horizon = (6, CONFIG.context_length), (6, CONFIG.horizon)
+    assert calls == [context, horizon, context]
     for index in range(6):
         calls.clear()
         _, failures = tokenize_windows(with_overflowing_horizon(windows, index), CONFIG, codebook)
         assert [item_id for item_id, _ in failures] == [windows[index][0]]
-        attempts = [rows for rows, eos in calls if not eos]  # each attempt tokenizes contexts first
+        # each attempt tokenizes contexts first
+        attempts = [rows for rows, length in calls if length == CONFIG.context_length]
         assert attempts[0] == 6 and len(attempts) <= 2 * math.ceil(math.log2(6)) + 1 == 7
 
 
@@ -394,7 +396,7 @@ def test_run_cell_trains_only_on_the_train_view(monkeypatch):
         context = pad_to_length(series.values[:-h], CONFIG.context_length)
         assert ctx.scale == compute_scale(context)
         assert hor.scale == ctx.scale
-        assert len(hor.tokens) == sum(layout) + 1 and hor.has_eos
+        assert len(hor.tokens) == sum(layout)
     assert len(corpus) == len(dataset)
 
 
@@ -607,10 +609,9 @@ def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
     for k, kind in enumerate(kinds):
         rows, stack = kinds[kind]
         assert rows == tuple(range(k, 2 * len(pairs), 2))
-        assert stack.has_eos == (kind == "horizon")
         for row, (_, *pair) in zip(stack.rows(), pairs, strict=True):
             assert row.tokens.tobytes() == pair[k].tokens.tobytes()
-            assert row.scale == pair[k].scale and row.has_eos == pair[k].has_eos
+            assert row.scale == pair[k].scale
 
 
 @pytest.mark.parametrize("index, corrupt, message", [
@@ -624,13 +625,12 @@ def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
     (2, lambda r: r["tokens"].pop(),
      "tokens must be 68 integer ids for the layout [34, 34], got int64 of shape (67,)"),
     (3, lambda r: r["tokens"].pop(),
-     "tokens must be 21 integer ids for the layout [10, 10] and EOS, got int64 of shape (20,)"),
+     "tokens must be 20 integer ids for the layout [10, 10], got int64 of shape (19,)"),
+    (3, lambda r: r["tokens"].append(r["tokens"][0]),
+     "tokens must be 20 integer ids for the layout [10, 10], got int64 of shape (21,)"),
     (3, lambda r: r["tokens"].__setitem__(4, 99999),
      "token id(s) [99999] outside the vocabulary"),
     (2, lambda r: r["tokens"].__setitem__(4, -7), "token id(s) [-7] outside the vocabulary"),
-    (2, lambda r: r["tokens"].__setitem__(4, 1), "EOS token at position(s) [4], expected []"),
-    (3, lambda r: r["tokens"].__setitem__(4, 1), "EOS token at position(s) [4, 20], expected [20]"),
-    (3, lambda r: r["tokens"].__setitem__(20, 2), "EOS token at position(s) [], expected [20]"),
     (3, lambda r: r.update(sigma=None),
      "float() argument must be a string or a real number, not 'NoneType'"),
     # a scale compute_scale never gives: it would invert to NaN or to a constant window
@@ -680,7 +680,7 @@ def test_detokenize_windows_inverts_each_kind_in_one_call(monkeypatch):
 
     monkeypatch.setattr(pipeline, "detokenize", spy)
     windows, failures = detokenize_windows(records, CONFIG, codebook)
-    assert calls == [((4, 68), 64), ((3, 21), 16)]
+    assert calls == [((4, 68), 64), ((3, 20), 16)]
     assert [(item_id, kind, str(exc)) for item_id, kind, exc in failures] == [
         ("synth-00002", "horizon", "token id(s) [99999] outside the vocabulary")]
     assert [(item_id, kind) for item_id, kind, _ in windows] == [

@@ -29,7 +29,7 @@ N_TOKENS = sum(CONFIG.tokenizer_config().layout(CONFIG.horizon))  # drawn per pa
 @pytest.fixture(scope="module")
 def trained():
     """A small codebook, a model that has seen most order-2 histories of
-    its vocabulary (EOS and PAD included) and one context stream."""
+    its vocabulary (PAD included) and one context stream."""
     windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=3), CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
     codebook = fit_codebook(sample, CONFIG.vocab_budget)
@@ -67,7 +67,6 @@ def reference_sample(model, context_tokens, codebook, n_samples, seed):
         generated = []
         for _ in range(N_TOKENS):
             probs = model.next_token_distribution(list(context_tokens) + generated)
-            probs[codebook.EOS_ID] = 0.0
             probs[codebook.PAD_ID] = 0.0
             generated.append(int(rng.choice(len(probs), p=probs / probs.sum())))
         paths[s] = generated
@@ -112,7 +111,9 @@ def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
             rows = [r for at, q in queried if at == step for r in q.tolist()]
             assert sorted(rows) == sorted(set(states.tolist()) - seen)
             seen.update(rows)
-        assert 1 <= len(queried) < N_TOKENS
+        # at most one query per step, and fewer rows queried than states reached
+        assert 1 <= len({at for at, _ in queried}) == len(queried) <= N_TOKENS
+        assert len(seen) < sum(len(set(states.tolist())) for states in path_states)
     # under the sparse model many paths are unseen at once, and share one row
     assert max(int(np.sum(states == -1)) for states in path_states) > 1
     assert sum(np.sum(q == -1) for _, q in queried) == 1
@@ -145,22 +146,22 @@ def test_sampler_queries_each_distinct_history_once_per_step(trained, contexts):
     assert all(len(row) == model.order for row in queried)
 
 
-def test_sampler_never_draws_eos_or_pad(trained, contexts):
+def test_sampler_never_draws_pad(trained, contexts):
     _, codebook, _ = trained
 
-    class FavoursEosAndPad:
+    class FavoursPad:
         vocab_size, order = codebook.vocab_size, 1
         history_states = staticmethod(keyed_states)
 
         def next_token_distributions(self, histories):
             probs = np.full((len(histories), self.vocab_size), 1e-6)
-            probs[:, [codebook.EOS_ID, codebook.PAD_ID]] = 1.0
+            probs[:, codebook.PAD_ID] = 1.0
             return probs
 
-    ids = sample_forecast(FavoursEosAndPad(), contexts, N_TOKENS, codebook, SEEDS, n_samples=8)
+    ids = sample_forecast(FavoursPad(), contexts, N_TOKENS, codebook, SEEDS, n_samples=8)
     assert ids.shape == (4, 8, N_TOKENS) and ids.dtype == np.int64
     assert ((ids >= 0) & (ids < codebook.vocab_size)).all()
-    assert not np.isin(ids, [codebook.EOS_ID, codebook.PAD_ID]).any()
+    assert not (ids == codebook.PAD_ID).any()
 
 
 @pytest.mark.parametrize("seeds", [[0], [11, 12, 13], [2**32 - 1, 3029871508]])
@@ -175,17 +176,17 @@ def test_path_uniforms_equal_generator_random(seeds):
 def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
     _, codebook, _ = trained
 
-    class OnlyEos:
+    class OnlyPad:
         vocab_size, order = codebook.vocab_size, 1
         history_states = staticmethod(keyed_states)
 
         def next_token_distributions(self, histories):
             probs = np.zeros((len(histories), self.vocab_size))
-            probs[:, codebook.EOS_ID] = 1.0
+            probs[:, codebook.PAD_ID] = 1.0
             return probs
 
     with pytest.raises(ValueError, match="^sampling distribution has no mass$"):
-        sample_forecast(OnlyEos(), contexts, N_TOKENS, codebook, SEEDS, 6)
+        sample_forecast(OnlyPad(), contexts, N_TOKENS, codebook, SEEDS, 6)
 
 
 def reference_cross_entropy(model, context, horizon, pad_id):

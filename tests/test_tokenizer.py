@@ -139,15 +139,14 @@ class TestStackedForward:
             scales = [compute_scale(row) for row in windows]
             scale = ScaleStats(mu=np.array([s.mu for s in scales]),
                                sigma=np.array([s.sigma for s in scales]))
-            stacked = tokenize(windows, scale, config, cb, append_eos=True)
+            stacked = tokenize(windows, scale, config, cb)
             z = (fill_missing(windows) - scale.mu[:, None]) / scale.sigma[:, None]
             pyramid = apply_threshold(decompose(z, family, level, mode), config.threshold)
             assert len(stacked.rows()) == len(windows)
             for i, (row, row_scale, stream) in enumerate(zip(windows, scales, stacked.rows())):
-                alone = tokenize(row, row_scale, config, cb, append_eos=True)
+                alone = tokenize(row, row_scale, config, cb)
                 assert stream.tokens.tobytes() == alone.tokens.tobytes(), (level, i)
                 assert stream.scale == alone.scale == row_scale
-                assert stream.has_eos and alone.has_eos
                 # the coefficients, not just their bins, are bit-identical
                 z_row = (fill_missing(row) - row_scale.mu) / row_scale.sigma
                 single = apply_threshold(decompose(z_row, family, level, mode), config.threshold)
@@ -221,16 +220,14 @@ class TestInvariances:
 
 
 class TestPairs:
-    def test_horizon_layout_and_eos(self):
+    def test_horizon_layout(self):
         config = TokenizerConfig(family="bior2.2", level=1)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(576)
         cb = fitted_codebook(x[:512], config)
         ctx, hor = tokenize_pair(x[:512], x[512:], config, cb)
         assert coefficient_layout(64, get_family("bior2.2"), 1) == [34, 34]
-        assert len(hor.tokens) == 69 and hor.has_eos
-        assert hor.tokens[-1] == cb.EOS_ID
-        assert not ctx.has_eos
+        assert len(hor.tokens) == 68
         assert hor.scale == ctx.scale
 
     def test_constant_pair_zero_center(self):
@@ -342,18 +339,6 @@ class TestMissing:
 
 
 class TestErrors:
-    def test_eos_inside_segment(self):
-        config = TokenizerConfig(family="haar", level=1)
-        cb = fit_codebook(np.linspace(-1, 1, 101), 256)
-        x = np.random.default_rng(10).standard_normal(32)
-        stream = tokenize(x, compute_scale(x), config, cb)
-        corrupted = TokenStream(
-            tokens=np.where(np.arange(len(stream.tokens)) == 3, cb.EOS_ID, stream.tokens),
-            scale=stream.scale,
-        )
-        with pytest.raises(ValueError, match="EOS"):
-            detokenize(corrupted, 32, config, cb)
-
     def test_inconsistent_segments(self):
         # a length-32 haar window has the layout [16, 16]; 10 tokens cannot
         # fill it, nor 31, one approximation coefficient short: reconstruct
@@ -362,21 +347,15 @@ class TestErrors:
         cb = fit_codebook(np.linspace(-1, 1, 101), 256)
         for n_tokens in (10, 31):
             stream = TokenStream(np.full(n_tokens, cb.VALUE_OFFSET), ScaleStats(0.0, 1.0))
-            with pytest.raises(ValueError, match=rf"^{n_tokens} coefficient tokens do not match "
+            with pytest.raises(ValueError, match=rf"^{n_tokens} tokens do not match "
                                                  r"the layout \[16, 16\] of a length-32 window$"):
                 detokenize(stream, 32, config, cb)
 
     def test_token_count_must_match_segments(self):
-        # a trailing EOS is not counted against the layout [16, 16]
         config = TokenizerConfig(family="haar", level=1)
         cb = fit_codebook(np.linspace(-1, 1, 101), 256)
-        scale = ScaleStats(0.0, 1.0)
-        np.testing.assert_array_equal(
-            detokenize(TokenStream(np.r_[np.full(32, cb.VALUE_OFFSET), cb.EOS_ID], scale,
-                                   has_eos=True), 32, config, cb),
-            detokenize(TokenStream(np.full(32, cb.VALUE_OFFSET), scale), 32, config, cb))
-        for n_tokens, has_eos in ((33, False), (32, True), (9, True)):
-            stream = TokenStream(np.full(n_tokens, cb.VALUE_OFFSET), scale, has_eos=has_eos)
+        for n_tokens in (33, 9):
+            stream = TokenStream(np.full(n_tokens, cb.VALUE_OFFSET), ScaleStats(0.0, 1.0))
             with pytest.raises(ValueError, match=r"do not match the layout \[16, 16\] of a "
                                                  r"length-32 window"):
                 detokenize(stream, 32, config, cb)
