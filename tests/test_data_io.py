@@ -4,10 +4,15 @@ share, and the shapes ``split_last_h`` returns."""
 
 import json
 import re
+import struct
+import sys
 from datetime import datetime, timedelta
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavets.data_io import (Dataset, TimeSeries, load_dataset, read_jsonl, save_dataset,
                             season_length, split_last_h, write_jsonl)
@@ -294,6 +299,65 @@ def test_jsonl_reads_each_record_only_when_asked_and_refuses_a_later_header(tmp_
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: the __meta__ header must "
                                          "be a JSON object on the first line$"):
         next(lines)
+
+
+def exact(value):
+    """A float by its bits, so ``-0.0`` and ``0.0`` differ; any other value as it is."""
+    return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.none(),
+                          st.integers(-2**63, 2**64 - 1)), max_size=30))
+@example([-0.0, 0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e-06, sys.float_info.max,
+          -sys.float_info.max, None, -2**63, 2**64 - 1])
+def test_jsonl_codec_gives_back_finite_floats_nulls_and_ints_bit_for_bit(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("codec") / "records.jsonl"
+    write_jsonl(path, {"k": values}, [{"v": values}])
+    meta, lines = read_jsonl(path)
+    (lineno, record), = lines
+    assert lineno == 2
+    assert [exact(v) for v in meta["k"]] == [exact(v) for v in values]
+    assert [exact(v) for v in record["v"]] == [exact(v) for v in values]
+
+
+@pytest.mark.parametrize("line", [
+    '{"target": [1.0, NaN]}',
+    '{"target": [Infinity, 2.0]}',
+    '{"target": [-Infinity]}',
+    '{"target": [1e400, -1e400]}',
+    '{"item_id": "\\ud800", "target": []}',
+    "{not json",
+    '{"a": 01}',
+    '{"a": 1} x',
+    '{"a": "\x01"}',
+], ids=["nan", "infinity", "minus-infinity", "beyond-float64", "lone-surrogate", "not-json",
+        "leading-zero", "extra-data", "control-character"])
+def test_jsonl_reads_or_refuses_a_line_orjson_refuses_as_json_does(tmp_path, line):
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(line)
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n")
+    _, lines = read_jsonl(path)
+    assert next(lines) == (1, {"a": 1})
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ValueError) as refused:
+            next(lines)
+        assert str(refused.value) == f"{path}:2: bad JSON: {exc}"
+    else:
+        assert repr(next(lines)) == repr((2, expected))  # repr, as nan != nan
+
+
+def test_a_target_integer_beyond_64_bits_reads_as_the_float64_json_gives(tmp_path):
+    target = "[1.5, 123456789012345678901234567890, -9223372036854775809, 18446744073709551616]"
+    path = tmp_path / "data.jsonl"
+    path.write_text(f'{{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": {target}}}\n')
+    _, lines = read_jsonl(path)
+    assert [type(v) for v in next(lines)[1]["target"]] == [float] * 4  # json reads 3 ints
+    values = load_dataset(path).series[0].values
+    assert values.tobytes() == np.array(json.loads(target), dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("name", ["data.jsonl", "data.csv"])

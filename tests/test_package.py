@@ -20,7 +20,7 @@ SUBMODULES = ["data_synth", "data_io", "seq_model", "tokenizer", "dwt"]
 
 # Distributions start-up of the command line may load: pyproject.toml's
 # dependencies, and the package itself when it is installed.
-DEPENDENCIES = {"numpy", "PyYAML", "wavets"}
+DEPENDENCIES = {"numpy", "orjson", "PyYAML", "wavets"}
 
 PROBE = """
 import json, sys
@@ -105,12 +105,16 @@ def json_calls(tree, name: str) -> list[ast.Call]:
 
 def test_one_json_lines_codec():
     """JSON is parsed only by the codebook and model loaders and by
-    ``data_io``'s JSON-lines reader; the command line writes JSON only as
-    whole documents (an ablation cell), never line by line."""
+    ``data_io``'s JSON-lines reader, the one user of orjson; the command
+    line writes JSON only as whole documents (an ablation cell), never line
+    by line."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((SRC / "wavets").glob("*.py"))}
     parsers = {name for name, tree in trees.items() if json_calls(tree, "loads")}
     assert parsers == {"data_io.py", "codebook.py", "seq_model.py"}
+    assert {name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and "orjson" in [a.name for a in node.names]
+            } == {"data_io.py"}
     dumps = json_calls(trees["cli.py"], "dumps")
     assert len(dumps) == 1 and [k.arg for k in dumps[0].keywords] == ["sort_keys", "indent"]
     assert not [node.name for node in ast.walk(trees["cli.py"]) if isinstance(node, ast.FunctionDef)

@@ -11,7 +11,8 @@ import pytest
 
 import wavets.pipeline as pipeline
 from wavets.codebook import Codebook, fit_codebook
-from wavets.data_io import Dataset, TimeSeries, season_length, split_last_h
+from wavets.data_io import (Dataset, TimeSeries, read_jsonl, season_length, split_last_h,
+                            write_jsonl)
 from wavets.data_synth import make_dataset
 from wavets.dwt import coefficient_layout
 from wavets.exceptions import WavetsError
@@ -663,6 +664,20 @@ def test_a_bad_token_record_fails_alone(index, corrupt, message):
         assert stack.tokens.tobytes() == clean_stack.tokens[keep].tobytes()
         assert stack.scale.mu.tobytes() == clean_stack.scale.mu[keep].tobytes()
         assert stack.scale.sigma.tobytes() == clean_stack.scale.sigma[keep].tobytes()
+
+
+def test_a_token_id_beyond_64_bits_read_from_a_file_fails_its_record_alone(tmp_path):
+    dataset = small_dataset(4, seed=5)
+    codebook, _, _ = trained_inputs(dataset)
+    pairs, _ = tokenize_windows(make_windows(dataset, CONFIG), CONFIG, codebook)
+    records = token_records(pairs)
+    records[2]["tokens"][4] = 2**70  # orjson reads it as a float, json as an int
+    write_jsonl(tmp_path / "tokens.jsonl", {}, records)
+    _, lines = read_jsonl(tmp_path / "tokens.jsonl")
+    kinds, failed = read_token_records([record for _, record in lines], CONFIG, codebook)
+    assert [(i, str(exc)) for i, (_, _, exc) in failed.items()] == [
+        (2, "tokens must be 68 integer ids for the layout [34, 34], got float64 of shape (68,)")]
+    assert [len(rows) for rows, _ in kinds.values()] == [3, 4]
 
 
 def test_detokenize_windows_inverts_each_kind_in_one_call(monkeypatch):
