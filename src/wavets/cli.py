@@ -10,15 +10,15 @@ JSON-lines file goes through :func:`~wavets.data_io.read_jsonl` and
 
 Configuration precedence is flags > config file (YAML or JSON) > the
 defaults of :class:`~wavets.pipeline.RunConfig`, whose fields also name the
-flags and config keys; ``--help`` shows each flag's default. Every output
-carries the configuration fingerprint, and those made with a codebook its
-hash, in its ``__meta__`` header. That header is the only record of how an
-artifact was made, so commands refuse one whose header lacks or mismatches
-what they expect. A token file holds ``{item_id, kind, tokens, mu, sigma}``
-records, ``kind`` being ``context`` or ``horizon``.
-Each failed series or record gets its own ``error:`` line while the rest
-are still processed, and the command then exits with status 1. A warning
-(say, a score left undefined, which only
+flags and config keys; ``--help`` shows each flag's default. An output's
+``__meta__`` header holds just the configuration fingerprint and, for one
+made with a codebook, the codebook's hash. That header is the only record
+of how an artifact was made, so commands refuse one whose header lacks or
+mismatches what they expect. A token file holds ``{item_id, kind, tokens,
+mu, sigma}`` records, ``kind`` being ``context`` or ``horizon``. Each failed
+series or record gets its own ``error:`` line while the rest are still
+processed, also when none is left to fit or train on, and the command then
+exits with status 1. A warning (say, a score left undefined, which only
 :func:`~wavets.pipeline.evaluate_dataset` reports) is printed as one
 ``warning:`` line each time it is raised; :func:`main` is the one place
 that decides how warnings print, and no library code silences them.
@@ -90,16 +90,20 @@ def _add_config_flags(parser: argparse.ArgumentParser):
                                                         f"(default: {f.default})"))))
 
 
+def _header(config: RunConfig, codebook: Codebook | None) -> dict:
+    """The ``__meta__`` header of an artifact made under ``config`` and ``codebook``."""
+    made_with = {"codebook": codebook_hash(codebook)} if codebook is not None else {}
+    return {**made_with, "fingerprint": config.fingerprint()}
+
+
 def _check_meta(meta: dict, source, config: RunConfig, codebook: Codebook | None = None):
     """Refuse an artifact whose header lacks or mismatches the codebook or configuration."""
-    expected = [("codebook", codebook_hash(codebook))] if codebook is not None else []
-    for key, want in expected + [("fingerprint", config.fingerprint())]:
+    for key, want in _header(config, codebook).items():
         if key not in meta:
             raise SchemaError(f"{source} has no {key} in its __meta__ header")
         if meta[key] != want:
-            raise FingerprintMismatchError(
-                f"{source} was produced under {key} {meta[key]}, current {key} is {want}"
-            )
+            raise FingerprintMismatchError(f"{source} was produced under {key} {meta[key]}, "
+                                           f"current {key} is {want}")
 
 
 def _report(failures, noun: str = "series") -> int:
@@ -118,7 +122,7 @@ def cmd_synth(args) -> int:
         horizon=config.horizon,
         seed=config.seed,
     )
-    dataset.meta = {"fingerprint": config.fingerprint()}
+    dataset.meta = _header(config, None)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} series to {args.out} (fingerprint {config.fingerprint()})")
     return 0
@@ -127,6 +131,7 @@ def cmd_synth(args) -> int:
 def cmd_fit_codebook(args) -> int:
     config = build_config(args)
     sample, skipped = pool_coefficients(make_windows(load_dataset(args.data), config), config)
+    status = _report(skipped)
     codebook = fit_codebook(sample, config.vocab_budget)
     save_codebook(codebook, args.out)
     clamped = np.sum((sample < codebook.edges[0]) | (sample >= codebook.edges[-1]))
@@ -135,26 +140,24 @@ def cmd_fit_codebook(args) -> int:
         f"width {codebook.bin_width:.6g} clamp rate {clamped / sample.size:.4%} "
         f"hash {codebook_hash(codebook)} fingerprint {config.fingerprint()}"
     )
-    return _report(skipped)
+    return status
 
 
 def cmd_tokenize(args) -> int:
     config = build_config(args)
     dataset = load_dataset(args.data)
     codebook = load_codebook(args.codebook)
-    fingerprint = config.fingerprint()
     pairs, failures = tokenize_windows(make_windows(dataset, config), config, codebook)
     streams = [(item_id, kind, stream) for item_id, ctx_stream, hor_stream in pairs
                for kind, stream in (("context", ctx_stream), ("horizon", hor_stream))]
-    write_jsonl(args.out, {
-        "fingerprint": fingerprint, "codebook": codebook_hash(codebook),
-        "family": config.family, "level": config.level},
-        ({"item_id": item_id, "kind": kind, "tokens": stream.tokens.tolist(),
-          "mu": stream.scale.mu, "sigma": stream.scale.sigma} for item_id, kind, stream in streams))
+    write_jsonl(args.out, _header(config, codebook),
+                ({"item_id": item_id, "kind": kind, "tokens": stream.tokens.tolist(),
+                  "mu": stream.scale.mu, "sigma": stream.scale.sigma}
+                 for item_id, kind, stream in streams))
     n_tokens = sum(len(stream.tokens) for _, _, stream in streams)
     n_pad = sum(int(np.sum(stream.tokens == codebook.PAD_ID)) for _, _, stream in streams)
     pad_rate = n_pad / n_tokens if n_tokens else 0.0
-    print(f"tokenized {args.data}: PAD rate {pad_rate:.4%}, fingerprint {fingerprint}")
+    print(f"tokenized {args.data}: PAD rate {pad_rate:.4%}, fingerprint {config.fingerprint()}")
     return _report(failures)
 
 
@@ -164,8 +167,9 @@ def cmd_detokenize(args) -> int:
     meta, lines = read_jsonl(args.tokens)
     _check_meta(meta, args.tokens, config, codebook)
     windows, failures = detokenize_windows([record for _, record in lines], config, codebook)
-    write_jsonl(args.out, meta, ({"item_id": item_id, "kind": kind, "values": values.tolist()}
-                                  for item_id, kind, values in windows))
+    write_jsonl(args.out, _header(config, codebook),
+                ({"item_id": item_id, "kind": kind, "values": values.tolist()}
+                 for item_id, kind, values in windows))
     if args.reference:
         truths = {(item_id, kind): truth
                   for item_id, *pair in make_windows(load_dataset(args.reference), config)
@@ -198,11 +202,11 @@ def cmd_train(args) -> int:
     other = {"context": "horizon", "horizon": "context"}
     unpaired = [(item_id, kind, f"no {other[kind]} record for this series")
                 for item_id, kind in streams if (item_id, other[kind]) not in listed]
+    status = _report([*failed.values(), *unpaired], "record")
     model = train_model(corpus, config, codebook)
-    save_model(model, args.out, meta={
-        "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook)})
+    save_model(model, args.out, meta=_header(config, codebook))
     print(f"trained order-{config.order} model on {len(corpus)} pairs -> {args.out}")
-    return _report([*failed.values(), *unpaired], "record")
+    return status
 
 
 def cmd_forecast(args) -> int:
@@ -222,10 +226,8 @@ def cmd_forecast(args) -> int:
         chunks = [forecast(contexts)]
     forecasts = [pair for done, _ in chunks for pair in done]
     failed = [pair for _, errors in chunks for pair in errors]
-    write_jsonl(args.out, {
-        "fingerprint": config.fingerprint(), "codebook": codebook_hash(codebook),
-        "horizon": config.horizon, "n_samples": config.n_samples},
-        ({"item_id": item_id, "samples": paths.tolist()} for item_id, paths in forecasts))
+    write_jsonl(args.out, _header(config, codebook),
+                ({"item_id": item_id, "samples": paths.tolist()} for item_id, paths in forecasts))
     print(f"forecast {len(forecasts)} series -> {args.out}")
     return _report(failed)
 
@@ -244,12 +246,16 @@ def cmd_eval(args) -> int:
         dataset = load_dataset(data_path)
         meta, lines = read_jsonl(forecast_path)
         _check_meta(meta, forecast_path, config)
-        samples = {}
+        samples, first = {}, {}  # first: item_id -> its line
         for line, record in lines:
             try:
-                if not isinstance(record.get("item_id"), str) or "samples" not in record:
+                item_id = record.get("item_id")
+                if not isinstance(item_id, str) or "samples" not in record:
                     raise ValueError("need a string item_id and samples")
-                samples[record["item_id"]] = np.asarray(record["samples"], dtype=np.float64)
+                if first.setdefault(item_id, line) != line:
+                    raise ValueError(f"duplicate item_id {item_id!r}; first occurrence at line "
+                                     f"{first[item_id]}")
+                samples[item_id] = np.asarray(record["samples"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{forecast_path}:{line}: {exc}") from None
         per_dataset[name], failed = evaluate_dataset(name, dataset, samples, config)

@@ -3,16 +3,20 @@
 The vocabulary consists of ``B`` value tokens (one per bin center) plus the
 one special token ``PAD`` (missing value). The token ids are fixed:
 ``Codebook.PAD_ID = 0`` and value tokens from ``Codebook.VALUE_OFFSET = 1``,
-so the PAD id never depends on ``B``. A codebook file keeps both ids as
-fields, and :func:`load_codebook` refuses a file whose ids differ from them.
-:func:`fit_codebook` clips every codebook at ``BOUNDS``, in the units of
-context-scaled coefficients.
+so the PAD id never depends on ``B``. A codebook is its bin width and its
+odd bin count ``B``: the centers and edges follow from the two, and every
+center lies within ``BOUNDS``, in the units of context-scaled coefficients.
+A codebook file (version 3) holds just these two numbers and both ids;
+:func:`load_codebook` refuses a file whose ids differ from them, and a file
+of another version, such as version 2, which listed every center and edge.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -22,58 +26,44 @@ import numpy as np
 from .exceptions import SchemaError
 
 _FORMAT = "wavets.codebook"
-_VERSION = 2
+_VERSION = 3
 BOUNDS = (-30.0, 30.0)  # the clipping bounds of every fitted codebook
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Sorted bin centers with interleaved edges and clipping bounds."""
+    """Uniform bins of width ``bin_width`` tiling symmetrically about a center
+    bin at exactly 0: ``n_bins`` centers and the midpoints between them as
+    edges, all within ``BOUNDS``."""
 
-    centers: np.ndarray
-    edges: np.ndarray
-    bounds: tuple[float, float]
+    bin_width: float
+    n_bins: int
 
     PAD_ID: ClassVar[int] = 0
     VALUE_OFFSET: ClassVar[int] = 1
     pad_id: ClassVar[int] = PAD_ID  # the lower-case name bench/ reads
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
-        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=np.float64))
-        object.__setattr__(self, "bounds", (float(self.bounds[0]), float(self.bounds[1])))
-        self.validate()
+        n, width = self.n_bins, self.bin_width
+        if isinstance(n, bool) or not isinstance(n, int) or n < 3 or n % 2 == 0:
+            raise ValueError(f"need an odd number of bins >= 3, got {n!r}")
+        if not (isinstance(width, float) and math.isfinite(width) and width > 0):
+            raise ValueError(f"bin width must be a finite, positive float, got {width!r}")
+        if self.centers[-1] > BOUNDS[1]:  # the centers are symmetric about 0
+            raise ValueError(f"outermost center {self.centers[-1]} exceeds the bounds {BOUNDS}")
 
-    def validate(self):
-        c, e = self.centers, self.edges
-        if len(c) < 3 or len(c) % 2 == 0:
-            raise ValueError(f"need an odd number of centers >= 3, got {len(c)}")
-        if len(e) != len(c) - 1:
-            raise ValueError(f"expected {len(c) - 1} edges for {len(c)} centers, got {len(e)}")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(e))):
-            raise ValueError("centers and edges must be finite")
-        if np.any(np.diff(c) <= 0):
-            raise ValueError("centers must be strictly increasing")
-        if np.any(e <= c[:-1]) or np.any(e >= c[1:]):
-            raise ValueError("edges must strictly interleave centers")
-        if not np.any(c == 0.0):
-            raise ValueError("one center must be exactly 0")
-        lo, hi = self.bounds
-        if not (lo <= c[0] and c[-1] <= hi):
-            raise ValueError(f"centers [{c[0]}, {c[-1]}] exceed bounds ({lo}, {hi})")
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        k = (self.n_bins - 1) // 2
+        return self.bin_width * np.arange(-k, k + 1, dtype=np.float64)
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.centers)
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        return (self.centers[:-1] + self.centers[1:]) / 2.0
 
     @property
     def vocab_size(self) -> int:
-        return len(self.centers) + self.VALUE_OFFSET
-
-    @property
-    def bin_width(self) -> float:
-        """Largest center spacing; equals the uniform width for FD codebooks."""
-        return float(np.max(np.diff(self.centers)))
+        return self.n_bins + self.VALUE_OFFSET
 
 
 def check_vocab_budget(vocab_budget: int) -> None:
@@ -105,9 +95,7 @@ def fit_codebook(sample: np.ndarray, vocab_budget: int) -> Codebook:
     k = min(int(hi / width), (vocab_budget - 3) // 2)
     if k < 1:
         k, width = 1, hi
-    centers = width * np.arange(-k, k + 1, dtype=np.float64)
-    edges = (centers[:-1] + centers[1:]) / 2.0
-    return Codebook(centers=centers, edges=edges, bounds=BOUNDS)
+    return Codebook(bin_width=float(width), n_bins=2 * k + 1)
 
 
 def quantize(values: np.ndarray, codebook: Codebook) -> np.ndarray:
@@ -150,9 +138,8 @@ def _to_payload(codebook: Codebook) -> dict:
     return {
         "format": _FORMAT,
         "version": _VERSION,
-        "centers": codebook.centers.tolist(),
-        "edges": codebook.edges.tolist(),
-        "bounds": list(codebook.bounds),
+        "bin_width": codebook.bin_width,
+        "n_bins": codebook.n_bins,
         **_SPECIAL_IDS,
     }
 
@@ -182,16 +169,12 @@ def load_codebook(path) -> Codebook:
             f"codebook version mismatch in {path}: found {payload.get('version')}, "
             f"expected {_VERSION}"
         )
-    missing = [key for key in ("centers", "edges", "bounds", *_SPECIAL_IDS) if key not in payload]
+    missing = [key for key in ("bin_width", "n_bins", *_SPECIAL_IDS) if key not in payload]
     if missing:
         raise SchemaError(f"codebook file {path} is missing fields: {missing}")
     other = {key: payload[key] for key, fixed in _SPECIAL_IDS.items() if payload[key] != fixed}
     if other:
         raise SchemaError(f"codebook file {path} has special token ids {other}; the ids are "
                           f"fixed at {_SPECIAL_IDS}")
-    # invariant violations (e.g. non-monotone centers) surface as ValueError
-    return Codebook(
-        centers=np.array(payload["centers"], dtype=np.float64),
-        edges=np.array(payload["edges"], dtype=np.float64),
-        bounds=tuple(payload["bounds"]),
-    )
+    # a bin count or width out of range surfaces as ValueError
+    return Codebook(bin_width=payload["bin_width"], n_bins=payload["n_bins"])

@@ -148,9 +148,9 @@ def pool_coefficients(windows, config: RunConfig):
     and the horizon of every series :func:`tokenize_windows` keeps: the
     approximation and detail coefficients, scaled by the series' context
     statistics, without those it emits as PAD (no observed sample in their
-    filter support). Also returns ``(item_id, error)`` for each series set
-    aside, in input order; a series fails here exactly when it fails
-    :func:`tokenize_windows`, with the same error.
+    filter support), empty if every series fails. Also returns ``(item_id,
+    error)`` for each series set aside, in input order; a series fails here
+    exactly when it fails :func:`tokenize_windows`, with the same error.
     """
     tok_config = config.tokenizer_config()
 
@@ -159,10 +159,10 @@ def pool_coefficients(windows, config: RunConfig):
         pyramids = [coefficients(stack, scale, tok_config) for stack in stacks]
         return list(zip(*(band for p in pyramids for band in (p.approx, *p.details))))
 
-    pooled, failed = _by_row(bands, [item_id for item_id, *_ in windows])
-    if not pooled:
+    if not windows:
         raise WavetsError("no usable training windows")
-    sample = np.concatenate([band for _, row in pooled for band in row])
+    pooled, failed = _by_row(bands, [item_id for item_id, *_ in windows])
+    sample = np.concatenate([np.empty(0), *(band for _, row in pooled for band in row)])
     return sample[~np.isnan(sample)], failed
 
 
@@ -275,14 +275,6 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
     return _by_row(sample, [item_id for item_id, _ in contexts])
 
 
-def _groups(keys) -> list[list[int]]:
-    """Row indices per distinct key, in order of first appearance."""
-    groups: dict = {}
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
-    return list(groups.values())
-
-
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
     """Per-dataset WQL/MASE/VRSE for the model and the seasonal-naive
     baseline over the series with ``(n_samples, horizon)`` finite forecast
@@ -327,12 +319,11 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
     if season is None:
         warnings.warn(f"dataset {name}: frequency tag {dataset.freq!r} has no season, using 1")
     # missing context values stay in place, so the seasons keep their phase
-    seasons = np.minimum(season or 1, np.isfinite(contexts).sum(axis=1) - 1)
-    seasons = np.maximum(seasons, 1).tolist()
+    seasons = np.clip(np.isfinite(contexts).sum(axis=1) - 1, 1, season or 1)
     naive_point = np.empty_like(truths)
     model_mase, naive_mase = np.empty(len(truths)), np.empty(len(truths))
-    for rows in _groups(seasons):
-        season = seasons[rows[0]]
+    for season in np.unique(seasons).tolist():
+        rows = seasons == season
         naive_point[rows] = seasonal_naive(contexts[rows], season, truths.shape[1])
         model_mase[rows] = mase(truths[rows], median[rows], contexts[rows], season)
         naive_mase[rows] = mase(truths[rows], naive_point[rows], contexts[rows], season)

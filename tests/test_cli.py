@@ -3,16 +3,18 @@ per-series failure isolation and ablation sweeps."""
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+import wavets.cli
 from wavets.cli import build_config, build_parser, main
 from wavets.codebook import load_codebook
 from wavets.data_io import Dataset, TimeSeries, load_dataset, save_dataset, write_jsonl
 from wavets.data_synth import make_dataset
+from wavets.exceptions import WavetsError
 from wavets.pipeline import RunConfig
 from wavets.seq_model import load_model, save_model
 
@@ -288,6 +290,35 @@ def test_refuses_a_dataset_with_an_unreadable_timestamp_or_tag_in_one_error_line
     assert (code, err.splitlines()) == (1, [f"error: {tmp_path / name}:{message}"])
 
 
+def test_train_reports_each_unpaired_record_before_it_refuses_an_empty_corpus(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    contexts = tmp_path / "contexts.jsonl"
+    kept = [f"synth-{i:05d}" for i in range(3)]
+    rewrite_records(tmp_path / "tokens.jsonl", contexts,
+                    lambda r: r if r["kind"] == "context" and r["item_id"] in kept else None)
+    code, _, err = run(["train", "--tokens", contexts, "--codebook", tmp_path / "codebook.json",
+                        "--out", tmp_path / "none.json", *FLAGS], capsys)
+    assert (code, err.splitlines(), (tmp_path / "none.json").exists()) == (1, [
+        *(f"error: record '{item_id}' context: no horizon record for this series"
+          for item_id in kept),
+        "error: cannot train on an empty corpus"], False)
+
+
+def test_eval_refuses_a_second_forecast_record_of_one_series(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    forecasts = tmp_path / "repeated.jsonl"
+    text = (tmp_path / "forecast.jsonl").read_text()
+    first = json.loads(text.splitlines()[1])
+    assert first["item_id"] == "synth-00000"
+    repeated = dict(first, samples=np.full(np.shape(first["samples"]), 1e6).tolist())
+    forecasts.write_text(text + json.dumps(repeated) + "\n")
+    code, _, err = run(["eval", "--data", tmp_path / "data.jsonl", "--forecasts", forecasts,
+                        "--out", tmp_path / "repeated.csv", *FLAGS], capsys)
+    assert (code, err.splitlines(), (tmp_path / "repeated.csv").exists()) == (1, [
+        f"error: {forecasts}:{N_SERIES + 2}: duplicate item_id 'synth-00000'; first occurrence "
+        "at line 2"], False)
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda r: r.pop("samples"), "need a string item_id and samples"),
     (lambda r: r.pop("item_id"), "need a string item_id and samples"),
@@ -543,6 +574,20 @@ def test_fit_codebook_skips_unscalable_series(tmp_path, capsys):
     assert code == 1
 
 
+def test_fit_codebook_reports_each_unscalable_series_before_it_refuses_an_empty_sample(
+        tmp_path, capsys):
+    dataset = make_dataset(N_SERIES, context_length=64, horizon=16, seed=0)
+    for series in dataset.series:
+        series.values[:-16] = np.nan
+    save_dataset(dataset, tmp_path / "data.jsonl")
+    code, _, err = run(["fit-codebook", "--data", tmp_path / "data.jsonl",
+                        "--out", tmp_path / "cb.json", *FLAGS], capsys)
+    assert (code, err.splitlines(), (tmp_path / "cb.json").exists()) == (1, [
+        *(f"error: series 'synth-{i:05d}': cannot scale a window with no observed values"
+          for i in range(N_SERIES)),
+        "error: cannot fit a codebook to an empty sample"], False)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_forecast_isolates_failing_series(tmp_path, capsys, workers):
     broken, cb, model = make_inputs(tmp_path, capsys)
@@ -609,6 +654,32 @@ def test_ablate_runs_a_grid_over_any_config_field(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["fingerprint", "order"]
     assert sorted(row[1] for row in rows[1:]) == ["1", "2"]
+
+
+def test_ablate_reports_a_failed_cell_and_tables_the_others(tmp_path, capsys, monkeypatch):
+    run_cell = wavets.cli.run_cell
+
+    def fail_db4(config, dataset):
+        if config.family == "db4":
+            raise WavetsError("no db4 today")
+        return run_cell(config, dataset)
+
+    monkeypatch.setattr(wavets.cli, "run_cell", fail_db4)
+    cells = tmp_path / "cells"
+    code, out, err = ablate_grid(tmp_path, capsys, "grid:\n  family: [haar, db4]\n", cells)
+    config = RunConfig(context_length=64, horizon=16, n_samples=4, order=2)  # FLAGS
+    good, bad = (replace(config, family=family).fingerprint() for family in ("haar", "db4"))
+    assert code == 1
+    assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+        f"cell {bad} ({{'family': 'db4'}}): FAILED: no db4 today"]
+    # the count is of the cells in the table
+    assert out.splitlines()[-1] == f"wrote {cells / 'sweep.csv'} (1 cells, 1 failed)"
+    assert json.loads((cells / f"cell-{bad}.json").read_text()) == {
+        "fingerprint": bad, "overrides": {"family": "db4"}, "error": "no db4 today"}
+    assert "scores" in json.loads((cells / f"cell-{good}.json").read_text())
+    with open(cells / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [[good, "haar"]]
 
 
 def test_ablate_refuses_a_grid_value_before_it_runs_any_cell(tmp_path, capsys):

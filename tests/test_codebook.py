@@ -1,6 +1,8 @@
 """Codebook fitting, token/value mapping and persistence."""
 
+import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,11 +22,7 @@ from wavets.exceptions import SchemaError
 
 
 def small_codebook():
-    return Codebook(
-        centers=np.array([-1.0, 0.0, 1.0]),
-        edges=np.array([-0.5, 0.5]),
-        bounds=(-30.0, 30.0),
-    )
+    return Codebook(bin_width=1.0, n_bins=3)  # centers -1, 0, 1; edges -0.5, 0.5
 
 
 class TestFit:
@@ -51,8 +49,21 @@ class TestFit:
         sample = rng.standard_normal(4000)
         cb1 = fit_codebook(sample, 512)
         cb2 = fit_codebook(sample[::-1].copy(), 512)
-        assert np.array_equal(cb1.centers, cb2.centers)
+        assert cb1 == cb2
         assert codebook_hash(cb1) == codebook_hash(cb2)
+
+    def test_centers_and_edges_follow_from_the_width_and_the_bin_count(self):
+        rng = np.random.default_rng(3)
+        cb = fit_codebook(rng.standard_normal(3000), 1024)
+        k = (cb.n_bins - 1) // 2
+        assert type(cb.bin_width) is float and type(cb.n_bins) is int
+        np.testing.assert_array_equal(cb.centers,
+                                      cb.bin_width * np.arange(-k, k + 1, dtype=np.float64))
+        np.testing.assert_array_equal(cb.edges, (cb.centers[:-1] + cb.centers[1:]) / 2.0)
+        assert cb.centers[k] == 0.0 and cb.centers[-1] <= 30.0
+
+    def test_a_codebook_is_its_width_and_bin_count(self):
+        assert [f.name for f in fields(Codebook)] == ["bin_width", "n_bins"]
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -117,7 +128,7 @@ class TestMapping:
     def test_special_ids_are_not_settable(self):
         # a settable offset let quantize emit ids outside the vocabulary
         with pytest.raises(TypeError, match="value_offset"):
-            Codebook(np.array([-1.0, 0.0, 1.0]), np.array([-0.5, 0.5]), (-30, 30), value_offset=3)
+            Codebook(1.0, 3, value_offset=3)
 
     @settings(max_examples=100, deadline=None)
     @given(w=st.floats(min_value=-30.0, max_value=30.0))
@@ -146,22 +157,33 @@ class TestPersistence:
         path = tmp_path / "cb.json"
         save_codebook(cb, path)
         loaded = load_codebook(path)
+        assert loaded == cb
         assert np.array_equal(cb.centers, loaded.centers)
         assert np.array_equal(cb.edges, loaded.edges)
-        assert cb.bounds == loaded.bounds
         assert codebook_hash(cb) == codebook_hash(loaded)
 
-    def test_non_monotone_centers_rejected(self, tmp_path):
+    def test_the_file_holds_the_width_the_bin_count_and_the_ids(self, tmp_path):
         path = tmp_path / "cb.json"
         save_codebook(small_codebook(), path)
-        payload = path.read_text().replace("-1.0", "2.0")
-        path.write_text(payload)
-        with pytest.raises(ValueError, match="increasing"):
+        assert json.loads(path.read_text()) == {
+            "format": "wavets.codebook", "version": 3, "bin_width": 1.0, "n_bins": 3,
+            "pad_id": 0, "value_offset": 1}
+
+    @pytest.mark.parametrize("key, value, refused", [
+        ("n_bins", 4, "need an odd number of bins >= 3, got 4"),
+        ("bin_width", "1.0", "bin width must be a finite, positive float, got '1.0'"),
+        ("bin_width", 31.0, "outermost center 31.0 exceeds the bounds (-30.0, 30.0)"),
+    ], ids=["even-count", "text-width", "beyond-bounds"])
+    def test_a_width_or_bin_count_out_of_range_is_refused(self, tmp_path, key, value, refused):
+        path = tmp_path / "cb.json"
+        save_codebook(small_codebook(), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             load_codebook(path)
 
     def test_missing_field_is_schema_error(self, tmp_path):
-        import json
-
         path = tmp_path / "cb.json"
         save_codebook(small_codebook(), path)
         payload = json.loads(path.read_text())
@@ -172,8 +194,6 @@ class TestPersistence:
 
     @pytest.mark.parametrize("key, value", [("value_offset", 3), ("pad_id", 1)])
     def test_other_special_ids_are_refused(self, tmp_path, key, value):
-        import json
-
         path = tmp_path / "cb.json"
         save_codebook(small_codebook(), path)
         payload = json.loads(path.read_text())
@@ -184,8 +204,6 @@ class TestPersistence:
             load_codebook(path)
 
     def test_version_mismatch(self, tmp_path):
-        import json
-
         path = tmp_path / "cb.json"
         save_codebook(small_codebook(), path)
         payload = json.loads(path.read_text())
@@ -196,14 +214,22 @@ class TestPersistence:
 
     def test_a_version_1_file_is_refused_by_name(self, tmp_path):
         # version 1 also held an EOS token at id 1, and its value ids started at 2
-        import json
-
         path = tmp_path / "cb.json"
         save_codebook(small_codebook(), path)
         payload = json.loads(path.read_text())
         payload.update(version=1, eos_id=1, value_offset=2)
         path.write_text(json.dumps(payload))
-        refused = re.escape(f"codebook version mismatch in {path}: found 1, expected 2")
+        refused = re.escape(f"codebook version mismatch in {path}: found 1, expected 3")
+        with pytest.raises(SchemaError, match=f"^{refused}$"):
+            load_codebook(path)
+
+    def test_a_version_2_file_is_refused_by_version(self, tmp_path):
+        # version 2 listed every center and edge, and the bounds
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps({
+            "format": "wavets.codebook", "version": 2, "centers": [-1.0, 0.0, 1.0],
+            "edges": [-0.5, 0.5], "bounds": [-30.0, 30.0], "pad_id": 0, "value_offset": 1}))
+        refused = re.escape(f"codebook version mismatch in {path}: found 2, expected 3")
         with pytest.raises(SchemaError, match=f"^{refused}$"):
             load_codebook(path)
 
@@ -216,13 +242,23 @@ class TestPersistence:
 
 class TestInvariants:
     def test_even_center_count_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook(np.array([-1.0, 0.0, 0.5, 1.0]), np.array([-0.5, 0.25, 0.75]), (-30, 30))
+        with pytest.raises(ValueError, match="^need an odd number of bins >= 3, got 4$"):
+            Codebook(bin_width=0.5, n_bins=4)
 
-    def test_zero_center_required(self):
-        with pytest.raises(ValueError):
-            Codebook(np.array([-1.0, 0.1, 1.0]), np.array([-0.5, 0.5]), (-30, 30))
+    @pytest.mark.parametrize("n_bins", [1, -3, True, 3.0, "3"])
+    def test_the_bin_count_must_be_an_odd_int_of_at_least_3(self, n_bins):
+        refused = f"need an odd number of bins >= 3, got {n_bins!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            Codebook(bin_width=0.5, n_bins=n_bins)
 
-    def test_edges_must_interleave(self):
-        with pytest.raises(ValueError):
-            Codebook(np.array([-1.0, 0.0, 1.0]), np.array([-0.5, -0.6]), (-30, 30))
+    @pytest.mark.parametrize("bin_width", [0.0, -0.5, float("nan"), float("inf"), 1, None])
+    def test_the_bin_width_must_be_a_finite_positive_float(self, bin_width):
+        refused = f"bin width must be a finite, positive float, got {bin_width!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            Codebook(bin_width=bin_width, n_bins=3)
+
+    def test_the_outermost_centers_must_lie_within_the_bounds(self):
+        assert Codebook(bin_width=15.0, n_bins=5).centers[-1] == 30.0
+        refused = "outermost center 32.0 exceeds the bounds (-30.0, 30.0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            Codebook(bin_width=16.0, n_bins=5)
