@@ -258,8 +258,12 @@ def cmd_eval(args) -> int:
                 samples[item_id] = np.asarray(record["samples"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{forecast_path}:{line}: {exc}") from None
-        per_dataset[name], failed = evaluate_dataset(name, dataset, samples, config)
+        scores, failed = evaluate_dataset(name, dataset, samples, config)
         unscored += failed
+        if scores is None:
+            _report(unscored)
+            raise WavetsError(f"dataset {name}: no series to score")
+        per_dataset[name] = scores
 
     rows = [(name, *key, value) for name, scores in sorted(per_dataset.items())
             for key, value in sorted(scores.items())]
@@ -325,11 +329,11 @@ def cmd_ablate(args) -> int:
             scores = payload["scores"]
             writer.writerow([
                 payload["fingerprint"],
-                *[payload["overrides"].get(k, getattr(config, k)) for k in keys],
+                *[payload["overrides"][k] for k in keys],
                 *[repr(scores[f"model/{m}"]) for m in ("wql", "mase", "vrse")],
                 *[repr(scores[f"seasonal_naive/{m}"]) for m in ("wql", "mase", "vrse")],
             ])
-    print(f"wrote {table_path} ({len(results)} cells, {n_failed} failed)")
+    print(f"wrote {table_path} ({len(cells)} cells, {n_failed} failed)")
     return 1 if n_failed else 0
 
 

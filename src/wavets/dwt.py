@@ -3,10 +3,11 @@
 All filtering is one kernel of ``L`` strided multiply-adds,
 :func:`_strided_filter`. In analysis, output ``k`` of a band is
 ``sum_m taps[m] * x[2k + 1 - m]``, read from the signal extended past both
-ends by one index gather (:func:`_extend`); the tokenizer runs the same on
-its missing-value mask. Synthesis convolves the zero-stuffed bands with
-the reconstruction filters and removes the ``L - 2`` leading samples. The
-boundary modes are those of PyWavelets' signal extension:
+ends by one index gather (:func:`_extend`). The tokenizer runs
+:func:`decompose` on its missing-value mask with an all-ones filter bank,
+so this is the one analysis cascade. Synthesis convolves the zero-stuffed
+bands with the reconstruction filters and removes the ``L - 2`` leading
+samples. The boundary modes are those of PyWavelets' signal extension:
 
 * ``"symmetric"`` (default): half-sample reflection, ``x[-1 - i] = x[i]``.
   Each level of an input of length ``n`` yields ``(n + L - 1) // 2``

@@ -293,7 +293,8 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
     with no defined score is NaN. A seasonal-naive score of 0 leaves the
     dataset's relative score undefined
     (:func:`~wavets.metrics.aggregate_relative` leaves it out), and gets one
-    warning per metric naming the dataset."""
+    warning per metric naming the dataset. The scores are None when every
+    series fails, and a dataset with no series at all is refused."""
     expected = (config.n_samples, config.horizon)
     windows, failed = [], []
     for item_id, context, horizon in make_windows(dataset, config):
@@ -310,6 +311,8 @@ def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConf
         else:
             windows.append((item_id, context, horizon))
     if not windows:
+        if failed:
+            return None, failed
         raise WavetsError(f"dataset {name}: no series to score")
     item_ids, contexts, truths = zip(*windows)
     contexts, truths = np.stack(contexts), np.stack(truths)

@@ -3,11 +3,12 @@
 Forward: z-score the window with context statistics, fill missing values,
 decompose with the configured wavelet, optionally threshold the details
 and mark as missing (NaN) each coefficient whose entire filter support
-lies in missing (or synthetic padding) samples (:func:`coefficients`,
-which refuses coefficients that overflow); then quantize every
-coefficient against a shared codebook, a missing one to PAD, and
-concatenate the bands coarsest-first ``[a_J, d_J, ..., d_1]``. The
-codebook is fit to the same coefficients, the missing ones left out.
+lies in missing (or synthetic padding) samples, found by decomposing the
+observed-sample mask (:func:`coefficients`, which refuses coefficients
+that overflow); then quantize every coefficient against a shared
+codebook, a missing one to PAD, and concatenate the bands coarsest-first
+``[a_J, d_J, ..., d_1]``. The codebook is fit to the same coefficients,
+the missing ones left out.
 
 Inverse: dequantize (PAD contributes 0), rebuild the coefficient pyramid,
 apply the inverse transform and undo the scaling.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codebook import Codebook, dequantize, quantize
-from .dwt import CoefficientPyramid, _extend, _strided_filter, coefficient_layout, decompose, reconstruct
+from .dwt import CoefficientPyramid, coefficient_layout, decompose, reconstruct
 from .families import WaveletFamily, get_family
 from .thresholding import ThresholdSpec, apply_threshold
 
@@ -123,28 +124,14 @@ def fill_missing(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_observed(mask: np.ndarray, family: WaveletFamily, level: int, mode: str) -> list[np.ndarray]:
-    """Per-band flags marking coefficients with any observed sample in
-    their filter support, ordered ``[a_J, d_J, ..., d_1]`` like the bands:
-    a positive count of the 0/1 mask (along its last axis) under an
-    all-ones analysis filter."""
-    support = np.ones(family.filter_length)
-    counts = np.asarray(mask, dtype=np.float64)
-    per_level = []
-    for _ in range(level):
-        counts = _strided_filter(_extend(counts, family.filter_length, mode), support)
-        per_level.append(counts > 0)
-    # approx band shares the support of the coarsest detail band
-    return [per_level[-1]] + per_level[::-1]
-
-
 def coefficients(windows: np.ndarray, scale: ScaleStats,
                  config: TokenizerConfig) -> CoefficientPyramid:
     """The forward step before quantization, for a window or a ``(rows, n)``
     stack with one ``scale`` per row: gap-fill, z-score, decompose and
-    threshold the details, then set to NaN each coefficient with no
-    observed sample in its filter support; coefficients that overflow are
-    refused."""
+    threshold the details, refusing coefficients that overflow; then set to
+    NaN each coefficient with no observed sample in its filter support, as
+    counted by :func:`~wavets.dwt.decompose` of the 0/1 mask
+    ``np.isfinite(windows)`` with an all-ones filter bank."""
     windows = np.asarray(windows, dtype=np.float64)
     mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
     pyramid = decompose((fill_missing(windows) - mu) / sigma, config.wavelet, config.level,
@@ -152,10 +139,11 @@ def coefficients(windows: np.ndarray, scale: ScaleStats,
     if not all(np.isfinite(band).all() for band in (pyramid.approx, *pyramid.details)):
         raise ValueError("wavelet coefficients are not finite")
     pyramid = apply_threshold(pyramid, config.threshold)  # new arrays, so masked in place
-    observed = _band_observed(np.isfinite(windows), config.wavelet, config.level,
-                              config.boundary_mode)
-    for band, obs in zip((pyramid.approx, *pyramid.details), observed):
-        band[~obs] = np.nan
+    ones = np.ones(config.wavelet.filter_length)
+    counts = decompose(np.isfinite(windows), WaveletFamily(config.family, ones, ones, ones, ones),
+                       config.level, config.boundary_mode)
+    for band, count in zip((pyramid.approx, *pyramid.details), (counts.approx, *counts.details)):
+        band[count == 0] = np.nan
     return pyramid
 
 

@@ -490,6 +490,26 @@ def test_eval_scores_the_series_that_did_forecast(tmp_path, capsys):
     assert "nan" not in (kept / "eval.csv").read_text()
 
 
+def test_eval_reports_every_failed_series_before_a_dataset_with_none_left(tmp_path, capsys):
+    # every record has the wrong number of paths: each series' reason is
+    # printed, then the dataset's, and no table is written
+    dataset = make_dataset(3, context_length=64, horizon=16, seed=0)
+    data, fc, out = tmp_path / "data.jsonl", tmp_path / "forecast.jsonl", tmp_path / "eval.csv"
+    save_dataset(dataset, data)
+    config = RunConfig(context_length=64, horizon=16, n_samples=4, order=2)  # FLAGS
+    write_jsonl(fc, {"fingerprint": config.fingerprint()},
+                [{"item_id": s.item_id, "samples": np.zeros((3, 16)).tolist()}
+                 for s in dataset.series])
+    code, out_text, err = run(["eval", "--data", data, "--forecasts", fc, "--out", out, *FLAGS],
+                              capsys)
+    assert (code, out_text) == (1, "")
+    assert err.splitlines() == [
+        *(f"error: series 'synth-{i:05d}': dataset data.jsonl: a forecast of shape (3, 16), "
+          "expected (4, 16) finite paths" for i in range(3)),
+        "error: dataset data.jsonl: no series to score"]
+    assert not out.exists()
+
+
 def test_eval_writes_its_table_when_a_seasonal_naive_score_is_0(tmp_path, capsys):
     # the series repeats its season exactly: seasonal naive scores WQL and
     # VRSE 0, so those relative scores are undefined, and MASE's in-sample
@@ -672,8 +692,8 @@ def test_ablate_reports_a_failed_cell_and_tables_the_others(tmp_path, capsys, mo
     assert code == 1
     assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
         f"cell {bad} ({{'family': 'db4'}}): FAILED: no db4 today"]
-    # the count is of the cells in the table
-    assert out.splitlines()[-1] == f"wrote {cells / 'sweep.csv'} (1 cells, 1 failed)"
+    # the count is of every cell in the grid, the failed one included
+    assert out.splitlines()[-1] == f"wrote {cells / 'sweep.csv'} (2 cells, 1 failed)"
     assert json.loads((cells / f"cell-{bad}.json").read_text()) == {
         "fingerprint": bad, "overrides": {"family": "db4"}, "error": "no db4 today"}
     assert "scores" in json.loads((cells / f"cell-{good}.json").read_text())

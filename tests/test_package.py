@@ -96,6 +96,22 @@ def test_only_dwt_and_the_tokenizer_know_about_wavelets():
     assert {name: n for name, n in calls.items() if n} == {"tokenizer.py": 1}
 
 
+def private_imports(path: Path) -> list[tuple[str, str]]:
+    """``(file name, name)`` for each ``_``-prefixed name a module imports
+    from another module of the package."""
+    return [(path.name, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "wavets")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A module's ``_`` names are its own: the tokenizer masks missing
+    values through ``dwt.decompose``, not through the cascade's kernel."""
+    assert [hit for path in sorted((SRC / "wavets").glob("*.py"))
+            for hit in private_imports(path)] == []
+
+
 def json_calls(tree, name: str) -> list[ast.Call]:
     """Calls of ``json.<name>`` under an AST node."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

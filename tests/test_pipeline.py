@@ -495,8 +495,17 @@ def test_evaluate_dataset_scores_the_series_with_a_forecast_and_returns_the_rest
         ("synth-00005", "dataset d: no observed context value, so no seasonal-naive baseline")]
     kept = Dataset([s for s in dataset.series if s.item_id == "synth-00000"], dataset.freq)
     assert evaluate_dataset("d", kept, samples, CONFIG) == (scores, [])
-    with pytest.raises(WavetsError, match="^dataset d: no series to score$"):
-        evaluate_dataset("d", dataset, {}, CONFIG)
+    # every series fails: no scores, each series' reason
+    scores, failed = evaluate_dataset("d", dataset, {}, CONFIG)
+    assert scores is None
+    assert [(item_id, str(exc)) for item_id, exc in failed] == [
+        (f"synth-{i:05d}", "dataset d: no forecast, expected (3, 16) finite paths")
+        for i in range(6)]
+    # no series at all: every one is too short for the horizon
+    short = Dataset([TimeSeries("s", datetime(2020, 1, 1), np.ones(CONFIG.horizon))], "h")
+    with pytest.warns(UserWarning, match="skipping"), \
+            pytest.raises(WavetsError, match="^dataset d: no series to score$"):
+        evaluate_dataset("d", short, {}, CONFIG)
 
 
 def oracle_scores(dataset, samples, config):
