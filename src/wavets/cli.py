@@ -41,7 +41,7 @@ import numpy as np
 import yaml
 
 from .codebook import Codebook, codebook_hash, fit_codebook, load_codebook, save_codebook
-from .data_io import load_dataset, read_jsonl, save_dataset, write_jsonl
+from .data_io import load_dataset, read_jsonl, save_dataset, scalar_types, write_jsonl
 from .data_synth import make_dataset
 from .dwt import decompose  # noqa: F401  kept bound here: bench/tests patch every binding of it
 from .exceptions import FingerprintMismatchError, SchemaError, WavetsError
@@ -256,6 +256,10 @@ def cmd_eval(args) -> int:
                     raise ValueError(f"duplicate item_id {item_id!r}; first occurrence at line "
                                      f"{first[item_id]}")
                 samples[item_id] = np.asarray(record["samples"], dtype=np.float64)
+                stray = scalar_types(record["samples"], samples[item_id].ndim) - {float, int}
+                if stray:
+                    raise ValueError("samples must be numbers, got "
+                                     f"{', '.join(sorted(t.__name__ for t in stray))}")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{forecast_path}:{line}: {exc}") from None
         scores, failed = evaluate_dataset(name, dataset, samples, config)

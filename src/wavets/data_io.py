@@ -14,10 +14,12 @@ optionally followed by ``.gz``); any other name is rejected:
   ``series-N`` for the N-th record if absent), ``start``, ``freq`` (the
   dataset's tag, in every record; the reader refuses records that
   disagree) and ``target`` (a flat array of numbers; ``null`` entries
-  are missing). An optional ``{"__meta__": {...}}`` record on the first
-  line carries provenance and is preserved in ``Dataset.meta``.
+  are missing, and a string or a boolean is refused). An optional
+  ``{"__meta__": {...}}`` record on the first line carries provenance and
+  is preserved in ``Dataset.meta``.
 
-Infinite values are refused at ingestion, naming ``path:line``: a missing
+Infinite values are refused at ingestion, naming ``path:line``, and by
+:func:`save_dataset` before it writes a byte, naming the series: a missing
 value is written as missing, never as an infinity.
 
 One table gives each frequency tag, in any case or as an alias such as
@@ -41,10 +43,17 @@ lone-surrogate escape read as before, and a malformed line keeps json's
 ``bad JSON`` message. One difference remains: orjson reads an integer
 outside ``[-2**63, 2**64)`` as a float where ``json`` reads an int. A
 target holds the same float64 values either way; a token record holding
-one is still refused, naming ``float64`` where it named ``object``. The
-writer stays ``json.dumps(..., sort_keys=True)``, which keeps every file's
-bytes: orjson would write ``1e-6`` for ``1e-06`` and drop the spaces after
-``:`` and ``,``.
+one is still refused, naming ``float64`` where it named ``object``.
+
+The writer encodes each record with orjson, keys sorted, as UTF-8 without
+a space after ``:`` or ``,``. A float takes its shortest round-tripping
+form (``1e-6``, ``1e16``), so every value reads back bit for bit through
+the reader or ``json.loads``, and a non-finite float is written as
+``null``. A record orjson refuses (a lone-surrogate string, an integer
+outside ``[-2**63, 2**64)``, a key that is no string, a numpy float) is
+written by ``json.dumps`` with the same separators instead, which escapes
+non-ASCII as ``\\uXXXX`` and writes a non-finite float as ``NaN`` or
+``Infinity``; the reader reads either back.
 """
 
 from __future__ import annotations
@@ -293,14 +302,30 @@ def read_jsonl(path) -> tuple[dict, Iterator[tuple[int, dict]]]:
     return {}, itertools.chain([first] if first else [], objects)
 
 
+def _encode(record) -> bytes:
+    """One JSON-lines line: orjson's, or json's where orjson refuses the record."""
+    try:
+        return orjson.dumps(record, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
 def write_jsonl(path, meta: dict, records) -> None:
     """Write the ``__meta__`` header, unless ``meta`` is empty, then one
     record per line, keys sorted."""
-    with _open_text(path, "w", None) as fh:
+    with gzip.open(path, "wb") if Path(path).suffix == ".gz" else open(path, "wb") as fh:
         if meta:
-            fh.write(json.dumps({"__meta__": meta}, sort_keys=True) + "\n")
+            fh.write(_encode({"__meta__": meta}))
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_encode(record))
+
+
+def scalar_types(nested, ndim: int) -> set[type]:
+    """The types of the scalars ``ndim`` levels down a nested list, where
+    ``ndim`` is the dimension count ``np.array`` gave it."""
+    for _ in range(ndim - 1):
+        nested = itertools.chain.from_iterable(nested)
+    return set(map(type, nested)) if ndim else {type(nested)}
 
 
 def _load_jsonl(path) -> Dataset:
@@ -326,6 +351,10 @@ def _load_jsonl(path) -> Dataset:
         if values.ndim != 1:
             raise ValueError(f"{path}:{lineno}: target must be a flat array of numbers, "
                              f"got {values.ndim} dimension(s)")
+        stray = scalar_types(record["target"], 1) - {float, int, type(None)}
+        if stray:  # np.array parses "1.5" and takes true for 1.0
+            raise ValueError(f"{path}:{lineno}: target must be a flat array of numbers, "
+                             f"got {', '.join(sorted(t.__name__ for t in stray))}")
         if np.isinf(values).any():
             raise ValueError(f"{path}:{lineno}: infinite value in target at index "
                              f"{int(np.flatnonzero(np.isinf(values))[0])}")
@@ -340,7 +369,13 @@ def _load_jsonl(path) -> Dataset:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset; floats use their shortest round-tripping decimal
-    form, and every record or timestamp follows ``dataset.freq``."""
+    form, a missing value is written as ``null`` or an empty field, and
+    every record or timestamp follows ``dataset.freq``. A series holding an
+    infinity is refused before a byte is written."""
+    for s in dataset.series:
+        if np.isinf(s.values).any():
+            raise ValueError(f"series {s.item_id!r}: infinite value at index "
+                             f"{int(np.flatnonzero(np.isinf(s.values))[0])}")
     if _detect_format(path) == "jsonl":
         write_jsonl(path, dataset.meta, (
             {"item_id": s.item_id, "start": s.start.isoformat(), "freq": dataset.freq,

@@ -221,7 +221,7 @@ def test_detokenize_fails_a_corrupted_record_alone(tmp_path, capsys):
     clean = (tmp_path / "detok.jsonl").read_text().splitlines()
     lines = (tmp_path / "bad-detok.jsonl").read_text().splitlines()
     assert lines == [line for line in clean
-                     if '"item_id": "synth-00002", "kind": "context"' not in line]
+                     if '"item_id":"synth-00002","kind":"context"' not in line]
     assert len(lines) == len(clean) - 1 == 2 * N_SERIES
 
 
@@ -324,6 +324,9 @@ def test_eval_refuses_a_second_forecast_record_of_one_series(tmp_path, capsys):
     (lambda r: r.pop("item_id"), "need a string item_id and samples"),
     (lambda r: r.__setitem__("item_id", ["synth-00003"]), "need a string item_id and samples"),
     (lambda r: r.__setitem__("samples", "many"), "could not convert string to float: 'many'"),
+    (lambda r: r["samples"][1].__setitem__(2, "1.5"), "samples must be numbers, got str"),
+    (lambda r: r["samples"][0].__setitem__(0, True), "samples must be numbers, got bool"),
+    (lambda r: r["samples"][3].__setitem__(15, None), "samples must be numbers, got NoneType"),
 ])
 def test_eval_refuses_a_forecast_record_without_item_id_or_samples(tmp_path, capsys, change,
                                                                     message):

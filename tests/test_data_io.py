@@ -2,6 +2,7 @@
 trips with missing values, the frequency table the CSV reader and writer
 share, and the shapes ``split_last_h`` returns."""
 
+import gzip
 import json
 import re
 import struct
@@ -227,6 +228,8 @@ def test_long_csv_refuses_an_infinite_value_naming_its_line(tmp_path, value):
     ('["x"]', "bad target"),
     ("[[1.0, 2.0]]", "target must be a flat array of numbers, got 2 dimension"),
     ("4.0", "target must be a flat array of numbers, got 0 dimension"),
+    ('["1.5", true, "nan", 3]', "target must be a flat array of numbers, got bool, str$"),
+    ("[1.0, false, null]", "target must be a flat array of numbers, got bool$"),
 ])
 def test_jsonl_refuses_a_target_that_is_no_flat_array_of_numbers(tmp_path, target, message):
     path = tmp_path / "data.jsonl"
@@ -246,21 +249,30 @@ def test_jsonl_reads_nulls_as_missing_and_integers_as_floats(tmp_path):
     assert np.signbit(values[2])
 
 
-def test_save_dataset_writes_the_bytes_of_a_json_dumps_reference(tmp_path):
+def test_save_dataset_writes_the_bytes_of_an_orjson_reference(tmp_path):
     values = np.array([np.nan, -0.0, 0.0, 1e308, -1e-308, 0.1, 1 / 3, np.nan, 5e-324])
     dataset = Dataset([TimeSeries("a", START, values)], "h", meta={"k": 1})
     save_dataset(dataset, tmp_path / "data.jsonl")
     target = [None if np.isnan(v) else float(v) for v in values]
     record = {"item_id": "a", "start": START.isoformat(), "freq": "h", "target": target}
-    expected = (json.dumps({"__meta__": {"k": 1}}, sort_keys=True) + "\n"
-                + json.dumps(record, sort_keys=True) + "\n")
-    assert (tmp_path / "data.jsonl").read_bytes() == expected.encode()
-    assert '"target": [null, -0.0, 0.0, 1e+308, ' in expected
+    expected = b"".join(orjson.dumps(r, option=orjson.OPT_SORT_KEYS) + b"\n"
+                        for r in ({"__meta__": {"k": 1}}, record))
+    assert (tmp_path / "data.jsonl").read_bytes() == expected
+    assert b'"target":[null,-0.0,0.0,1e308,-1e-308,0.1,0.3333333333333333,null,5e-324]}' in expected
     save_dataset(dataset, tmp_path / "data.csv")
     csv_values = [line.rsplit(",", 1)[1] for line in
                   (tmp_path / "data.csv").read_text().splitlines()[1:]]
     assert csv_values == ["" if np.isnan(v) else repr(float(v)) for v in values]
     assert_same_series(load_dataset(tmp_path / "data.jsonl"), dataset)
+
+
+@pytest.mark.parametrize("name", ["data.jsonl", "data.jsonl.gz", "data.csv"])
+def test_save_dataset_refuses_an_infinite_value_before_writing_a_byte(tmp_path, name):
+    dataset = Dataset([TimeSeries("a", START, [1.0, 2.0]),
+                       TimeSeries("b", START, [1.0, np.nan, -np.inf])], "h")
+    with pytest.raises(ValueError, match=r"^series 'b': infinite value at index 2$"):
+        save_dataset(dataset, tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -288,7 +300,44 @@ def test_jsonl_codec_round_trips_the_header_and_numbers_each_line(tmp_path, name
     meta, lines = read_jsonl(tmp_path / name)
     assert (meta, list(lines)) == ({}, [(1, records[0]), (2, records[1])])
     if not name.endswith(".gz"):
-        assert (tmp_path / name).read_text() == '{"a": "x", "b": [1.5, null]}\n{"a": "y"}\n'
+        assert (tmp_path / name).read_text() == '{"a":"x","b":[1.5,null]}\n{"a":"y"}\n'
+
+
+def read_lines(path) -> list[bytes]:
+    with (gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb")) as fh:
+        return fh.read().splitlines()
+
+
+@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz"])
+def test_jsonl_codec_writes_floats_that_read_back_bit_for_bit(tmp_path, name):
+    values = [-0.0, 5e-324, 1e308, 1e-7, 1e16, 1 / 3, None, float("nan"), -float("inf")]
+    write_jsonl(tmp_path / name, {"k": values}, [{"v": values}])
+    meta, lines = read_jsonl(tmp_path / name)
+    (_, record), = lines
+    written = [exact(v) for v in values[:-2]] + [exact(None)] * 2  # non-finite: null
+    assert [exact(v) for v in meta["k"]] == [exact(v) for v in record["v"]] == written
+    header, line = read_lines(tmp_path / name)
+    assert [exact(v) for v in json.loads(line)["v"]] == written
+    assert line == b'{"v":[-0.0,5e-324,1e308,1e-7,1e16,0.3333333333333333,null,null,null]}'
+
+
+@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz"])
+def test_jsonl_codec_writes_a_record_orjson_refuses_through_json_in_one_layout(tmp_path, name):
+    records = [{"item_id": "\ud800", "v": [1.5, None]}, {"n": 2**70, "\u00e9": 1e-7},
+               {"item_id": "\u00e9", "v": [1e-7]}]
+    for record in records[:2]:
+        with pytest.raises(orjson.JSONEncodeError):
+            orjson.dumps(record)
+    write_jsonl(tmp_path / name, {"source": "\ud800"}, records)
+    assert read_lines(tmp_path / name) == [
+        b'{"__meta__":{"source":"\\ud800"}}', b'{"item_id":"\\ud800","v":[1.5,null]}',
+        b'{"n":1180591620717411303424,"\\u00e9":1e-07}', '{"item_id":"\u00e9","v":[1e-7]}'.encode()]
+    meta, lines = read_jsonl(tmp_path / name)
+    got = [record for _, record in lines]
+    assert (meta, got[0], got[2]) == ({"source": "\ud800"}, records[0], records[2])
+    assert exact(got[1]["n"]) == exact(2.0**70)  # orjson reads an int beyond 64 bits as a float
+    assert got[1]["\u00e9"] == 1e-7
+    assert [json.loads(line) for line in read_lines(tmp_path / name)[1:]] == records
 
 
 def test_jsonl_reads_each_record_only_when_asked_and_refuses_a_later_header(tmp_path):
