@@ -33,12 +33,10 @@ import itertools
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .codebook import Codebook, codebook_hash, fit_codebook, load_codebook, save_codebook
 from .data_io import load_dataset, read_jsonl, save_dataset, scalar_types, write_jsonl
@@ -68,6 +66,8 @@ def build_config(args) -> RunConfig:
     merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
+        import yaml  # only a config file needs it, and it is slow to import
+
         loaded = yaml.safe_load(Path(config_path).read_text()) or {}
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {config_path} must hold a mapping")
@@ -210,6 +210,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     config = build_config(args)
     codebook = load_codebook(args.codebook)
     model = load_model(args.model)
@@ -218,6 +220,8 @@ def cmd_forecast(args) -> int:
                 make_windows(load_dataset(args.data), config)]
     forecast = functools.partial(forecast_dataset, model, codebook, config)
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, rarely needed
+
         size = -(-len(contexts) // args.workers) or 1  # contiguous chunks, one per worker
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunks = list(pool.map(forecast, [contexts[i:i + size]
@@ -293,6 +297,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    import yaml
+
     config = build_config(args)
     grid_spec = yaml.safe_load(Path(args.grid).read_text())
     if not isinstance(grid_spec, dict) or "grid" not in grid_spec:

@@ -93,6 +93,8 @@ class RunConfig:
         check_model_settings(self.vocab_budget, self.order, self.alpha)
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample path, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def tokenizer_config(self) -> TokenizerConfig:
         return TokenizerConfig(family=self.family, level=self.level,

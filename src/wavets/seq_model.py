@@ -36,7 +36,7 @@ read without pickle. Version 1 was a JSON dict of dicts.
 Sampling advances the ``N x S`` paths of all series of a command
 together, one token per step, and returns their token ids; the tokenizer
 turns them into values. Each step groups the paths by the state of their
-history (one ``np.unique``). A state's CDF, with PAD masked out and
+history (one stable sort). A state's CDF, with PAD masked out and
 normalised, is built once per call, from one query at the first step that
 reaches it, and reused at every later step; unseen histories share one
 state. A step that reaches new states makes one query for all of them,
@@ -217,15 +217,102 @@ def cross_entropy(
         return float(-np.log(probs[np.arange(len(positions)), seq[positions]]).mean())
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy.random.SeedSequence's hash constants (bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), as 64-bit halves
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    lo_hi, hi_lo = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a1 * b1 + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays: xor with the running constant,
+    step the constant by ``mult``, multiply by it, xorshift by 16. The
+    constants do not depend on the data, so they are masked Python ints."""
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
 def path_uniforms(seeds: Sequence[int], n_samples: int, n: int) -> np.ndarray:
     """``(len(seeds) * n_samples, n)`` uniforms in ``[0, 1)``: row ``i *
     n_samples + s`` equals ``default_rng(child).random(n)`` for the ``s``-th
-    child spawned from ``SeedSequence(seeds[i])``. It is read from the raw
-    PCG64 stream without a ``Generator``: ``Generator.random`` is
-    ``(next_uint64 >> 11) * 2**-53``."""
-    raw = np.array([np.random.PCG64(child).random_raw(n) for seed in seeds
-                    for child in np.random.SeedSequence(seed).spawn(n_samples)],
-                   dtype=np.uint64).reshape(-1, n)
+    child spawned from ``SeedSequence(seeds[i])``, for every seed in
+    ``[0, 2**64)``; another seed is refused.
+
+    No numpy generator is built. Each row is one lane of uint32/uint64
+    array arithmetic, and every lane runs the same steps at once:
+
+    * The child's entropy is the words ``[seed & 0xFFFFFFFF, seed >> 32,
+      0, 0, s]``: the seed's two 32-bit words, zero-filled to the pool size
+      of 4 because the child has a spawn key, then the spawn index ``s``,
+      which fits one word.
+    * ``SeedSequence.mix_entropy`` hashes it into a 4-word pool, and
+      ``generate_state(4, uint64)`` hashes the pool into 8 words, with the
+      constants of numpy's ``bit_generator.pyx``.
+    * ``PCG64`` seeds its 128-bit LCG (O'Neill 2014) with state words 0:1
+      and increment ``(words 2:3 << 1) | 1``: state = increment, plus the
+      seed, then one step. Each token takes one more step, ``state =
+      state * PCG_DEFAULT_MULTIPLIER_128 + increment`` on ``(hi, lo)``
+      uint64 halves, and outputs ``rotr64(hi ^ lo, hi >> 58)`` (XSL-RR).
+    * ``Generator.random`` is ``(output >> 11) * 2**-53``.
+
+    Numpy keeps the streams of ``SeedSequence`` and ``PCG64`` stable by
+    policy (NEP 19), so this stays equal to numpy's own generators."""
+    values = [int(seed) for seed in seeds]
+    bad = [seed for seed in values if not 0 <= seed < 2**64]
+    if bad:
+        raise ValueError(f"seed must be in [0, 2**64), got {bad[0]}")
+    spawn = np.tile(np.arange(n_samples, dtype=np.uint32), len(values))
+    lanes = np.repeat(np.array(values, dtype=np.uint64), n_samples)
+    zero = np.zeros_like(spawn)
+    entropy = [(lanes & _MASK32).astype(np.uint32), (lanes >> 32).astype(np.uint32), zero, zero]
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for dst in range(4):
+        pool[dst] = _mix(pool[dst], hashmix(spawn))
+    hashout = _hasher(_INIT_B, _MULT_B)
+    words = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, init_hi, init_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = init_hi << 1 | init_lo >> 63, init_lo << 1 | 1
+
+    def step(hi, lo):
+        new_lo = lo * _PCG_MULT_LO + inc_lo
+        hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO) + inc_hi
+        return hi + (new_lo < inc_lo), new_lo
+
+    lo = inc_lo + seed_lo
+    hi, lo = step(inc_hi + seed_hi + (lo < seed_lo), lo)
+    raw = np.empty((len(lanes), n), dtype=np.uint64)
+    for t in range(n):
+        hi, lo = step(hi, lo)
+        xored, rotation = hi ^ lo, hi >> 58
+        raw[:, t] = xored >> rotation | xored << (64 - rotation & 63)
     return (raw >> 11) * 2.0**-53
 
 
@@ -244,13 +331,16 @@ def sample_forecast(
     from the last ``model.order`` context tokens, ``-1``-padded on the left.
 
     All ``N x n_samples`` paths advance one token per step. A step groups
-    the paths by ``model.history_states``, queries the model once with one
-    history per state no earlier step has reached, and draws each path's
-    token by inverse-CDF lookup of its own uniform, one ``searchsorted``
-    per state; each state's CDF is built once per call. Path ``s`` of
-    series ``i`` draws its ``n_tokens`` uniforms up front with
-    :func:`path_uniforms`, one per token, so fixed seeds give bit-identical
-    output whatever the other series, the same as a per-path
+    the paths by ``model.history_states`` with one stable ``argsort``: the
+    runs of equal sorted states are the distinct states in increasing
+    order, each run lists its paths in path order, and a run's first entry
+    is the state's first path. The step queries the model once, with that
+    path's history for each state no earlier step has reached, and draws
+    each path's token by inverse-CDF lookup of its own uniform, one
+    ``searchsorted`` per state; each state's CDF is built once per call.
+    Path ``s`` of series ``i`` draws its ``n_tokens`` uniforms up front
+    with :func:`path_uniforms`, one per token, so fixed seeds give
+    bit-identical output whatever the other series, the same as a per-path
     ``Generator.choice`` loop over the full history. A path that reaches a
     state whose distribution has no mass fails the call with "sampling
     distribution has no mass"; the caller's retry by halves
@@ -269,12 +359,15 @@ def sample_forecast(
     generated = np.empty((len(windows), n_tokens), dtype=np.int64)
     cdfs: dict = {}  # state -> its CDF, built at the first step that reaches it
     for step in range(n_tokens):
-        states, first, inverse = np.unique(model.history_states(windows), return_index=True,
-                                           return_inverse=True)
-        states = states.tolist()
+        path_states = model.history_states(windows)
+        order = np.argsort(path_states, kind="stable")  # by state, then by path
+        ordered = path_states[order]
+        # where each state's run of paths begins; the first path always does
+        starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+        states = ordered[starts].tolist()
         new = [j for j, state in enumerate(states) if state not in cdfs]
         if new:
-            probs = model.next_token_distributions(windows[first[new]])
+            probs = model.next_token_distributions(windows[order[starts[new]]])
             probs[:, codebook.PAD_ID] = 0.0
             totals = probs.sum(axis=1, keepdims=True)
             if (totals <= 0.0).any():
@@ -284,9 +377,7 @@ def sample_forecast(
             cdf = probs.cumsum(axis=1, out=probs)
             cdf /= cdf[:, -1:]
             cdfs.update(zip((states[j] for j in new), cdf))
-        members = np.argsort(inverse, kind="stable")
-        bounds = np.cumsum(np.bincount(inverse, minlength=len(states)))[:-1]
-        for state, paths in zip(states, np.split(members, bounds)):
+        for state, paths in zip(states, np.split(order, starts[1:])):
             generated[paths, step] = cdfs[state].searchsorted(uniforms[paths, step], side="right")
         windows[:, :-1] = windows[:, 1:]
         windows[:, -1] = generated[:, step]

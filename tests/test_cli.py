@@ -3,8 +3,12 @@ per-series failure isolation and ablation sweeps."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -622,6 +626,36 @@ def test_forecast_isolates_failing_series(tmp_path, capsys, workers):
         f"synth-{i:05d}" for i in range(N_SERIES) if i != 2]
     assert err.splitlines() == [
         "error: series 'synth-00002': cannot scale a window with no observed values"]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_forecast_refuses_fewer_than_one_worker_before_it_reads_anything(tmp_path, capsys,
+                                                                        workers):
+    out = tmp_path / "forecast.jsonl"  # none of the inputs exists
+    code, _, err = run(["forecast", "--data", tmp_path / "data.jsonl",
+                        "--codebook", tmp_path / "cb.json", "--model", tmp_path / "model.json",
+                        "--config", tmp_path / "config.yaml", "--out", out,
+                        "--workers", workers, *FLAGS], capsys)
+    assert (code, err.splitlines(), out.exists()) == (
+        1, [f"error: --workers must be at least 1, got {workers}"], False)
+
+
+def test_synth_refuses_a_negative_seed_naming_it(tmp_path, capsys):
+    out = tmp_path / "data.jsonl"
+    code, _, err = run(["synth", "--out", out, "--n-series", N_SERIES, "--seed", -1, *FLAGS],
+                       capsys)
+    assert (code, err.splitlines(), out.exists()) == (
+        1, ["error: seed must be non-negative, got -1"], False)
+
+
+def test_import_leaves_yaml_and_the_process_pool_unloaded():
+    # only --config, ablate and forecast --workers above 1 need them
+    code = ("import sys, wavets.cli; "
+            "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = str(Path(wavets.cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "[]\n"
 
 
 def test_forecast_is_byte_identical_across_worker_counts(tmp_path, capsys):

@@ -99,6 +99,13 @@ def test_run_config_refuses_what_the_model_or_the_codebook_would(settings, refer
     assert str(refused.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_run_config_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        RunConfig(seed=seed)
+    assert RunConfig(seed=0).seed == 0
+
+
 def test_run_config_takes_the_largest_order_the_budget_allows():
     assert RunConfig(order=5).order == 5
     assert RunConfig(vocab_budget=64, order=9).order == 9

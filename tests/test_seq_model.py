@@ -164,13 +164,36 @@ def test_sampler_never_draws_pad(trained, contexts):
     assert not (ids == codebook.PAD_ID).any()
 
 
-@pytest.mark.parametrize("seeds", [[0], [11, 12, 13], [2**32 - 1, 3029871508]])
-def test_path_uniforms_equal_generator_random(seeds):
-    expected = [np.random.default_rng(child).random(37) for seed in seeds
-                for child in np.random.SeedSequence(seed).spawn(4)]
-    got = path_uniforms(seeds, 4, 37)
-    assert got.shape == (4 * len(seeds), 37)
-    assert got.tobytes() == np.array(expected).tobytes()
+def generator_uniforms(seeds, n_samples, n):
+    """Numpy's own generators: one ``default_rng`` per spawned child."""
+    return np.array([np.random.default_rng(child).random(n) for seed in seeds
+                     for child in np.random.SeedSequence(seed).spawn(n_samples)]).reshape(-1, n)
+
+
+@pytest.mark.parametrize("n_samples, n", [(4, 37), (1, 1), (1, 68), (20, 1), (20, 68)])
+@pytest.mark.parametrize("seeds", [
+    [], [0], [1], [11, 12, 13], [2**32 - 1, 3029871508], [2**32], [2**63], [2**64 - 1],
+    [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint32(7), np.int64(2**40)],
+])
+def test_path_uniforms_equal_generator_random(seeds, n_samples, n):
+    got = path_uniforms(seeds, n_samples, n)
+    assert got.shape == (n_samples * len(seeds), n) and got.dtype == np.float64
+    assert got.tobytes() == generator_uniforms(seeds, n_samples, n).tobytes()
+
+
+def test_path_uniforms_rows_do_not_depend_on_the_other_seeds():
+    # the retry by halves re-runs a subset of the series' seeds alone
+    seeds = [5, 2**32 + 1, 0, 2**64 - 1, 99]
+    batch = path_uniforms(seeds, 3, 11).reshape(len(seeds), 3, 11)
+    for subset in ([0], [3], [1, 4], [4, 2, 0]):
+        alone = path_uniforms([seeds[i] for i in subset], 3, 11).reshape(len(subset), 3, 11)
+        assert alone.tobytes() == batch[subset].tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_path_uniforms_refuse_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        path_uniforms([3, seed], 2, 5)
 
 
 def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
