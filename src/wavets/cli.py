@@ -353,12 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wavelet tokenization, forecasting and evaluation for time series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags = argparse.ArgumentParser(add_help=False)  # built once, shared by every command
+    _add_config_flags(config_flags)
 
     def command(name, func, help_text, *required):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[config_flags])
         for flag in required:
             p.add_argument(flag, required=True)
-        _add_config_flags(p)
         p.set_defaults(func=func)
         return p
 

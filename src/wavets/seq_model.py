@@ -35,17 +35,21 @@ read without pickle. Version 1 was a JSON dict of dicts.
 
 Sampling advances the ``N x S`` paths of all series of a command
 together, one token per step, and returns their token ids; the tokenizer
-turns them into values. Each step groups the paths by the state of their
-history (one stable sort). A state's CDF, with PAD masked out and
-normalised, is built once per call, from one query at the first step that
-reaches it, and reused at every later step; unseen histories share one
-state. A step that reaches new states makes one query for all of them,
-so each distinct state is queried exactly once per call. The row
-arithmetic is row-local, so a CDF does not depend on the step or the
+turns them into values. The paths live in one history buffer, the start
+window and then the drawn tokens: each step reads its histories as a
+view of that buffer and writes one column of it. Each step groups the
+paths by the state of their history (one stable sort), so each state's
+paths are one slice of the sorted order. A state's CDF, with PAD masked
+out and normalised, is built once per call, from one query at the first
+step that reaches it, and reused at every later step; unseen histories
+share one state. A step that reaches new states makes one query for all
+of them, so each distinct state is queried exactly once per call. The
+row arithmetic is row-local, so a CDF does not depend on the step or the
 other rows it was built with. Each path draws one uniform per token from
 its own seeded stream and inverts its state's CDF with it, so a fixed
-seed gives the same paths whatever the batching. The uniforms and the
-drawn tokens take ``N x S x n_tokens`` values, the CDFs ``V`` per state.
+seed gives the same paths whatever the batching. The uniforms take ``N x
+S x n_tokens`` values, the history buffer ``N x S x (order + n_tokens)``
+and the CDFs ``V`` per state.
 """
 
 from __future__ import annotations
@@ -217,21 +221,45 @@ def cross_entropy(
         return float(-np.log(probs[np.arange(len(positions)), seq[positions]]).mean())
 
 
-_MASK32 = 0xFFFFFFFF
+_MASK32, _MASK64 = 0xFFFFFFFF, 2**64 - 1
 # numpy.random.SeedSequence's hash constants (bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), as 64-bit halves
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+# path_uniforms draws this many tokens per lane in one pass
+_BLOCK = 16
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+def _jump_constants(count: int) -> tuple[np.ndarray, ...]:
+    """``(A_hi, A_lo, G_hi, G_lo)``: uint64 halves of ``A_j = M**j`` and
+    ``G_j = M**0 + ... + M**(j - 1)`` mod 2**128 for ``j = 1 .. count``,
+    with ``M`` the PCG64 multiplier; ``j`` LCG steps map a state ``s`` to
+    ``A_j * s + G_j * increment``."""
+    power, total, rows = 1, 0, []
+    for _ in range(count):
+        total = total + power & 2**128 - 1
+        power = power * _PCG_MULT & 2**128 - 1
+        rows.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
+    return tuple(np.array(column, dtype=np.uint64) for column in zip(*rows))
+
+
+_JUMP_A_HI, _JUMP_A_LO, _JUMP_G_HI, _JUMP_G_LO = _jump_constants(_BLOCK)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     """High 64 bits of the 128-bit products ``a * b``, from 32-bit limbs."""
     a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
     lo_hi, hi_lo = a0 * b1, a1 * b0
     middle = (a0 * b0 >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
     return a1 * b1 + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32)
+
+
+def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` uint64 halves of the products ``a * b`` mod 2**128."""
+    return ah * bl + al * bh + _mulhi64(al, bl), al * bl
 
 
 def _hasher(const: int, mult: int):
@@ -271,10 +299,20 @@ def path_uniforms(seeds: Sequence[int], n_samples: int, n: int) -> np.ndarray:
       ``generate_state(4, uint64)`` hashes the pool into 8 words, with the
       constants of numpy's ``bit_generator.pyx``.
     * ``PCG64`` seeds its 128-bit LCG (O'Neill 2014) with state words 0:1
-      and increment ``(words 2:3 << 1) | 1``: state = increment, plus the
-      seed, then one step. Each token takes one more step, ``state =
-      state * PCG_DEFAULT_MULTIPLIER_128 + increment`` on ``(hi, lo)``
-      uint64 halves, and outputs ``rotr64(hi ^ lo, hi >> 58)`` (XSL-RR).
+      and increment ``c = (words 2:3 << 1) | 1``: state = ``c``, plus the
+      seed, then one step ``s -> M * s + c`` with ``M =
+      PCG_DEFAULT_MULTIPLIER_128``, on ``(hi, lo)`` uint64 halves.
+    * Each token takes one more step and outputs ``rotr64(hi ^ lo, hi >>
+      58)`` (XSL-RR). The tokens come in blocks of ``_BLOCK``: ``j`` steps
+      are one affine map, ``s_{t+j} = A_j * s_t + G_j * c`` mod 2**128 with
+      ``A_j = M**j`` and ``G_j = M**0 + ... + M**(j - 1)`` (Brown 1994,
+      "Random Number Generation with Arbitrary Strides"). ``A_j`` and
+      ``G_j`` for ``j = 1 .. _BLOCK`` are exact Python-int powers and sums,
+      masked to 128 bits at import; ``G_j * c`` is formed once per call.
+      A block is the ``(lanes, _BLOCK)`` states ``A_j * s + G_j * c`` from
+      the last state of the block before. Every product and sum is exact
+      mod 2**128, which is all the LCG keeps, so each state, and so each
+      output bit, is the one the step-by-step recurrence gives.
     * ``Generator.random`` is ``(output >> 11) * 2**-53``.
 
     Numpy keeps the streams of ``SeedSequence`` and ``PCG64`` stable by
@@ -301,19 +339,24 @@ def path_uniforms(seeds: Sequence[int], n_samples: int, n: int) -> np.ndarray:
     seed_hi, seed_lo, init_hi, init_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
     inc_hi, inc_lo = init_hi << 1 | init_lo >> 63, init_lo << 1 | 1
 
-    def step(hi, lo):
-        new_lo = lo * _PCG_MULT_LO + inc_lo
-        hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO) + inc_hi
-        return hi + (new_lo < inc_lo), new_lo
-
+    # the seeding step: state = (increment + seed) * M + increment
     lo = inc_lo + seed_lo
-    hi, lo = step(inc_hi + seed_hi + (lo < seed_lo), lo)
-    raw = np.empty((len(lanes), n), dtype=np.uint64)
-    for t in range(n):
-        hi, lo = step(hi, lo)
+    hi, lo = _mul128(inc_hi + seed_hi + (lo < seed_lo), lo, _PCG_MULT_HI, _PCG_MULT_LO)
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    # G_j * increment for every offset j of a block, one (lanes, _BLOCK) pair
+    add_hi, add_lo = _mul128(inc_hi[:, None], inc_lo[:, None], _JUMP_G_HI, _JUMP_G_LO)
+    out = np.empty((len(lanes), n))
+    for start in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - start)
+        hi, lo = _mul128(hi[:, None], lo[:, None], _JUMP_A_HI[:b], _JUMP_A_LO[:b])
+        lo += add_lo[:, :b]
+        hi += add_hi[:, :b] + (lo < add_lo[:, :b])
         xored, rotation = hi ^ lo, hi >> 58
-        raw[:, t] = xored >> rotation | xored << (64 - rotation & 63)
-    return (raw >> 11) * 2.0**-53
+        out[:, start:start + b] = (xored >> rotation | xored << (64 - rotation & 63)) >> 11
+        hi, lo = hi[:, -1], lo[:, -1]  # the block's last state seeds the next block
+    out *= 2.0**-53
+    return out
 
 
 def sample_forecast(
@@ -325,19 +368,26 @@ def sample_forecast(
     n_samples: int,
 ) -> np.ndarray:
     """Autoregressive sample paths after every row of an ``(N, L)`` stack
-    of context tokens: ``(N, n_samples, n_tokens)`` int64 token ids.
+    of context tokens: ``(N, n_samples, n_tokens)`` int64 token ids, with
+    one seed per row.
 
     PAD is masked out of the sampling distribution. A path starts
     from the last ``model.order`` context tokens, ``-1``-padded on the left.
 
-    All ``N x n_samples`` paths advance one token per step. A step groups
-    the paths by ``model.history_states`` with one stable ``argsort``: the
-    runs of equal sorted states are the distinct states in increasing
-    order, each run lists its paths in path order, and a run's first entry
-    is the state's first path. The step queries the model once, with that
-    path's history for each state no earlier step has reached, and draws
-    each path's token by inverse-CDF lookup of its own uniform, one
-    ``searchsorted`` per state; each state's CDF is built once per call.
+    All ``N x n_samples`` paths advance one token per step in one history
+    buffer of ``model.order + n_tokens`` columns per path: the start
+    window, then the drawn tokens. Step ``t`` reads the view of columns
+    ``t .. t + order`` as the paths' histories and writes column ``t +
+    order``. A step groups the paths by ``model.history_states`` with one
+    stable ``argsort``: the runs of equal sorted states are the distinct
+    states in increasing order, each run lists its paths in path order,
+    and a run's first entry is the state's first path. The step queries
+    the model once, with that path's history for each state no earlier
+    step has reached. It then draws each path's token by inverse-CDF
+    lookup of its own uniform: the uniforms are gathered into sorted
+    order once, each state's run is one slice of them and one
+    ``searchsorted``, and one scatter writes the step's tokens back by
+    path. Each state's CDF is built once per call.
     Path ``s`` of series ``i`` draws its ``n_tokens`` uniforms up front
     with :func:`path_uniforms`, one per token, so fixed seeds give
     bit-identical output whatever the other series, the same as a per-path
@@ -352,18 +402,27 @@ def sample_forecast(
             f"model vocabulary ({model.vocab_size}) does not match "
             f"codebook vocabulary ({codebook.vocab_size})"
         )
-    n_series = len(contexts.tokens)
-    padded = np.concatenate([np.full((n_series, model.order), -1), contexts.tokens], axis=1)
-    windows = np.repeat(padded[:, -model.order:], n_samples, axis=0)  # one row per path
+    n_series, k = len(contexts.tokens), model.order
+    if len(seeds) != n_series:
+        raise ValueError(f"need one seed per context row, got {len(seeds)} seeds for "
+                         f"{n_series} rows")
     uniforms = path_uniforms(seeds, n_samples, n_tokens)
-    generated = np.empty((len(windows), n_tokens), dtype=np.int64)
+    n_paths = len(uniforms)
+    length = contexts.tokens.shape[1]
+    width = min(k, length)  # context tokens in the start window
+    hist = np.full((n_series, n_samples, k + n_tokens), -1, dtype=np.int64)
+    hist[:, :, k - width:k] = contexts.tokens[:, None, length - width:]
+    hist = hist.reshape(n_paths, k + n_tokens)  # one row per path
+    drawn = np.empty(n_paths, dtype=np.int64)  # the step's tokens, in sorted order
+    first = np.ones(n_paths, dtype=bool)  # where a state's run of paths begins
     cdfs: dict = {}  # state -> its CDF, built at the first step that reaches it
     for step in range(n_tokens):
+        windows = hist[:, step:step + k]
         path_states = model.history_states(windows)
-        order = np.argsort(path_states, kind="stable")  # by state, then by path
+        order = path_states.argsort(kind="stable")  # by state, then by path
         ordered = path_states[order]
-        # where each state's run of paths begins; the first path always does
-        starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])  # the first path always begins one
+        starts = first.nonzero()[0]
         states = ordered[starts].tolist()
         new = [j for j, state in enumerate(states) if state not in cdfs]
         if new:
@@ -377,11 +436,12 @@ def sample_forecast(
             cdf = probs.cumsum(axis=1, out=probs)
             cdf /= cdf[:, -1:]
             cdfs.update(zip((states[j] for j in new), cdf))
-        for state, paths in zip(states, np.split(order, starts[1:])):
-            generated[paths, step] = cdfs[state].searchsorted(uniforms[paths, step], side="right")
-        windows[:, :-1] = windows[:, 1:]
-        windows[:, -1] = generated[:, step]
-    return generated.reshape(n_series, n_samples, n_tokens)
+        u = uniforms[:, step][order]
+        bounds = [*starts.tolist(), n_paths]
+        for state, a, b in zip(states, bounds, bounds[1:]):
+            drawn[a:b] = cdfs[state].searchsorted(u[a:b], side="right")
+        hist[:, k + step][order] = drawn  # a view of the step's column, written by path
+    return hist[:, k:].reshape(n_series, n_samples, n_tokens)
 
 
 def save_model(model: MarkovModel, path, meta: dict | None = None) -> None:

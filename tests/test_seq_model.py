@@ -170,7 +170,9 @@ def generator_uniforms(seeds, n_samples, n):
                      for child in np.random.SeedSequence(seed).spawn(n_samples)]).reshape(-1, n)
 
 
-@pytest.mark.parametrize("n_samples, n", [(4, 37), (1, 1), (1, 68), (20, 1), (20, 68)])
+# 15 to 33 tokens: whole blocks of 16, partial ones and the carry between them
+@pytest.mark.parametrize("n_samples, n", [(4, 37), (1, 1), (1, 68), (20, 1), (20, 68),
+                                          (3, 15), (3, 16), (3, 17), (3, 32), (3, 33)])
 @pytest.mark.parametrize("seeds", [
     [], [0], [1], [11, 12, 13], [2**32 - 1, 3029871508], [2**32], [2**63], [2**64 - 1],
     [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint32(7), np.int64(2**40)],
@@ -194,6 +196,28 @@ def test_path_uniforms_rows_do_not_depend_on_the_other_seeds():
 def test_path_uniforms_refuse_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
         path_uniforms([3, seed], 2, 5)
+
+
+def test_sampler_prefix_does_not_depend_on_n_tokens(trained, contexts):
+    model, codebook, _ = trained
+    full = sample_forecast(model, contexts, 68, codebook, SEEDS, n_samples=3)
+    for m in [1, 15, 16, 17, 40]:
+        prefix = sample_forecast(model, contexts, m, codebook, SEEDS, n_samples=3)
+        assert prefix.shape == (4, 3, m)
+        np.testing.assert_array_equal(prefix, full[:, :, :m])
+
+
+@pytest.mark.parametrize("seeds", [[1, 2, 3], [1]])
+def test_sampler_refuses_a_seed_list_not_one_per_row(trained, contexts, monkeypatch, seeds):
+    model, codebook, _ = trained
+
+    def no_uniforms(*args):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr("wavets.seq_model.path_uniforms", no_uniforms)
+    with pytest.raises(ValueError, match=rf"^need one seed per context row, got {len(seeds)} "
+                                         r"seeds for 2 rows$"):
+        sample_forecast(model, contexts.take([0, 1]), N_TOKENS, codebook, seeds, n_samples=2)
 
 
 def test_sampler_rejects_a_distribution_without_mass(trained, contexts):
