@@ -151,7 +151,7 @@ def cmd_tokenize(args) -> int:
     streams = [(item_id, kind, stream) for item_id, ctx_stream, hor_stream in pairs
                for kind, stream in (("context", ctx_stream), ("horizon", hor_stream))]
     write_jsonl(args.out, _header(config, codebook),
-                ({"item_id": item_id, "kind": kind, "tokens": stream.tokens.tolist(),
+                ({"item_id": item_id, "kind": kind, "tokens": stream.tokens,
                   "mu": stream.scale.mu, "sigma": stream.scale.sigma}
                  for item_id, kind, stream in streams))
     n_tokens = sum(len(stream.tokens) for _, _, stream in streams)
@@ -168,7 +168,7 @@ def cmd_detokenize(args) -> int:
     _check_meta(meta, args.tokens, config, codebook)
     windows, failures = detokenize_windows([record for _, record in lines], config, codebook)
     write_jsonl(args.out, _header(config, codebook),
-                ({"item_id": item_id, "kind": kind, "values": values.tolist()}
+                ({"item_id": item_id, "kind": kind, "values": values}
                  for item_id, kind, values in windows))
     if args.reference:
         truths = {(item_id, kind): truth
@@ -231,7 +231,7 @@ def cmd_forecast(args) -> int:
     forecasts = [pair for done, _ in chunks for pair in done]
     failed = [pair for _, errors in chunks for pair in errors]
     write_jsonl(args.out, _header(config, codebook),
-                ({"item_id": item_id, "samples": paths.tolist()} for item_id, paths in forecasts))
+                ({"item_id": item_id, "samples": paths} for item_id, paths in forecasts))
     print(f"forecast {len(forecasts)} series -> {args.out}")
     return _report(failed)
 

@@ -49,11 +49,15 @@ The writer encodes each record with orjson, keys sorted, as UTF-8 without
 a space after ``:`` or ``,``. A float takes its shortest round-tripping
 form (``1e-6``, ``1e16``), so every value reads back bit for bit through
 the reader or ``json.loads``, and a non-finite float is written as
-``null``. A record orjson refuses (a lone-surrogate string, an integer
-outside ``[-2**63, 2**64)``, a key that is no string, a numpy float) is
-written by ``json.dumps`` with the same separators instead, which escapes
-non-ASCII as ``\\uXXXX`` and writes a non-finite float as ``NaN`` or
-``Infinity``; the reader reads either back.
+``null``. A numpy array is written with the bytes of its list: orjson
+encodes a C-contiguous one itself, without building a Python list, and
+any other one through its ``tolist()``; a non-finite float in an array
+is written as ``null`` either way. A record orjson refuses (a
+lone-surrogate string, an integer outside ``[-2**63, 2**64)``, a key that
+is no string) is written by ``json.dumps`` with the same separators
+instead, which escapes non-ASCII as ``\\uXXXX`` and writes a non-finite
+float outside an array as ``NaN`` or ``Infinity``; the reader reads
+either back.
 """
 
 from __future__ import annotations
@@ -302,17 +306,33 @@ def read_jsonl(path) -> tuple[dict, Iterator[tuple[int, dict]]]:
     return {}, itertools.chain([first] if first else [], objects)
 
 
+def _listed(value):
+    """An array as the list orjson writes for it, a non-finite float as
+    ``None``: for an array orjson does not encode itself (say, a
+    non-contiguous view) and for json's fallback."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if value.dtype.kind == "f" and not np.isfinite(value).all():
+        value = np.where(np.isfinite(value), value, None)
+    return value.tolist()
+
+
 def _encode(record) -> bytes:
-    """One JSON-lines line: orjson's, or json's where orjson refuses the record."""
+    """One JSON-lines line: orjson's, or json's where orjson refuses the
+    record, an array written as its list either way."""
     try:
-        return orjson.dumps(record, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+        return orjson.dumps(record, default=_listed, option=orjson.OPT_SORT_KEYS
+                            | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError:
-        return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        return (json.dumps(record, sort_keys=True, separators=(",", ":"), default=_listed)
+                + "\n").encode()
 
 
 def write_jsonl(path, meta: dict, records) -> None:
     """Write the ``__meta__`` header, unless ``meta`` is empty, then one
-    record per line, keys sorted."""
+    record per line, keys sorted. A numpy array is written as its list,
+    a non-finite float in it as ``null``, with no Python list built where
+    orjson encodes the array itself."""
     with gzip.open(path, "wb") if Path(path).suffix == ".gz" else open(path, "wb") as fh:
         if meta:
             fh.write(_encode({"__meta__": meta}))
@@ -379,7 +399,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     if _detect_format(path) == "jsonl":
         write_jsonl(path, dataset.meta, (
             {"item_id": s.item_id, "start": s.start.isoformat(), "freq": dataset.freq,
-             "target": [v if v == v else None for v in s.values.tolist()]}  # NaN != NaN
+             "target": s.values}
             for s in dataset.series))
         return
     step = _frequency(dataset.freq)[0] if any(len(s) > 1 for s in dataset.series) else timedelta(0)

@@ -46,7 +46,7 @@ def _rows(values) -> np.ndarray:
     return values.reshape(-1, values.shape[-1])
 
 
-def _observed_groups(keep: np.ndarray, *arrays: np.ndarray):
+def observed_groups(keep: np.ndarray, *arrays: np.ndarray):
     """Yield ``(rows, n, kept)`` per count ``n`` of kept entries in a row of
     the 2-D mask ``keep``: ``rows`` selects the rows with that count and
     ``kept`` holds, per array, their kept entries as an ``(len, n)`` stack."""
@@ -107,13 +107,13 @@ def mase(
         raise ValueError(f"context length {c} must exceed seasonality {s}")
     observed = ~np.isnan(truth)
     errors, h = np.zeros(len(truth)), observed.sum(axis=1)
-    for rows, _, (error,) in _observed_groups(observed, np.abs(forecast - truth)):
+    for rows, _, (error,) in observed_groups(observed, np.abs(forecast - truth)):
         errors[rows] = error.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         pairs = np.abs(context[:, : c - s] - context[:, s:])
         finite = np.isfinite(pairs)
         scale, p = np.zeros(len(truth)), finite.sum(axis=1)
-        for rows, _, (pair,) in _observed_groups(finite, pairs):
+        for rows, _, (pair,) in observed_groups(finite, pairs):
             scale[rows] = pair.sum(axis=1)
         scores = p / h * errors / scale
     scores[(h == 0) | (p == 0) | (scale == 0.0)] = np.nan
@@ -142,7 +142,7 @@ def vrse(truth: np.ndarray, point_forecast: np.ndarray):
         raise ValueError("need at least two samples to compare spectra")
     observed = ~np.isnan(truth)
     scores, energy = np.full((2, len(truth)), np.nan)
-    for rows, n, (kept_truth, kept_forecast) in _observed_groups(observed, truth, forecast):
+    for rows, n, (kept_truth, kept_forecast) in observed_groups(observed, truth, forecast):
         if n < 2:
             continue
         a_true = amplitude_spectrum(kept_truth)

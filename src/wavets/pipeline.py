@@ -136,11 +136,11 @@ def _by_row(call, ids):
 
 
 def _scaled_stacks(windows, rows):
-    """Each context's :func:`compute_scale`, as arrays, and one stack per window
-    position, of the ``rows`` of ``(item_id, context, *windows)`` tuples."""
+    """The contexts' :func:`compute_scale`, as arrays from one call on their
+    stack, and one stack per window position, of the ``rows`` of
+    ``(item_id, context, *windows)`` tuples."""
     stacks = [np.array(kind) for kind in zip(*(windows[i][1:] for i in rows))]
-    stats = [compute_scale(context) for context in stacks[0]]
-    return ScaleStats(np.array([s.mu for s in stats]), np.array([s.sigma for s in stats])), stacks
+    return compute_scale(stacks[0]), stacks
 
 
 def pool_coefficients(windows, config: RunConfig):
@@ -189,9 +189,10 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
     index to ``(item_id, kind, error)``. A record is invalid when a field is
     missing, its kind is unknown, its tokens are not ``sum(layout)``
     integer ids for its window's layout, an id is outside the vocabulary,
-    its scale is not one :func:`compute_scale` gives (a finite ``mu`` and
-    a finite, positive ``sigma``), or an earlier record has its ``item_id``
-    and kind (records are numbered from 1 in input order)."""
+    its ``mu`` or ``sigma`` is no JSON number (an int or a float, not a
+    bool), its scale is not one :func:`compute_scale` gives (a finite
+    ``mu`` and a finite, positive ``sigma``), or an earlier record has its
+    ``item_id`` and kind (records are numbered from 1 in input order)."""
     tok_config = config.tokenizer_config()
     layouts = {kind: tok_config.layout(getattr(config, length))
                for kind, length in _WINDOW_FIELDS.items()}
@@ -213,6 +214,9 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                 raise ValueError(f"tokens must be {sum(layout)} integer ids for the layout "
                                  f"{layout}, got {tokens.dtype} of shape {tokens.shape}")
             check_token_ids(tokens, codebook)
+            for key in ("mu", "sigma"):
+                if isinstance(record[key], bool) or not isinstance(record[key], (int, float)):
+                    raise ValueError(f"{key} must be a number, got {type(record[key]).__name__}")
             mu, sigma = float(record["mu"]), float(record["sigma"])
             if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
                 raise ValueError(f"need a finite mu and a positive, finite sigma, got mu {mu} "

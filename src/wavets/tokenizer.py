@@ -19,15 +19,14 @@ just ``{item_id, kind, tokens, mu, sigma}``.
 
 Both directions work on the last axis: one stream can hold a
 ``(rows, n_tokens)`` token array with one scale per row, so
-:func:`tokenize` turns a stack of windows into one stream and
-:func:`detokenize` inverts every row of a stream, each row bit-identical
-to its own call.
+:func:`compute_scale` scales a stack of windows in one call,
+:func:`tokenize` turns the stack into one stream and :func:`detokenize`
+inverts every row of a stream, each row bit-identical to its own call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +34,7 @@ import numpy as np
 from .codebook import Codebook, dequantize, quantize
 from .dwt import CoefficientPyramid, coefficient_layout, decompose, reconstruct
 from .families import WaveletFamily, get_family
+from .metrics import observed_groups
 from .thresholding import ThresholdSpec, apply_threshold
 
 
@@ -91,22 +91,33 @@ class TokenStream:
 
 
 def compute_scale(x: np.ndarray) -> ScaleStats:
-    """Mean and sample standard deviation over the observed values.
+    """Mean and sample standard deviation over the observed values of a
+    window, as floats, or of each row of an ``(N, n)`` stack, as arrays.
 
     NaN marks missing observations. A zero spread (or a single observed
     value) falls back to sigma = 1 so constant windows scale to all zeros;
-    a mean or deviation that overflows is refused.
+    a window with no observed value, or whose mean or deviation overflows,
+    is refused, and a stack holding one such row with the same message.
+    Rows are reduced in groups of equal observed count
+    (:func:`~wavets.metrics.observed_groups`), each row as the 1-D array of
+    its observed values, so each row's statistics are bit-identical to its
+    own call.
     """
-    x = np.asarray(x, dtype=np.float64)
-    observed = x[np.isfinite(x)]
-    if observed.size == 0:
-        raise ValueError("cannot scale a window with no observed values")
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    rows = x.reshape(-1, x.shape[-1])
+    mu, sigma = np.empty(len(rows)), np.zeros(len(rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = float(np.mean(observed))
-        sigma = float(np.std(observed, ddof=1)) if observed.size > 1 else 0.0
-    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        for group, n, (values,) in observed_groups(np.isfinite(rows), rows):
+            if n == 0:
+                raise ValueError("cannot scale a window with no observed values")
+            mu[group] = mean = values.sum(axis=1) / n  # as np.mean and np.std(ddof=1) reduce
+            if n > 1:
+                sigma[group] = np.sqrt(((values - mean[:, None]) ** 2).sum(axis=1) / (n - 1))
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError("cannot scale a window whose mean or deviation overflows")
-    sigma = sigma or 1.0
+    sigma[sigma == 0.0] = 1.0
+    if x.ndim == 1:
+        return ScaleStats(mu=float(mu[0]), sigma=float(sigma[0]))
     return ScaleStats(mu=mu, sigma=sigma)
 
 
@@ -131,7 +142,11 @@ def coefficients(windows: np.ndarray, scale: ScaleStats,
     threshold the details, refusing coefficients that overflow; then set to
     NaN each coefficient with no observed sample in its filter support, as
     counted by :func:`~wavets.dwt.decompose` of the 0/1 mask
-    ``np.isfinite(windows)`` with an all-ones filter bank."""
+    ``np.isfinite(windows)`` with an all-ones filter bank.
+
+    A stack with no missing value skips that count: the boundary extension
+    only repeats samples, so every count of an all-ones mask is positive
+    and no coefficient would be set to NaN."""
     windows = np.asarray(windows, dtype=np.float64)
     mu, sigma = np.asarray(scale.mu)[..., None], np.asarray(scale.sigma)[..., None]
     pyramid = decompose((fill_missing(windows) - mu) / sigma, config.wavelet, config.level,
@@ -139,8 +154,11 @@ def coefficients(windows: np.ndarray, scale: ScaleStats,
     if not all(np.isfinite(band).all() for band in (pyramid.approx, *pyramid.details)):
         raise ValueError("wavelet coefficients are not finite")
     pyramid = apply_threshold(pyramid, config.threshold)  # new arrays, so masked in place
+    observed = np.isfinite(windows)
+    if observed.all():
+        return pyramid
     ones = np.ones(config.wavelet.filter_length)
-    counts = decompose(np.isfinite(windows), WaveletFamily(config.family, ones, ones, ones, ones),
+    counts = decompose(observed, WaveletFamily(config.family, ones, ones, ones, ones),
                        config.level, config.boundary_mode)
     for band, count in zip((pyramid.approx, *pyramid.details), (counts.approx, *counts.details)):
         band[count == 0] = np.nan

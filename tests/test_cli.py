@@ -144,8 +144,10 @@ def rewrite_records(source, target, change):
 def test_train_fails_each_bad_record_alone(tmp_path, capsys):
     round_trip(tmp_path, capsys)
     tok, cb = tmp_path / "tokens.jsonl", tmp_path / "codebook.json"
-    bad = {("synth-00001", "horizon"): lambda r: r["tokens"].__setitem__(3, 99999),
+    bad = {("synth-00000", "context"): lambda r: r.update(mu="0.5", sigma=True),
+           ("synth-00001", "horizon"): lambda r: r["tokens"].__setitem__(3, 99999),
            ("synth-00002", "context"): lambda r: r["tokens"].__setitem__(0, -7),
+           ("synth-00003", "horizon"): lambda r: r.update(mu=1, sigma=False),  # an int mu passes
            ("synth-00004", "horizon"): lambda r: r.pop("mu")}
 
     def corrupt(record):
@@ -159,10 +161,12 @@ def test_train_fails_each_bad_record_alone(tmp_path, capsys):
                           "--out", tmp_path / "bad-model.json", *FLAGS], capsys)
     assert code == 1
     assert err.splitlines() == [
+        "error: record 'synth-00000' context: mu must be a number, got str",
         "error: record 'synth-00001' horizon: token id(s) [99999] outside the vocabulary",
         "error: record 'synth-00002' context: token id(s) [-7] outside the vocabulary",
+        "error: record 'synth-00003' horizon: sigma must be a number, got bool",
         "error: record 'synth-00004' horizon: missing field(s) mu"]
-    assert f"on {N_SERIES - 3} pairs" in out
+    assert f"on {N_SERIES - 5} pairs" in out
     # the other records train as if the bad series were not in the file
     assert run(["train", "--tokens", tmp_path / "others.jsonl", "--codebook", cb,
                 "--out", tmp_path / "others-model.json", *FLAGS], capsys)[0] == 0

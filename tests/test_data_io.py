@@ -264,6 +264,13 @@ def test_save_dataset_writes_the_bytes_of_an_orjson_reference(tmp_path):
                   (tmp_path / "data.csv").read_text().splitlines()[1:]]
     assert csv_values == ["" if np.isnan(v) else repr(float(v)) for v in values]
     assert_same_series(load_dataset(tmp_path / "data.jsonl"), dataset)
+    # the arrays the commands write give the bytes of their lists, contiguous or not
+    paths = np.arange(12, dtype=np.float64).reshape(3, 4) / 7
+    arrays = [np.array([3, -1, 2**62], dtype=np.int64), values, paths, paths[:, ::2], paths.T,
+              values[::2]]
+    write_jsonl(tmp_path / "arrays.jsonl", {}, ({"v": a} for a in arrays))
+    write_jsonl(tmp_path / "lists.jsonl", {}, ({"v": a.tolist()} for a in arrays))
+    assert (tmp_path / "arrays.jsonl").read_bytes() == (tmp_path / "lists.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["data.jsonl", "data.jsonl.gz", "data.csv"])
@@ -338,6 +345,12 @@ def test_jsonl_codec_writes_a_record_orjson_refuses_through_json_in_one_layout(t
     assert exact(got[1]["n"]) == exact(2.0**70)  # orjson reads an int beyond 64 bits as a float
     assert got[1]["\u00e9"] == 1e-7
     assert [json.loads(line) for line in read_lines(tmp_path / name)[1:]] == records
+    # arrays in such a record are written as their lists, NaN as null as orjson writes it
+    arrays = {"item_id": "\ud800", "ids": np.arange(6)[::2], "v": np.array([1.5, np.nan, -0.0])}
+    write_jsonl(tmp_path / name, {}, [arrays, {"n": 2**70, "v": np.eye(2)}])
+    assert read_lines(tmp_path / name) == [
+        b'{"ids":[0,2,4],"item_id":"\\ud800","v":[1.5,null,-0.0]}',
+        b'{"n":1180591620717411303424,"v":[[1.0,0.0],[0.0,1.0]]}']
 
 
 def test_jsonl_reads_each_record_only_when_asked_and_refuses_a_later_header(tmp_path):

@@ -648,8 +648,7 @@ def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
     (3, lambda r: r["tokens"].__setitem__(4, 99999),
      "token id(s) [99999] outside the vocabulary"),
     (2, lambda r: r["tokens"].__setitem__(4, -7), "token id(s) [-7] outside the vocabulary"),
-    (3, lambda r: r.update(sigma=None),
-     "float() argument must be a string or a real number, not 'NoneType'"),
+    (3, lambda r: r.update(sigma=None), "sigma must be a number, got NoneType"),
     # a scale compute_scale never gives: it would invert to NaN or to a constant window
     (3, lambda r: r.update(mu=1.5, sigma=math.nan),
      "need a finite mu and a positive, finite sigma, got mu 1.5 and sigma nan"),

@@ -50,8 +50,11 @@ class TestScale:
         assert s.mu == 4.0
 
     def test_all_missing(self):
-        with pytest.raises(ValueError):
+        message = "^cannot scale a window with no observed values$"
+        with pytest.raises(ValueError, match=message):
             compute_scale(np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match=message):  # one such row refuses a stack
+            compute_scale(np.array([[1.0, 2.0], [np.nan, np.nan]]))
 
     @pytest.mark.parametrize("x", [
         np.tile([1e200, -1e200], 8),  # the squares overflow
@@ -61,6 +64,8 @@ class TestScale:
     def test_overflow_is_refused_without_a_warning(self, x):
         with pytest.raises(ValueError, match="mean or deviation overflows"):
             compute_scale(x)
+        with pytest.raises(ValueError, match="mean or deviation overflows"):
+            compute_scale(np.stack([np.arange(len(x), dtype=float), x]))
 
 
 class TestFillMissing:
@@ -104,8 +109,9 @@ class TestForward:
 def stacked_windows(config, n=83):
     """Rows of every kind the forward path treats apart: a noise row on
     which fdrc finds nothing, a spike fdrc keeps, a constant row and a
-    step (for haar, their finest details have zero spread), two gappy
-    rows and a trend."""
+    step (for haar, their finest details have zero spread), gappy rows
+    with 1, 12, 20 and 20 missing values, a trend and a row with one
+    observed value."""
     family = get_family(config.family)
     for seed in range(100):
         quiet = np.random.default_rng(seed).standard_normal(n)
@@ -122,7 +128,10 @@ def stacked_windows(config, n=83):
     edges[:7], edges[-5:] = np.nan, np.nan
     trend = np.linspace(-5.0, 20.0, n) + rng.standard_normal(n)
     step = np.where(np.arange(n) < 41, 4.0, 9.0)
-    return np.array([quiet, spike, np.full(n, 4.0), step, gappy, edges, trend])
+    hole, late_gap, lone = rng.standard_normal(n), rng.standard_normal(n) * 5.0, np.full(n, np.nan)
+    hole[40], late_gap[50:70], lone[n // 3] = np.nan, np.nan, -2.5
+    return np.array([quiet, spike, np.full(n, 4.0), step, gappy, edges, trend, hole, late_gap,
+                     lone])
 
 
 class TestStackedForward:
@@ -137,8 +146,9 @@ class TestStackedForward:
                                      threshold=ThresholdSpec(method=method))
             windows = stacked_windows(config)
             scales = [compute_scale(row) for row in windows]
-            scale = ScaleStats(mu=np.array([s.mu for s in scales]),
-                               sigma=np.array([s.sigma for s in scales]))
+            scale = compute_scale(windows)  # one call, grouped by observed count
+            assert scale.mu.tobytes() == np.array([s.mu for s in scales]).tobytes()
+            assert scale.sigma.tobytes() == np.array([s.sigma for s in scales]).tobytes()
             stacked = tokenize(windows, scale, config, cb)
             z = (fill_missing(windows) - scale.mu[:, None]) / scale.sigma[:, None]
             pyramid = apply_threshold(decompose(z, family, level, mode), config.threshold)
@@ -165,6 +175,24 @@ class TestStackedForward:
                     assert any(d[3].any() for d in raw.details)
                     for got, want in zip(pyramid.details, raw.details):
                         assert got[3].tobytes() == want[3].tobytes()
+
+
+def test_coefficients_count_the_observed_mask_only_for_a_stack_with_a_missing_value(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr("wavets.tokenizer.decompose", counted)
+    config = TokenizerConfig(family="db2", level=2)
+    windows = np.random.default_rng(4).standard_normal((3, 40))
+    complete = coefficients(windows, compute_scale(windows), config)
+    assert len(calls) == 1 and not any(np.isnan(band).any() for band in
+                                       (complete.approx, *complete.details))
+    windows[1, 7] = np.nan
+    coefficients(windows, compute_scale(windows), config)
+    assert len(calls) == 3
 
 
 class TestRoundTrip:
