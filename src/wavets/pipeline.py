@@ -10,17 +10,18 @@ VRSE, next to the seasonal-naive baseline, whose seasons stay aligned in
 time across missing context values. A command tokenizes, or inverts, each
 window kind (contexts, horizons) of all its series as one stack on the last
 axis; :func:`forecast_dataset` samples the token ids of all paths together
-and inverts them in one call. Series ``item_id`` samples with the seed
-``SeedSequence([seed, int(sha256(item_id)[:8], 16)])``, so its paths do not
-depend on the rest of the batch or on the worker that runs it. One rule
-fails a series: where a stacked call raises, its halves run again, down to
-single series, so a series fails in a batch exactly when it fails alone,
-with that error, and the rest are unchanged (say, a context or window with
-no observed value, coefficients that overflow, or a sampling distribution
-without mass); each stage returns ``(item_id, error)`` per failed series
-next to its results. An ablation cell (:func:`run_cell`) trains on a
-dataset's ``split_last_h`` train view, scores the horizons held out from it
-and fails on any series.
+and inverts them in one call. Series ``item_id`` samples from
+``default_rng(series_seed(seed, item_id))``, whose seed is the first word
+of ``SeedSequence([seed, int(sha256(item_id)[:8], 16)]).generate_state(1)``,
+so its paths do not depend on the rest of the batch or on the worker that
+runs it. One rule fails a series: where a stacked call raises, its halves
+run again, down to single series, so a series fails in a batch exactly
+when it fails alone, with that error, and the rest are unchanged (say, a
+context or window with no observed value, coefficients that overflow, or a
+sampling distribution without mass); each stage returns ``(item_id,
+error)`` per failed series next to its results. An ablation cell
+(:func:`run_cell`) trains on a dataset's ``split_last_h`` train view,
+scores the horizons held out from it and fails on any series.
 """
 
 from __future__ import annotations

@@ -45,11 +45,13 @@ step that reaches it, and reused at every later step; unseen histories
 share one state. A step that reaches new states makes one query for all
 of them, so each distinct state is queried exactly once per call. The
 row arithmetic is row-local, so a CDF does not depend on the step or the
-other rows it was built with. Each path draws one uniform per token from
-its own seeded stream and inverts its state's CDF with it, so a fixed
-seed gives the same paths whatever the batching. The uniforms take ``N x
-S x n_tokens`` values, the history buffer ``N x S x (order + n_tokens)``
-and the CDFs ``V`` per state.
+other rows it was built with. Each series has one stream, numpy's
+``default_rng`` of its seed, and each step takes ``S`` draws of it, one
+per path in path order; a path inverts its state's CDF with its draw. A
+series' draws depend only on its seed, so a fixed seed gives the same
+paths whatever the batching. The uniforms take ``N x S x n_tokens``
+values, the history buffer ``N x S x (order + n_tokens)`` and the CDFs
+``V`` per state.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ _FORMAT = "wavets.markov"
 _VERSION = 2
 _ARRAYS = ("keys", "indptr", "tokens", "counts")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# the checkpoint header's typed fields; a JSON true or false is no number
+_HEADER_TYPES = (("vocab_size", int, "an integer"), ("order", int, "an integer"),
+                 ("alpha", (int, float), "a number"), ("meta", dict, "an object"))
 
 
 class SequenceModel(Protocol):
@@ -221,141 +226,17 @@ def cross_entropy(
         return float(-np.log(probs[np.arange(len(positions)), seq[positions]]).mean())
 
 
-_MASK32, _MASK64 = 0xFFFFFFFF, 2**64 - 1
-# numpy.random.SeedSequence's hash constants (bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-# path_uniforms draws this many tokens per lane in one pass
-_BLOCK = 16
-
-
-def _jump_constants(count: int) -> tuple[np.ndarray, ...]:
-    """``(A_hi, A_lo, G_hi, G_lo)``: uint64 halves of ``A_j = M**j`` and
-    ``G_j = M**0 + ... + M**(j - 1)`` mod 2**128 for ``j = 1 .. count``,
-    with ``M`` the PCG64 multiplier; ``j`` LCG steps map a state ``s`` to
-    ``A_j * s + G_j * increment``."""
-    power, total, rows = 1, 0, []
-    for _ in range(count):
-        total = total + power & 2**128 - 1
-        power = power * _PCG_MULT & 2**128 - 1
-        rows.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
-    return tuple(np.array(column, dtype=np.uint64) for column in zip(*rows))
-
-
-_JUMP_A_HI, _JUMP_A_LO, _JUMP_G_HI, _JUMP_G_LO = _jump_constants(_BLOCK)
-
-
-def _mulhi64(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b``, from 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    lo_hi, hi_lo = a0 * b1, a1 * b0
-    middle = (a0 * b0 >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
-    return a1 * b1 + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32)
-
-
-def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo)`` uint64 halves of the products ``a * b`` mod 2**128."""
-    return ah * bl + al * bh + _mulhi64(al, bl), al * bl
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of uint32 arrays: xor with the running constant,
-    step the constant by ``mult``, multiply by it, xorshift by 16. The
-    constants do not depend on the data, so they are masked Python ints."""
-
-    def hash_(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ value >> 16
-
-    return hash_
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> 16
-
-
 def path_uniforms(seeds: Sequence[int], n_samples: int, n: int) -> np.ndarray:
-    """``(len(seeds) * n_samples, n)`` uniforms in ``[0, 1)``: row ``i *
-    n_samples + s`` equals ``default_rng(child).random(n)`` for the ``s``-th
-    child spawned from ``SeedSequence(seeds[i])``, for every seed in
-    ``[0, 2**64)``; another seed is refused.
-
-    No numpy generator is built. Each row is one lane of uint32/uint64
-    array arithmetic, and every lane runs the same steps at once:
-
-    * The child's entropy is the words ``[seed & 0xFFFFFFFF, seed >> 32,
-      0, 0, s]``: the seed's two 32-bit words, zero-filled to the pool size
-      of 4 because the child has a spawn key, then the spawn index ``s``,
-      which fits one word.
-    * ``SeedSequence.mix_entropy`` hashes it into a 4-word pool, and
-      ``generate_state(4, uint64)`` hashes the pool into 8 words, with the
-      constants of numpy's ``bit_generator.pyx``.
-    * ``PCG64`` seeds its 128-bit LCG (O'Neill 2014) with state words 0:1
-      and increment ``c = (words 2:3 << 1) | 1``: state = ``c``, plus the
-      seed, then one step ``s -> M * s + c`` with ``M =
-      PCG_DEFAULT_MULTIPLIER_128``, on ``(hi, lo)`` uint64 halves.
-    * Each token takes one more step and outputs ``rotr64(hi ^ lo, hi >>
-      58)`` (XSL-RR). The tokens come in blocks of ``_BLOCK``: ``j`` steps
-      are one affine map, ``s_{t+j} = A_j * s_t + G_j * c`` mod 2**128 with
-      ``A_j = M**j`` and ``G_j = M**0 + ... + M**(j - 1)`` (Brown 1994,
-      "Random Number Generation with Arbitrary Strides"). ``A_j`` and
-      ``G_j`` for ``j = 1 .. _BLOCK`` are exact Python-int powers and sums,
-      masked to 128 bits at import; ``G_j * c`` is formed once per call.
-      A block is the ``(lanes, _BLOCK)`` states ``A_j * s + G_j * c`` from
-      the last state of the block before. Every product and sum is exact
-      mod 2**128, which is all the LCG keeps, so each state, and so each
-      output bit, is the one the step-by-step recurrence gives.
-    * ``Generator.random`` is ``(output >> 11) * 2**-53``.
-
-    Numpy keeps the streams of ``SeedSequence`` and ``PCG64`` stable by
-    policy (NEP 19), so this stays equal to numpy's own generators."""
-    values = [int(seed) for seed in seeds]
-    bad = [seed for seed in values if not 0 <= seed < 2**64]
-    if bad:
-        raise ValueError(f"seed must be in [0, 2**64), got {bad[0]}")
-    spawn = np.tile(np.arange(n_samples, dtype=np.uint32), len(values))
-    lanes = np.repeat(np.array(values, dtype=np.uint64), n_samples)
-    zero = np.zeros_like(spawn)
-    entropy = [(lanes & _MASK32).astype(np.uint32), (lanes >> 32).astype(np.uint32), zero, zero]
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for dst in range(4):
-        pool[dst] = _mix(pool[dst], hashmix(spawn))
-    hashout = _hasher(_INIT_B, _MULT_B)
-    words = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, init_hi, init_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-    inc_hi, inc_lo = init_hi << 1 | init_lo >> 63, init_lo << 1 | 1
-
-    # the seeding step: state = (increment + seed) * M + increment
-    lo = inc_lo + seed_lo
-    hi, lo = _mul128(inc_hi + seed_hi + (lo < seed_lo), lo, _PCG_MULT_HI, _PCG_MULT_LO)
-    lo += inc_lo
-    hi += inc_hi + (lo < inc_lo)
-    # G_j * increment for every offset j of a block, one (lanes, _BLOCK) pair
-    add_hi, add_lo = _mul128(inc_hi[:, None], inc_lo[:, None], _JUMP_G_HI, _JUMP_G_LO)
-    out = np.empty((len(lanes), n))
-    for start in range(0, n, _BLOCK):
-        b = min(_BLOCK, n - start)
-        hi, lo = _mul128(hi[:, None], lo[:, None], _JUMP_A_HI[:b], _JUMP_A_LO[:b])
-        lo += add_lo[:, :b]
-        hi += add_hi[:, :b] + (lo < add_lo[:, :b])
-        xored, rotation = hi ^ lo, hi >> 58
-        out[:, start:start + b] = (xored >> rotation | xored << (64 - rotation & 63)) >> 11
-        hi, lo = hi[:, -1], lo[:, -1]  # the block's last state seeds the next block
-    out *= 2.0**-53
+    """``(n, len(seeds) * n_samples)`` uniforms in ``[0, 1)``, step-major:
+    columns ``i * n_samples .. (i + 1) * n_samples - 1`` are
+    ``default_rng(seeds[i]).random((n, n_samples))``. Row ``t`` is step
+    ``t`` of every path, so each series' stream gives its paths draws ``t *
+    n_samples`` onwards, in path order. A series' columns depend only on its
+    own seed; numpy refuses a negative one."""
+    out = np.empty((n, len(seeds) * n_samples))
+    for i, seed in enumerate(seeds):
+        out[:, i * n_samples:(i + 1) * n_samples] = np.random.default_rng(seed).random(
+            (n, n_samples))
     return out
 
 
@@ -388,10 +269,12 @@ def sample_forecast(
     order once, each state's run is one slice of them and one
     ``searchsorted``, and one scatter writes the step's tokens back by
     path. Each state's CDF is built once per call.
-    Path ``s`` of series ``i`` draws its ``n_tokens`` uniforms up front
-    with :func:`path_uniforms`, one per token, so fixed seeds give
-    bit-identical output whatever the other series, the same as a per-path
-    ``Generator.choice`` loop over the full history. A path that reaches a
+    The uniforms are drawn up front by :func:`path_uniforms`: series ``i``
+    has one ``default_rng(seeds[i])`` stream, and path ``s`` draws token
+    ``t`` with its draw ``t * n_samples + s``. Fixed seeds therefore give
+    bit-identical output whatever the other series, the same as a loop of
+    ``Generator.choice`` over the full history on that one stream, step
+    by step and path by path. A path that reaches a
     state whose distribution has no mass fails the call with "sampling
     distribution has no mass"; the caller's retry by halves
     (:func:`wavets.pipeline.forecast_dataset`) then fails only the series
@@ -407,7 +290,7 @@ def sample_forecast(
         raise ValueError(f"need one seed per context row, got {len(seeds)} seeds for "
                          f"{n_series} rows")
     uniforms = path_uniforms(seeds, n_samples, n_tokens)
-    n_paths = len(uniforms)
+    n_paths = n_series * n_samples
     length = contexts.tokens.shape[1]
     width = min(k, length)  # context tokens in the start window
     hist = np.full((n_series, n_samples, k + n_tokens), -1, dtype=np.int64)
@@ -436,7 +319,7 @@ def sample_forecast(
             cdf = probs.cumsum(axis=1, out=probs)
             cdf /= cdf[:, -1:]
             cdfs.update(zip((states[j] for j in new), cdf))
-        u = uniforms[:, step][order]
+        u = uniforms[step][order]
         bounds = [*starts.tolist(), n_paths]
         for state, a, b in zip(states, bounds, bounds[1:]):
             drawn[a:b] = cdfs[state].searchsorted(u[a:b], side="right")
@@ -485,17 +368,18 @@ def load_model(path) -> MarkovModel:
     missing = [k for k in ("vocab_size", "order", "alpha") if k not in header]
     if missing:
         raise SchemaError(f"model file {path} is missing fields: {missing}")
-    model = MarkovModel(
-        vocab_size=int(header["vocab_size"]),
-        order=int(header["order"]),
-        alpha=float(header["alpha"]),
-    )
+    header.setdefault("meta", {})
+    for key, kinds, noun in _HEADER_TYPES:
+        if isinstance(header[key], bool) or not isinstance(header[key], kinds):
+            raise SchemaError(f"model file {path}: {key} must be {noun}, "
+                              f"got {json.dumps(header[key])}")
+    model = MarkovModel(header["vocab_size"], header["order"], header["alpha"])
     if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays) and keys.dtype == np.int64
             and len(indptr) == len(keys) + 1 and indptr[0] == 0
             and indptr[-1] == len(tokens) == len(counts)
             and np.all(np.diff(keys) > 0) and np.all(np.diff(indptr) >= 0)
             and np.all((tokens >= 0) & (tokens < model.vocab_size)) and np.all(counts > 0)):
         raise SchemaError(f"corrupt model file {path}: inconsistent count arrays")
-    model.meta = header.get("meta", {})
+    model.meta = header["meta"]
     model._set_counts(keys, indptr, tokens, counts)
     return model

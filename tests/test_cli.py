@@ -632,6 +632,25 @@ def test_forecast_isolates_failing_series(tmp_path, capsys, workers):
         "error: series 'synth-00002': cannot scale a window with no observed values"]
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"order": None}, "order must be an integer, got null"),
+    ({"meta": 5}, "meta must be an object, got 5"),
+])
+def test_forecast_refuses_a_model_header_of_the_wrong_type_in_one_error_line(
+        tmp_path, capsys, change, message):
+    _, cb, model = make_inputs(tmp_path, capsys)
+    with np.load(model) as npz:
+        arrays = dict(npz)
+    arrays["header"] = np.array(json.dumps({**json.loads(str(arrays["header"])), **change}))
+    with open(model, "wb") as fh:
+        np.savez(fh, **arrays)
+    out = tmp_path / "forecast.jsonl"
+    code, _, err = run(["forecast", "--data", tmp_path / "data.jsonl", "--codebook", cb,
+                        "--model", model, "--out", out, *FLAGS], capsys)
+    assert (code, err.splitlines(), out.exists()) == (
+        1, [f"error: model file {model}: {message}"], False)
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_forecast_refuses_fewer_than_one_worker_before_it_reads_anything(tmp_path, capsys,
                                                                         workers):
