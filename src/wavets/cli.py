@@ -202,6 +202,7 @@ def cmd_train(args) -> int:
     other = {"context": "horizon", "horizon": "context"}
     unpaired = [(item_id, kind, f"no {other[kind]} record for this series")
                 for item_id, kind in streams if (item_id, other[kind]) not in listed]
+    del lines, records, listed  # the decoded records outweigh the counting
     status = _report([*failed.values(), *unpaired], "record")
     model = train_model(corpus, config, codebook)
     save_model(model, args.out, meta=_header(config, codebook))

@@ -24,9 +24,20 @@ is 0, and a ``-1`` of left padding is a leading zero digit, so a padded
 row has the key of its unpadded history. ``_keys`` holds the observed
 histories sorted; row ``r`` owns ``_tokens[_indptr[r]:_indptr[r + 1]]``
 and the matching ``_counts``. Training encodes each (history, target)
-pair as ``key * V + target``, so :func:`check_model_settings` refuses an
-order for which ``(V + 1)**k * V`` does not fit in int64 (at ``V = 1024``,
-any order above 5).
+pair as the code ``key * V + target``, so :func:`check_model_settings`
+refuses an order for which ``(V + 1)**k * V`` does not fit in int64 (at
+``V = 1024``, any order above 5). It counts one history length at a
+time: the codes of length ``L``, then their ``np.unique`` with counts,
+keeping only the unique codes. The digits of a length-``L`` key are
+``1 .. V``, so the key lies in ``[((V + 1)**L - 1) / V, (V + 1)**L - 1]``
+and its codes in ``[(V + 1)**L - 1, V * (V + 1)**L - 1]``: the ranges of
+successive lengths are disjoint and increasing, and the per-length
+results, concatenated, are already sorted, the same as one ``np.unique``
+over the codes of every length. Only one length's codes are alive at a
+time, so training's temporaries are about six int64 arrays of the
+corpus' length whatever the order; only the unique codes and counts it
+keeps grow with the order. The ranges hold only for ids in ``[0, V)``,
+which :meth:`MarkovModel.fit` checks.
 
 A checkpoint is an uncompressed ``.npz`` archive holding ``header`` (a JSON
 string: format, version 2, vocabulary size, order, smoothing and meta)
@@ -57,6 +68,7 @@ values, the history buffer ``N x S x (order + n_tokens)`` and the CDFs
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -100,8 +112,8 @@ def check_model_settings(vocab_size: int, order: int, alpha: float) -> None:
         raise ValueError(f"vocabulary size must be at least 2, got {vocab_size}")
     if order < 1:
         raise ValueError(f"model order must be at least 1, got {order}")
-    if alpha <= 0:
-        raise ValueError(f"smoothing constant must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"smoothing constant must be positive and finite, got {alpha}")
     if order >= 63 or (vocab_size + 1) ** order * vocab_size > _INT64_MAX:  # 3**63 > 2**63
         raise ValueError(f"order {order} overflows int64 history keys at vocabulary size "
                          f"{vocab_size}: (V + 1)**order * V must fit")
@@ -134,17 +146,36 @@ class MarkovModel:
     def fit(self, sequences: Sequence[Sequence[int]]) -> MarkovModel:
         """Count every (history, target) pair of every history length in
         the sequences, replacing any earlier counts. PAD targets are not
-        counted but stay visible inside histories."""
+        counted but stay visible inside histories. A token id outside
+        ``[0, vocab_size)`` is refused with a ``ValueError`` that names it."""
         pad = np.full(self.order, -1, dtype=np.int64)
-        flat = np.concatenate([pad, *(np.r_[np.asarray(s, dtype=np.int64), pad] for s in sequences)])
-        targets = np.flatnonzero((flat >= 0) & (flat != Codebook.PAD_ID))
-        keys = np.zeros(len(targets), dtype=np.int64)  # of the length-L history before each target
-        codes = [flat[targets]]
-        for length in range(1, self.order + 1):
-            before = flat[targets - length]
-            keys += (before + 1) * self._weights[-length]
-            codes.append((keys * self.vocab_size + flat[targets])[before >= 0])
-        codes, counts = np.unique(np.concatenate(codes), return_counts=True)
+        arrays = [np.asarray(s, dtype=np.int64) for s in sequences]
+        flat = np.concatenate([pad, *(np.r_[a, pad] for a in arrays)])
+        outside = (flat < 0) | (flat >= self.vocab_size)
+        if np.count_nonzero(outside) > len(pad) * (len(arrays) + 1):  # more than the padding
+            ids = np.unique(np.concatenate([a[(a < 0) | (a >= self.vocab_size)] for a in arrays]))
+            raise ValueError(f"token ids outside the vocabulary [0, {self.vocab_size}): "
+                             f"{ids[:10].tolist()}{' ...' if len(ids) > 10 else ''}")
+        positions = np.flatnonzero(~outside & (flat != Codebook.PAD_ID))  # of the targets
+        del outside
+        codes = flat[positions]  # key * V + target, of the length-L history before each target
+        seen = np.ones(len(codes), dtype=bool)
+        uniques, counts = [], []  # per length
+        for length in range(self.order + 1):
+            if length:
+                # 0 where the history starts before its sequence, and then at every longer length
+                digits = flat[positions - length] + 1
+                np.greater(digits, 0, out=seen)
+                digits *= self._weights[-length] * self.vocab_size
+                codes += digits
+                del digits
+            unique, count = np.unique(codes[seen], return_counts=True)
+            uniques.append(unique)
+            counts.append(count)
+        del flat, positions, codes, seen
+        codes = np.concatenate(uniques)  # sorted: the lengths' code ranges are increasing
+        del uniques
+        counts = np.concatenate(counts)
         history, target = np.divmod(codes, self.vocab_size)
         starts = np.flatnonzero(np.diff(history, prepend=-1))
         self._set_counts(history[starts], np.append(starts, len(codes)), target, counts)
@@ -373,7 +404,10 @@ def load_model(path) -> MarkovModel:
         if isinstance(header[key], bool) or not isinstance(header[key], kinds):
             raise SchemaError(f"model file {path}: {key} must be {noun}, "
                               f"got {json.dumps(header[key])}")
-    model = MarkovModel(header["vocab_size"], header["order"], header["alpha"])
+    try:
+        model = MarkovModel(header["vocab_size"], header["order"], header["alpha"])
+    except ValueError as exc:
+        raise SchemaError(f"model file {path}: {exc}") from None
     if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays) and keys.dtype == np.int64
             and len(indptr) == len(keys) + 1 and indptr[0] == 0
             and indptr[-1] == len(tokens) == len(counts)

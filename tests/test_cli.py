@@ -432,6 +432,15 @@ class TestConfig:
         else:
             assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+    def test_refuses_a_smoothing_constant_that_is_not_positive_and_finite(self, tmp_path,
+                                                                          capsys, alpha):
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(["synth", "--out", out, "--n-series", 2, "--alpha", alpha], capsys)
+        assert (code, err.splitlines(), out.exists()) == (
+            1, [f"error: smoothing constant must be positive and finite, got {float(alpha)}"],
+            False)
+
     def test_each_flag_shows_the_default_of_its_field(self):
         tokenize = build_parser()._subparsers._group_actions[0].choices["tokenize"]
         helps = {action.dest: action.help for action in tokenize._actions}

@@ -87,6 +87,8 @@ def test_run_config_refuses_a_level_too_deep_for_either_window(settings, length)
     ({"vocab_budget": 64, "order": 10}, lambda: MarkovModel(64, 10, 0.1)),
     ({"order": 0}, lambda: MarkovModel(1024, 0, 0.1)),
     ({"alpha": 0.0}, lambda: MarkovModel(1024, 3, 0.0)),
+    ({"alpha": math.nan}, lambda: MarkovModel(1024, 3, math.nan)),
+    ({"alpha": math.inf}, lambda: MarkovModel(1024, 3, math.inf)),
     ({"vocab_budget": 4}, lambda: fit_codebook(np.ones(3), 4)),
 ])
 def test_run_config_refuses_what_the_model_or_the_codebook_would(settings, reference):

@@ -4,6 +4,7 @@ and the batched sampler against a per-series, per-path reference loop."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from wavets.codebook import fit_codebook
 from wavets.data_synth import make_dataset
 from wavets.exceptions import SchemaError
-from wavets.pipeline import RunConfig, make_windows, pool_coefficients
+from wavets.pipeline import RunConfig, make_windows, pool_coefficients, tokenize_windows
 from wavets.seq_model import (
     MarkovModel,
     cross_entropy,
@@ -319,6 +320,87 @@ def test_fit_matches_a_counting_loop():
     assert np.all(np.diff(model._keys) > 0)
 
 
+def count_in_one_pass(model, sequences):
+    """The four count arrays from one ``np.unique`` over the (history,
+    target) codes of every history length at once: the counting rule
+    ``MarkovModel.fit`` must reproduce."""
+    pad = np.full(model.order, -1, dtype=np.int64)
+    flat = np.concatenate([pad, *(np.r_[np.asarray(s, dtype=np.int64), pad] for s in sequences)])
+    targets = np.flatnonzero((flat >= 0) & (flat != 0))
+    keys = np.zeros(len(targets), dtype=np.int64)
+    codes = [flat[targets]]
+    for length in range(1, model.order + 1):
+        before = flat[targets - length]
+        keys += (before + 1) * (model.vocab_size + 1) ** (length - 1)
+        codes.append((keys * model.vocab_size + flat[targets])[before >= 0])
+    codes, counts = np.unique(np.concatenate(codes), return_counts=True)
+    history, target = np.divmod(codes, model.vocab_size)
+    starts = np.flatnonzero(np.diff(history, prepend=-1))
+    return history[starts], np.append(starts, len(codes)), target, counts
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("vocab_size", [2, 7, 300])
+def test_fit_equals_one_unique_over_every_length(order, vocab_size):
+    # PAD (0) targets, empty and length-1 sequences, sequences shorter than
+    # the order, and an empty corpus
+    rng = np.random.default_rng(order * 1000 + vocab_size)
+    sequences = [rng.integers(0, vocab_size, n) for n in rng.integers(0, 3 * order, 30)]
+    sequences += [[], [vocab_size - 1], [0], rng.integers(0, vocab_size, 500)]
+    for corpus in (sequences, [], [[]]):
+        model = MarkovModel(vocab_size, order, 0.1).fit(corpus)
+        expected = count_in_one_pass(model, corpus)
+        for name, want in zip(("_keys", "_indptr", "_tokens", "_counts"), expected):
+            got = getattr(model, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The context+horizon token streams of 100 synthetic series at the
+    default settings: about 58k tokens."""
+    config = RunConfig()
+    windows = make_windows(make_dataset(100, seed=5), config)
+    codebook = fit_codebook(pool_coefficients(windows, config)[0], config.vocab_budget)
+    pairs, _ = tokenize_windows(windows, config, codebook)
+    return codebook.vocab_size, [np.concatenate([ctx.tokens, hor.tokens]) for _, ctx, hor in pairs]
+
+
+def traced_peak(count, *args):
+    tracemalloc.start()
+    try:
+        count(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_fit_counts_one_history_length_at_a_time(corpus, order):
+    # Only one length's codes are alive at a time, so fit's temporaries do
+    # not grow with the order the way one sort over every length's do.
+    vocab_size, sequences = corpus
+    assert sum(map(len, sequences)) >= 50_000
+    model = MarkovModel(vocab_size, order, 0.1)
+    assert traced_peak(model.fit, sequences) <= 0.6 * traced_peak(count_in_one_pass, model,
+                                                                  sequences)
+
+
+@pytest.mark.parametrize("sequences, ids", [
+    ([[5, 1, 2]], "[5]"),  # would count target 5 as token 1 after history [0]
+    ([[1, -1, 2]], "[-1]"),  # would read as a sequence break
+    ([[1, 2], [3, 9, -4, 9, 4]], "[-4, 4, 9]"),
+    ([list(range(-12, 0))], "[-12, -11, -10, -9, -8, -7, -6, -5, -4, -3] ..."),  # the first ten
+])
+def test_fit_refuses_ids_outside_the_vocabulary(sequences, ids):
+    model = MarkovModel(4, 1, 0.1).fit([[1, 2, 3]])
+    with pytest.raises(ValueError) as refused:
+        model.fit(sequences)
+    assert str(refused.value) == f"token ids outside the vocabulary [0, 4): {ids}"
+    assert model._counts.sum() == 5  # the earlier counts stay
+
+
 def test_short_history_reads_its_own_counts():
     # Targets of 1 2 3 4 1 2 4: all seven after the empty history, 3 and
     # 4 after "2". Left padding must not turn these into unseen histories.
@@ -404,6 +486,9 @@ DROP = object()  # a header change that deletes the field
     ({"order": True}, ": order must be an integer, got true$"),
     ({"vocab_size": 5.9}, ": vocab_size must be an integer, got 5.9$"),
     ({"meta": 5}, ": meta must be an object, got 5$"),
+    ({"alpha": math.nan}, ": smoothing constant must be positive and finite, got nan$"),
+    ({"alpha": math.inf}, ": smoothing constant must be positive and finite, got inf$"),
+    ({"vocab_size": 1}, ": vocabulary size must be at least 2, got 1$"),
 ])
 def test_checkpoint_header_is_checked(trained, tmp_path, change, message):
     path = tmp_path / "model.json"
