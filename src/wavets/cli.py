@@ -73,7 +73,7 @@ def build_config(args) -> RunConfig:
             raise ValueError(f"config file {config_path} must hold a mapping")
         unknown = set(loaded) - set(_CONFIG_KEYS) - {"grid"}
         if unknown:
-            raise ValueError(f"unknown config keys in {config_path}: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys in {config_path}: {sorted(unknown, key=str)}")
         merged.update({k: v for k, v in loaded.items() if k != "grid"})
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -302,13 +302,18 @@ def cmd_ablate(args) -> int:
 
     config = build_config(args)
     grid_spec = yaml.safe_load(Path(args.grid).read_text())
-    if not isinstance(grid_spec, dict) or "grid" not in grid_spec:
+    grid = grid_spec.get("grid") if isinstance(grid_spec, dict) else None
+    if not isinstance(grid, dict):
         raise ValueError("grid file must contain a 'grid' mapping")
-    grid = grid_spec["grid"]
     unknown = set(grid) - set(_CONFIG_KEYS)
     if unknown:
-        raise ValueError(f"unsupported grid keys {sorted(unknown)}; allowed {_CONFIG_KEYS}")
+        raise ValueError(f"unsupported grid keys {sorted(unknown, key=str)}; "
+                         f"allowed {_CONFIG_KEYS}")
     keys = sorted(grid)
+    for key, values in sorted(grid.items()):
+        if not isinstance(values, list) or not values or len(set(map(repr, values))) < len(values):
+            raise ValueError(f"grid key {key!r} must be a non-empty list of distinct values, "
+                             f"got {values!r}")
     cells = [dict(zip(keys, cell)) for cell in itertools.product(*(grid[k] for k in keys))]
     cell_configs = [replace(config, **overrides) for overrides in cells]  # refuses a bad value
     dataset = load_dataset(args.data)

@@ -66,8 +66,8 @@ class RunConfig:
     flags and config-file keys are derived from them. Each field takes its
     range rule from the code that uses it: the tokenizer fields their
     defaults too, from :class:`TokenizerConfig` and :class:`ThresholdSpec`;
-    ``vocab_budget`` from :func:`fit_codebook`; ``order`` and ``alpha`` from
-    the Markov model, whose vocabulary is at most ``vocab_budget``."""
+    ``vocab_budget`` from :func:`fit_codebook`; ``order`` from the Markov
+    model, whose vocabulary is at most ``vocab_budget``."""
 
     family: str = _option(TokenizerConfig.family, "wavelet family name")
     level: int = _option(TokenizerConfig.level, "decomposition level")
@@ -77,7 +77,6 @@ class RunConfig:
     context_length: int = _option(512)
     horizon: int = _option(64)
     order: int = _option(3, "Markov model order")
-    alpha: float = _option(0.1, "Markov smoothing constant")
     n_samples: int = _option(20, "sample paths per series")
     seed: int = _option(0)
     boundary_mode: str = _option(TokenizerConfig.boundary_mode, "symmetric | periodization")
@@ -85,13 +84,13 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
-            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
         tok_config = self.tokenizer_config()  # validates the threshold method
         for length in (self.context_length, self.horizon):  # family, level and boundary mode
             tok_config.layout(length)
         check_vocab_budget(self.vocab_budget)
-        check_model_settings(self.vocab_budget, self.order, self.alpha)
+        check_model_settings(self.vocab_budget, self.order)
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample path, got {self.n_samples}")
         if self.seed < 0:
@@ -247,8 +246,7 @@ def detokenize_windows(records, config: RunConfig, codebook: Codebook):
 
 def train_model(corpus, config: RunConfig, codebook: Codebook) -> MarkovModel:
     """The reference Markov model over (context, horizon) stream pairs."""
-    return train_markov(corpus, order=config.order, alpha=config.alpha,
-                        vocab_size=codebook.vocab_size)
+    return train_markov(corpus, order=config.order, vocab_size=codebook.vocab_size)
 
 
 def series_seed(seed: int, item_id: str) -> int:

@@ -40,9 +40,9 @@ keeps grow with the order. The ranges hold only for ids in ``[0, V)``,
 which :meth:`MarkovModel.fit` checks.
 
 A checkpoint is an uncompressed ``.npz`` archive holding ``header`` (a JSON
-string: format, version 2, vocabulary size, order, smoothing and meta)
-and the arrays ``keys``, ``indptr``, ``tokens`` and ``counts``. It is
-read without pickle. Version 1 was a JSON dict of dicts.
+string: format, version 3, vocabulary size, order and meta; version 2 also
+held the smoothing constant) and the arrays ``keys``, ``indptr``, ``tokens``
+and ``counts``. It is read without pickle. Version 1 was a JSON dict of dicts.
 
 Sampling advances the ``N x S`` paths of all series of a command
 together, one token per step, and returns their token ids; the tokenizer
@@ -68,7 +68,6 @@ values, the history buffer ``N x S x (order + n_tokens)`` and the CDFs
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -81,12 +80,12 @@ from .exceptions import SchemaError
 from .tokenizer import TokenStream
 
 _FORMAT = "wavets.markov"
-_VERSION = 2
+_VERSION = 3
 _ARRAYS = ("keys", "indptr", "tokens", "counts")
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# the checkpoint header's typed fields; a JSON true or false is no number
+# the checkpoint header's typed fields; a JSON true or false is no integer
 _HEADER_TYPES = (("vocab_size", int, "an integer"), ("order", int, "an integer"),
-                 ("alpha", (int, float), "a number"), ("meta", dict, "an object"))
+                 ("meta", dict, "an object"))
 
 
 class SequenceModel(Protocol):
@@ -103,36 +102,35 @@ class SequenceModel(Protocol):
     def history_states(self, histories: np.ndarray) -> np.ndarray: ...
 
 
-def check_model_settings(vocab_size: int, order: int, alpha: float) -> None:
-    """Refuse a vocabulary size, order or smoothing constant the Markov
-    model cannot take, including an order whose history keys overflow
-    int64 at ``vocab_size``. An order that passes also fits every smaller
-    vocabulary."""
+def check_model_settings(vocab_size: int, order: int) -> None:
+    """Refuse a vocabulary size or order the Markov model cannot take,
+    including an order whose history keys overflow int64 at ``vocab_size``.
+    An order that passes also fits every smaller vocabulary."""
     if vocab_size < 2:
         raise ValueError(f"vocabulary size must be at least 2, got {vocab_size}")
     if order < 1:
         raise ValueError(f"model order must be at least 1, got {order}")
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"smoothing constant must be positive and finite, got {alpha}")
     if order >= 63 or (vocab_size + 1) ** order * vocab_size > _INT64_MAX:  # 3**63 > 2**63
         raise ValueError(f"order {order} overflows int64 history keys at vocabulary size "
                          f"{vocab_size}: (V + 1)**order * V must fit")
 
 
+ALPHA = 0.1  # the additive smoothing constant of every MarkovModel
+
+
 class MarkovModel:
     """Count-based order-k model with additive smoothing.
 
-    ``P(t | h) = (count(h, t) + alpha) / (total(h) + alpha * V)`` where
+    ``P(t | h) = (count(h, t) + ALPHA) / (total(h) + ALPHA * V)`` where
     ``h`` is the length-``min(k, len(history))`` suffix of the history.
     Unseen histories therefore fall back to the uniform distribution, and
     an empty history queries the unigram counts.
     """
 
-    def __init__(self, vocab_size: int, order: int, alpha: float):
-        check_model_settings(vocab_size, order, alpha)
+    def __init__(self, vocab_size: int, order: int):
+        check_model_settings(vocab_size, order)
         self.vocab_size = int(vocab_size)
         self.order = int(order)
-        self.alpha = float(alpha)
         self.meta: dict = {}
         # digit weights of an order-k history key, oldest token first
         self._weights = (self.vocab_size + 1) ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
@@ -193,8 +191,8 @@ class MarkovModel:
         """``(G, V)`` distributions, one per row of a ``(G, L)`` history
         array; each row reads its last ``order`` columns."""
         rows = self.history_states(histories)
-        probs = np.full((len(rows), self.vocab_size), self.alpha)
-        denominators = np.full(len(rows), self.alpha * self.vocab_size)
+        probs = np.full((len(rows), self.vocab_size), ALPHA)
+        denominators = np.full(len(rows), ALPHA * self.vocab_size)
         # only observed histories add counts, and most sampled ones are unseen
         for g in np.flatnonzero(rows >= 0).tolist():
             lo, hi = self._indptr[rows[g]:rows[g] + 2]
@@ -212,7 +210,6 @@ class MarkovModel:
 def train_markov(
     corpus: Sequence[tuple[TokenStream, TokenStream]],
     order: int,
-    alpha: float,
     vocab_size: int,
 ) -> MarkovModel:
     """Fit a Markov model on concatenated context+horizon token streams.
@@ -224,7 +221,7 @@ def train_markov(
     corpus = list(corpus)
     if not corpus:
         raise ValueError("cannot train on an empty corpus")
-    model = MarkovModel(vocab_size=vocab_size, order=order, alpha=alpha)
+    model = MarkovModel(vocab_size=vocab_size, order=order)
     return model.fit([np.concatenate([ctx.tokens, hor.tokens]) for ctx, hor in corpus])
 
 
@@ -359,14 +356,13 @@ def sample_forecast(
 
 
 def save_model(model: MarkovModel, path, meta: dict | None = None) -> None:
-    """Versioned ``.npz`` checkpoint of order, smoothing and count rows,
+    """Versioned ``.npz`` checkpoint of vocabulary size, order and count rows,
     written to ``path`` as named (no suffix is added)."""
     header = {
         "format": _FORMAT,
         "version": _VERSION,
         "vocab_size": model.vocab_size,
         "order": model.order,
-        "alpha": model.alpha,
         "meta": meta if meta is not None else model.meta,
     }
     with open(path, "wb") as fh:
@@ -396,7 +392,7 @@ def load_model(path) -> MarkovModel:
         raise SchemaError(
             f"model version mismatch in {path}: found {header.get('version')}, expected {_VERSION}"
         )
-    missing = [k for k in ("vocab_size", "order", "alpha") if k not in header]
+    missing = [k for k in ("vocab_size", "order") if k not in header]
     if missing:
         raise SchemaError(f"model file {path} is missing fields: {missing}")
     header.setdefault("meta", {})
@@ -405,7 +401,7 @@ def load_model(path) -> MarkovModel:
             raise SchemaError(f"model file {path}: {key} must be {noun}, "
                               f"got {json.dumps(header[key])}")
     try:
-        model = MarkovModel(header["vocab_size"], header["order"], header["alpha"])
+        model = MarkovModel(header["vocab_size"], header["order"])
     except ValueError as exc:
         raise SchemaError(f"model file {path}: {exc}") from None
     if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays) and keys.dtype == np.int64

@@ -392,21 +392,22 @@ class TestConfig:
         config = build_config(self.parse("--config", config_file, "--level", "2"))
         assert config.level == 2  # flag
         assert config.order == 5  # file
-        assert config.alpha == RunConfig().alpha  # default
+        assert config.horizon == RunConfig().horizon  # default
 
     def test_rejects_unknown_key(self, tmp_path, capsys):
         config_file = tmp_path / "config.yaml"
-        config_file.write_text("levels: 3\ntemperature: 0.5\n")  # a typo and a removed setting
+        # a typo, two removed settings and a key that is no string
+        config_file.write_text("levels: 3\ntemperature: 0.5\nalpha: 0.1\n1: 2\n")
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config(self.parse("--config", config_file))
         code, _, err = run(["synth", "--out", tmp_path / "d.jsonl", "--config", config_file],
                            capsys)
         assert (code, err) == (1, f"error: unknown config keys in {config_file}: "
-                                  "['levels', 'temperature']\n")
+                                  "[1, 'alpha', 'levels', 'temperature']\n")
 
     @pytest.mark.parametrize("flag", ["--temperature", "--sigma-estimator", "--threshold-b",
                                       "--threshold-q", "--bound-lo", "--bound-hi",
-                                      "--mix-tsmixup"])
+                                      "--mix-tsmixup", "--alpha"])
     def test_refuses_each_removed_flag(self, capsys, flag):
         with pytest.raises(SystemExit) as exited:
             self.parse(flag, "1")
@@ -418,7 +419,6 @@ class TestConfig:
         ("horizon: 64.0", "horizon must be of type int, got 64.0"),
         ("n_samples: 2.5", "n_samples must be of type int, got 2.5"),
         ("order: true", "order must be of type int, got True"),
-        ("alpha: 1", None),  # an int is a valid float
     ])
     def test_config_file_values_must_have_the_type_of_their_default(self, tmp_path, capsys,
                                                                     line, error):
@@ -427,19 +427,7 @@ class TestConfig:
         out = tmp_path / "d.jsonl"
         code, _, err = run(["synth", "--out", out, "--n-series", 2, "--config", config_file],
                            capsys)
-        if error is None:
-            assert code == 0 and err == ""
-        else:
-            assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
-
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
-    def test_refuses_a_smoothing_constant_that_is_not_positive_and_finite(self, tmp_path,
-                                                                          capsys, alpha):
-        out = tmp_path / "d.jsonl"
-        code, _, err = run(["synth", "--out", out, "--n-series", 2, "--alpha", alpha], capsys)
-        assert (code, err.splitlines(), out.exists()) == (
-            1, [f"error: smoothing constant must be positive and finite, got {float(alpha)}"],
-            False)
+        assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
 
     def test_each_flag_shows_the_default_of_its_field(self):
         tokenize = build_parser()._subparsers._group_actions[0].choices["tokenize"]
@@ -785,15 +773,30 @@ def test_ablate_refuses_a_grid_value_before_it_runs_any_cell(tmp_path, capsys):
         "error: order 7 overflows int64 history keys at vocabulary size 1024: "
         "(V + 1)**order * V must fit"])
     assert not (tmp_path / "refused").exists()
+    # a grid that is no mapping of non-empty lists of distinct values
+    for grid_text, error in (
+            ("grid: 5\n", "grid file must contain a 'grid' mapping"),
+            ("grid:\n  level: 2\n", "grid key 'level' must be a non-empty list of distinct "
+                                     "values, got 2"),
+            ("grid:\n  family: haar\n", "grid key 'family' must be a non-empty list of "
+                                         "distinct values, got 'haar'"),
+            ("grid:\n  family: []\n", "grid key 'family' must be a non-empty list of distinct "
+                                       "values, got []"),
+            ("grid:\n  order: [1, 2]\n  family: [haar, db4, haar]\n",
+             "grid key 'family' must be a non-empty list of distinct values, got "
+             "['haar', 'db4', 'haar']")):
+        code, out, err = ablate_grid(tmp_path, capsys, grid_text, tmp_path / "refused")
+        assert (code, out, err.splitlines()) == (1, "", [f"error: {error}"]), grid_text
+        assert not (tmp_path / "refused").exists()
 
 
 def test_ablate_refuses_a_grid_key_that_is_no_config_field(tmp_path, capsys):
-    code, _, err = ablate_grid(tmp_path, capsys,
-                               "grid:\n  order: [1]\n  colour: [red]\n  temperature: [0.5]\n",
-                               tmp_path / "refused")
+    code, _, err = ablate_grid(
+        tmp_path, capsys, "grid:\n  order: [1]\n  colour: [red]\n  temperature: [0.5]\n"
+        "  alpha: [0.5]\n  1: [2]\n", tmp_path / "refused")
     assert code == 1
-    assert err.startswith("error: unsupported grid keys ['colour', 'temperature']; allowed "
-                          "('family', ")
+    assert err.startswith("error: unsupported grid keys [1, 'alpha', 'colour', 'temperature']; "
+                          "allowed ('family', ")
     assert not (tmp_path / "refused").exists()
 
 

@@ -60,7 +60,7 @@ def test_run_config_holds_only_the_settings_runs_vary():
     # mix are fixed by their modules' constants
     assert [f.name for f in fields(RunConfig)] == [
         "family", "level", "threshold_method", "vocab_budget", "context_length", "horizon",
-        "order", "alpha", "n_samples", "seed", "boundary_mode"]
+        "order", "n_samples", "seed", "boundary_mode"]
 
 
 @pytest.mark.parametrize("settings, length", [
@@ -83,12 +83,9 @@ def test_run_config_refuses_a_level_too_deep_for_either_window(settings, length)
 
 
 @pytest.mark.parametrize("settings, reference", [
-    ({"order": 7}, lambda: MarkovModel(1024, 7, 0.1)),
-    ({"vocab_budget": 64, "order": 10}, lambda: MarkovModel(64, 10, 0.1)),
-    ({"order": 0}, lambda: MarkovModel(1024, 0, 0.1)),
-    ({"alpha": 0.0}, lambda: MarkovModel(1024, 3, 0.0)),
-    ({"alpha": math.nan}, lambda: MarkovModel(1024, 3, math.nan)),
-    ({"alpha": math.inf}, lambda: MarkovModel(1024, 3, math.inf)),
+    ({"order": 7}, lambda: MarkovModel(1024, 7)),
+    ({"vocab_budget": 64, "order": 10}, lambda: MarkovModel(64, 10)),
+    ({"order": 0}, lambda: MarkovModel(1024, 0)),
     ({"vocab_budget": 4}, lambda: fit_codebook(np.ones(3), 4)),
 ])
 def test_run_config_refuses_what_the_model_or_the_codebook_would(settings, reference):
@@ -111,7 +108,7 @@ def test_run_config_refuses_a_negative_seed(seed):
 def test_run_config_takes_the_largest_order_the_budget_allows():
     assert RunConfig(order=5).order == 5
     assert RunConfig(vocab_budget=64, order=9).order == 9
-    assert MarkovModel(fit_codebook(np.linspace(-3, 3, 301), 64).vocab_size, 9, 0.1).order == 9
+    assert MarkovModel(fit_codebook(np.linspace(-3, 3, 301), 64).vocab_size, 9).order == 9
 
 
 def test_seed_rule_is_pinned():
@@ -216,10 +213,38 @@ def test_forecast_dataset_inverts_each_path_under_its_series_scale():
         assert paths.tobytes() == np.array(expected).tobytes()
 
 
+def test_forecast_paths_equal_those_of_the_additive_formula_at_alpha_0_1():
+    # The model of checkpoint version 2, when the smoothing constant was
+    # the setting alpha with default 0.1, reading the trained counts.
+    codebook, model, contexts = trained_inputs(small_dataset(6, seed=2))
+    alpha = 0.1
+
+    class Additive:
+        vocab_size, order = model.vocab_size, model.order
+
+        def history_states(self, histories):
+            return model.history_states(histories)
+
+        def next_token_distributions(self, histories):
+            rows = model.history_states(histories)
+            probs = np.full((len(rows), self.vocab_size), alpha)
+            denominators = np.full(len(rows), alpha * self.vocab_size)
+            for g in np.flatnonzero(rows >= 0).tolist():
+                lo, hi = model._indptr[rows[g]:rows[g] + 2]
+                probs[g, model._tokens[lo:hi]] += model._counts[lo:hi]
+                denominators[g] += model._counts[lo:hi].sum()
+            return probs / denominators[:, None]
+
+    forecasts, failed = forecast_dataset(model, codebook, CONFIG, contexts)
+    expected, none_failed = forecast_dataset(Additive(), codebook, CONFIG, contexts)
+    assert failed == none_failed == [] and len(forecasts) == 6
+    assert [(i, p.tobytes()) for i, p in forecasts] == [(i, p.tobytes()) for i, p in expected]
+
+
 def test_forecast_dataset_fails_every_series_on_a_batch_error():
     dataset = with_empty_context(small_dataset(), "synth-00001")
     codebook, _, contexts = trained_inputs(dataset)
-    model = MarkovModel(codebook.vocab_size + 1, CONFIG.order, CONFIG.alpha)
+    model = MarkovModel(codebook.vocab_size + 1, CONFIG.order)
     mismatch = (f"model vocabulary ({codebook.vocab_size + 1}) does not match "
                 f"codebook vocabulary ({codebook.vocab_size})")
     forecasts, failed = forecast_dataset(model, codebook, CONFIG, contexts)

@@ -34,7 +34,7 @@ def trained():
     windows = make_windows(make_dataset(4, context_length=64, horizon=16, seed=3), CONFIG)
     sample, _ = pool_coefficients(windows, CONFIG)
     codebook = fit_codebook(sample, CONFIG.vocab_budget)
-    model = MarkovModel(codebook.vocab_size, order=CONFIG.order, alpha=0.5).fit(
+    model = MarkovModel(codebook.vocab_size, order=CONFIG.order).fit(
         [np.random.default_rng(0).integers(0, codebook.vocab_size, 2000)])
     context_window = windows[0][1]
     context = tokenize(context_window, compute_scale(context_window), CONFIG.tokenizer_config(),
@@ -89,7 +89,7 @@ def test_sampler_queries_one_row_per_distinct_state(trained, contexts):
     """Each state is queried once per call, at the first step that reaches
     it; later steps reuse its distribution."""
     model, codebook, _ = trained
-    sparse = MarkovModel(model.vocab_size, model.order, model.alpha).fit([[1, 2, 3, 1, 2, 4]])
+    sparse = MarkovModel(model.vocab_size, model.order).fit([[1, 2, 3, 1, 2, 4]])
     for inner in (model, sparse):
         path_states, queried = [], []
 
@@ -257,7 +257,7 @@ def reference_cross_entropy(model, context, horizon, pad_id):
 def test_context_shorter_than_order_matches_reference_loops(trained, contexts, n_context):
     _, codebook, context = trained
     rng = np.random.default_rng(4)
-    model = MarkovModel(codebook.vocab_size, order=3, alpha=0.5).fit(
+    model = MarkovModel(codebook.vocab_size, order=3).fit(
         [rng.integers(0, codebook.vocab_size, 3000)])
     # a stack of two contexts that keep only their last n_context tokens
     short = TokenStream(contexts.tokens[:2, contexts.tokens.shape[1] - n_context:], scale=None)
@@ -283,7 +283,7 @@ def test_suffix_query_equals_full_history_query(trained):
 
 
 def test_unseen_history_is_uniform():
-    model = MarkovModel(vocab_size=5, order=2, alpha=0.1).fit([[1, 2, 3, 4, 1, 2, 4]])
+    model = MarkovModel(vocab_size=5, order=2).fit([[1, 2, 3, 4, 1, 2, 4]])
     probs = model.next_token_distribution([4, 4])
     np.testing.assert_allclose(probs, np.full(5, 0.2), rtol=1e-15)
     assert not np.allclose(model.next_token_distribution([1, 2]), 0.2)
@@ -293,7 +293,7 @@ def test_fit_matches_a_counting_loop():
     # Sequences shorter than the order, an empty one, and PAD (0) targets.
     rng = np.random.default_rng(7)
     sequences = [rng.integers(0, 6, n) for n in (0, 1, 3, 40, 200)]
-    model = MarkovModel(vocab_size=6, order=3, alpha=0.1).fit(sequences)
+    model = MarkovModel(vocab_size=6, order=3).fit(sequences)
     expected = {}
     for seq in sequences:
         seq = [int(t) for t in seq]
@@ -348,7 +348,7 @@ def test_fit_equals_one_unique_over_every_length(order, vocab_size):
     sequences = [rng.integers(0, vocab_size, n) for n in rng.integers(0, 3 * order, 30)]
     sequences += [[], [vocab_size - 1], [0], rng.integers(0, vocab_size, 500)]
     for corpus in (sequences, [], [[]]):
-        model = MarkovModel(vocab_size, order, 0.1).fit(corpus)
+        model = MarkovModel(vocab_size, order).fit(corpus)
         expected = count_in_one_pass(model, corpus)
         for name, want in zip(("_keys", "_indptr", "_tokens", "_counts"), expected):
             got = getattr(model, name)
@@ -382,7 +382,7 @@ def test_fit_counts_one_history_length_at_a_time(corpus, order):
     # not grow with the order the way one sort over every length's do.
     vocab_size, sequences = corpus
     assert sum(map(len, sequences)) >= 50_000
-    model = MarkovModel(vocab_size, order, 0.1)
+    model = MarkovModel(vocab_size, order)
     assert traced_peak(model.fit, sequences) <= 0.6 * traced_peak(count_in_one_pass, model,
                                                                   sequences)
 
@@ -394,7 +394,7 @@ def test_fit_counts_one_history_length_at_a_time(corpus, order):
     ([list(range(-12, 0))], "[-12, -11, -10, -9, -8, -7, -6, -5, -4, -3] ..."),  # the first ten
 ])
 def test_fit_refuses_ids_outside_the_vocabulary(sequences, ids):
-    model = MarkovModel(4, 1, 0.1).fit([[1, 2, 3]])
+    model = MarkovModel(4, 1).fit([[1, 2, 3]])
     with pytest.raises(ValueError) as refused:
         model.fit(sequences)
     assert str(refused.value) == f"token ids outside the vocabulary [0, 4): {ids}"
@@ -404,7 +404,7 @@ def test_fit_refuses_ids_outside_the_vocabulary(sequences, ids):
 def test_short_history_reads_its_own_counts():
     # Targets of 1 2 3 4 1 2 4: all seven after the empty history, 3 and
     # 4 after "2". Left padding must not turn these into unseen histories.
-    model = MarkovModel(vocab_size=5, order=2, alpha=0.1).fit([[1, 2, 3, 4, 1, 2, 4]])
+    model = MarkovModel(vocab_size=5, order=2).fit([[1, 2, 3, 4, 1, 2, 4]])
     np.testing.assert_array_equal(model.next_token_distribution([]),
                                   (np.array([0, 2, 2, 1, 2]) + 0.1) / (7 + 0.5))
     np.testing.assert_array_equal(model.next_token_distribution([2]),
@@ -414,14 +414,39 @@ def test_short_history_reads_its_own_counts():
                                             model.next_token_distribution([2])]))
 
 
+def test_distributions_equal_the_additive_formula_at_alpha_0_1(trained, contexts):
+    # The formula of checkpoint version 2, when the smoothing constant was
+    # the setting alpha with default 0.1: (count + alpha) / (total + alpha V)
+    # over dense counts, here of seen, unseen and left-padded histories.
+    model, _, _ = trained
+    sparse = MarkovModel(model.vocab_size, model.order).fit([[1, 2, 3, 1, 2, 4]])
+    histories = np.concatenate([
+        *(np.lib.stride_tricks.sliding_window_view(row, model.order) for row in contexts.tokens),
+        [[-1, -1], [-1, 3], [1, 2]]])
+    alpha = 0.1
+    for inner in (model, sparse):
+        rows = inner.history_states(histories)
+        counts = np.zeros((len(histories), inner.vocab_size), dtype=np.int64)
+        for g, row in enumerate(rows.tolist()):
+            if row >= 0:
+                lo, hi = inner._indptr[row:row + 2]
+                counts[g, inner._tokens[lo:hi]] = inner._counts[lo:hi]
+        expected = (counts + alpha) / (counts.sum(axis=1) + alpha * inner.vocab_size)[:, None]
+        assert inner.next_token_distributions(histories).tobytes() == expected.tobytes()
+    assert (model.history_states(histories) >= 0).all()
+    assert (sparse.history_states(histories) < 0).any()
+
+
 def test_checkpoint_round_trip(trained, tmp_path):
     model, _, context = trained
     path = tmp_path / "model.json"
     save_model(model, path, meta={"fingerprint": "abc"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
     loaded = load_model(path)
-    assert (loaded.vocab_size, loaded.order, loaded.alpha) == (
-        model.vocab_size, model.order, model.alpha)
+    assert (loaded.vocab_size, loaded.order) == (model.vocab_size, model.order)
+    with np.load(path) as npz:  # the smoothing constant is no header field
+        assert sorted(json.loads(str(npz["header"]))) == [
+            "format", "meta", "order", "version", "vocab_size"]
     assert loaded.meta == {"fingerprint": "abc"}
     for name in ("_keys", "_indptr", "_tokens", "_counts"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name), err_msg=name)
@@ -437,7 +462,7 @@ def test_checkpoint_of_version_1_is_refused(tmp_path):
     path.write_text(json.dumps({"format": "wavets.markov", "version": 1, "vocab_size": 4,
                                 "order": 1, "alpha": 1.0, "meta": {}, "counts": {"": {"1": 2}}}))
     # the test's directory name holds "version": match from the start
-    with pytest.raises(SchemaError, match="^model version mismatch .*expected 2$"):
+    with pytest.raises(SchemaError, match="^model version mismatch .*expected 3$"):
         load_model(path)
 
 
@@ -479,15 +504,16 @@ DROP = object()  # a header change that deletes the field
 
 @pytest.mark.parametrize("change, message", [
     ({"format": "other"}, "is not a model checkpoint$"),
-    ({"version": 3}, "version mismatch .*found 3, expected 2$"),
-    ({"alpha": DROP}, r"missing fields: \['alpha'\]$"),
+    # version 2 held the smoothing constant as the header's alpha
+    ({"version": 2, "alpha": 0.1}, "version mismatch .*found 2, expected 3$"),
+    ({"order": DROP}, r"missing fields: \['order'\]$"),
     ({"order": None}, ": order must be an integer, got null$"),
-    ({"alpha": [1]}, r": alpha must be a number, got \[1\]$"),
+    ({"version": 4}, "version mismatch .*found 4, expected 3$"),
     ({"order": True}, ": order must be an integer, got true$"),
     ({"vocab_size": 5.9}, ": vocab_size must be an integer, got 5.9$"),
     ({"meta": 5}, ": meta must be an object, got 5$"),
-    ({"alpha": math.nan}, ": smoothing constant must be positive and finite, got nan$"),
-    ({"alpha": math.inf}, ": smoothing constant must be positive and finite, got inf$"),
+    ({"order": 0}, ": model order must be at least 1, got 0$"),
+    ({"vocab_size": "16"}, ': vocab_size must be an integer, got "16"$'),
     ({"vocab_size": 1}, ": vocabulary size must be at least 2, got 1$"),
 ])
 def test_checkpoint_header_is_checked(trained, tmp_path, change, message):
@@ -504,9 +530,9 @@ def test_checkpoint_header_is_checked(trained, tmp_path, change, message):
 
 
 def test_order_whose_keys_overflow_int64_is_refused(trained, contexts):
-    MarkovModel(vocab_size=1024, order=5, alpha=0.1)
+    MarkovModel(vocab_size=1024, order=5)
     with pytest.raises(ValueError, match="int64"):
-        MarkovModel(vocab_size=1024, order=6, alpha=0.1)
+        MarkovModel(vocab_size=1024, order=6)
     model, codebook, _ = trained
 
     class LongWindow:
@@ -525,14 +551,14 @@ def test_order_whose_keys_overflow_int64_is_refused(trained, contexts):
 
 
 def test_cross_entropy_by_hand():
-    # Vocabulary {0 = PAD, 1, 2, 3}, order 1, add-one smoothing, one
-    # training sequence 1 2 1 3: counts after "2" are {1: 1}, after "1"
-    # {2: 1, 3: 1}, and "0" is an unseen history.
-    model = MarkovModel(vocab_size=4, order=1, alpha=1.0).fit([[1, 2, 1, 3]])
+    # Vocabulary {0 = PAD, 1, 2, 3}, order 1, smoothing 0.1, one training
+    # sequence 1 2 1 3: counts after "2" are {1: 1}, after "1" {2: 1, 3: 1},
+    # and "0" is an unseen history.
+    model = MarkovModel(vocab_size=4, order=1).fit([[1, 2, 1, 3]])
 
     def stream(tokens):
         return TokenStream(tokens=tokens, scale=None)
 
-    # P(1 | 2) = 2/5, the PAD target is skipped, P(3 | 0) = 1/4.
+    # P(1 | 2) = 1.1/1.4, the PAD target is skipped, P(3 | 0) = 1/4.
     loss = cross_entropy(model, stream([2]), stream([1, 0, 3]), pad_id=0)
-    assert loss == pytest.approx((math.log(5 / 2) + math.log(4)) / 2, rel=1e-12)
+    assert loss == pytest.approx((math.log(1.4 / 1.1) + math.log(4)) / 2, rel=1e-12)
