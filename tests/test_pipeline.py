@@ -86,6 +86,9 @@ def test_run_config_refuses_a_level_too_deep_for_either_window(settings, length)
     ({"order": 7}, lambda: MarkovModel(1024, 7)),
     ({"vocab_budget": 64, "order": 10}, lambda: MarkovModel(64, 10)),
     ({"order": 0}, lambda: MarkovModel(1024, 0)),
+    ({"order": -1}, lambda: MarkovModel(1024, -1)),
+    ({"vocab_budget": 5, "order": 24}, lambda: MarkovModel(5, 24)),
+    ({"vocab_budget": -1}, lambda: fit_codebook(np.ones(3), -1)),
     ({"vocab_budget": 4}, lambda: fit_codebook(np.ones(3), 4)),
 ])
 def test_run_config_refuses_what_the_model_or_the_codebook_would(settings, reference):
