@@ -14,11 +14,17 @@ flags and config keys; ``--help`` shows each flag's default. An output's
 ``__meta__`` header holds just the configuration fingerprint and, for one
 made with a codebook, the codebook's hash. That header is the only record
 of how an artifact was made, so commands refuse one whose header lacks or
-mismatches what they expect. A token file holds ``{item_id, kind, tokens,
-mu, sigma}`` records, ``kind`` being ``context`` or ``horizon``. Each failed
-series or record gets its own ``error:`` line while the rest are still
-processed, also when none is left to fit or train on, and the command then
-exits with status 1. A warning (say, a score left undefined, which only
+mismatches what they expect. The fingerprint covers every ``RunConfig``
+field, so a command refuses an input made under any other value of any
+field, also of one the command never reads: ``forecast --seed 1`` refuses a
+model trained at seed 0, as ``train --seed 1`` refuses a token file made at
+seed 0. A token file holds ``{item_id, kind, tokens, mu, sigma}`` records,
+``kind`` being ``context`` or ``horizon``. Each failed series or record
+gets its own ``error:`` line while the rest are still processed, also when
+none is left to fit or train on, and the command then exits with status 1.
+A refused input, a malformed config or grid file and a truncated or
+corrupted ``.gz`` input among them, gives one ``error:`` line and exit
+status 1. A warning (say, a score left undefined, which only
 :func:`~wavets.pipeline.evaluate_dataset` reports) is printed as one
 ``warning:`` line each time it is raised; :func:`main` is the one place
 that decides how warnings print, and no library code silences them.
@@ -33,6 +39,7 @@ import itertools
 import json
 import sys
 import warnings
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -61,14 +68,25 @@ from .seq_model import load_model, save_model
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
+def _read_yaml(path):
+    """The value a YAML (or JSON) file holds; a malformed file is a ValueError naming it."""
+    import yaml  # only a config or grid file needs it, and it is slow to import
+
+    try:
+        return yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f":{mark.line + 1}:{mark.column + 1}" if mark else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ValueError(f"{path}{where}: malformed YAML: {problem}") from None
+
+
 def build_config(args) -> RunConfig:
     """Merge defaults, config file and command-line flags."""
     merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        import yaml  # only a config file needs it, and it is slow to import
-
-        loaded = yaml.safe_load(Path(config_path).read_text()) or {}
+        loaded = _read_yaml(config_path) or {}
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {config_path} must hold a mapping")
         unknown = set(loaded) - set(_CONFIG_KEYS) - {"grid"}
@@ -298,10 +316,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    import yaml
-
     config = build_config(args)
-    grid_spec = yaml.safe_load(Path(args.grid).read_text())
+    grid_spec = _read_yaml(args.grid)
     grid = grid_spec.get("grid") if isinstance(grid_spec, dict) else None
     if not isinstance(grid, dict):
         raise ValueError("grid file must contain a 'grid' mapping")
@@ -401,7 +417,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (WavetsError, ValueError, OSError) as exc:
+        except (WavetsError, ValueError, OSError, EOFError, zlib.error) as exc:
+            # EOFError and zlib.error: a truncated or corrupted .gz input
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

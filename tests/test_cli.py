@@ -289,7 +289,11 @@ def test_refuses_a_dataset_line_that_is_not_an_object(tmp_path, capsys):
      "2: freq must be a string, got int"),
     ("start.jsonl", '{"item_id": "a", "start": 5, "freq": "h", "target": [1.0]}\n',
      "1: start must be a string, got int"),
-], ids=["tz.csv", "list.jsonl", "int.jsonl", "start.jsonl"])
+    ("stamp.csv", "item_id,timestamp,value\na,2020-01-01T00:00:00,1\na,noon,2\n",
+     "3: bad timestamp 'noon': Invalid isoformat string: 'noon'"),
+    ("bad-start.jsonl", '{"item_id": "a", "start": "noon", "freq": "h", "target": [1.0]}\n',
+     "1: bad start timestamp: Invalid isoformat string: 'noon'"),
+], ids=["tz.csv", "list.jsonl", "int.jsonl", "start.jsonl", "stamp.csv", "bad-start.jsonl"])
 def test_refuses_a_dataset_with_an_unreadable_timestamp_or_tag_in_one_error_line(
         tmp_path, capsys, name, text, message):
     (tmp_path / name).write_text(text)
@@ -429,6 +433,19 @@ class TestConfig:
                            capsys)
         assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
 
+    @pytest.mark.parametrize("text, error", [
+        ("- level: 2\n", "config file {} must hold a mapping"),
+        ("level: [1\n", "{}:2:1: malformed YAML: expected ',' or ']', but got '<stream end>'"),
+    ], ids=["list", "malformed"])
+    def test_a_config_file_that_is_malformed_or_holds_no_mapping_is_one_error_line(
+            self, tmp_path, capsys, text, error):
+        config_file = tmp_path / "config.yaml"
+        config_file.write_text(text)
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(["synth", "--out", out, "--config", config_file], capsys)
+        assert (code, err.splitlines(), out.exists()) == (
+            1, [f"error: {error.format(config_file)}"], False)
+
     def test_each_flag_shows_the_default_of_its_field(self):
         tokenize = build_parser()._subparsers._group_actions[0].choices["tokenize"]
         helps = {action.dest: action.help for action in tokenize._actions}
@@ -463,6 +480,14 @@ def test_eval_refuses_two_datasets_with_one_file_name(tmp_path, capsys):
     assert code == 1
     assert err.splitlines() == ["error: --data file names must differ, repeated: data.jsonl"]
     assert not (tmp_path / "both.csv").exists()
+
+
+def test_eval_refuses_a_count_of_forecasts_other_than_of_datasets(tmp_path, capsys):
+    argv = ["eval", "--data", tmp_path / "a.jsonl", "--data", tmp_path / "b.jsonl",
+            "--forecasts", tmp_path / "a-fc.jsonl", "--out", tmp_path / "eval.csv"]
+    code, _, err = run(argv, capsys)
+    assert (code, err.splitlines(), (tmp_path / "eval.csv").exists()) == (
+        1, ["error: need one --forecasts per --data"], False)
 
 
 def test_eval_scores_the_series_that_did_forecast(tmp_path, capsys):
@@ -668,6 +693,32 @@ def test_synth_refuses_a_negative_seed_naming_it(tmp_path, capsys):
         1, ["error: seed must be non-negative, got -1"], False)
 
 
+@pytest.mark.parametrize("flag, error", [
+    ("--n-series", "need at least one series, got 0"),
+    ("--n-samples", "need at least one sample path, got 0"),
+])
+def test_synth_refuses_no_series_or_no_sample_path(tmp_path, capsys, flag, error):
+    out = tmp_path / "data.jsonl"
+    code, _, err = run(["synth", "--out", out, *FLAGS, flag, 0], capsys)
+    assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+def test_a_truncated_or_corrupted_gz_input_is_one_error_line(tmp_path, capsys, damage):
+    data = tmp_path / "data.jsonl.gz"
+    save_dataset(make_dataset(N_SERIES, context_length=64, horizon=16, seed=0), data)
+    raw = data.read_bytes()
+    assert len(raw) > 300
+    data.write_bytes(raw[:300] if damage == "truncated" else
+                     raw[:100] + bytes(b ^ 0xFF for b in raw[100:130]) + raw[130:])
+    out = tmp_path / "cb.json"
+    code, _, err = run(["fit-codebook", "--data", data, "--out", out, *FLAGS], capsys)
+    error = {"truncated": "Compressed file ended before the end-of-stream marker was reached",
+             "corrupted": "Error -3 while decompressing data: "}[damage]
+    assert (code, len(err.splitlines()), err.startswith(f"error: {error}"), out.exists()) == (
+        1, 1, True, False), err
+
+
 def test_import_leaves_yaml_and_the_process_pool_unloaded():
     # only --config, ablate and forecast --workers above 1 need them
     code = ("import sys, wavets.cli; "
@@ -773,7 +824,7 @@ def test_ablate_refuses_a_grid_value_before_it_runs_any_cell(tmp_path, capsys):
         "error: order 7 overflows int64 history keys at vocabulary size 1024: "
         "(V + 1)**order * V must fit"])
     assert not (tmp_path / "refused").exists()
-    # a grid that is no mapping of non-empty lists of distinct values
+    # a grid that is no mapping of non-empty lists of distinct values, or no YAML
     for grid_text, error in (
             ("grid: 5\n", "grid file must contain a 'grid' mapping"),
             ("grid:\n  level: 2\n", "grid key 'level' must be a non-empty list of distinct "
@@ -784,7 +835,9 @@ def test_ablate_refuses_a_grid_value_before_it_runs_any_cell(tmp_path, capsys):
                                        "values, got []"),
             ("grid:\n  order: [1, 2]\n  family: [haar, db4, haar]\n",
              "grid key 'family' must be a non-empty list of distinct values, got "
-             "['haar', 'db4', 'haar']")):
+             "['haar', 'db4', 'haar']"),
+            ("grid: {family: [haar\n", f"{tmp_path / 'grid.yaml'}:2:1: malformed YAML: "
+                                        "expected ',' or ']', but got '<stream end>'")):
         code, out, err = ablate_grid(tmp_path, capsys, grid_text, tmp_path / "refused")
         assert (code, out, err.splitlines()) == (1, "", [f"error: {error}"]), grid_text
         assert not (tmp_path / "refused").exists()

@@ -233,6 +233,13 @@ class TestPersistence:
         with pytest.raises(SchemaError, match=f"^{refused}$"):
             load_codebook(path)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "wavets.model", "version": 3}'])
+    def test_a_json_file_that_is_no_codebook_is_refused(self, tmp_path, text):
+        path = tmp_path / "cb.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))} is not a codebook file$"):
+            load_codebook(path)
+
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "cb.json"
         path.write_text("{not json")

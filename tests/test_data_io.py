@@ -505,6 +505,34 @@ def test_long_csv_refuses_a_field_the_csv_module_cannot_read_naming_its_line(tmp
         load_dataset(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["item_id,time,value", "a,2020-01-01T00:00:00,1"],
+     " expected header 'item_id,timestamp,value', got 'item_id,time,value'"),
+    (["item_id,timestamp,value", "a,2020-01-01T00:00:00"], "2: expected 3 fields, got 2"),
+    (["item_id,timestamp,value", "a,2020-01-01T00:00:00,1,2"], "2: expected 3 fields, got 4"),
+    (["item_id,timestamp,value", "a,2020-01-01T00:00:00,1", "a,2020-01-01T01:00:00,one"],
+     "3: bad value 'one'"),
+], ids=["header", "two-fields", "four-fields", "value"])
+def test_long_csv_refuses_a_wrong_header_or_field_count_or_a_bad_value_naming_its_line(
+        tmp_path, rows, message):
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{re.escape(message)}$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("missing", ["start", "freq", "target"])
+def test_jsonl_refuses_a_record_missing_a_field_naming_its_line(tmp_path, missing):
+    record = {"item_id": "b", "start": "2021-01-01", "freq": "h", "target": [1.0]}
+    del record[missing]
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"item_id": "a", "start": "2021-01-01", "freq": "h", "target": [1.0]}\n'
+                    + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: record is missing field "
+                                         rf"'{missing}'$"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("fields, message", [
     ('"start": "2021-01-01", "freq": ["h"]', "freq must be a string, got list"),
     ('"start": "2021-01-01", "freq": 1', "freq must be a string, got int"),

@@ -562,3 +562,5 @@ def test_cross_entropy_by_hand():
     # P(1 | 2) = 1.1/1.4, the PAD target is skipped, P(3 | 0) = 1/4.
     loss = cross_entropy(model, stream([2]), stream([1, 0, 3]), pad_id=0)
     assert loss == pytest.approx((math.log(1.4 / 1.1) + math.log(4)) / 2, rel=1e-12)
+    with pytest.raises(ValueError, match="^horizon contains no unmasked targets$"):
+        cross_entropy(model, stream([2]), stream([0, 0]), pad_id=0)
