@@ -24,7 +24,8 @@ gets its own ``error:`` line while the rest are still processed, also when
 none is left to fit or train on, and the command then exits with status 1.
 A refused input, a malformed config or grid file and a truncated or
 corrupted ``.gz`` input among them, gives one ``error:`` line and exit
-status 1. A warning (say, a score left undefined, which only
+status 1; a broken ``.gz`` input's line names the file. A warning (say, a
+score left undefined, which only
 :func:`~wavets.pipeline.evaluate_dataset` reports) is printed as one
 ``warning:`` line each time it is raised; :func:`main` is the one place
 that decides how warnings print, and no library code silences them.
@@ -39,7 +40,6 @@ import itertools
 import json
 import sys
 import warnings
-import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -184,7 +184,7 @@ def cmd_detokenize(args) -> int:
     codebook = load_codebook(args.codebook)
     meta, lines = read_jsonl(args.tokens)
     _check_meta(meta, args.tokens, config, codebook)
-    windows, failures = detokenize_windows([record for _, record in lines], config, codebook)
+    windows, failures = detokenize_windows((record for _, record in lines), config, codebook)
     write_jsonl(args.out, _header(config, codebook),
                 ({"item_id": item_id, "kind": kind, "values": values}
                  for item_id, kind, values in windows))
@@ -417,8 +417,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (WavetsError, ValueError, OSError, EOFError, zlib.error) as exc:
-            # EOFError and zlib.error: a truncated or corrupted .gz input
+        except (WavetsError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -4,7 +4,8 @@ A dataset has one frequency tag, ``Dataset.freq``; a series carries none.
 
 Two on-disk formats are supported, optionally gzip-compressed. The format
 always comes from the file name (``.csv``, ``.jsonl`` or ``.ndjson``, each
-optionally followed by ``.gz``); any other name is rejected:
+optionally followed by ``.gz``); any other name is rejected, and so is a
+truncated or corrupted ``.gz`` file, naming it:
 
 * ``long-csv``: header ``item_id,timestamp,value``, one observation per
   row, ISO-8601 timestamps stepped by the dataset's tag, empty value field
@@ -63,12 +64,14 @@ either back.
 from __future__ import annotations
 
 import calendar
+import contextlib
 import csv
 import gzip
 import itertools
 import json
 import math
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -183,6 +186,17 @@ def _open_text(path, mode: str, newline: str | None):
     return open(path, mode, encoding="utf-8", newline=newline)
 
 
+@contextlib.contextmanager
+def _read_text(path, newline: str | None):
+    """``path`` open for reading; a truncated or corrupted ``.gz`` file is
+    a ValueError naming it."""
+    with _open_text(path, "r", newline) as fh:
+        try:
+            yield fh
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _detect_format(path) -> str:
     name = Path(path).name
     if name.endswith(".gz"):
@@ -215,7 +229,7 @@ def _dataset(path, series: list[TimeSeries], tags: set, meta: dict) -> Dataset:
 
 def _csv_rows(path) -> Iterator[tuple[int, list[str]]]:
     """``(line number, fields)`` for each non-blank row past the header, as it is read."""
-    with _open_text(path, "r", "") as fh:
+    with _read_text(path, "") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -274,7 +288,7 @@ def _decode(line: str):
 
 def _json_objects(path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line, as it is read."""
-    with _open_text(path, "r", None) as fh:
+    with _read_text(path, None) as fh:
         first_line = True  # the one line a header may take
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():

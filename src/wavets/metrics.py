@@ -161,12 +161,33 @@ def sample_quantiles(samples: np.ndarray) -> np.ndarray:
 
     Uses the inclusive linear-interpolation definition (numpy's default);
     quantile conventions differ between libraries, so this one is fixed
-    here and used everywhere in the package.
+    here and used everywhere in the package. One ``np.sort`` orders the
+    samples, and numpy's own linear rule interpolates between the order
+    statistics at ``(n_samples - 1) * level``: ``a + (b - a) t``, or
+    ``b - (b - a)(1 - t)`` where ``t >= 0.5``; a path with NaN at a step
+    gives NaN at every level. The result equals ``np.quantile(samples,
+    QUANTILE_LEVELS, axis=-2, method="linear")`` bit for bit, except where
+    a step holds both 0.0 and -0.0: their order is arbitrary under a sort
+    and a partition alike, so the sign of a zero quantile may differ.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim < 2:
         raise ValueError(f"expected (..., n_samples, horizon) paths, got shape {samples.shape}")
-    return np.quantile(samples, QUANTILE_LEVELS, axis=-2, method="linear")
+    n = samples.shape[-2]
+    ordered = np.moveaxis(np.sort(samples, axis=-2), -2, 0)  # NaN sorts last
+    position = (n - 1) * np.array(QUANTILE_LEVELS)
+    below = np.floor(position)
+    above = below + 1
+    below[position >= n - 1] = above[position >= n - 1] = -1  # one sample: the last
+    t = (position - below).reshape(-1, *(1,) * (samples.ndim - 1))
+    a, b = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    diff = b - a
+    quantiles = diff * t
+    quantiles += a  # in place: a + diff * t, with one temporary fewer
+    diff *= 1 - t
+    np.subtract(b, diff, out=quantiles, where=t >= 0.5)
+    np.copyto(quantiles, ordered[-1], where=np.isnan(ordered[-1]))
+    return quantiles
 
 
 def seasonal_naive(context: np.ndarray, seasonality: int, horizon: int) -> np.ndarray:

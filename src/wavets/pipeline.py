@@ -19,9 +19,12 @@ run again, down to single series, so a series fails in a batch exactly
 when it fails alone, with that error, and the rest are unchanged (say, a
 context or window with no observed value, coefficients that overflow, or a
 sampling distribution without mass); each stage returns ``(item_id,
-error)`` per failed series next to its results. An ablation cell
-(:func:`run_cell`) trains on a dataset's ``split_last_h`` train view,
-scores the horizons held out from it and fails on any series.
+error)`` per failed series next to its results, which it gets as one stack
+over the series that succeed. An ablation cell (:func:`run_cell`) trains on
+a dataset's ``split_last_h`` train view, scores the horizons held out from
+it and fails on any series. It computes its training coefficients once, in
+the stage :func:`pool_coefficients` runs, fits the codebook to them and
+quantizes those same arrays into its training streams.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .metrics import (
 from .seq_model import MarkovModel, check_model_settings, sample_forecast, train_markov
 from .thresholding import ThresholdSpec
 from .tokenizer import (ScaleStats, TokenizerConfig, TokenStream, coefficients, compute_scale,
-                        detokenize, pad_to_length, tokenize)
+                        detokenize, pad_to_length, quantize_bands, tokenize)
 
 _RECORD_FIELDS = ("item_id", "kind", "tokens", "mu", "sigma")
 _WINDOW_FIELDS = {"context": "context_length", "horizon": "horizon"}  # RunConfig length field
@@ -115,24 +118,36 @@ def make_windows(dataset: Dataset, config: RunConfig):
     ]
 
 
+def _stack(parts):
+    """The results of calls on consecutive rows as one: arrays concatenated
+    on their first axis, tuples element by element."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(_stack(part) for part in zip(*parts))
+    return np.concatenate(parts)
+
+
 def _by_row(call, ids):
-    """Run a stacked ``call(rows)``, which returns one result per position in
-    ``rows``, on every row of ``ids``. Only where a call raises are its
-    halves run again, down to single rows, so a row fails exactly when its
-    own one-row call fails, with that call's error. Returns ``[(id,
-    result)]`` and ``[(id, error)]``, each in input order."""
-    results, errors, pending = {}, {}, [list(range(len(ids)))] if ids else []
-    while pending:
+    """Run a stacked ``call(rows)`` on every row of ``ids``; it returns an
+    array, or a tuple of them, with one entry per position in ``rows`` on
+    the first axis. Only where a call raises are its halves run again, down
+    to single rows, so a row fails exactly when its own one-row call fails,
+    with that call's error. Returns the ids of the rows that succeed, their
+    results as one stack (the one call's value when no row fails, ``()``
+    when none succeeds) and ``[(id, error)]``, each in input order."""
+    done, parts, errors, pending = [], [], [], [list(range(len(ids)))] if ids else []
+    while pending:  # first halves first, so rows finish in input order
         rows = pending.pop()
         try:
-            results.update(zip(rows, call(rows)))
+            parts.append(call(rows))
+            done += rows
         except Exception as exc:  # retried by halves; a single row fails alone
             if len(rows) == 1:
-                errors[rows[0]] = exc
+                errors.append((ids[rows[0]], exc))
             else:
                 pending += [rows[len(rows) // 2:], rows[:len(rows) // 2]]
-    return ([(ids[i], results[i]) for i in sorted(results)],
-            [(ids[i], errors[i]) for i in sorted(errors)])
+    return [ids[i] for i in done], _stack(parts) if parts else (), errors
 
 
 def _scaled_stacks(windows, rows):
@@ -141,6 +156,52 @@ def _scaled_stacks(windows, rows):
     ``(item_id, context, *windows)`` tuples."""
     stacks = [np.array(kind) for kind in zip(*(windows[i][1:] for i in rows))]
     return compute_scale(stacks[0]), stacks
+
+
+def _window_stage(windows, step):
+    """:func:`_by_row` over ``(item_id, context, horizon)`` windows of
+    ``step(stack, scale)`` on each kind's stack, scaled by the contexts; its
+    stack is ``(mu, sigma, context result, horizon result)``."""
+    def call(rows):
+        scale, stacks = _scaled_stacks(windows, rows)
+        return (scale.mu, scale.sigma, *(step(stack, scale) for stack in stacks))
+
+    return _by_row(call, [item_id for item_id, *_ in windows])
+
+
+def _coefficient_stage(windows, config: RunConfig):
+    """:func:`_window_stage` of the windows' :func:`coefficients`, each
+    kind's as its bands ``(a_J, d_J, ..., d_1)``: the one coefficient
+    computation of :func:`pool_coefficients` and :func:`run_cell`."""
+    if not windows:
+        raise WavetsError("no usable training windows")
+    tok_config = config.tokenizer_config()
+
+    def bands(stack, scale):
+        pyramid = coefficients(stack, scale, tok_config)
+        return (pyramid.approx, *pyramid.details)
+
+    return _window_stage(windows, bands)
+
+
+def _pooled(stacked) -> np.ndarray:
+    """The coefficients of a coefficient stage's stack that are not missing,
+    series by series, each series' context bands before its horizon's."""
+    if not stacked:
+        return np.empty(0)
+    _, _, *kinds = stacked
+    sample = np.concatenate([band for bands in kinds for band in bands], axis=-1).ravel()
+    return sample[~np.isnan(sample)]
+
+
+def _stream_pairs(ids, stacked):
+    """``(item_id, context stream, horizon stream)`` per series of a window
+    stage's stack of token ids."""
+    if not ids:
+        return []
+    mu, sigma, *kinds = stacked
+    scale = ScaleStats(mu, sigma)
+    return list(zip(ids, *(TokenStream(tokens, scale).rows() for tokens in kinds)))
 
 
 def pool_coefficients(windows, config: RunConfig):
@@ -154,33 +215,19 @@ def pool_coefficients(windows, config: RunConfig):
     error)`` for each series set aside, in input order; a series fails here
     exactly when it fails :func:`tokenize_windows`, with the same error.
     """
-    tok_config = config.tokenizer_config()
-
-    def bands(rows):  # each row's context bands, then its horizon's
-        scale, stacks = _scaled_stacks(windows, rows)
-        pyramids = [coefficients(stack, scale, tok_config) for stack in stacks]
-        return list(zip(*(band for p in pyramids for band in (p.approx, *p.details))))
-
-    if not windows:
-        raise WavetsError("no usable training windows")
-    pooled, failed = _by_row(bands, [item_id for item_id, *_ in windows])
-    sample = np.concatenate([np.empty(0), *(band for _, row in pooled for band in row)])
-    return sample[~np.isnan(sample)], failed
+    _, stacked, failed = _coefficient_stage(windows, config)
+    return _pooled(stacked), failed
 
 
 def tokenize_windows(windows, config: RunConfig, codebook: Codebook):
     """``(item_id, context stream, horizon stream)`` per series, plus
     ``(item_id, error)`` for each series that could not be tokenized, in
-    input order."""
+    input order. Each window kind is tokenized in one :func:`tokenize`
+    call."""
     tok_config = config.tokenizer_config()
-
-    def streams(rows):
-        scale, (contexts, horizons) = _scaled_stacks(windows, rows)
-        return list(zip(tokenize(contexts, scale, tok_config, codebook).rows(),
-                        tokenize(horizons, scale, tok_config, codebook).rows()))
-
-    pairs, failed = _by_row(streams, [item_id for item_id, *_ in windows])
-    return [(item_id, *pair) for item_id, pair in pairs], failed
+    ids, stacked, failed = _window_stage(
+        windows, lambda stack, scale: tokenize(stack, scale, tok_config, codebook).tokens)
+    return _stream_pairs(ids, stacked), failed
 
 
 def read_token_records(records, config: RunConfig, codebook: Codebook):
@@ -222,25 +269,29 @@ def read_token_records(records, config: RunConfig, codebook: Codebook):
                 raise ValueError(f"need a finite mu and a positive, finite sigma, got mu {mu} "
                                  f"and sigma {sigma}")
             rows.setdefault(kind, []).append((i, tokens, mu, sigma))
-        except (TypeError, ValueError) as exc:
-            failed[i] = (item_id, kind, exc)
+        except (TypeError, ValueError) as exc:  # its traceback would keep every record alive
+            failed[i] = (item_id, kind, exc.with_traceback(None))
     return {kind: (indices, TokenStream(np.stack(tokens), ScaleStats(np.array(mu), np.array(sigma))))
             for kind, (indices, tokens, mu, sigma) in ((k, zip(*v)) for k, v in rows.items())}, failed
 
 
 def detokenize_windows(records, config: RunConfig, codebook: Codebook):
     """``(item_id, kind, values)`` per valid token record and ``(item_id,
-    kind, error)`` per invalid one, in input order. Each kind is inverted in
-    one call."""
+    kind, error)`` per invalid one, in input order. ``records`` may be any
+    iterable: the records are let go of once their tokens are stacked, before
+    anything is inverted. Each kind is inverted in one call."""
+    records = list(records)
+    keys = [(record.get("item_id"), record.get("kind")) for record in records]
     kinds, failed = read_token_records(records, config, codebook)
-    values = {}
+    del records  # the decoded records outweigh the stacked tokens
+    tok_config, values = config.tokenizer_config(), {}
     for kind, (rows, stream) in kinds.items():
         length = getattr(config, _WINDOW_FIELDS[kind])
-        done, errors = _by_row(lambda sub: detokenize(stream.take(sub), length,
-                                                      config.tokenizer_config(), codebook), rows)
-        values.update(done)
-        failed.update((i, (records[i]["item_id"], kind, exc)) for i, exc in errors)
-    return ([(records[i]["item_id"], records[i]["kind"], values[i]) for i in sorted(values)],
+        done, inverted, errors = _by_row(
+            lambda sub: detokenize(stream.take(sub), length, tok_config, codebook), rows)
+        values.update(zip(done, inverted))
+        failed.update((i, (*keys[i], exc)) for i, exc in errors)
+    return ([(*keys[i], values[i]) for i in sorted(values)],
             [failed[i] for i in sorted(failed)])
 
 
@@ -277,7 +328,8 @@ def forecast_dataset(model, codebook: Codebook, config: RunConfig, contexts):
                            tok_config, codebook)
         return paths.reshape(*ids.shape[:2], config.horizon)
 
-    return _by_row(sample, [item_id for item_id, _ in contexts])
+    done, paths, failed = _by_row(sample, [item_id for item_id, _ in contexts])
+    return list(zip(done, paths)), failed
 
 
 def evaluate_dataset(name: str, dataset: Dataset, samples: dict, config: RunConfig):
@@ -365,11 +417,14 @@ def _complete(results, failed):
 
 def run_cell(config: RunConfig, dataset: Dataset):
     """Fit, train, forecast and score one ablation cell in memory; any
-    per-series failure fails the cell."""
+    per-series failure fails the cell. The training windows' coefficients
+    are computed once: the codebook is fit to them, and then they are
+    quantized into the training streams."""
     train_windows = make_windows(split_last_h(dataset, config.horizon)[0], config)
-    sample = _complete(*pool_coefficients(train_windows, config))
-    codebook = fit_codebook(sample, config.vocab_budget)
-    pairs = _complete(*tokenize_windows(train_windows, config, codebook))
+    ids, stacked, failed = _coefficient_stage(train_windows, config)
+    codebook = fit_codebook(_complete(_pooled(stacked), failed), config.vocab_budget)
+    mu, sigma, *kinds = stacked
+    pairs = _stream_pairs(ids, (mu, sigma, *(quantize_bands(bands, codebook) for bands in kinds)))
     model = train_model([(ctx, hor) for _, ctx, hor in pairs], config, codebook)
     contexts = [(item_id, context) for item_id, context, _ in make_windows(dataset, config)]
     forecasts = _complete(*forecast_dataset(model, codebook, config, contexts))

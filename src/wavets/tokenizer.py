@@ -123,10 +123,15 @@ def compute_scale(x: np.ndarray) -> ScaleStats:
 
 def fill_missing(x: np.ndarray) -> np.ndarray:
     """Linearly interpolate interior gaps and hold the end values, in each
-    row along the last axis."""
-    out = np.array(x, dtype=np.float64)
-    rows = out.reshape(-1, out.shape[-1])
-    observed = np.isfinite(rows)
+    row along the last axis, in a new array. A float64 array with no
+    missing value is returned as it is, not copied: the one caller,
+    :func:`coefficients`, never writes to the result."""
+    x = np.asarray(x, dtype=np.float64)
+    observed = np.isfinite(x)
+    if observed.all():
+        return x
+    out = x.copy()
+    rows, observed = out.reshape(-1, out.shape[-1]), observed.reshape(-1, out.shape[-1])
     if not observed.any(axis=-1).all():
         raise ValueError("cannot fill a window with no observed values")
     idx = np.arange(out.shape[-1])
@@ -174,11 +179,19 @@ def tokenize(
     """Tokenize a window, or a ``(rows, n)`` stack of windows with one
     ``scale`` per row, into one stream; NaN entries are missing values.
 
-    Each window's :func:`coefficients` are quantized, a missing one to PAD.
+    Each window's :func:`coefficients` are quantized by
+    :func:`quantize_bands`.
     """
     pyramid = coefficients(windows, scale, config)
-    tokens = [quantize(band, codebook) for band in (pyramid.approx, *pyramid.details)]
-    return TokenStream(tokens=np.concatenate(tokens, axis=-1), scale=scale)
+    return TokenStream(tokens=quantize_bands((pyramid.approx, *pyramid.details), codebook),
+                       scale=scale)
+
+
+def quantize_bands(bands, codebook: Codebook) -> np.ndarray:
+    """The token ids of coefficient bands ``[a_J, d_J, ..., d_1]``, or of
+    stacks of them, concatenated on the last axis: each band quantized in
+    one call, a missing (NaN) coefficient to PAD."""
+    return np.concatenate([quantize(band, codebook) for band in bands], axis=-1)
 
 
 def tokenize_pair(

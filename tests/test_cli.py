@@ -703,20 +703,39 @@ def test_synth_refuses_no_series_or_no_sample_path(tmp_path, capsys, flag, error
     assert (code, err.splitlines(), out.exists()) == (1, [f"error: {error}"], False)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+def damaged_gz(path, damage):
+    """Write a gzipped dataset to ``path``, damaged; return the start of
+    the gzip module's error message."""
+    save_dataset(make_dataset(N_SERIES, context_length=64, horizon=16, seed=0), path)
+    raw = path.read_bytes()
+    assert len(raw) > 300
+    path.write_bytes({"truncated": raw[:300],
+                      "corrupted": raw[:100] + bytes(b ^ 0xFF for b in raw[100:130]) + raw[130:],
+                      "not gzip": b'{"freq": "h"}\n'}[damage])
+    return {"truncated": "Compressed file ended before the end-of-stream marker was reached",
+            "corrupted": "Error -3 while decompressing data: ",
+            "not gzip": "Not a gzipped file"}[damage]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted", "not gzip"])
 def test_a_truncated_or_corrupted_gz_input_is_one_error_line(tmp_path, capsys, damage):
     data = tmp_path / "data.jsonl.gz"
-    save_dataset(make_dataset(N_SERIES, context_length=64, horizon=16, seed=0), data)
-    raw = data.read_bytes()
-    assert len(raw) > 300
-    data.write_bytes(raw[:300] if damage == "truncated" else
-                     raw[:100] + bytes(b ^ 0xFF for b in raw[100:130]) + raw[130:])
+    error = damaged_gz(data, damage)
     out = tmp_path / "cb.json"
     code, _, err = run(["fit-codebook", "--data", data, "--out", out, *FLAGS], capsys)
-    error = {"truncated": "Compressed file ended before the end-of-stream marker was reached",
-             "corrupted": "Error -3 while decompressing data: "}[damage]
-    assert (code, len(err.splitlines()), err.startswith(f"error: {error}"), out.exists()) == (
-        1, 1, True, False), err
+    assert (code, len(err.splitlines()), err.startswith(f"error: {data}: {error}"),
+            out.exists()) == (1, 1, True, False), err
+
+
+def test_eval_names_the_broken_gz_among_its_datasets(tmp_path, capsys):
+    round_trip(tmp_path, capsys)
+    broken = tmp_path / "broken.csv.gz"
+    error = damaged_gz(broken, "truncated")
+    fc, out = tmp_path / "forecast.jsonl", tmp_path / "both.csv"
+    code, _, err = run(["eval", "--data", tmp_path / "data.jsonl", "--forecasts", fc,
+                        "--data", broken, "--forecasts", fc, "--out", out, *FLAGS], capsys)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, errors, out.exists()) == (1, [f"error: {broken}: {error}"], False)
 
 
 def test_import_leaves_yaml_and_the_process_pool_unloaded():

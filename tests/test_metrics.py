@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavets.metrics import (
     QUANTILE_LEVELS, aggregate_relative, average_rank, mase, sample_quantiles, seasonal_naive, vrse,
@@ -186,3 +189,23 @@ def test_stacked_rows_are_bit_identical_to_one_row_calls():
         assert same_bits(point[i], seasonal_naive(context[i], 7, 16))
     with pytest.raises(ValueError, match="1 context row"):
         seasonal_naive(np.vstack([context, np.full(64, np.nan)]), 7, 16)
+
+
+# few distinct values, so columns hold ties, and NaN, +-inf and both zeros
+SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan, np.inf, -np.inf]),
+                          st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 25), st.integers(1, 4))
+       .flatmap(lambda dims: hnp.arrays(np.float64, (*dims[0], dims[1], dims[2]),
+                                        elements=SAMPLE_VALUES)))
+def test_sample_quantiles_equal_numpys_linear_quantiles_bit_for_bit(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, as numpy's own
+        got = sample_quantiles(samples)
+        expected = np.quantile(samples, QUANTILE_LEVELS, axis=-2, method="linear")
+    # a sort and a partition alike leave the order of 0.0 and -0.0 arbitrary
+    zero, negative = samples == 0.0, np.signbit(samples)
+    keep = ~((zero & negative).any(axis=-2) & (zero & ~negative).any(axis=-2))
+    assert got.shape == expected.shape and same_bits(got[:, keep], expected[:, keep])

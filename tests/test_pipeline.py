@@ -3,6 +3,8 @@ the forecast batch, seasonal-naive scoring and what an ablation cell
 trains on."""
 
 import math
+import warnings
+import weakref
 from dataclasses import fields, replace
 from datetime import datetime
 
@@ -444,6 +446,33 @@ def test_run_cell_fails_on_a_bad_series():
         run_cell(CONFIG, dataset)
 
 
+@pytest.mark.parametrize("settings", [{}, {"family": "db2", "level": 2, "threshold_method": "fdrc"}])
+def test_run_cell_scores_equal_those_of_the_public_chain_bit_for_bit(settings):
+    # one coefficient computation in the cell; the chain computes them twice
+    config = replace(CONFIG, **settings)
+    dataset = small_dataset(6, seed=7)
+    for k, series in enumerate(dataset.series):
+        series.values[10 + 4 * k:30 + 4 * k] = np.nan
+    with warnings.catch_warnings(record=True) as chain_warnings:
+        warnings.simplefilter("always")
+        train_windows = make_windows(split_last_h(dataset, config.horizon)[0], config)
+        sample, pool_failed = pool_coefficients(train_windows, config)
+        codebook = fit_codebook(sample, config.vocab_budget)
+        pairs, tokenize_failed = tokenize_windows(train_windows, config, codebook)
+        model = train_model([(ctx, hor) for _, ctx, hor in pairs], config, codebook)
+        contexts = [(item_id, context) for item_id, context, _ in make_windows(dataset, config)]
+        forecasts, forecast_failed = forecast_dataset(model, codebook, config, contexts)
+        expected, unscored = evaluate_dataset("cell", dataset, dict(forecasts), config)
+    with warnings.catch_warnings(record=True) as cell_warnings:
+        warnings.simplefilter("always")
+        scores = run_cell(config, dataset)
+    assert pool_failed == tokenize_failed == forecast_failed == unscored == []
+    assert sum(int(np.sum(ctx.tokens == Codebook.PAD_ID)) for _, ctx, _ in pairs) > 100
+    assert list(scores) == list(expected)
+    assert np.array(list(scores.values())).tobytes() == np.array(list(expected.values())).tobytes()
+    assert [str(w.message) for w in cell_warnings] == [str(w.message) for w in chain_warnings]
+
+
 def test_short_series_are_left_padded():
     series = TimeSeries("short", datetime(2020, 1, 1), np.arange(40.0))
     ((item_id, context, horizon),) = make_windows(Dataset([series], "h"), CONFIG)
@@ -643,6 +672,10 @@ def token_records(pairs):
             for item_id, *streams in pairs for kind, stream in zip(("context", "horizon"), streams)]
 
 
+class Records(list):
+    """A list of records a weak reference can follow."""
+
+
 def test_read_token_records_gives_back_the_streams_of_tokenize_windows():
     dataset = small_dataset(4, seed=5)
     codebook, _, _ = trained_inputs(dataset)
@@ -695,7 +728,7 @@ def test_a_bad_token_record_fails_alone(index, corrupt, message):
     dataset = small_dataset(4, seed=5)
     codebook, _, _ = trained_inputs(dataset)
     pairs, _ = tokenize_windows(make_windows(dataset, CONFIG), CONFIG, codebook)
-    records = token_records(pairs)
+    records = Records(token_records(pairs))
     clean, _ = read_token_records(records, CONFIG, codebook)
     corrupt(records[index])
     kinds, failed = read_token_records(records, CONFIG, codebook)
@@ -709,6 +742,10 @@ def test_a_bad_token_record_fails_alone(index, corrupt, message):
         assert stack.tokens.tobytes() == clean_stack.tokens[keep].tobytes()
         assert stack.scale.mu.tobytes() == clean_stack.scale.mu[keep].tobytes()
         assert stack.scale.sigma.tobytes() == clean_stack.scale.sigma[keep].tobytes()
+    # a failed record's error holds no reference to the records
+    alive = weakref.ref(records)
+    del records
+    assert alive() is None
 
 
 def test_a_token_id_beyond_64_bits_read_from_a_file_fails_its_record_alone(tmp_path):

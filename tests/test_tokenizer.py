@@ -77,6 +77,20 @@ class TestFillMissing:
         out = fill_missing(np.array([np.nan, 2.0, np.nan]))
         np.testing.assert_allclose(out, [2.0, 2.0, 2.0])
 
+    def test_a_complete_stack_comes_back_as_it_is_and_a_gappy_one_as_a_new_array(self):
+        complete = np.random.default_rng(0).normal(size=(3, 16))
+        bits = complete.tobytes()
+        out = fill_missing(complete)
+        assert out is complete and out.tobytes() == bits
+        gappy = complete.copy()
+        gappy[1, 4:9] = np.nan
+        gappy_bits = gappy.tobytes()
+        out = fill_missing(gappy)
+        assert not np.shares_memory(out, gappy) and gappy.tobytes() == gappy_bits
+        assert np.isfinite(out).all() and out[[0, 2]].tobytes() == complete[[0, 2]].tobytes()
+        np.testing.assert_allclose(out[1, 4:9], np.interp(np.arange(4, 9), [3, 9],
+                                                          complete[1, [3, 9]]))
+
 
 class TestForward:
     def test_constant_window_all_zero_center(self):
